@@ -18,7 +18,6 @@ from .errors import (
 from .laurent import (
     CircleGrid,
     LaurentPoly,
-    grid_size_for,
     lp_add,
     lp_conj_flip,
     lp_eval,
@@ -96,7 +95,6 @@ __all__ = [
     "eta",
     "fc_plus",
     "g_bundle",
-    "grid_size_for",
     "iterate_energy_bound_check",
     "l2_norm_circle",
     "localization_bound",

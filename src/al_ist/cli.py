@@ -29,7 +29,7 @@ import numpy as np
 
 from .datagen import dense_random_sequence
 from .errors import NumericalGuardError, ValidationError
-from .laurent import CircleGrid, lp_eval_grid
+from .laurent import CircleGrid, lp_eval_grid, next_pow2
 from .nlft import identity_grid, nlft_forward, szego_identity_check
 from .reference import rk4_integrate
 from .sequence import Sequence
@@ -188,7 +188,7 @@ def _run_multiplier(job: JobSpec) -> int:
     _require(job.n0 >= 1, "multiplier needs a positive order in --n0")
     order = job.n0
     bundle = g_bundle(order, job.t)
-    size = job.grid if job.grid is not None else max(64, 1 << (4 * order - 1).bit_length())
+    size = job.grid if job.grid is not None else next_pow2(4 * order, 64)
     grid = CircleGrid(size)
     phase = np.exp(1j * job.t * (grid.nodes + 1.0 / grid.nodes))
     p_error = float(np.max(np.abs(lp_eval_grid(p_poly(order, job.t), grid) - phase)))
@@ -210,21 +210,29 @@ def _run_multiplier(job: JobSpec) -> int:
     return 0
 
 
-def _run_bench(job: JobSpec) -> int:
-    rows = []
-    logs = []
+def time_nlft(seed: int) -> tuple[list[float], float]:
+    """Best-of-3 wall time of nlft_forward on a dense random datum of each
+    of BENCH_SIZES (datum seed `seed + size`), and the fitted log-log
+    exponent."""
+    best_times = []
     for size in BENCH_SIZES:
-        datum = dense_random_sequence(job.seed + size, 0, size, 0.5)
+        datum = dense_random_sequence(seed + size, 0, size, 0.5)
         best = math.inf
         for _ in range(3):
             start = time.perf_counter()
             nlft_forward(datum)
             best = min(best, time.perf_counter() - start)
-        rows.append([size, size, best])
-        logs.append((math.log(size), math.log(best)))
-    slope = np.polyfit([x for x, _ in logs], [y for _, y in logs], 1)[0]
+        best_times.append(best)
+    log_sizes = [math.log(s) for s in BENCH_SIZES]
+    log_times = [math.log(x) for x in best_times]
+    return best_times, float(np.polyfit(log_sizes, log_times, 1)[0])
+
+
+def _run_bench(job: JobSpec) -> int:
+    best_times, slope = time_nlft(job.seed)
+    rows = [[size, size, best] for size, best in zip(BENCH_SIZES, best_times)]
     _emit(job, csv_table(["N", "sites", "seconds"], rows))
-    sys.stdout.write(f"fitted exponent: {fmt(float(slope))}\n")
+    sys.stdout.write(f"fitted exponent: {fmt(slope)}\n")
     return 0
 
 

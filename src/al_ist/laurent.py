@@ -131,9 +131,7 @@ def lp_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     if n_out <= FFT_THRESHOLD:
         out = np.convolve(p.coeffs, q.coeffs)
     else:
-        m = 1
-        while m < n_out:
-            m *= 2
+        m = next_pow2(n_out)
         fp = np.fft.fft(p.coeffs, m)
         fq = np.fft.fft(q.coeffs, m)
         out = np.fft.ifft(fp * fq)[:n_out]
@@ -185,10 +183,10 @@ class CircleGrid:
         return self.radius * np.exp(1j * ang)
 
 
-def grid_size_for(span: int, minimum: int = 64) -> int:
-    """Power of two >= max(4 * span, minimum)."""
+def next_pow2(n: int, minimum: int = 1) -> int:
+    """Smallest minimum * 2^k that is >= n: FFT lengths and grid sizes."""
     m = minimum
-    while m < 4 * span:
+    while m < n:
         m *= 2
     return m
 

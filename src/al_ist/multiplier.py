@@ -15,42 +15,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import jv
 
 from .errors import ValidationError
-from .laurent import CircleGrid, LaurentPoly, lp_eval_grid
-
-# Ascending-series stop rule: quit once a term is below this relative to
-# the running partial sum (plus an absolute floor for underflowed sums).
-_SERIES_RTOL = 1e-18
-_SERIES_FLOOR = 1e-300
+from .laurent import CircleGrid, LaurentPoly, lp_eval_grid, next_pow2
 
 
 def bessel_j(k: int, x: float) -> float:
-    """J_k(x) by the ascending series with term-ratio recurrence.
-
-    J_k(x) = sum_m (-1)^m (x/2)^(2m+k) / (m! (m+k)!) for k >= 0, and
-    J_{-k} = (-1)^k J_k.  Absolute accuracy degrades like e^x * ulp for
-    large x (alternating-series cancellation); fine at x up to a few tens.
-    """
+    """J_k(x) for integer k and x >= 0, from scipy.special.jv."""
     if x < 0:
         raise ValidationError("bessel_j requires nonnegative x")
-    if k < 0:
-        return (-1.0) ** (-k) * bessel_j(-k, x)
-    if x == 0.0:
-        return 1.0 if k == 0 else 0.0
-    # First term (x/2)^k / k! in log space; underflows cleanly to 0.
-    log_first = k * math.log(x / 2.0) + 0.0 - math.lgamma(k + 1)
-    if log_first < -745.0:
-        return 0.0
-    term = math.exp(log_first)
-    total = term
-    m = 0
-    ratio_num = -((x / 2.0) ** 2)
-    while abs(term) > _SERIES_RTOL * abs(total) + _SERIES_FLOOR:
-        term = term * ratio_num / ((m + 1) * (m + k + 1))
-        total += term
-        m += 1
-    return total
+    return float(jv(k, x))
 
 
 def delta_nt(n: int, t: float) -> float:
@@ -72,8 +47,8 @@ def p_poly(n: int, t: float) -> LaurentPoly:
     if t < 0:
         raise ValidationError("p_poly requires t >= 0 (negative times are reflected upstream)")
     coeffs = np.zeros(2 * n + 1, dtype=np.complex128)
-    for k in range(n + 1):
-        c = 1j**k * bessel_j(k, 2.0 * t)
+    for k, j_k in enumerate(jv(np.arange(n + 1), 2.0 * t)):
+        c = 1j**k * float(j_k)
         coeffs[n + k] = c
         coeffs[n - k] = c
     return LaurentPoly(-n, coeffs)
@@ -91,19 +66,12 @@ class MultiplierBundle:
     def __post_init__(self):
         if not (self.delta < 1.0):
             raise ValidationError("multiplier bundle requires delta < 1")
-        grid = CircleGrid(max(64, _next_pow2(4 * self.n)))
+        grid = CircleGrid(next_pow2(4 * self.n, 64))
         peak = float(np.max(np.abs(lp_eval_grid(self.g, grid))))
         # Exact bound is 1 - delta^2; the slack covers double rounding when
         # delta has underflowed far below the evaluation noise.
         if peak > 1.0 - self.delta**2 + 1e-12:
             raise ValidationError(f"multiplier peak {peak:.17g} outside the Schur class")
-
-
-def _next_pow2(m: int) -> int:
-    p = 1
-    while p < m:
-        p *= 2
-    return p
 
 
 def smallest_admissible_order(t: float) -> int:

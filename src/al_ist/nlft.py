@@ -18,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .laurent import CircleGrid, LaurentPoly, lp_add, lp_conj_flip, lp_eval_grid, lp_mul
+from .laurent import (
+    CircleGrid,
+    LaurentPoly,
+    lp_add,
+    lp_conj_flip,
+    lp_eval_grid,
+    lp_mul,
+    next_pow2,
+)
 from .schur import RationalSchur
 from .sequence import Sequence
 
@@ -134,10 +142,7 @@ def identity_grid(q: Sequence, minimum: int = 64) -> CircleGrid:
     power of two; wide enough that trigonometric means do not alias."""
     sup = q.support()
     span = 1 if sup is None else max(1, sup[1] - sup[0] + 1 + max(abs(sup[0]), abs(sup[1])))
-    size = minimum
-    while size < 4 * span:
-        size *= 2
-    return CircleGrid(size)
+    return CircleGrid(next_pow2(4 * span, minimum))
 
 
 def szego_identity_check(q: Sequence, g: CircleGrid) -> tuple[float, float, float]:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .laurent import CircleGrid, LaurentPoly, lp_eval_grid
+from .sequence import Sequence
 
 # |gamma| at or above this is treated as a terminal unimodular constant
 # (finite Blaschke product); continuing would divide by ~0 everywhere.
@@ -66,7 +67,12 @@ class RationalSchur:
         return lp_eval_grid(self.num, g) / lp_eval_grid(self.den, g)
 
     def validate(self) -> "RationalSchur":
-        """Schur-class witness: |num| <= |den| + 1e-9 max|den| on 1024 nodes."""
+        """Schur-class witness: |num| <= |den| + 1e-9 max|den| on 1024 nodes.
+
+        A spot check, not a proof: lp_eval_grid folds exponents mod 1024,
+        so terms of degree above 1023 alias onto lower ones and a function
+        outside the Schur class can pass.
+        """
         g = CircleGrid(WITNESS_GRID)
         pv = np.abs(lp_eval_grid(self.num, g))
         qv = np.abs(lp_eval_grid(self.den, g))
@@ -96,55 +102,67 @@ class SchurCoeffs:
         return len(self.gammas)
 
 
-def schur_step(f: RationalSchur) -> tuple[complex, RationalSchur]:
-    """One step of Schur's algorithm.
+def _dense(p: LaurentPoly, width: int) -> np.ndarray:
+    """Coefficients of z^0 .. z^(width-1) of p (min_deg >= 0), zero-padded."""
+    out = np.zeros(width, dtype=np.complex128)
+    block = p.coeffs[: max(0, width - p.min_deg)]
+    out[p.min_deg : p.min_deg + len(block)] = block
+    return out
 
-    gamma = f(0); the next iterate is (P - gamma Q) / (z (Q - conj(gamma) P)),
+
+def _step(p: np.ndarray, q: np.ndarray):
+    """One Schur step on dense coefficient arrays of equal length n.
+
+    gamma = p(0)/q(0); the next iterate is (p - gamma q) / (z (q - conj(gamma) p)),
     renormalized so the new denominator has value 1 at the origin.  The
-    constant term of P - gamma Q cancels by construction, so it is dropped
-    rather than divided out.
+    constant term of p - gamma q cancels by construction, so it is dropped
+    rather than divided out: the new numerator has length n - 1 and the new
+    denominator length n.  Returns (gamma, None, None) once |gamma| reaches
+    STOP_THRESHOLD.  A zero p(0) counts as +0, whatever its sign bits.
     """
-    P, Q = f.num, f.den
-    q0 = Q.coefficient(0)
-    gamma = P.coefficient(0) / q0
+    gamma = (complex(p[0]) or 0j) / complex(q[0])
     if abs(gamma) >= STOP_THRESHOLD:
-        raise SchurStop(gamma)
-    width = max(P.max_deg, Q.max_deg) + 1
-    p = np.zeros(width, dtype=np.complex128)
-    if not P.is_zero:
-        p[P.min_deg : P.min_deg + len(P.coeffs)] = P.coeffs
-    q = np.zeros(width, dtype=np.complex128)
-    q[: len(Q.coeffs)] = Q.coeffs
+        return gamma, None, None
     den = q - np.conj(gamma) * p
-    d0 = den[0]  # q0 (1 - |gamma|^2), bounded away from 0 by the stop check
-    num = (p - gamma * q)[1:] / d0
-    den = den / d0
+    d0 = den[0]  # q(0) (1 - |gamma|^2), bounded away from 0 by the stop check
+    return gamma, (p - gamma * q)[1:] / d0, den / d0
+
+
+def schur_step(f: RationalSchur) -> tuple[complex, RationalSchur]:
+    """One step of Schur's algorithm; raises SchurStop at a unimodular gamma."""
+    width = max(f.num.max_deg, f.den.max_deg) + 1
+    gamma, num, den = _step(_dense(f.num, width), _dense(f.den, width))
+    if num is None:
+        raise SchurStop(gamma)
     return gamma, RationalSchur(LaurentPoly(0, num), LaurentPoly(0, den))
 
 
 def schur_coeffs(f: RationalSchur, m: int) -> SchurCoeffs:
-    """First m recurrence coefficients of f by repeated schur_step.
+    """First m recurrence coefficients of f.
 
-    If the iteration terminates at step k < m, the k collected coefficients
-    are returned and the terminating unimodular gamma is flagged separately.
+    gamma_k depends only on the Taylor coefficients of num and den below
+    degree k + 1 (new coefficient j is built from old j and j + 1), so the
+    recursion starts from m coefficients of each and drops one trailing
+    coefficient per step.  If the iteration terminates at step k < m, the k
+    collected coefficients are returned and the terminating unimodular
+    gamma is flagged separately.
     """
     if m < 0:
         raise ValidationError("coefficient count must be nonnegative")
     gammas = np.zeros(m, dtype=np.complex128)
-    cur = f
+    p, q = _dense(f.num, m), _dense(f.den, m)
     for k in range(m):
-        try:
-            gammas[k], cur = schur_step(cur)
-        except SchurStop as stop:
-            return SchurCoeffs(gammas[:k], terminal=stop.gamma)
+        gamma, p, q = _step(p, q)
+        if p is None:
+            return SchurCoeffs(gammas[:k], terminal=gamma)
+        gammas[k] = gamma
+        q = q[:-1]
     return SchurCoeffs(gammas)
 
 
 def eta(c: SchurCoeffs) -> float:
-    """Szego product prod (1 - |gamma_k|^2), accumulated in log space."""
-    if len(c.gammas) == 0:
-        return 1.0
-    return float(math.exp(np.sum(np.log1p(-np.abs(c.gammas) ** 2))))
+    """Szego product prod (1 - |gamma_k|^2) of the coefficient sequence."""
+    return Sequence(0, c.gammas).szego_product()
 
 
 class StabilityConstant(NamedTuple):

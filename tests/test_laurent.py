@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from al_ist.laurent import (
     CircleGrid,
     LaurentPoly,
-    grid_size_for,
     lp_add,
     lp_conj_flip,
     lp_eval,
     lp_eval_grid,
     lp_mul,
     monomial,
+    next_pow2,
 )
 
 from strategies import laurent_polys
@@ -155,10 +155,12 @@ class TestConjFlip:
 
 
 class TestGridHelpers:
-    def test_grid_size_for_power_of_two(self):
+    def test_next_pow2(self):
         for span in (1, 3, 17, 100):
-            m = grid_size_for(span)
+            m = next_pow2(4 * span, 64)
             assert m >= 4 * span and m >= 64 and (m & (m - 1)) == 0
+            assert m == 64 or m < 8 * span
+        assert [next_pow2(n) for n in (0, 1, 2, 3, 64, 65)] == [1, 1, 2, 4, 64, 128]
 
     def test_grid_rejects_bad_params(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Bessel series, multiplier polynomial P_{n,t}, and the G_{n,t} bundle."""
+"""Bessel values, multiplier polynomial P_{n,t}, and the G_{n,t} bundle."""
 
 import math
 
@@ -47,6 +47,14 @@ class TestBesselJ:
         for k in range(-12, 13):
             for x in (0.25, 1.0, 2.0, 4.0, 8.0):
                 assert abs(bessel_j(k, x) - jv(k, x)) <= 1e-13
+
+    def test_large_argument_against_mpmath(self):
+        # x = 2t up to 60: an ascending series would lose about e^x ulp here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for x in (20.0, 40.0, 60.0):
+                for k in range(0, 80, 3):
+                    assert abs(bessel_j(k, x) - float(mpmath.besselj(k, x))) <= 1e-14
 
     def test_underflow_is_clean_zero(self):
         assert bessel_j(400, 1.0) == 0.0

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from al_ist.errors import ValidationError
-from al_ist.laurent import CircleGrid, LaurentPoly, monomial
-from al_ist.nlft import fc_plus
+from al_ist.laurent import CircleGrid, LaurentPoly, lp_conj_flip, lp_mul, monomial
+from al_ist.multiplier import g_bundle, smallest_admissible_order
+from al_ist.nlft import fc_plus, nlft_forward
 from al_ist.datagen import random_sequence
+from al_ist.sequence import Sequence
 from al_ist.schur import (
     RationalSchur,
     SchurCoeffs,
@@ -71,8 +73,6 @@ class TestSchurCoeffs:
     def test_two_site_sequence_roundtrip(self):
         q = np.zeros(2, dtype=np.complex128)
         q[0], q[1] = 0.2, 0.4j
-        from al_ist.sequence import Sequence
-
         c = schur_coeffs(fc_plus(Sequence(0, q)), 4)
         assert np.max(np.abs(c.gammas - [0.2, 0.4j, 0.0, 0.0])) <= 1e-12
 
@@ -80,6 +80,32 @@ class TestSchurCoeffs:
         c = schur_coeffs(RationalSchur(monomial(1.0, 1)), 4)
         assert len(c.gammas) == 1 and c.gammas[0] == 0
         assert c.terminal is not None and abs(abs(c.terminal) - 1.0) <= 1e-12
+
+    def test_zero_site_sign_bits_match_steps(self):
+        # A zero site leaves p(0) a signed zero; the gamma is +0 either way.
+        f = fc_plus(Sequence(0, np.array([0.3, 0.0, 0.2j])))
+        c = schur_coeffs(f, 4)
+        assert c.gammas.tobytes() == schur_coeffs_by_steps(f, 4)[0].tobytes()
+
+    def test_zero_count(self):
+        c = schur_coeffs(RationalSchur(LaurentPoly(0, [0.5, 0.2])), 0)
+        assert len(c.gammas) == 0 and c.terminal is None
+
+    def test_numerator_beyond_count(self):
+        # z^5 / (1 + z/2): no Taylor coefficient below degree 5 is nonzero
+        f = RationalSchur(monomial(0.4, 5), LaurentPoly(0, [1.0, 0.5]))
+        c = schur_coeffs(f, 5)
+        assert np.array_equal(c.gammas, np.zeros(5)) and c.terminal is None
+        assert c.gammas.tobytes() == schur_coeffs_by_steps(f, 5)[0].tobytes()
+
+    def test_blaschke_stop_before_count(self):
+        # z (z + 1/2) / (1 + z/2): gammas 0, 1/2, then the unimodular 1
+        f = RationalSchur(LaurentPoly(1, [0.5, 1.0]), LaurentPoly(0, [1.0, 0.5]))
+        c = schur_coeffs(f, 6)
+        gammas, terminal = schur_coeffs_by_steps(f, 6)
+        assert len(c.gammas) == 2 and abs(c.gammas[1] - 0.5) <= 1e-15
+        assert c.terminal == terminal and abs(terminal - 1.0) <= 1e-12
+        assert c.gammas.tobytes() == gammas.tobytes()
 
 
 class TestEta:
@@ -185,6 +211,52 @@ def test_schwarz_stability_of_gammas(q):
     c = schur_coeffs(fc_plus(q), 8)
     if len(c.gammas):
         assert np.max(np.abs(c.gammas)) < 1.0 + 1e-9
+
+
+def schur_coeffs_by_steps(f: RationalSchur, m: int) -> tuple[np.ndarray, complex | None]:
+    """Up to m gammas of f by repeated schur_step, and the terminal gamma."""
+    gammas = []
+    for _ in range(m):
+        try:
+            gamma, f = schur_step(f)
+        except SchurStop as stop:
+            return np.asarray(gammas, dtype=np.complex128), stop.gamma
+        gammas.append(gamma)
+    return np.asarray(gammas, dtype=np.complex128), None
+
+
+@st.composite
+def multiplied_schur(draw):
+    """G_{n,t} times conj-flip(b) over a, as the solver builds it."""
+    q = draw(plus_supported_sequences(max_len=6, max_modulus=0.6))
+    t = draw(st.sampled_from([0.0, 0.3, 1.0, 2.5]))
+    n = smallest_admissible_order(t) + draw(st.integers(0, 3))
+    m = nlft_forward(q)
+    return RationalSchur(lp_mul(g_bundle(n, t).g, lp_conj_flip(m.b)), m.a)
+
+
+schur_functions = st.one_of(plus_supported_sequences(max_len=6, max_modulus=0.6).map(fc_plus),
+                            multiplied_schur())
+
+
+@settings(max_examples=60, deadline=None)
+@given(schur_functions, st.integers(0, 24))
+def test_coeffs_match_repeated_steps_bitwise(f, m):
+    c = schur_coeffs(f, m)
+    gammas, terminal = schur_coeffs_by_steps(f, m)
+    assert c.gammas.tobytes() == gammas.tobytes()
+    assert c.terminal == terminal
+
+
+@settings(max_examples=60, deadline=None)
+@given(schur_functions, st.integers(0, 16), st.integers(1, 12))
+def test_coeffs_prefix(f, m, k):
+    short, longer = schur_coeffs(f, m), schur_coeffs(f, m + k)
+    if short.terminal is None:
+        assert short.gammas.tobytes() == longer.gammas[:m].tobytes()
+    else:
+        assert short.gammas.tobytes() == longer.gammas.tobytes()
+        assert short.terminal == longer.terminal
 
 
 def schur_iterates(f: RationalSchur, count: int) -> list[RationalSchur]:

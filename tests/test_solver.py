@@ -192,6 +192,16 @@ class TestSolvePoint:
         value, budget = solve_point(q0, -0.5, 1, 1e-6)
         assert abs(value - ref.q.at(1)) <= budget.total
 
+    @pytest.mark.parametrize("t", [8.0, 10.0, 12.0])
+    def test_late_times_against_rk4(self, t):
+        # The multiplier at t >= 8 needs Bessel values accurate to far
+        # below delta_{n,t}; an ascending series loses about e^{2t} ulp.
+        q0 = seq(0, [0.3, 0.2j])
+        value, budget = solve_point(q0, t, 0, 1e-8)
+        ref = rk4_integrate(q0, t, 5e-4, radius=120)
+        assert budget.total <= 1e-8
+        assert abs(value - ref.q.at(0)) <= 1e-8
+
     def test_eta_override_matches_default(self):
         q0 = random_sequence(seed=303, count=4, lo=-2, hi=3, max_modulus=0.5)
         a, _ = solve_point(q0, 0.5, 0, 1e-6)
