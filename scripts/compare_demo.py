@@ -2,7 +2,9 @@
 
 Draws a small random datum, evolves it both ways, and prints the per-site
 deviation next to the certified budget.  The measured deviation should sit
-orders of magnitude below the budget, which itself stays below eps.
+orders of magnitude below the budget, which itself stays below eps.  It also
+prints the half-width N that solve_point picks at site 0, sized from the
+datum's support, next to the window solver's N, sized from C(eta, 1/2).
 
 Usage: python scripts/compare_demo.py [--seed 3] [--t 1.0] [--eps 1e-6]
 """
@@ -13,7 +15,7 @@ import argparse
 
 from al_ist.datagen import random_sequence
 from al_ist.reference import rk4_integrate
-from al_ist.solver import solve_window_detailed
+from al_ist.solver import select_params, solve_window_detailed
 
 
 def main() -> None:
@@ -29,7 +31,9 @@ def main() -> None:
     state = rk4_integrate(datum, args.t, 1e-3, radius=60)
 
     print(f"datum sites {datum.support()}, eta = {datum.szego_product():.6f}")
+    point = select_params(args.t, args.eps, params.eta, 0, support=datum.support())
     print(f"window N = {params.N}, multiplier order n = {params.n}")
+    print(f"point solve at n0 = 0: N = {point.N}, multiplier order n = {point.n}")
     print(f"{'n':>5}  {'|solve - rk4|':>14}  {'budget':>12}")
     for i, value in enumerate(window.values):
         n = window.offset + i

@@ -191,6 +191,15 @@ def next_pow2(n: int, minimum: int = 1) -> int:
     return m
 
 
+def witness_grid(*polys: LaurentPoly) -> CircleGrid:
+    """Unit-circle grid for the sampled witnesses (Schur class, unitarity):
+    at least 2 (span + 1) nodes for the widest exponent span among polys,
+    and at least 1024.  More nodes than the span means no two coefficients
+    of one polynomial fold onto the same residue in lp_eval_grid."""
+    span = max(p.max_deg - p.min_deg for p in polys)
+    return CircleGrid(next_pow2(2 * (span + 1), 1024))
+
+
 def lp_eval_grid(p: LaurentPoly, g: CircleGrid) -> np.ndarray:
     """Values of p at all grid nodes via a single inverse FFT.
 

@@ -26,6 +26,7 @@ from .laurent import (
     lp_eval_grid,
     lp_mul,
     next_pow2,
+    witness_grid,
 )
 from .schur import RationalSchur
 from .sequence import Sequence
@@ -55,18 +56,25 @@ class Transfer2x2:
     def a_at_zero(self) -> complex:
         return self.a.coefficient(0)
 
-    def unitarity_residual(self, g: CircleGrid | None = None) -> float:
-        """max over grid nodes of | |a|^2 - |b|^2 - 1 |."""
-        if g is None:
-            g = CircleGrid(1024)
+    def _unitarity(self, g: CircleGrid) -> tuple[float, float]:
+        """(max | |a|^2 - |b|^2 - 1 |, max |a|^2) over the grid nodes."""
         av = np.abs(lp_eval_grid(self.a, g)) ** 2
         bv = np.abs(lp_eval_grid(self.b, g)) ** 2
-        return float(np.max(np.abs(av - bv - 1.0)))
+        return float(np.max(np.abs(av - bv - 1.0))), float(np.max(av))
+
+    def unitarity_residual(self, g: CircleGrid | None = None) -> float:
+        """max over grid nodes of | |a|^2 - |b|^2 - 1 |; the default grid
+        is witness_grid(a, b)."""
+        return self._unitarity(g if g is not None else witness_grid(self.a, self.b))[0]
 
     def validate(self) -> "Transfer2x2":
-        res = self.unitarity_residual()
-        if res > UNITARITY_TOL:
-            raise ValidationError(f"unitarity residual {res:.3e} exceeds {UNITARITY_TOL}")
+        """Unitarity witness on witness_grid(a, b), relative to the size of
+        |a|^2, whose roundoff grows with it: residual at most
+        UNITARITY_TOL * max(1, max |a|^2)."""
+        res, peak = self._unitarity(witness_grid(self.a, self.b))
+        tol = UNITARITY_TOL * max(1.0, peak)
+        if res > tol:
+            raise ValidationError(f"unitarity residual {res:.3e} exceeds {tol:.3e}")
         a0 = self.a_at_zero()
         if not (a0.real > 0.0 and abs(a0.imag) <= 1e-9 * a0.real):
             raise ValidationError("a(0) must be real and positive")

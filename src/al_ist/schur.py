@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .laurent import CircleGrid, LaurentPoly, lp_eval_grid
+from .laurent import CircleGrid, LaurentPoly, lp_eval_grid, witness_grid
 from .sequence import Sequence
 
 # |gamma| at or above this is treated as a terminal unimodular constant
@@ -67,13 +67,15 @@ class RationalSchur:
         return lp_eval_grid(self.num, g) / lp_eval_grid(self.den, g)
 
     def validate(self) -> "RationalSchur":
-        """Schur-class witness: |num| <= |den| + 1e-9 max|den| on 1024 nodes.
+        """Schur-class witness: |num| <= |den| + 1e-9 max|den| on the nodes
+        of witness_grid(num, den).
 
-        A spot check, not a proof: lp_eval_grid folds exponents mod 1024,
-        so terms of degree above 1023 alias onto lower ones and a function
-        outside the Schur class can pass.
+        The grid has more nodes than either polynomial has exponent span,
+        so no coefficient aliases onto another: the check samples the true
+        functions on the circle.  It is a sampled check, not a proof of the
+        bound between nodes.
         """
-        g = CircleGrid(WITNESS_GRID)
+        g = witness_grid(self.num, self.den)
         pv = np.abs(lp_eval_grid(self.num, g))
         qv = np.abs(lp_eval_grid(self.den, g))
         tol = 1e-9 * float(np.max(qv))

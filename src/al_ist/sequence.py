@@ -88,12 +88,3 @@ class Sequence:
         if len(self.values) == 0:
             return 1.0
         return float(math.exp(np.sum(np.log1p(-np.abs(self.values) ** 2))))
-
-    def l2_tail(self, lo: int, hi: int) -> float:
-        """sqrt(sum of |q(m)|^2 over m outside [lo, hi])."""
-        total = 0.0
-        for j, v in enumerate(self.values):
-            n = self.offset + j
-            if n < lo or n > hi:
-                total += abs(v) ** 2
-        return math.sqrt(total)

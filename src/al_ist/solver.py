@@ -5,6 +5,8 @@ it onto [0, 2N], multiply its one-sided Schur function by the Schur-class
 multiplier G_{n,t}, and run Schur's algorithm; the recurrence coefficient at
 index n + N approximates q(t, n0).  The returned budget certifies the two
 error sources: window truncation (localization) and multiplier truncation.
+It bounds the error of the exact-arithmetic pipeline; float64 roundoff is
+not part of it.
 
 All bound formulas are evaluated in log space; the stability constant can
 exceed 1e27 at moderate eta, so certified budgets are often astronomically
@@ -50,7 +52,12 @@ def worker_count(default: int = 2) -> int:
 
 @dataclass(frozen=True)
 class SolveParams:
-    """Certified run parameters: window half-width N, multiplier order n."""
+    """Certified run parameters: window half-width N, multiplier order n.
+
+    support is the datum's inclusive support (lo, hi) when the caller
+    supplied it; the point budget needs it to tell whether the window
+    [n0 - N, n0 + N] covers the datum.
+    """
 
     N: int
     n: int
@@ -59,6 +66,7 @@ class SolveParams:
     t: float
     n0: int = 0
     reflect: bool = False
+    support: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.n != 2 * self.N:
@@ -70,9 +78,24 @@ class SolveParams:
         if not (delta_nt(self.n, self.t) < 1.0):
             raise ValidationError("params require delta_{n,t} < 1")
 
+    @property
+    def covers_support(self) -> bool:
+        """True when the window [n0 - N, n0 + N] contains the recorded support."""
+        return (
+            self.support is not None
+            and self.n0 - self.N <= self.support[0]
+            and self.support[1] <= self.n0 + self.N
+        )
+
 
 @dataclass(frozen=True)
 class ErrorBudget:
+    """Localization plus multiplier-truncation bound on the absolute error.
+
+    An exact-arithmetic bound: it covers the two truncations of the
+    pipeline, not the float64 roundoff of carrying it out.
+    """
+
     localization: float
     truncation: float
     total: float = field(init=False)
@@ -81,8 +104,17 @@ class ErrorBudget:
         object.__setattr__(self, "total", self.localization + self.truncation)
 
 
-def select_params(t: float, eps: float, eta: float, n0: int = 0) -> SolveParams:
+def select_params(
+    t: float, eps: float, eta: float, n0: int = 0, support: tuple[int, int] | None = None
+) -> SolveParams:
     """N = 5 + floor(4 e |t| + log2(C(eta, 1/2) / eps)), n = 2N.
+
+    With the datum's inclusive support (lo, hi), N is instead the smaller
+    of that closed form and the least M >= max(5, radius of the support
+    about n0) with t3_bound(eta, |t|, 2M, M) <= eps: the window then covers
+    the support, the windowed datum is the datum, and the localization term
+    of the point budget is exactly 0.  Either way the point budget is at
+    most eps in exact arithmetic; it does not cover float64 roundoff.
 
     Negative t is recorded via the reflect flag: the solver runs forward
     at |t| from the conjugated datum and conjugates the output.
@@ -94,12 +126,48 @@ def select_params(t: float, eps: float, eta: float, n0: int = 0) -> SolveParams:
     sc = stability_constant(eta, 0.5)
     abs_t = abs(t)
     N = 5 + math.floor(4.0 * math.e * abs_t + (sc.log - math.log(eps)) / LOG2)
+    if support is not None:
+        radius = max(n0 - support[0], support[1] - n0)
+        covering = _covering_half_width(sc.log, abs_t, eps, max(5, radius), min(N, N_HARD_CAP))
+        if covering is not None:
+            N = covering
     if N > N_HARD_CAP:
         raise InfeasibleParamsError(
             f"certified window N={N} exceeds the hard cap {N_HARD_CAP}; "
             f"eta={eta:.17g} is too small for eps={eps:.17g}"
         )
-    return SolveParams(N=N, n=2 * N, eps=eps, eta=eta, t=abs_t, n0=n0, reflect=t < 0)
+    return SolveParams(
+        N=N, n=2 * N, eps=eps, eta=eta, t=abs_t, n0=n0, reflect=t < 0, support=support
+    )
+
+
+def _covering_half_width(log_c: float, t: float, eps: float, lo: int, hi: int) -> int | None:
+    """Least M in [lo, hi] with 2M > t, delta_{2M,t} < 1 and
+    t3_bound(eta, t, 2M, M) <= eps, or None; log_c is log C(eta, 1/2).
+
+    For M < e t the bound exceeds 1 > eps: M log 2, log C and
+    2M log(e t / M) are then nonnegative, and log 12 + 5t - log(4 pi M)/2
+    is positive.  For M >= e t, log t3 falls by at least 2 - log 2 per unit
+    of M.  So the test fails, then holds, as M grows, and bisection from
+    max(lo, ceil(e t)) finds the least M.
+    """
+    lo = max(lo, math.ceil(math.e * t))
+
+    def fits(M: int) -> bool:
+        n = 2 * M
+        if not (n > t and delta_nt(n, t) < 1.0):
+            return False
+        return exp_or_inf(_log_t3(log_c, t, n, M)) <= eps
+
+    if lo > hi or not fits(hi):
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def localization_bound(eta: float, r: float, t: float, N: int, j: int) -> float:
@@ -157,16 +225,22 @@ def t3_bound(eta: float, t: float, n: int, j: int) -> float:
         return 0.0
     if not (n > t > 0.0):
         raise ValidationError("t3 bound requires n > t > 0")
-    sc = stability_constant(eta, 0.5)
-    log_val = (
+    return exp_or_inf(_log_t3(stability_constant(eta, 0.5).log, t, n, j))
+
+
+def _log_t3(log_c: float, t: float, n: int, j: int) -> float:
+    """log of t3_bound for n > t >= 0, given log C(eta, 1/2)."""
+    ratio = 2.0 * math.e * t / n
+    if ratio == 0.0:  # t = 0, or a subnormal t that underflows: the bound is 0
+        return -math.inf
+    return (
         j * LOG2
-        + sc.log
+        + log_c
         + math.log(12.0)
         + 5.0 * t
         - 0.5 * math.log(2.0 * math.pi * n)
-        + n * math.log(2.0 * math.e * t / n)
+        + n * math.log(ratio)
     )
-    return exp_or_inf(log_val)
 
 
 def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: int) -> np.ndarray:
@@ -186,7 +260,11 @@ def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: 
 
 
 def _point_budget(params: SolveParams) -> ErrorBudget:
-    loc = localization_bound(params.eta, 0.5, params.t, params.N, 0)
+    if params.covers_support:
+        # The windowed datum equals the datum, so its l2 tail is 0.
+        loc = localization_bound_direct(params.t, 0.5, params.N, 0, l2tail=0.0)
+    else:
+        loc = localization_bound(params.eta, 0.5, params.t, params.N, 0)
     trunc = t3_bound(params.eta, params.t, params.n, params.N)
     return ErrorBudget(loc, trunc)
 
@@ -194,7 +272,11 @@ def _point_budget(params: SolveParams) -> ErrorBudget:
 def solve_point(
     q0: Sequence, t: float, n0: int, eps: float, eta: float | None = None
 ) -> tuple[complex, ErrorBudget]:
-    """Approximate q(t, n0) with certified absolute error at most eps."""
+    """Approximate q(t, n0) with certified absolute error at most eps.
+
+    The window is sized from the datum's support (see select_params); the
+    budget is an exact-arithmetic bound and leaves float64 roundoff out.
+    """
     q0 = q0.trimmed()
     if q0.is_zero:
         return 0.0 + 0.0j, ErrorBudget(0.0, 0.0)
@@ -205,7 +287,7 @@ def solve_point(
         # equation with datum conj(q0) iff q(-t) does with datum q0.
         value, budget = solve_point(q0.conjugated(), -t, n0, eps, eta)
         return complex(value).conjugate(), budget
-    params = select_params(t, eps, eta, n0)
+    params = select_params(t, eps, eta, n0, support=q0.support())
     steps = params.n + params.N + 1
     gammas = _schur_pass(q0, params.t, n0, params.N, params.n, steps)
     return complex(gammas[params.n + params.N]), _point_budget(params)

@@ -17,6 +17,7 @@ from al_ist.laurent import (
     lp_mul,
     monomial,
     next_pow2,
+    witness_grid,
 )
 
 from strategies import laurent_polys
@@ -204,3 +205,10 @@ def test_mul_matches_schoolbook_property(p, q):
         scale = max(1.0, np.sum(np.abs(p.coeffs)) * np.sum(np.abs(q.coeffs)))
         diff = lp_add(got, LaurentPoly(want.min_deg, -np.asarray(want.coeffs)))
         assert diff.is_zero or np.max(np.abs(diff.coeffs)) <= 1e-12 * scale
+
+
+def test_witness_grid_oversamples_the_widest_span():
+    assert witness_grid(LaurentPoly(0, [1.0])).size == 1024
+    wide = LaurentPoly(-700, np.ones(1201))  # span 1200
+    assert witness_grid(LaurentPoly(0, [1.0]), wide).size == 4096
+    assert witness_grid(monomial(1.0, 5000)).size == 1024  # one term, span 0

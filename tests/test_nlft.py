@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from al_ist.datagen import random_sequence
+from al_ist.datagen import dense_random_sequence, random_sequence
 from al_ist.errors import ValidationError
-from al_ist.laurent import CircleGrid, LaurentPoly, lp_eval_grid
+from al_ist.laurent import CircleGrid, LaurentPoly, lp_eval_grid, witness_grid
 from al_ist.nlft import (
     Transfer2x2,
     fc_plus,
@@ -212,3 +212,32 @@ def test_dyadic_equals_naive(q):
 @given(disk_sequences(max_len=8, max_modulus=0.7))
 def test_unitarity_property(q):
     assert nlft_forward(q).unitarity_residual() <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def wide_product():
+    """Transfer product of 8192 dense sites with 0.02 <= |q| <= 0.04;
+    max |a|^2 on the circle is near 1e9, so an absolute 1e-9 unitarity
+    tolerance would sit below the roundoff of |a|^2."""
+    return nlft_forward(dense_random_sequence(5, 0, 8192, 0.04, 0.02))
+
+
+def test_validate_accepts_wide_dense_product(wide_product):
+    assert wide_product.validate() is wide_product
+
+
+def test_validate_refuses_scaled_b_on_wide_product(wide_product):
+    with pytest.raises(ValidationError, match="unitarity residual"):
+        Transfer2x2(wide_product.a, 1.01 * wide_product.b).validate()
+
+
+def test_validate_refuses_scaled_b_on_small_product():
+    m = nlft_forward(random_sequence(seed=21, count=12, lo=-8, hi=9, max_modulus=0.7))
+    with pytest.raises(ValidationError, match="unitarity residual"):
+        Transfer2x2(m.a, 1.01 * m.b).validate()
+
+
+def test_unitarity_witness_grid_follows_the_span(wide_product):
+    g = witness_grid(wide_product.a, wide_product.b)
+    span = wide_product.a.max_deg - wide_product.a.min_deg
+    assert g.size >= 2 * (span + 1) and (g.size & (g.size - 1)) == 0

@@ -1,0 +1,139 @@
+"""Point-solve window sized from the datum's support.
+
+With the support known, select_params takes the least half-width M that
+covers it and brings the multiplier-truncation bound under eps; the
+localization term is then exactly 0 because the windowed datum is the
+datum.  Without cover it falls back to the closed form and its budget.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from al_ist.errors import InfeasibleParamsError
+from al_ist.multiplier import delta_nt
+from al_ist.reference import rk4_integrate
+from al_ist.sequence import Sequence
+from al_ist.solver import (
+    ErrorBudget,
+    N_HARD_CAP,
+    localization_bound,
+    select_params,
+    solve_point,
+    t3_bound,
+)
+
+from strategies import disk_values
+
+
+def uniform_datum(lo, hi, eta):
+    """Sites lo..hi of equal modulus, phases spread, Szego product eta."""
+    count = hi - lo + 1
+    modulus = math.sqrt(1.0 - eta ** (1.0 / count))
+    phases = np.exp(2j * np.arange(count))
+    return Sequence(lo, modulus * phases)
+
+
+def least_covering_half_width(eta, t, eps, radius):
+    """The least admissible M >= max(5, radius) by linear scan."""
+    M = max(5, radius)
+    while not (2 * M > t and delta_nt(2 * M, t) < 1.0 and t3_bound(eta, t, 2 * M, M) <= eps):
+        M += 1
+    return M
+
+
+@st.composite
+def point_jobs(draw):
+    lo = draw(st.integers(-6, 6))
+    values = draw(st.lists(disk_values(0.6, allow_zero=False), min_size=1, max_size=6))
+    datum = Sequence(lo, np.asarray(values, dtype=np.complex128))
+    hi = lo + len(values) - 1
+    n0 = draw(st.integers(lo - 8, hi + 8))  # inside and outside the support
+    t = draw(st.floats(0.0, 8.0)) * draw(st.sampled_from((1.0, -1.0)))
+    eps = draw(st.sampled_from((1e-6, 1e-10)))
+    return datum, n0, t, eps
+
+
+@settings(max_examples=12, deadline=None)
+@given(point_jobs())
+def test_support_sized_point_solve_is_certified(job):
+    datum, n0, t, eps = job
+    eta = datum.szego_product()
+    sized = select_params(t, eps, eta, n0, support=datum.support())
+    assert sized.N <= select_params(t, eps, eta, n0).N
+    value, budget = solve_point(datum, t, n0, eps)
+    assert budget.total <= eps
+    h = 2e-3
+    coarse = rk4_integrate(datum, t, h)
+    fine = rk4_integrate(datum, t, h / 2.0)
+    richardson = abs(coarse.q.at(n0) - fine.q.at(n0)) / 15.0 + 1e-12
+    assert abs(value - fine.q.at(n0)) <= eps + richardson
+
+
+@pytest.mark.parametrize(
+    "lo, hi, n0, t, eps",
+    [(-6, 6, 0, 0.5, 1e-6), (-6, 6, 12, 6.0, 1e-10), (0, 3, -9, 2.0, 1e-10), (2, 2, 2, 0.0, 1e-6)],
+)
+def test_bisection_finds_least_covering_half_width(lo, hi, n0, t, eps):
+    eta = 0.3
+    params = select_params(t, eps, eta, n0, support=(lo, hi))
+    radius = max(n0 - lo, hi - n0)
+    assert params.N == least_covering_half_width(eta, t, eps, radius)
+    assert params.covers_support
+
+
+def test_covered_support_has_zero_localization():
+    datum = uniform_datum(-6, 6, 0.22)
+    value, budget = solve_point(datum, 2.0, 12, 1e-6)
+    assert budget.localization == 0.0
+    assert 0.0 < budget.truncation <= 1e-6
+
+
+def test_support_wider_than_closed_form_keeps_todays_params_and_budget():
+    # Two weak sites 400 apart: the closed form (eta near 1) is far
+    # narrower than the support radius, so nothing changes.
+    datum = Sequence(0, np.r_[0.05, np.zeros(399), 0.05j])
+    eta = datum.szego_product()
+    t, eps, n0 = 0.5, 1e-6, 0
+    today = select_params(t, eps, eta, n0)
+    sized = select_params(t, eps, eta, n0, support=datum.support())
+    assert today.N < 400
+    assert (sized.N, sized.n) == (today.N, today.n)
+    assert not sized.covers_support
+    _, budget = solve_point(datum, t, n0, eps)
+    expected = ErrorBudget(
+        localization_bound(eta, 0.5, t, today.N, 0), t3_bound(eta, t, today.n, today.N)
+    )
+    assert (budget.localization, budget.truncation) == (expected.localization, expected.truncation)
+    assert budget.total <= eps
+
+
+def test_low_eta_late_time_window_stays_small():
+    datum = uniform_datum(-6, 6, 0.05)
+    eta = datum.szego_product()
+    assert select_params(6.0, 1e-10, eta, 0).N == 3152
+    assert select_params(6.0, 1e-10, eta, 0, support=datum.support()).N <= 400
+    _, budget = solve_point(datum, 6.0, 0, 1e-10)
+    assert budget.total <= 1e-10
+
+
+def test_covering_window_lifts_the_closed_form_cap():
+    # eta = 2e-4 puts the closed form beyond N_HARD_CAP; the truncation
+    # bound alone falls under eps well below the cap.
+    eta, eps, t = 2e-4, 1e-10, 0.5
+    with pytest.raises(InfeasibleParamsError):
+        select_params(t, eps, eta)
+    params = select_params(t, eps, eta, 0, support=(-1, 1))
+    assert params.N < N_HARD_CAP
+    assert t3_bound(eta, t, params.n, params.N) <= eps
+
+
+def test_subnormal_time_has_zero_truncation_bound():
+    # 2 e t / n underflows to 0 at t = 5e-324; its log used to raise.
+    datum = Sequence(0, np.array([0.5]))
+    value, budget = solve_point(datum, 5e-324, 0, 1e-6)
+    assert budget.total == 0.0
+    assert abs(value - 0.5) <= 1e-6
+

@@ -300,3 +300,17 @@ def test_sharpness_of_rate():
         assert abs(l2_norm_circle(f, r, 1024) - delta * r**n) <= 1e-10
         fn = schur_iterates(f, n)[n]
         assert abs(l2_norm_circle(fn, r, 1024) - delta) <= 1e-10
+
+
+def test_validate_does_not_alias_high_degree():
+    # 0.6 - 0.6 z^1024 vanishes at every 1024th root of unity but reaches
+    # 1.2 at z = -1; a 1024-node witness would accept it.
+    num = LaurentPoly(0, np.r_[0.6, np.zeros(1023), -0.6])
+    with pytest.raises(ValidationError, match="not a Schur-class function"):
+        RationalSchur(num).validate()
+
+
+def test_validate_accepts_high_degree_schur_function():
+    num = LaurentPoly(0, np.r_[0.3, np.zeros(1023), -0.6])
+    f = RationalSchur(num)
+    assert f.validate() is f
