@@ -170,7 +170,7 @@ def _run_nlft(job: JobSpec) -> int:
     datum = _input_sequence(job)
     m = nlft_forward(datum).validate()
     grid = CircleGrid(job.grid) if job.grid is not None else identity_grid(datum)
-    szego_lhs, szego_rhs, _ = szego_identity_check(datum, grid)
+    szego_lhs, szego_rhs, _ = szego_identity_check(datum, grid, m)
     doc = {
         "a": laurent_to_doc(m.a),
         "b": laurent_to_doc(m.b),

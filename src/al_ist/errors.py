@@ -8,7 +8,7 @@ class ValidationError(ValueError):
 
 
 class InfeasibleParamsError(ValidationError):
-    """Certified window size would exceed the hard cap for the given eta."""
+    """Certified window size, or the work of its Schur pass, would exceed its cap."""
 
 
 class NumericalGuardError(RuntimeError):

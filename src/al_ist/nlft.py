@@ -5,9 +5,18 @@ The transform is the ordered product over increasing lattice index of
     (1 - |q(k)|^2)^(-1/2) * [[1, conj(q(k)) z^-k], [q(k) z^k, 1]].
 
 Only the top row (a, b) is stored; the bottom row is the conj-flip of the
-top by the symmetry of the factors.  The dyadic product tree multiplies
-adjacent blocks pairwise, so large products ride on FFT polynomial
-multiplication instead of a quadratic left-to-right sweep.
+top by the symmetry of the factors.
+
+The product tree runs level by level on arrays.  For a block of sites
+[s, e], a has exponents [0, e - s] and conj-flip(b) has exponents [s, e],
+so every block of one tree level is a pair of rows of one fixed width w.
+Pairing adjacent blocks takes one batched FFT of length 2w for all of them
+and gives blocks of width 2w, in O(n log^2 n) for n sites and a dozen numpy
+calls per level.  Zero sites inside a block are identity factors.  A long
+zero gap would still cost FFT work at every level, so the support is first
+cut into runs at gaps of more than RUN_GAP zero sites; each run is batched
+and the run products are joined pairwise with Transfer2x2.matmul, whose
+LaurentPoly products store no coefficients outside a polynomial's span.
 """
 
 from __future__ import annotations
@@ -35,6 +44,10 @@ _IDENTITY_A = LaurentPoly(0, [1.0])
 _IDENTITY_B = LaurentPoly(0, [0.0])
 
 UNITARITY_TOL = 1e-9
+
+# Zero gaps longer than this split the support into separately batched runs
+# (measured break-even between padding the gap and joining two products).
+RUN_GAP = 32
 
 
 @dataclass(frozen=True)
@@ -100,10 +113,66 @@ def _leaf_factors(q: Sequence) -> list[Transfer2x2]:
     return out
 
 
+def _run_product(values: np.ndarray, start: int) -> Transfer2x2:
+    """Product of the factors of sites start, start + 1, ... with the given
+    values (nonzero at both ends, zeros inside), by the level-batched tree.
+
+    At a level of block width w, rows[0, p] holds block p's a at exponents
+    0..w-1 and rows[1, p] its bf = conj-flip(b) at exponents s_p..s_p + w - 1.
+    Merging blocks 1 and 2 into one of width 2w:
+
+        a  = a1 a2 + z conj_rev(bf1) bf2
+        bf = bf1 a2 + z conj_rev(a1) bf2
+
+    where conj_rev reverses and conjugates a row.  With zero padding to 2w,
+    the FFT of z conj_rev(x) is (-1)^k conj(fft(x)), so each level takes
+    one forward and one inverse FFT of the stacked rows.
+    """
+    n = len(values)
+    size = next_pow2(n)
+    c = 1.0 / np.sqrt(1.0 - np.abs(values) ** 2)
+    rows = np.zeros((2, size, 1), dtype=np.complex128)
+    rows[0, :, 0] = 1.0  # identity leaves pad the count to a power of two
+    rows[0, :n, 0] = c
+    rows[1, :n, 0] = values * c
+    w = 1
+    while rows.shape[1] > 1:
+        spec = np.fft.fft(rows, n=2 * w, axis=2)
+        a1, a2 = spec[0, 0::2], spec[0, 1::2]
+        f1, f2 = spec[1, 0::2], spec[1, 1::2]
+        sign = np.where(np.arange(2 * w) % 2, -1.0, 1.0)
+        merged = np.stack((a1 * a2 + sign * np.conj(f1) * f2, f1 * a2 + sign * np.conj(a1) * f2))
+        rows = np.fft.ifft(merged, axis=2)
+        w *= 2
+    # Beyond the true span the padding leaves FFT noise, not exact zeros.
+    a, bf = rows[0, 0, :n], rows[1, 0, :n]
+    return Transfer2x2(LaurentPoly(0, a), LaurentPoly(-(start + n - 1), np.conj(bf[::-1])))
+
+
+def _runs(q: Sequence) -> list[tuple[np.ndarray, int]]:
+    """(values, start) of the runs of q's support between zero gaps longer
+    than RUN_GAP."""
+    nz = np.flatnonzero(q.values)
+    if nz.size == 0:
+        return []
+    cuts = np.flatnonzero(np.diff(nz) > RUN_GAP + 1)
+    firsts = np.concatenate(([nz[0]], nz[cuts + 1]))
+    lasts = np.concatenate((nz[cuts], [nz[-1]]))
+    return [(q.values[i : j + 1], q.offset + int(i)) for i, j in zip(firsts, lasts)]
+
+
 def nlft_forward(q: Sequence) -> Transfer2x2:
-    """Ordered transfer-matrix product over increasing site index, computed
-    by pairing adjacent blocks (balanced binary tree over lp_mul)."""
-    level = _leaf_factors(q)
+    """Ordered transfer-matrix product over increasing site index.
+
+    Each run of the support is multiplied out by the level-batched array
+    tree of _run_product: per level, the blocks are rows of two arrays (a
+    and conj-flip(b)) of one width, paired by one batched FFT.  Runs end at
+    zero gaps longer than RUN_GAP, because inside a run a gap is carried as
+    identity factors through every level, while across runs it costs
+    nothing until the join.  The run products are then paired adjacently
+    (balanced binary tree over Transfer2x2.matmul).
+    """
+    level = [_run_product(values, start) for values, start in _runs(q)]
     if not level:
         return Transfer2x2(_IDENTITY_A, _IDENTITY_B)
     while len(level) > 1:
@@ -139,9 +208,12 @@ def fc_plus(q: Sequence) -> RationalSchur:
 
 def reflection_grid(q: Sequence, g: CircleGrid) -> np.ndarray:
     """Values of the reflection coefficient b/a at unit-circle grid nodes."""
+    return _reflection(nlft_forward(q), g)
+
+
+def _reflection(m: Transfer2x2, g: CircleGrid) -> np.ndarray:
     if g.radius != 1.0:
         raise ValidationError("reflection coefficient is defined on the unit circle")
-    m = nlft_forward(q)
     return lp_eval_grid(m.b, g) / lp_eval_grid(m.a, g)
 
 
@@ -153,16 +225,20 @@ def identity_grid(q: Sequence, minimum: int = 64) -> CircleGrid:
     return CircleGrid(next_pow2(4 * span, minimum))
 
 
-def szego_identity_check(q: Sequence, g: CircleGrid) -> tuple[float, float, float]:
+def szego_identity_check(
+    q: Sequence, g: CircleGrid, m: Transfer2x2 | None = None
+) -> tuple[float, float, float]:
     """Both sides of the trace identity: grid mean of log(1 - |r_q|^2)
     against sum of log(1 - |q(n)|^2); the third value is -2 log a(0),
-    which must equal both."""
-    refl = reflection_grid(q, g)
+    which must equal both.  m is q's transfer product, nlft_forward(q)
+    unless the caller already has it."""
+    if m is None:
+        m = nlft_forward(q)
+    refl = _reflection(m, g)
     lhs = float(np.mean(np.log1p(-np.abs(refl) ** 2)))
     vals = q.values
     rhs = float(np.sum(np.log1p(-np.abs(vals) ** 2))) if len(vals) else 0.0
-    a0 = nlft_forward(q).a_at_zero()
-    return lhs, rhs, float(-2.0 * math.log(abs(a0)))
+    return lhs, rhs, float(-2.0 * math.log(abs(m.a_at_zero())))
 
 
 def shift_check(q: Sequence, n: int, g: CircleGrid) -> float:

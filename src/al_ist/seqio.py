@@ -83,7 +83,7 @@ def csv_table(header: list[str], rows: list[list]) -> str:
 def laurent_to_doc(p) -> dict:
     return {
         "min_deg": p.min_deg,
-        "coeffs": [[c.real, c.imag] for c in p.coeffs],
+        "coeffs": p.coeffs.view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
@@ -98,6 +98,8 @@ def json_text(doc) -> str:
             ]
             return "{\n" + ",\n".join(items) + f"\n{pad}}}"
         if isinstance(node, list):
+            if all(isinstance(x, float) for x in node):
+                return "[" + ", ".join(map(fmt, node)) + "]"
             if all(not isinstance(x, (dict, list)) for x in node):
                 return "[" + ", ".join(render(x, 0) for x in node) + "]"
             items = [f"{pad}  {render(x, indent + 1)}" for x in node]

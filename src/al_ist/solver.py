@@ -35,6 +35,13 @@ LOG2 = math.log(2.0)
 # (eta, eps) pair is declared infeasible rather than attempted.
 N_HARD_CAP = 10**6
 
+# Cap on the estimated work of one Schur pass, steps (steps + 1) / 2
+# coefficient updates (schur_coeffs drops one coefficient per step).  About
+# 13 s of recursion at the 7.5e7 updates/s measured at 12k steps on a
+# 2-core x86 host; the largest pass of the test suite and of the benchmark
+# jobs needs under 1.4e7.
+SCHUR_UPDATE_CAP = 10**9
+
 
 def worker_count(default: int = 2) -> int:
     """Parallelism cap from AL_IST_THREADS (default 2, minimum 1)."""
@@ -245,7 +252,14 @@ def _log_t3(log_c: float, t: float, n: int, j: int) -> float:
 
 def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: int) -> np.ndarray:
     """Window [center-W, center+W], shift onto [0, 2W], multiply by G and
-    run the Schur recursion; returns the first `steps` coefficients."""
+    run the Schur recursion; returns the first `steps` coefficients.
+    A pass whose estimated work exceeds SCHUR_UPDATE_CAP is refused first."""
+    updates = steps * (steps + 1) // 2
+    if updates > SCHUR_UPDATE_CAP:
+        raise InfeasibleParamsError(
+            f"Schur pass with half-width N={W} needs {steps} steps, about "
+            f"{updates:.3g} coefficient updates, above the cap {SCHUR_UPDATE_CAP:.3g}"
+        )
     windowed = q0.windowed(center - W, center + W).shifted(-(center - W))
     m = nlft_forward(windowed)
     bundle = g_bundle(order, t)

@@ -6,13 +6,18 @@ import math
 import numpy as np
 import pytest
 
+import al_ist.cli
+import al_ist.nlft
 from al_ist.cli import BENCH_SIZES, JobSpec, main
 from al_ist.datagen import random_sequence
 from al_ist.errors import ValidationError
+from al_ist.laurent import LaurentPoly
 from al_ist.multiplier import delta_nt
 from al_ist.reference import rk4_integrate
 from al_ist.sequence import Sequence
 from al_ist.seqio import (
+    json_text,
+    laurent_to_doc,
     read_sequence,
     sequence_from_text,
     sequence_to_text,
@@ -73,6 +78,33 @@ class TestSequenceFiles:
             sequence_from_text('{"offset": 0, "values": [[1.0]]}')
         with pytest.raises(ValidationError):
             sequence_from_text('{"offset": 0, "values": [["a", 0.0]]}')
+
+
+class TestJsonText:
+    def test_pinned_text(self):
+        doc = {
+            "p": laurent_to_doc(LaurentPoly(-1, [complex(-0.0, 0.1), 0, 1 / 3 - 2j])),
+            "ok": True,
+            "no": False,
+            "n": -3,
+            "mixed": [1, 2.5, -0.0, True],
+            "rows": [[1.0, -0.0], [], [[0.25]]],
+            "name": "x",
+        }
+        assert json_text(doc) == (
+            '{\n  "p": {\n    "min_deg": -1,\n    "coeffs": [\n'
+            "      [-0.0, 0.10000000000000001],\n      [0, 0],\n"
+            "      [0.33333333333333331, -2]\n    ]\n  },\n"
+            '  "ok": true,\n  "no": false,\n  "n": -3,\n'
+            '  "mixed": [1, 2.5, -0.0, true],\n'
+            '  "rows": [\n    [1, -0.0],\n    [],\n    [\n      [0.25]\n    ]\n  ],\n'
+            '  "name": "x"\n}\n'
+        )
+
+    def test_coefficients_are_plain_floats(self):
+        coeffs = laurent_to_doc(LaurentPoly(0, [0.5 - 0.25j, 1j]))["coeffs"]
+        assert coeffs == [[0.5, -0.25], [0.0, 1.0]]
+        assert all(type(x) is float for pair in coeffs for x in pair)
 
 
 class TestJobSpec:
@@ -188,6 +220,21 @@ class TestNlftCommand:
         assert doc["b"]["coeffs"] == [[top_right.real, top_right.imag]]
         assert doc["unitarity_residual"] <= 1e-12
         assert doc["szego_identity"]["residual"] <= 1e-12
+
+    def test_one_transform_per_job(self, datum_file, monkeypatch, capsys):
+        calls = []
+        for module in (al_ist.cli, al_ist.nlft):
+            original = module.nlft_forward
+
+            def counted(q, original=original):
+                calls.append(q)
+                return original(q)
+
+            monkeypatch.setattr(module, "nlft_forward", counted)
+        path = datum_file(random_sequence(seed=3, count=6, lo=-4, hi=5, max_modulus=0.6))
+        assert main(["--cmd", "nlft", "--in", path]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_grid_override(self, datum_file, capsys):
         path = datum_file(seq(0, [0.5]))

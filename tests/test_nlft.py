@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from al_ist.datagen import dense_random_sequence, random_sequence
 from al_ist.errors import ValidationError
 from al_ist.laurent import CircleGrid, LaurentPoly, lp_eval_grid, witness_grid
 from al_ist.nlft import (
+    RUN_GAP,
     Transfer2x2,
     fc_plus,
     identity_grid,
@@ -24,7 +25,7 @@ from al_ist.nlft import (
 from al_ist.schur import schur_coeffs
 from al_ist.sequence import Sequence
 
-from strategies import disk_sequences
+from strategies import disk_sequences, disk_values
 
 
 def seq(offset, values):
@@ -241,3 +242,50 @@ def test_unitarity_witness_grid_follows_the_span(wide_product):
     g = witness_grid(wide_product.a, wide_product.b)
     span = wide_product.a.max_deg - wide_product.a.min_deg
     assert g.size >= 2 * (span + 1) and (g.size & (g.size - 1)) == 0
+
+
+@st.composite
+def gapped_sequences(draw):
+    """Nonzero sites and zero runs at random offsets; the zero runs are often
+    one site shorter than, equal to or longer than the run split gap."""
+    gap = st.sampled_from([RUN_GAP - 1, RUN_GAP, RUN_GAP + 1, RUN_GAP + 2]) | st.integers(0, 5)
+    piece = st.builds(lambda k: [0j] * k, gap) | st.lists(
+        disk_values(0.7, allow_zero=False), min_size=1, max_size=6
+    )
+    values = [v for part in draw(st.lists(piece, max_size=8)) for v in part]
+    return Sequence(draw(st.integers(-120, 120)), np.asarray(values, dtype=np.complex128))
+
+
+def assert_matches_naive(q):
+    fast = nlft_forward(q)
+    slow = nlft_forward_naive(q)
+    for x, y in ((fast.a, slow.a), (fast.b, slow.b)):
+        assert (x.min_deg, x.max_deg) == (y.min_deg, y.max_deg)
+        scale = 1.0 + float(np.max(np.abs(y.coeffs)))
+        assert float(np.max(np.abs(x.coeffs - y.coeffs))) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(gapped_sequences())
+def test_batched_tree_equals_naive(q):
+    assert_matches_naive(q)
+
+
+def test_all_zero_datum_is_identity():
+    m = nlft_forward(seq(-7, np.zeros(3 * RUN_GAP)))
+    assert m.a == LaurentPoly(0, [1.0]) and m.b.is_zero
+
+
+def test_three_sites_over_a_wide_span():
+    # Three runs of one site each, joined across gaps of 2^15 zero sites.
+    values = np.zeros(2**16, dtype=np.complex128)
+    values[[0, 2**15, 2**16 - 1]] = [0.3, 0.4j, -0.2 + 0.1j]
+    q = seq(-(2**15), values)
+    assert_matches_naive(q)
+    nlft_forward(q).validate()
+
+
+def test_szego_check_reuses_a_given_product():
+    q = random_sequence(seed=71, count=8, lo=-6, hi=7, max_modulus=0.7)
+    g = CircleGrid(4096)
+    assert szego_identity_check(q, g, nlft_forward(q)) == szego_identity_check(q, g)

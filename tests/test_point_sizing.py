@@ -7,6 +7,7 @@ datum.  Without cover it falls back to the closed form and its budget.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -137,3 +138,26 @@ def test_subnormal_time_has_zero_truncation_bound():
     assert budget.total == 0.0
     assert abs(value - 0.5) <= 1e-6
 
+
+
+def test_refuses_a_schur_pass_above_the_work_cap():
+    # N = 69,033 would need 207,100 Schur steps, about 2.1e10 updates.
+    datum = Sequence(-1, np.array([0.5, 0.6j, 0.5]))
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleParamsError, match="N=69033 needs 207100 steps"):
+        solve_point(datum, 0.5, 0, 1e-10, eta=2e-4)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: the point budget leaves float64 roundoff out, so it "
+    "is exactly 0 here while the value is 1.6e-15 from RK4",
+)
+def test_covered_support_budget_holds_against_rk4():
+    values = np.zeros(401, dtype=np.complex128)
+    values[[0, 200, 400]] = [0.5, 0.6j, 0.5]
+    datum = Sequence(-200, values)
+    value, budget = solve_point(datum, 0.5, 0, 1e-6)
+    ref = rk4_integrate(datum, 0.5, 5e-4).q.at(0)
+    assert abs(value - ref) <= budget.total
