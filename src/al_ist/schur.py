@@ -112,31 +112,48 @@ def _dense(p: LaurentPoly, width: int) -> np.ndarray:
     return out
 
 
-def _step(p: np.ndarray, q: np.ndarray):
-    """One Schur step on dense coefficient arrays of equal length n.
+def _step(p: np.ndarray, q: np.ndarray, work_p: np.ndarray, work_q: np.ndarray):
+    """One Schur step on dense coefficient arrays p, q of equal length n, in
+    place: the next iterate's numerator is written over p[:n - 1] and its
+    denominator over q.  work_p (length n - 1) and work_q (length n) are
+    caller-owned scratch.
 
     gamma = p(0)/q(0); the next iterate is (p - gamma q) / (z (q - conj(gamma) p)),
     renormalized so the new denominator has value 1 at the origin.  The
     constant term of p - gamma q cancels by construction, so it is dropped
-    rather than divided out: the new numerator has length n - 1 and the new
-    denominator length n.  Returns (gamma, None, None) once |gamma| reaches
-    STOP_THRESHOLD.  A zero p(0) counts as +0, whatever its sign bits.
+    rather than divided out.  Both are scaled by the one reciprocal
+    1/(q(0) - conj(gamma) p(0)) instead of two array divisions.  The scaling
+    reads the scratch and writes p, q: numpy rounds an in-place complex
+    multiply of a length-1 array differently from a longer one, and the
+    result must not depend on how many trailing coefficients are carried.
+    Returns (gamma, ok); ok is False, and the arrays are untouched, once
+    |gamma| reaches STOP_THRESHOLD.  A zero p(0) counts as +0, whatever its
+    sign bits.
     """
     gamma = (complex(p[0]) or 0j) / complex(q[0])
     if abs(gamma) >= STOP_THRESHOLD:
-        return gamma, None, None
-    den = q - np.conj(gamma) * p
-    d0 = den[0]  # q(0) (1 - |gamma|^2), bounded away from 0 by the stop check
-    return gamma, (p - gamma * q)[1:] / d0, den / d0
+        return gamma, False
+    np.multiply(gamma.conjugate(), p, out=work_q)
+    np.subtract(q, work_q, out=work_q)
+    # den(0) = q(0) (1 - |gamma|^2), bounded away from 0 by the stop check
+    r = 1.0 / complex(work_q[0])
+    np.multiply(gamma, q[1:], out=work_p)
+    np.subtract(p[1:], work_p, out=work_p)
+    np.multiply(work_p, r, out=p[:-1])
+    np.multiply(work_q, r, out=q)
+    return gamma, True
 
 
 def schur_step(f: RationalSchur) -> tuple[complex, RationalSchur]:
     """One step of Schur's algorithm; raises SchurStop at a unimodular gamma."""
     width = max(f.num.max_deg, f.den.max_deg) + 1
-    gamma, num, den = _step(_dense(f.num, width), _dense(f.den, width))
-    if num is None:
+    p, q = _dense(f.num, width), _dense(f.den, width)
+    work_p = np.empty(width - 1, dtype=np.complex128)
+    work_q = np.empty(width, dtype=np.complex128)
+    gamma, ok = _step(p, q, work_p, work_q)
+    if not ok:
         raise SchurStop(gamma)
-    return gamma, RationalSchur(LaurentPoly(0, num), LaurentPoly(0, den))
+    return gamma, RationalSchur(LaurentPoly(0, p[:-1]), LaurentPoly(0, q))
 
 
 def schur_coeffs(f: RationalSchur, m: int) -> SchurCoeffs:
@@ -145,20 +162,22 @@ def schur_coeffs(f: RationalSchur, m: int) -> SchurCoeffs:
     gamma_k depends only on the Taylor coefficients of num and den below
     degree k + 1 (new coefficient j is built from old j and j + 1), so the
     recursion starts from m coefficients of each and drops one trailing
-    coefficient per step.  If the iteration terminates at step k < m, the k
-    collected coefficients are returned and the terminating unimodular
-    gamma is flagged separately.
+    coefficient per step.  Each step overwrites the leading part of the same
+    two arrays, with one preallocated pair of scratch buffers.  If the
+    iteration terminates at step k < m, the k collected coefficients are
+    returned and the terminating unimodular gamma is flagged separately.
     """
     if m < 0:
         raise ValidationError("coefficient count must be nonnegative")
     gammas = np.zeros(m, dtype=np.complex128)
     p, q = _dense(f.num, m), _dense(f.den, m)
+    work_p, work_q = np.empty_like(p), np.empty_like(q)
     for k in range(m):
-        gamma, p, q = _step(p, q)
-        if p is None:
+        width = m - k
+        gamma, ok = _step(p[:width], q[:width], work_p[: width - 1], work_q[:width])
+        if not ok:
             return SchurCoeffs(gammas[:k], terminal=gamma)
         gammas[k] = gamma
-        q = q[:-1]
     return SchurCoeffs(gammas)
 
 

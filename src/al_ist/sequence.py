@@ -24,8 +24,10 @@ class Sequence:
         arr = np.asarray(self.values, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValidationError("sequence values must be one-dimensional")
-        if arr.size and np.max(np.abs(arr)) >= 1.0:
-            raise ValidationError("sequence entries must satisfy |q(n)| < 1")
+        # Written as "not below 1" so that NaN, for which every comparison
+        # is False, is refused too.
+        if arr.size and not np.max(np.abs(arr)) < 1.0:
+            raise ValidationError("sequence entries must be finite with |q(n)| < 1")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "offset", int(self.offset))

@@ -37,9 +37,9 @@ N_HARD_CAP = 10**6
 
 # Cap on the estimated work of one Schur pass, steps (steps + 1) / 2
 # coefficient updates (schur_coeffs drops one coefficient per step).  About
-# 13 s of recursion at the 7.5e7 updates/s measured at 12k steps on a
-# 2-core x86 host; the largest pass of the test suite and of the benchmark
-# jobs needs under 1.4e7.
+# 6 s of recursion at the 1.6e8-1.8e8 updates/s measured at 6k-12k steps
+# on a 2-core x86 host (5e7 at 1.2k steps); the largest pass of the test
+# suite and of the benchmark jobs needs under 1.4e7.
 SCHUR_UPDATE_CAP = 10**9
 
 

@@ -79,6 +79,11 @@ class TestSequenceFiles:
         with pytest.raises(ValidationError):
             sequence_from_text('{"offset": 0, "values": [["a", 0.0]]}')
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            Sequence(0, np.array([0.3, bad], dtype=np.complex128))
+
 
 class TestJsonText:
     def test_pinned_text(self):
@@ -282,6 +287,21 @@ class TestExitCodes:
         path.write_text("[]")
         code = main(["--cmd", "nlft", "--in", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "--t", "1.0", "--eps", "1e-6", "--eta", "0.5"],
+         ["reference", "--t", "1.0"],
+         ["compare", "--t", "1.0", "--eps", "1e-6"],
+         ["nlft"]],
+    )
+    def test_nan_datum(self, tmp_path, command):
+        path = tmp_path / "nan.json"
+        path.write_text('{"offset": 0, "values": [[0.3, 0], [NaN, 0]]}')
+        out = tmp_path / "out"
+        code = main(["--cmd", *command, "--in", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_bad_flag_value(self):
         assert main(["--cmd", "solve", "--eps", "7.0", "--t", "1.0"]) == 2

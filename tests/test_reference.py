@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import cumulative_simpson
 
+import al_ist.reference
 from al_ist.datagen import random_sequence
 from al_ist.errors import BlowUpError, ValidationError
 from al_ist.reference import (
     PICARD_MESH,
     LatticeState,
+    _guard,
+    _initial_array,
     _rhs,
     al_rhs,
     conserved_product,
@@ -20,6 +24,8 @@ from al_ist.reference import (
 )
 from al_ist.sequence import Sequence
 from al_ist.solver import localization_bound_direct
+
+from strategies import disk_sequences
 
 
 def seq(offset, values):
@@ -119,6 +125,72 @@ class TestRk4:
             for i in range(len(ring.q.values))
         )
         assert diff > 1e-3
+
+
+def rk4_allocating(q0, t, h, radius=None, boundary="zero"):
+    """The textbook RK4 loop with fresh arrays at every stage: the oracle
+    for the in-place kernel of rk4_integrate."""
+    if radius is None:
+        radius = default_radius(q0, t)
+    offset, y = _initial_array(q0, radius, boundary)
+    _guard(y, "initialization")
+    remaining = abs(t)
+    sign = 1.0 if t >= 0 else -1.0
+    while remaining > 0.0:
+        step = sign * min(h, remaining)
+        k1 = _rhs(y, boundary)
+        y2 = y + 0.5 * step * k1
+        _guard(y2, "rk4 stage")
+        k2 = _rhs(y2, boundary)
+        y3 = y + 0.5 * step * k2
+        _guard(y3, "rk4 stage")
+        k3 = _rhs(y3, boundary)
+        y4 = y + step * k3
+        _guard(y4, "rk4 stage")
+        k4 = _rhs(y4, boundary)
+        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _guard(y, "rk4 step")
+        remaining -= abs(step)
+    return LatticeState(Sequence(offset, y), t, boundary)
+
+
+class TestRk4Kernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        disk_sequences(max_len=8, max_modulus=0.9),
+        st.one_of(st.just(0.0), st.floats(-1.5, 1.5)),
+        st.sampled_from([0.013, 0.05, 0.3, 2.0]),
+        st.sampled_from(["zero", "periodic"]),
+        st.integers(1, 12),
+    )
+    @example(seq(-1, [0.4, 0.2j, -0.3]), -0.77, 0.05, "zero", 6)  # negative t
+    @example(seq(-1, [0.4, 0.2j, -0.3]), 0.0, 0.05, "periodic", 6)  # t = 0
+    @example(seq(0, [0.6, 0.0, 0.5 - 0.1j]), 0.13, 0.05, "periodic", 6)  # partial step
+    @example(seq(0, [0.6, 0.0, 0.5 - 0.1j]), -0.13, 2.0, "zero", 3)  # h > |t|
+    @example(seq(0, [0.7]), 0.4, 0.3, "periodic", 1)  # one-site ring
+    def test_bytes_equal_allocating_loop(self, q0, t, h, boundary, radius):
+        if boundary == "periodic" and len(q0) == 0:
+            return
+        got = rk4_integrate(q0, t, h, radius, boundary)
+        want = rk4_allocating(q0, t, h, radius, boundary)
+        assert got.q.offset == want.q.offset and got.t == want.t
+        assert got.q.values.tobytes() == want.q.values.tobytes()
+
+    @pytest.mark.parametrize("boundary", ["zero", "periodic"])
+    @pytest.mark.parametrize("margin", [0.0, 1e-5, 1e-4, 3e-4])
+    def test_lowered_guard_trips_alike(self, monkeypatch, boundary, margin):
+        # Two neighbouring sites of modulus 0.5: the first stage raises
+        # |q(0)| to about 0.50035 at h = 0.1, so a guard just above 0.5
+        # trips inside a stage and a guard at 0.5 at initialization.
+        monkeypatch.setattr(al_ist.reference, "MODULUS_GUARD", 0.5 + margin)
+        q0 = seq(0, [0.5, 0.5])
+        with pytest.raises(BlowUpError) as want:
+            rk4_allocating(q0, 1.0, 0.1, 4, boundary)
+        with pytest.raises(BlowUpError) as got:
+            rk4_integrate(q0, 1.0, 0.1, 4, boundary)
+        assert str(got.value) == str(want.value)
+        context = "initialization" if margin == 0.0 else "rk4 stage"
+        assert f"during {context}:" in str(got.value)
 
 
 class TestPicard:

@@ -12,10 +12,13 @@ from al_ist.multiplier import g_bundle, smallest_admissible_order
 from al_ist.nlft import fc_plus, nlft_forward
 from al_ist.datagen import random_sequence
 from al_ist.sequence import Sequence
+from al_ist.solver import select_params
 from al_ist.schur import (
+    STOP_THRESHOLD,
     RationalSchur,
     SchurCoeffs,
     SchurStop,
+    _dense,
     eta,
     iterate_energy_bound_check,
     l2_norm_circle,
@@ -248,6 +251,22 @@ def test_coeffs_match_repeated_steps_bitwise(f, m):
     assert c.terminal == terminal
 
 
+
+def test_coeffs_match_repeated_steps_bitwise_at_one_coefficient():
+    # From step 1 on, schur_step carries a one-coefficient numerator while
+    # schur_coeffs carries m - k coefficients; numpy rounds an in-place
+    # complex multiply of a length-1 array differently from a longer one.
+    f = RationalSchur(
+        LaurentPoly(
+            1, [0.02200655756910197 + 0.04323759650669157j, -0.6005527459946982 + 0.2951726305996216j]
+        ),
+        LaurentPoly(0, [1.2039173860074794, -0.00037672308881053773 + 0.026963802647681487j]),
+    )
+    c = schur_coeffs(f, 18)
+    gammas, terminal = schur_coeffs_by_steps(f, 18)
+    assert c.gammas.tobytes() == gammas.tobytes()
+    assert c.terminal == terminal
+
 @settings(max_examples=60, deadline=None)
 @given(schur_functions, st.integers(0, 16), st.integers(1, 12))
 def test_coeffs_prefix(f, m, k):
@@ -257,6 +276,55 @@ def test_coeffs_prefix(f, m, k):
     else:
         assert short.gammas.tobytes() == longer.gammas.tobytes()
         assert short.terminal == longer.terminal
+
+
+def schur_coeffs_dividing(f: RationalSchur, m: int) -> tuple[np.ndarray, complex | None]:
+    """Up to m gammas of f and the terminal gamma, by the step that divides
+    both new arrays by q(0) - conj(gamma) p(0): the oracle for the in-place
+    step, which multiplies by the reciprocal instead."""
+    gammas = []
+    p, q = _dense(f.num, m), _dense(f.den, m)
+    for _ in range(m):
+        gamma = (complex(p[0]) or 0j) / complex(q[0])
+        if abs(gamma) >= STOP_THRESHOLD:
+            return np.asarray(gammas, dtype=np.complex128), gamma
+        gammas.append(gamma)
+        den = q - np.conj(gamma) * p
+        d0 = den[0]
+        p, q = (p - gamma * q)[1:] / d0, (den / d0)[:-1]
+    return np.asarray(gammas, dtype=np.complex128), None
+
+
+def assert_close_to_dividing_step(f: RationalSchur, m: int):
+    c = schur_coeffs(f, m)
+    gammas, terminal = schur_coeffs_dividing(f, m)
+    assert len(c.gammas) == len(gammas)
+    if len(gammas):
+        assert np.max(np.abs(c.gammas - gammas)) <= 1e-13
+    assert (c.terminal is None) == (terminal is None)
+    if terminal is not None:
+        assert abs(c.terminal - terminal) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(schur_functions, st.integers(0, 24))
+def test_coeffs_match_dividing_step(f, m):
+    assert_close_to_dividing_step(f, m)
+
+
+def test_coeffs_match_dividing_step_on_a_long_window_pass():
+    # The f0 of a window pass at eta 0.11, t = 6 (5,194 steps), built as
+    # solver._schur_pass builds it, from three sites of equal modulus a
+    # with (1 - a^2)^3 = 0.11.
+    a = math.sqrt(1.0 - 0.11 ** (1.0 / 3.0))
+    q0 = Sequence(-2, a * np.array([1.0, 0.0, np.exp(1.1j), 0.0, np.exp(-2.3j)]))
+    params = select_params(6.0, 1e-6, q0.szego_product())
+    W = params.N + params.N // 2
+    order, steps = 2 * W, 2 * W + W + 1
+    m = nlft_forward(q0.windowed(-W, W).shifted(W))
+    f0 = RationalSchur(lp_mul(g_bundle(order, 6.0).g, lp_conj_flip(m.b)), m.a)
+    assert steps > 5000
+    assert_close_to_dividing_step(f0, steps)
 
 
 def schur_iterates(f: RationalSchur, count: int) -> list[RationalSchur]:
