@@ -79,7 +79,8 @@ class RationalSchur:
         pv = np.abs(lp_eval_grid(self.num, g))
         qv = np.abs(lp_eval_grid(self.den, g))
         tol = 1e-9 * float(np.max(qv))
-        if float(np.max(pv - qv)) > tol:
+        # "Not within", so that a NaN value or tolerance is refused too.
+        if not float(np.max(pv - qv)) <= tol:
             raise ValidationError("not a Schur-class function: |num| > |den| on the circle")
         return self
 
@@ -94,7 +95,8 @@ class SchurCoeffs:
 
     def __post_init__(self):
         arr = np.asarray(self.gammas, dtype=np.complex128)
-        if arr.size and np.max(np.abs(arr)) >= 1.0:
+        # "Not below 1", so that NaN is refused too.
+        if arr.size and not np.max(np.abs(arr)) < 1.0:
             raise ValidationError("recurrence coefficients must have modulus < 1")
         arr = arr.copy()
         arr.setflags(write=False)

@@ -8,6 +8,10 @@ error sources: window truncation (localization) and multiplier truncation.
 It bounds the error of the exact-arithmetic pipeline; float64 roundoff is
 not part of it.
 
+The localization bound holds in L2(rT) for every radius r in (0, 1); the
+window solver evaluates it at the r that minimizes it (best_radius) and
+records that r in its parameters.
+
 All bound formulas are evaluated in log space; the stability constant can
 exceed 1e27 at moderate eta, so certified budgets are often astronomically
 conservative compared to observed deviations.
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +43,8 @@ N_HARD_CAP = 10**6
 # coefficient updates (schur_coeffs drops one coefficient per step).  About
 # 6 s of recursion at the 1.6e8-1.8e8 updates/s measured at 6k-12k steps
 # on a 2-core x86 host (5e7 at 1.2k steps); the largest pass of the test
-# suite and of the benchmark jobs needs under 1.4e7.
+# suite and of the benchmark jobs, a point solve at eta 0.05 and t 6 with
+# N = 385, needs under 7e5.
 SCHUR_UPDATE_CAP = 10**9
 
 
@@ -63,7 +68,9 @@ class SolveParams:
 
     support is the datum's inclusive support (lo, hi) when the caller
     supplied it; the point budget needs it to tell whether the window
-    [n0 - N, n0 + N] covers the datum.
+    [n0 - N, n0 + N] covers the datum.  r is the radius at which the
+    budgets evaluate localization_bound: 1/2 from select_params, the
+    minimizing radius from the window solver.
     """
 
     N: int
@@ -74,8 +81,11 @@ class SolveParams:
     n0: int = 0
     reflect: bool = False
     support: tuple[int, int] | None = None
+    r: float = 0.5
 
     def __post_init__(self):
+        if not (0.0 < self.r < 1.0):
+            raise ValidationError("params require 0 < r < 1")
         if self.n != 2 * self.N:
             raise ValidationError("params require n = 2N")
         if self.N < 5:
@@ -122,6 +132,8 @@ def select_params(
     the support, the windowed datum is the datum, and the localization term
     of the point budget is exactly 0.  Either way the point budget is at
     most eps in exact arithmetic; it does not cover float64 roundoff.
+    The recorded radius is r = 1/2.  The window solver starts from the
+    closed form and shrinks it (see solve_window_detailed).
 
     Negative t is recorded via the reflect flag: the solver runs forward
     at |t| from the conjugated datum and conjugates the output.
@@ -158,14 +170,20 @@ def _covering_half_width(log_c: float, t: float, eps: float, lo: int, hi: int) -
     of M.  So the test fails, then holds, as M grows, and bisection from
     max(lo, ceil(e t)) finds the least M.
     """
-    lo = max(lo, math.ceil(math.e * t))
-
     def fits(M: int) -> bool:
-        n = 2 * M
-        if not (n > t and delta_nt(n, t) < 1.0):
-            return False
-        return exp_or_inf(_log_t3(log_c, t, n, M)) <= eps
+        return _order_admissible(2 * M, t) and exp_or_inf(_log_t3(log_c, t, 2 * M, M)) <= eps
 
+    return _least(fits, max(lo, math.ceil(math.e * t)), hi)
+
+
+def _order_admissible(n: int, t: float) -> bool:
+    """The SolveParams conditions on the multiplier order: n > t, delta_{n,t} < 1."""
+    return n > t and delta_nt(n, t) < 1.0
+
+
+def _least(fits, lo: int, hi: int) -> int | None:
+    """Least M in [lo, hi] with fits(M), or None; fits must be False, then
+    True, as M grows."""
     if lo > hi or not fits(hi):
         return None
     while lo < hi:
@@ -177,8 +195,37 @@ def _covering_half_width(log_c: float, t: float, eps: float, lo: int, hi: int) -
     return lo
 
 
+def best_radius(eta: float, t: float, margin: int) -> float:
+    """The r in (0, 1) that minimizes localization_bound(eta, r, t, N, j)
+    at margin N - |j|.
+
+    With L = log C(eta, r) / (4/(1-r)^2 + 1), which does not depend on r,
+    the bound's log is t/r + L (4/(1-r)^2 + 1) + m log r - log(1-r) + log 4.
+    Its derivative times r^2 is -t + m r + 8 L r^2/(1-r)^3 + r^2/(1-r),
+    which rises strictly on (0, 1) from -t to +inf, so its root is the
+    minimizer and bisection finds it.  The bound holds at every r, so an
+    inexact root costs tightness, never soundness.
+    """
+    rate = stability_constant(eta, 0.5).log / 17.0  # 4/(1 - 1/2)^2 + 1 = 17
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        slope = -t + margin * mid + 8.0 * rate * mid**2 / (1.0 - mid) ** 3 + mid**2 / (1.0 - mid)
+        if slope < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def localization_bound(eta: float, r: float, t: float, N: int, j: int) -> float:
-    """Window-truncation error bound 4 e^{t/r} C(eta,r) r^{N-|j|} / (1-r)."""
+    """Window-truncation error bound 4 e^{t/r} C(eta,r) r^{N-|j|} / (1-r).
+
+    It holds for every r in (0, 1); best_radius gives the r that makes it
+    least at a given margin N - |j|.
+    """
     if N < abs(j):
         raise ValidationError("localization bound requires N >= |j|")
     if not (0.0 < r < 1.0):
@@ -278,7 +325,7 @@ def _point_budget(params: SolveParams) -> ErrorBudget:
         # The windowed datum equals the datum, so its l2 tail is 0.
         loc = localization_bound_direct(params.t, 0.5, params.N, 0, l2tail=0.0)
     else:
-        loc = localization_bound(params.eta, 0.5, params.t, params.N, 0)
+        loc = localization_bound(params.eta, params.r, params.t, params.N, 0)
     trunc = t3_bound(params.eta, params.t, params.n, params.N)
     return ErrorBudget(loc, trunc)
 
@@ -309,10 +356,34 @@ def solve_point(
 
 def window_entry_budget(params: SolveParams, W: int, s: int) -> float:
     """Certified budget for the window entry at distance s from the center,
-    computed with the widened half-width W used by solve_window."""
-    loc = localization_bound(params.eta, 0.5, params.t, W, s)
+    computed with the widened half-width W used by solve_window and the
+    radius params.r."""
+    loc = localization_bound(params.eta, params.r, params.t, W, s)
     trunc = t3_bound(params.eta, params.t, 2 * W, W - s)
     return loc + trunc
+
+
+def _window_params(closed: SolveParams) -> SolveParams:
+    """The least window half-width M <= closed.N whose worst entry bound is
+    within eps, with the minimizing radius at margin M recorded; closed
+    itself (r = 1/2) if even M = closed.N misses.
+
+    Below M = e t the localization bound exceeds 4 > eps at every r; above
+    it both terms fall as M grows, so bisection finds the least M.
+    """
+    eta, t, eps = closed.eta, closed.t, closed.eps
+
+    def fits(M: int) -> bool:
+        if not _order_admissible(2 * M, t):
+            return False
+        W = M + M // 2
+        loc = localization_bound(eta, best_radius(eta, t, M), t, M, 0)
+        return loc + t3_bound(eta, t, 2 * W, W) <= eps
+
+    M = _least(fits, max(5, math.ceil(math.e * t)), closed.N)
+    if M is None:
+        return closed
+    return replace(closed, N=M, n=2 * M, r=best_radius(eta, t, M))
 
 
 def solve_window_detailed(
@@ -323,6 +394,9 @@ def solve_window_detailed(
     The truncation window is widened to W = N + floor(N/2) (order 2W) so
     every emitted site keeps localization margin at least N; each of the
     2 floor(N/2) + 1 entries then carries a certified budget <= eps.
+    N is the least M, at most the closed form of select_params, at which
+    the worst entry's bound is within eps: the localization bound at margin
+    M and radius best_radius(eta, t, M), plus t3_bound(eta, t, 2W, W).
     """
     q0 = q0.trimmed()
     if eta is None:
@@ -330,7 +404,7 @@ def solve_window_detailed(
     if t < 0:
         seq, budgets, params = solve_window_detailed(q0.conjugated(), -t, n0, eps, eta)
         return seq.conjugated(), budgets, params
-    params = select_params(t, eps, eta, n0)
+    params = _window_params(select_params(t, eps, eta, n0))
     half = params.N // 2
     if q0.is_zero:
         return (

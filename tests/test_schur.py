@@ -382,3 +382,14 @@ def test_validate_accepts_high_degree_schur_function():
     num = LaurentPoly(0, np.r_[0.3, np.zeros(1023), -0.6])
     f = RationalSchur(num)
     assert f.validate() is f
+
+
+def test_validate_refuses_nan():
+    # max(|num| - |den|) is NaN, and NaN > tol is False.
+    with pytest.raises(ValidationError, match="not a Schur-class function"):
+        RationalSchur(LaurentPoly(0, [0.3, math.nan])).validate()
+
+
+def test_coeffs_refuse_nan():
+    with pytest.raises(ValidationError, match="modulus < 1"):
+        SchurCoeffs(np.array([0.2, math.nan]))
