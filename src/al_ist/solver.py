@@ -3,7 +3,8 @@
 Pipeline for q(t, n0): truncate the datum to a window centered at n0, shift
 it onto [0, 2N], multiply its one-sided Schur function by the Schur-class
 multiplier G_{n,t}, and run Schur's algorithm; the recurrence coefficient at
-index n + N approximates q(t, n0).  The returned budget certifies the two
+index n + N + s approximates q(t, n0 + s), so one pass serves a point or a
+whole window.  The returned budget certifies the two
 error sources: window truncation (localization) and multiplier truncation.
 It bounds the error of the exact-arithmetic pipeline; float64 roundoff is
 not part of it.
@@ -20,8 +21,8 @@ conservative compared to observed deviations.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+# Unused here; perfbench/spans.py patches solver.ThreadPoolExecutor.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,27 +40,13 @@ LOG2 = math.log(2.0)
 # (eta, eps) pair is declared infeasible rather than attempted.
 N_HARD_CAP = 10**6
 
-# Cap on the estimated work of one Schur pass, steps (steps + 1) / 2
-# coefficient updates (schur_coeffs drops one coefficient per step).  About
-# 6 s of recursion at the 1.6e8-1.8e8 updates/s measured at 6k-12k steps
-# on a 2-core x86 host (5e7 at 1.2k steps); the largest pass of the test
-# suite and of the benchmark jobs, a point solve at eta 0.05 and t 6 with
-# N = 385, needs under 7e5.
+# Cap on the estimated work of a whole point or window solve, which is one
+# Schur pass: steps (steps + 1) / 2 coefficient updates (schur_coeffs drops
+# one coefficient per step).  About 6 s of recursion at the 1.6e8-1.8e8
+# updates/s measured at 6k-12k steps on a 2-core x86 host (5e7 at 1.2k
+# steps); the largest pass of the test suite and of the benchmark jobs, a
+# point solve at eta 0.05 and t 6 with N = 385, needs under 7e5.
 SCHUR_UPDATE_CAP = 10**9
-
-
-def worker_count(default: int = 2) -> int:
-    """Parallelism cap from AL_IST_THREADS (default 2, minimum 1)."""
-    raw = os.environ.get("AL_IST_THREADS")
-    if raw is None:
-        return default
-    try:
-        v = int(raw)
-    except ValueError as exc:
-        raise ValidationError("AL_IST_THREADS must be a positive integer") from exc
-    if v < 1:
-        raise ValidationError("AL_IST_THREADS must be a positive integer")
-    return v
 
 
 @dataclass(frozen=True)
@@ -322,8 +309,9 @@ def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: 
 
 def _point_budget(params: SolveParams) -> ErrorBudget:
     if params.covers_support:
-        # The windowed datum equals the datum, so its l2 tail is 0.
-        loc = localization_bound_direct(params.t, 0.5, params.N, 0, l2tail=0.0)
+        # The windowed datum equals the datum, so its l2 tail is 0 and so
+        # is localization_bound_direct with l2tail=0.
+        loc = 0.0
     else:
         loc = localization_bound(params.eta, params.r, params.t, params.N, 0)
     trunc = t3_bound(params.eta, params.t, params.n, params.N)
@@ -355,11 +343,12 @@ def solve_point(
 
 
 def window_entry_budget(params: SolveParams, W: int, s: int) -> float:
-    """Certified budget for the window entry at distance s from the center,
-    computed with the widened half-width W used by solve_window and the
-    radius params.r."""
+    """Certified budget for the window entry at signed offset s from the
+    center, computed with the widened half-width W used by solve_window and
+    the radius params.r: localization at margin W - |s|, t3 at query index
+    W + s, so the budgets are not symmetric and the right edge is worst."""
     loc = localization_bound(params.eta, params.r, params.t, W, s)
-    trunc = t3_bound(params.eta, params.t, 2 * W, W - s)
+    trunc = t3_bound(params.eta, params.t, 2 * W, W + s)
     return loc + trunc
 
 
@@ -378,7 +367,7 @@ def _window_params(closed: SolveParams) -> SolveParams:
             return False
         W = M + M // 2
         loc = localization_bound(eta, best_radius(eta, t, M), t, M, 0)
-        return loc + t3_bound(eta, t, 2 * W, W) <= eps
+        return loc + t3_bound(eta, t, 2 * W, W + M // 2) <= eps
 
     M = _least(fits, max(5, math.ceil(math.e * t)), closed.N)
     if M is None:
@@ -392,18 +381,20 @@ def solve_window_detailed(
     """solve_window plus per-entry certified budgets and the parameters.
 
     The truncation window is widened to W = N + floor(N/2) (order 2W) so
-    every emitted site keeps localization margin at least N; each of the
-    2 floor(N/2) + 1 entries then carries a certified budget <= eps.
+    every emitted site keeps localization margin at least N.  One Schur
+    pass over it gives all 2 floor(N/2) + 1 entries: site n0 + s is the
+    coefficient at index order + W + s, with t3 at query index W + s, so
+    the right edge s = floor(N/2) carries the worst budget, <= eps.
     N is the least M, at most the closed form of select_params, at which
-    the worst entry's bound is within eps: the localization bound at margin
-    M and radius best_radius(eta, t, M), plus t3_bound(eta, t, 2W, W).
+    that worst bound is within eps: the localization bound at margin M and
+    radius best_radius(eta, t, M), plus t3_bound(eta, t, 2W, W + floor(M/2)).
     """
     q0 = q0.trimmed()
     if eta is None:
         eta = 1.0 if q0.is_zero else q0.szego_product()
     if t < 0:
         seq, budgets, params = solve_window_detailed(q0.conjugated(), -t, n0, eps, eta)
-        return seq.conjugated(), budgets, params
+        return seq.conjugated(), budgets, replace(params, reflect=True)
     params = _window_params(select_params(t, eps, eta, n0))
     half = params.N // 2
     if q0.is_zero:
@@ -414,30 +405,9 @@ def solve_window_detailed(
         )
     W = params.N + half
     order = 2 * W
-    steps = order + W + 1
-
-    def pass_for(datum: Sequence) -> np.ndarray:
-        return _schur_pass(datum, params.t, n0, W, order, steps)
-
-    if worker_count() > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fwd_future = pool.submit(pass_for, q0)
-            refl_future = pool.submit(pass_for, q0.reflected(n0))
-            fwd, refl = fwd_future.result(), refl_future.result()
-    else:
-        fwd, refl = pass_for(q0), pass_for(q0.reflected(n0))
-
-    values = np.zeros(2 * half + 1, dtype=np.complex128)
-    budgets = np.zeros(2 * half + 1)
-    for s in range(half + 1):
-        values[half - s] = fwd[order + W - s]
-        budgets[half - s] = window_entry_budget(params, W, s)
-        if s:
-            # The reflected datum solves the reflected flow, so its value at
-            # n0 - s is the original solution at n0 + s.
-            values[half + s] = refl[order + W - s]
-            budgets[half + s] = budgets[half - s]
-    return Sequence(n0 - half, values), budgets, params
+    gammas = _schur_pass(q0, params.t, n0, W, order, order + W + half + 1)
+    budgets = np.array([window_entry_budget(params, W, s) for s in range(-half, half + 1)])
+    return Sequence(n0 - half, gammas[order + W - half :]), budgets, params
 
 
 def solve_window(

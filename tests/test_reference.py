@@ -168,11 +168,20 @@ class TestRk4Kernel:
     @example(seq(0, [0.6, 0.0, 0.5 - 0.1j]), 0.13, 0.05, "periodic", 6)  # partial step
     @example(seq(0, [0.6, 0.0, 0.5 - 0.1j]), -0.13, 2.0, "zero", 3)  # h > |t|
     @example(seq(0, [0.7]), 0.4, 0.3, "periodic", 1)  # one-site ring
+    @example(seq(0, [0.875, 0.5, 0.75]), 1.0, 2.0, "zero", 2)  # guard trips
     def test_bytes_equal_allocating_loop(self, q0, t, h, boundary, radius):
         if boundary == "periodic" and len(q0) == 0:
             return
+        # A coarse step on a large datum may trip the modulus guard; then
+        # both loops must raise the same error.
+        try:
+            want = rk4_allocating(q0, t, h, radius, boundary)
+        except BlowUpError as exc:
+            with pytest.raises(BlowUpError) as got_exc:
+                rk4_integrate(q0, t, h, radius, boundary)
+            assert str(got_exc.value) == str(exc)
+            return
         got = rk4_integrate(q0, t, h, radius, boundary)
-        want = rk4_allocating(q0, t, h, radius, boundary)
         assert got.q.offset == want.q.offset and got.t == want.t
         assert got.q.values.tobytes() == want.q.values.tobytes()
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import al_ist.solver as solver
 from al_ist.datagen import random_sequence
 from al_ist.errors import InfeasibleParamsError, ValidationError
 from al_ist.multiplier import delta_nt
@@ -22,30 +23,11 @@ from al_ist.solver import (
     solve_window_detailed,
     t3_bound,
     window_entry_budget,
-    worker_count,
 )
 
 
 def seq(offset, values):
     return Sequence(offset, np.asarray(values, dtype=np.complex128))
-
-
-class TestWorkerCount:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("AL_IST_THREADS", raising=False)
-        assert worker_count() == 2
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("AL_IST_THREADS", "7")
-        assert worker_count() == 7
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("AL_IST_THREADS", "many")
-        with pytest.raises(ValidationError):
-            worker_count()
-        monkeypatch.setenv("AL_IST_THREADS", "0")
-        with pytest.raises(ValidationError):
-            worker_count()
 
 
 class TestSelectParams:
@@ -245,6 +227,23 @@ class TestSolveWindow:
         W = params.N + half
         for s in range(half + 1):
             assert budgets[half + s] == window_entry_budget(params, W, s)
+            assert budgets[half + s] >= budgets[half - s]
+        assert budgets.max() == budgets[-1] <= 1e-6
+
+    def test_one_schur_pass_per_solve(self, monkeypatch):
+        calls = {"nlft_forward": 0, "_schur_pass": 0}
+        for name in calls:
+            original = getattr(solver, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, counted)
+        q0 = random_sequence(seed=404, count=5, lo=-3, hi=4, max_modulus=0.5)
+        for t in (0.5, -0.5):
+            solve_window_detailed(q0, t, 1, 1e-6)
+        assert calls == {"nlft_forward": 2, "_schur_pass": 2}
 
     def test_symmetric_datum_symmetric_output(self):
         values = [0.3 - 0.2j, 0.1 + 0.4j, 0.3 - 0.2j]  # q(-k) = q(k)
@@ -261,16 +260,10 @@ class TestSolveWindow:
         )
         assert worst <= 1e-6 + 1e-6
 
-    def test_sequential_mode_matches_parallel(self, monkeypatch):
-        q0 = random_sequence(seed=402, count=4, lo=-2, hi=3, max_modulus=0.5)
-        par = solve_window(q0, 0.5, 0, 1e-6)
-        monkeypatch.setenv("AL_IST_THREADS", "1")
-        ser = solve_window(q0, 0.5, 0, 1e-6)
-        assert np.array_equal(par.values, ser.values)
-
     def test_negative_time_window_against_rk4(self):
         q0 = random_sequence(seed=403, count=4, lo=-2, hi=3, max_modulus=0.5)
-        win, budgets, _ = solve_window_detailed(q0, -0.5, 0, 1e-6)
+        win, budgets, params = solve_window_detailed(q0, -0.5, 0, 1e-6)
+        assert params.reflect and params.t == 0.5
         ref = rk4_integrate(q0, -0.5, 1e-3, radius=60)
         worst = max(
             abs(v - ref.q.at(win.offset + i)) for i, v in enumerate(win.values)

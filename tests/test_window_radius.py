@@ -36,7 +36,7 @@ def least_window_half_width(eta, t, eps):
         W = M + M // 2
         if 2 * M > t and delta_nt(2 * M, t) < 1.0:
             loc = localization_bound(eta, best_radius(eta, t, M), t, M, 0)
-            if loc + t3_bound(eta, t, 2 * W, W) <= eps:
+            if loc + t3_bound(eta, t, 2 * W, W + M // 2) <= eps:
                 return M
         M += 1
 
@@ -73,6 +73,20 @@ def test_window_rows_at_eta_six_tenths():
     assert np.all(budgets <= 1e-6)
 
 
+@pytest.mark.parametrize("eta, t", [(0.22, 2.0), (0.11, 6.0)])
+def test_right_edge_sets_the_window(eta, t):
+    # At these classes the t3 factor 2^floor(N/2) of the right edge moves
+    # N above the least M that fits with t3 at index W alone.
+    datum = Sequence(0, np.array([math.sqrt(1.0 - eta)]))
+    _, budgets, params = solve_window_detailed(datum, t, 0, 1e-6, eta=eta)
+    assert params.N == least_window_half_width(eta, t, 1e-6)
+    assert budgets.max() == budgets[-1] <= 1e-6
+    M = params.N - 1
+    W = M + M // 2
+    loc = localization_bound(eta, best_radius(eta, t, M), t, M, 0)
+    assert loc + t3_bound(eta, t, 2 * W, W) <= 1e-6 < loc + t3_bound(eta, t, 2 * W, W + M // 2)
+
+
 @st.composite
 def window_jobs(draw):
     lo = draw(st.integers(-4, 4))
@@ -100,9 +114,9 @@ def test_window_is_least_and_certified(job):
     assert len(window.values) == 2 * half + 1
     if datum.trimmed().is_zero:
         return
-    for s in range(half + 1):
-        want = localization_bound(eta, params.r, abs_t, W, s) + t3_bound(eta, abs_t, 2 * W, W - s)
-        assert budgets[half - s] == want and budgets[half + s] == want
+    for s in range(-half, half + 1):
+        want = localization_bound(eta, params.r, abs_t, W, s) + t3_bound(eta, abs_t, 2 * W, W + s)
+        assert budgets[half + s] == want
 
 
 def test_truncation_error_against_bound_at_best_radius():
