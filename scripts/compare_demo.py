@@ -4,8 +4,9 @@ Draws a small random datum, evolves it both ways, and prints the per-site
 deviation next to the certified budget.  The measured deviation should sit
 orders of magnitude below the budget, which itself stays below eps.  It also
 prints the half-width N that solve_point picks at site 0, sized from the
-datum's support, next to the window solver's N and the localization radius
-r that it chose to minimize the bound.
+datum's support, next to the window solver's N, the localization radius r
+that it chose to minimize the bound, and the widened half-width
+W = N + floor(N/2) and multiplier order 2W at which its Schur pass runs.
 
 Usage: python scripts/compare_demo.py [--seed 3] [--t 1.0] [--eps 1e-6]
 """
@@ -33,7 +34,11 @@ def main() -> None:
 
     print(f"datum sites {datum.support()}, eta = {datum.szego_product():.6f}")
     point = select_params(args.t, args.eps, params.eta, 0, support=datum.support())
-    print(f"window N = {params.N} at radius r = {params.r:.4f}, multiplier order n = {params.n}")
+    W = params.N + params.N // 2
+    print(
+        f"window N = {params.N} at radius r = {params.r:.4f}; "
+        f"its pass runs over half-width W = {W} at multiplier order 2W = {2 * W}"
+    )
     print(f"point solve at n0 = 0: N = {point.N}, multiplier order n = {point.n}")
     print(f"{'n':>5}  {'|solve - rk4|':>14}  {'budget':>12}")
     for i, value in enumerate(window.values):

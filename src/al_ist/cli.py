@@ -263,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="al-ist",
         description="Defocusing Ablowitz-Ladik lattice solver via the nonlinear Fourier transform.",
     )
-    parser.add_argument("--cmd", required=True, choices=COMMANDS, help="subcommand to run")
+    parser.add_argument(
+        "--cmd", dest="command", required=True, choices=COMMANDS, help="subcommand to run"
+    )
     parser.add_argument("--in", dest="input_path", help="input sequence file")
     parser.add_argument("--out", dest="output_path", help="output file (default: stdout)")
     parser.add_argument("--t", type=float, help="evolution time")
@@ -281,20 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        job = JobSpec(
-            command=args.cmd,
-            input_path=args.input_path,
-            output_path=args.output_path,
-            t=args.t,
-            n0=args.n0,
-            eps=args.eps,
-            eta=args.eta,
-            h=args.h,
-            radius=args.radius,
-            grid=args.grid,
-            seed=args.seed,
-            boundary=args.boundary,
-        )
+        job = JobSpec(**vars(args))
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

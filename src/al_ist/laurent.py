@@ -97,7 +97,6 @@ class LaurentPoly:
 
 
 ZERO = LaurentPoly(0, [0.0])
-ONE = LaurentPoly(0, [1.0])
 
 
 def monomial(c: complex, k: int) -> LaurentPoly:

@@ -27,11 +27,7 @@ def fmt(x: float) -> str:
 
 
 def sequence_to_text(seq: Sequence) -> str:
-    rows = ",\n".join(
-        f"    [{fmt(v.real)}, {fmt(v.imag)}]" for v in seq.values
-    )
-    body = f"[\n{rows}\n  ]" if len(seq.values) else "[]"
-    return f'{{\n  "offset": {seq.offset},\n  "values": {body}\n}}\n'
+    return json_text({"offset": seq.offset, "values": seq.values})
 
 
 def sequence_from_text(text: str) -> Sequence:
@@ -81,35 +77,34 @@ def csv_table(header: list[str], rows: list[list]) -> str:
 
 
 def laurent_to_doc(p) -> dict:
-    return {
-        "min_deg": p.min_deg,
-        "coeffs": p.coeffs.view(np.float64).reshape(-1, 2).tolist(),
-    }
+    return {"min_deg": p.min_deg, "coeffs": p.coeffs}
 
 
 def json_text(doc) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
+    """Deterministic JSON with 17-significant-digit floats.
 
-    def render(node, indent):
-        pad = "  " * indent
+    Renders dicts, bools, ints, floats and one-dimensional complex arrays,
+    the last as one [re, im] row per line; any other node is a TypeError.
+    """
+
+    def render(node, pad):
         if isinstance(node, dict):
-            items = [
-                f'{pad}  "{k}": {render(v, indent + 1).lstrip()}' for k, v in node.items()
-            ]
+            items = [f'{pad}  "{k}": {render(v, pad + "  ")}' for k, v in node.items()]
             return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-        if isinstance(node, list):
-            if all(isinstance(x, float) for x in node):
-                return "[" + ", ".join(map(fmt, node)) + "]"
-            if all(not isinstance(x, (dict, list)) for x in node):
-                return "[" + ", ".join(render(x, 0) for x in node) + "]"
-            items = [f"{pad}  {render(x, indent + 1)}" for x in node]
-            return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        if isinstance(node, np.ndarray) and node.dtype.kind == "c" and node.ndim == 1:
+            if not len(node):
+                return "[]"
+            rows = ",\n".join(
+                f"{pad}  [{fmt(re)}, {fmt(im)}]"
+                for re, im in zip(node.real.tolist(), node.imag.tolist())
+            )
+            return f"[\n{rows}\n{pad}]"
         if isinstance(node, bool):
             return "true" if node else "false"
         if isinstance(node, float):
             return fmt(node)
         if isinstance(node, int):
             return str(node)
-        return json.dumps(node)
+        raise TypeError(f"json_text cannot render {type(node).__name__}")
 
-    return render(doc, 0) + "\n"
+    return render(doc, "") + "\n"

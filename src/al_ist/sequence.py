@@ -68,9 +68,6 @@ class Sequence:
         """The reflection n -> q(2 * center - n)."""
         return Sequence(2 * center - (self.offset + len(self.values) - 1), self.values[::-1])
 
-    def negated(self) -> "Sequence":
-        return Sequence(self.offset, -self.values)
-
     def conjugated(self) -> "Sequence":
         return Sequence(self.offset, np.conj(self.values))
 

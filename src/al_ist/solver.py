@@ -226,13 +226,10 @@ def localization_bound(eta: float, r: float, t: float, N: int, j: int) -> float:
     return exp_or_inf(log_val)
 
 
-def localization_bound_direct(
-    t: float, r: float, N: int, j: int, l2tail: float | None = None
-) -> float:
-    """Alternative truncation bound with explicit constants.
+def localization_bound_direct(t: float, r: float, N: int, j: int) -> float:
+    """Alternative truncation bound with explicit constants:
 
-    sqrt(2) r e^{10 t / r^2} r^{N-|j|} / sqrt(1 - r^2), or with a supplied
-    l2 tail  r e^{10 t / r^2} l2tail r^{N-|j|}.
+    sqrt(2) r e^{10 t / r^2} r^{N-|j|} / sqrt(1 - r^2).
     """
     if N < abs(j):
         raise ValidationError("localization bound requires N >= |j|")
@@ -240,16 +237,11 @@ def localization_bound_direct(
         raise ValidationError("localization bound requires 0 < r < 1")
     if t < 0:
         raise ValidationError("localization bound requires t >= 0")
-    margin = (N - abs(j)) * math.log(r)
-    if l2tail is not None:
-        if l2tail == 0.0:
-            return 0.0
-        return exp_or_inf(math.log(r) + 10.0 * t / r**2 + math.log(l2tail) + margin)
     log_val = (
         0.5 * math.log(2.0)
         + math.log(r)
         + 10.0 * t / r**2
-        + margin
+        + (N - abs(j)) * math.log(r)
         - 0.5 * math.log(1.0 - r**2)
     )
     return exp_or_inf(log_val)
@@ -291,7 +283,7 @@ def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: 
     updates = steps * (steps + 1) // 2
     if updates > SCHUR_UPDATE_CAP:
         raise InfeasibleParamsError(
-            f"Schur pass with half-width N={W} needs {steps} steps, about "
+            f"Schur pass with half-width W={W} needs {steps} steps, about "
             f"{updates:.3g} coefficient updates, above the cap {SCHUR_UPDATE_CAP:.3g}"
         )
     windowed = q0.windowed(center - W, center + W).shifted(-(center - W))
@@ -309,8 +301,8 @@ def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: 
 
 def _point_budget(params: SolveParams) -> ErrorBudget:
     if params.covers_support:
-        # The windowed datum equals the datum, so its l2 tail is 0 and so
-        # is localization_bound_direct with l2tail=0.
+        # The windowed datum equals the datum, so truncating it to the
+        # window changes nothing and there is no localization error.
         loc = 0.0
     else:
         loc = localization_bound(params.eta, params.r, params.t, params.N, 0)

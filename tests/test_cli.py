@@ -1,5 +1,6 @@
 """CLI front door: job validation, file formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 
 import al_ist.cli
 import al_ist.nlft
-from al_ist.cli import BENCH_SIZES, JobSpec, main
+from al_ist.cli import BENCH_SIZES, JobSpec, build_parser, main
 from al_ist.datagen import random_sequence
 from al_ist.errors import ValidationError
 from al_ist.laurent import LaurentPoly
@@ -61,6 +62,14 @@ class TestSequenceFiles:
         text = sequence_to_text(q)
         assert sequence_to_text(sequence_from_text(text)) == text
 
+    def test_pinned_text(self):
+        text = sequence_to_text(seq(-1, [complex(-0.0, 0.5), complex(0.25, -0.0)]))
+        assert text == (
+            '{\n  "offset": -1,\n  "values": [\n'
+            "    [-0.0, 0.5],\n    [0.25, -0.0]\n  ]\n}\n"
+        )
+        assert sequence_to_text(seq(3, [])) == '{\n  "offset": 3,\n  "values": []\n}\n'
+
     def test_rejects_malformed_json(self):
         with pytest.raises(ValidationError):
             sequence_from_text("{not json")
@@ -89,30 +98,32 @@ class TestJsonText:
     def test_pinned_text(self):
         doc = {
             "p": laurent_to_doc(LaurentPoly(-1, [complex(-0.0, 0.1), 0, 1 / 3 - 2j])),
-            "ok": True,
-            "no": False,
+            "checks": {"ok": True, "no": False},
             "n": -3,
-            "mixed": [1, 2.5, -0.0, True],
-            "rows": [[1.0, -0.0], [], [[0.25]]],
-            "name": "x",
+            "x": 2.5,
+            "z": -0.0,
         }
         assert json_text(doc) == (
             '{\n  "p": {\n    "min_deg": -1,\n    "coeffs": [\n'
             "      [-0.0, 0.10000000000000001],\n      [0, 0],\n"
             "      [0.33333333333333331, -2]\n    ]\n  },\n"
-            '  "ok": true,\n  "no": false,\n  "n": -3,\n'
-            '  "mixed": [1, 2.5, -0.0, true],\n'
-            '  "rows": [\n    [1, -0.0],\n    [],\n    [\n      [0.25]\n    ]\n  ],\n'
-            '  "name": "x"\n}\n'
+            '  "checks": {\n    "ok": true,\n    "no": false\n  },\n'
+            '  "n": -3,\n  "x": 2.5,\n  "z": -0.0\n}\n'
         )
 
-    def test_coefficients_are_plain_floats(self):
-        coeffs = laurent_to_doc(LaurentPoly(0, [0.5 - 0.25j, 1j]))["coeffs"]
-        assert coeffs == [[0.5, -0.25], [0.0, 1.0]]
-        assert all(type(x) is float for pair in coeffs for x in pair)
+    @pytest.mark.parametrize(
+        "node", [[1.0], "x", None, np.zeros(2), np.zeros((1, 1), dtype=np.complex128), np.int64(1)]
+    )
+    def test_rejects_other_nodes(self, node):
+        with pytest.raises(TypeError):
+            json_text({"k": node})
 
 
 class TestJobSpec:
+    def test_parser_destinations_are_the_fields(self):
+        args = build_parser().parse_args(["--cmd", "solve"])
+        assert set(vars(args)) == {f.name for f in dataclasses.fields(JobSpec)}
+
     def test_rejects_unknown_command(self):
         with pytest.raises(ValidationError):
             JobSpec(command="frobnicate")

@@ -23,6 +23,7 @@ from al_ist.solver import (
     localization_bound,
     select_params,
     solve_point,
+    solve_window_detailed,
     t3_bound,
 )
 
@@ -141,12 +142,21 @@ def test_subnormal_time_has_zero_truncation_bound():
 
 
 def test_refuses_a_schur_pass_above_the_work_cap():
-    # N = 69,033 would need 207,100 Schur steps, about 2.1e10 updates.
+    # N = 69,033 would need 207,100 Schur steps, about 2.1e10 updates; a
+    # point pass runs at half-width W = N.
     datum = Sequence(-1, np.array([0.5, 0.6j, 0.5]))
     start = time.perf_counter()
-    with pytest.raises(InfeasibleParamsError, match="N=69033 needs 207100 steps"):
+    with pytest.raises(InfeasibleParamsError, match="W=69033 needs 207100 steps"):
         solve_point(datum, 0.5, 0, 1e-10, eta=2e-4)
     assert time.perf_counter() - start < 1.0
+
+
+def test_work_cap_refusal_names_the_widened_half_width():
+    # The window solve picks N = 8968 here; its pass runs over the widened
+    # half-width W = N + floor(N/2) = 13452, which is what the refusal names.
+    datum = Sequence(0, np.array([math.sqrt(0.999)]))
+    with pytest.raises(InfeasibleParamsError, match="half-width W=13452 needs 44841 steps"):
+        solve_window_detailed(datum, 0.5, 0, 1e-10)
 
 
 @pytest.mark.xfail(

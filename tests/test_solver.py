@@ -90,14 +90,6 @@ class TestBounds:
         got = localization_bound_direct(0.0, 0.5, 9, 9)
         assert abs(got - math.sqrt(2.0) * 0.5 / math.sqrt(0.75)) <= 1e-12
 
-    def test_direct_zero_tail(self):
-        assert localization_bound_direct(1.0, 0.5, 10, 0, l2tail=0.0) == 0.0
-
-    def test_direct_tail_formula(self):
-        got = localization_bound_direct(0.5, 0.5, 8, 2, l2tail=0.3)
-        want = 0.5 * math.exp(10.0 * 0.5 / 0.25) * 0.3 * 0.5**6
-        assert abs(got - want) <= 1e-12 * want
-
     def test_direct_is_tighter_for_small_eta(self):
         # the stability constant explodes as eta -> 0 while the direct
         # route does not depend on eta at all
