@@ -65,6 +65,7 @@ from .reference import (
     conserved_product,
     picard_solve,
     rk4_integrate,
+    rk4_pair,
 )
 from .cli import JobSpec, run
 
@@ -111,6 +112,7 @@ __all__ = [
     "reflection_grid",
     "rho_s",
     "rk4_integrate",
+    "rk4_pair",
     "run",
     "s_bound",
     "schur_coeffs",

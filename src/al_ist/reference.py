@@ -90,75 +90,152 @@ def _guard(values: np.ndarray, context: str):
         raise BlowUpError(f"modulus guard tripped during {context}: max|q| >= 1 - 1e-12")
 
 
+def _step_plan(span: float, h: float) -> tuple[int, float]:
+    """(count, last) of the step loop over |t| = span: while time remains,
+    take min(h, remaining).  Every step but the last is exactly h."""
+    count, last, remaining = 0, h, span
+    while remaining > 0.0:
+        last = min(h, remaining)
+        remaining -= last
+        count += 1
+    return count, last
+
+
+def _rk4_rows(
+    q0: Sequence, t: float, hs: tuple[float, ...], radius: int | None, boundary: str
+) -> list[LatticeState]:
+    """RK4 runs of one datum to time t, one row per step size in hs, all
+    stepped by the same numpy calls; the layout is in rk4_integrate."""
+    if any(h <= 0 for h in hs):
+        raise ValidationError("step size must be positive")
+    if radius is None:
+        radius = default_radius(q0, t)
+    offset, y0 = _initial_array(q0, radius, boundary)
+    sign = 1.0 if t >= 0 else -1.0
+    plans = [_step_plan(abs(t), h) for h in hs]
+    # Rows sit in order of step count, so the rows still stepping are
+    # always a suffix of the buffer.
+    order = sorted(range(len(hs)), key=lambda r: plans[r][0])
+    rows, size = len(hs), len(y0)
+    stride = size + 2
+    # The state (buffers[0]) and the stage (buffers[1]), each holding every
+    # row as [pad | sites | pad].
+    buffers = np.zeros((2, rows * stride), dtype=np.complex128)
+    for p in range(rows):
+        buffers[0, p * stride + 1 : p * stride + 1 + size] = y0
+    # k1..k4, acc, the gain i (1 - |q|^2) whose real part stays 0, and the
+    # coefficients 0.5 step, step and step / 6, each over the flat interior
+    # buffers[:, 1:-1].
+    work = np.zeros((9, rows * stride - 2), dtype=np.complex128)
+    mod_all = np.empty(rows * stride - 2)
+    periodic = boundary == "periodic"
+    # Per buffer: left pads, last sites, right pads, first sites.
+    rings = [(b[0::stride], b[size::stride], b[stride - 1 :: stride], b[1::stride]) for b in buffers]
+    # Per buffer: the inner pad cells, between one row's sites and the next's.
+    seams = [b[stride - 1 : -1].reshape(rows - 1, stride)[:, :2] for b in buffers]
+
+    def guard(values: np.ndarray, seam: np.ndarray, context: str):
+        # |q| of the state just guarded feeds the next right-hand side.
+        if rows > 1:
+            seam.fill(0.0)
+        np.abs(values, out=mod)
+        if float(mod.max()) >= MODULUS_GUARD:
+            raise BlowUpError(f"modulus guard tripped during {context}: max|q| >= 1 - 1e-12")
+
+    def rhs(ring, left: np.ndarray, right: np.ndarray, out: np.ndarray):
+        # i (1 - |q|^2) * (left + right), with |q| already in mod
+        if periodic:
+            np.copyto(ring[0], ring[1])
+            np.copyto(ring[2], ring[3])
+        np.add(left, right, out=acc)
+        np.square(mod, out=mod)
+        np.subtract(1.0, mod, out=gain_im)
+        np.multiply(gain, acc, out=out)
+
+    def stage_from(c: np.ndarray, k: np.ndarray, context: str):
+        np.multiply(c, k, out=stage)
+        np.add(y, stage, out=stage)
+        guard(stage, seams[1], context)
+
+    y, mod = buffers[0, 1:-1], mod_all
+    guard(y, seams[0], "initialization")
+    current = [None] * rows  # the step each row's coefficients hold
+    done = 0
+    for first in range(rows):
+        # Steps done..end run rows first.. on the suffix views.
+        end = plans[order[first]][0]
+        if end <= done:
+            continue
+        b = first * stride
+        ypad, spad = buffers[:, b:]
+        y, stage = ypad[1:-1], spad[1:-1]
+        y_left, y_right, s_left, s_right = ypad[:-2], ypad[2:], spad[:-2], spad[2:]
+        k1, k2, k3, k4, acc, gain, c_half, c_full, c_sixth = work[:, b:]
+        gain_im, mod = gain.imag, mod_all[b:]
+        for i in range(done, end):
+            for p in range(first, rows):
+                count, last = plans[order[p]]
+                step = sign * (hs[order[p]] if i < count - 1 else last)
+                if step != current[p]:
+                    current[p] = step
+                    cells = slice(p * stride, p * stride + size)
+                    work[6:, cells] = np.array([[0.5 * step], [step], [step / 6.0]])
+            rhs(rings[0], y_left, y_right, k1)
+            stage_from(c_half, k1, "rk4 stage")
+            rhs(rings[1], s_left, s_right, k2)
+            stage_from(c_half, k2, "rk4 stage")
+            rhs(rings[1], s_left, s_right, k3)
+            stage_from(c_full, k3, "rk4 stage")
+            rhs(rings[1], s_left, s_right, k4)
+            # y + (step / 6) * (((k1 + 2 k2) + 2 k3) + k4)
+            np.multiply(2.0, k2, out=k2)
+            np.add(k1, k2, out=acc)
+            np.multiply(2.0, k3, out=k3)
+            np.add(acc, k3, out=acc)
+            np.add(acc, k4, out=acc)
+            np.multiply(c_sixth, acc, out=acc)
+            np.add(y, acc, out=y)
+            guard(y, seams[0], "rk4 step")
+        done = end
+    states = [None] * rows
+    for p, r in enumerate(order):
+        values = buffers[0, p * stride + 1 : p * stride + 1 + size]
+        states[r] = LatticeState(Sequence(offset, values), t, boundary)
+    return states
+
+
 def rk4_integrate(
     q0: Sequence, t: float, h: float, radius: int | None = None, boundary: str = "zero"
 ) -> LatticeState:
     """Classical four-stage Runge-Kutta to time t (the final partial step is
     shortened to land exactly on t).  Any intermediate state with
-    max|q| >= 1 - 1e-12 aborts with a blow-up error."""
-    if h <= 0:
-        raise ValidationError("step size must be positive")
-    if radius is None:
-        radius = default_radius(q0, t)
-    offset, y0 = _initial_array(q0, radius, boundary)
-    # The state and the stage each live in a buffer padded by one site at
-    # either end, so the neighbour sum is pad[:-2] + pad[2:]: the zero
-    # boundary never writes the end cells, the periodic one refills them.
-    # Every update runs in place, in the operation order of _rhs and of the
-    # textbook step, so the result matches the allocating loop bit for bit.
-    size = len(y0)
-    ypad = np.zeros(size + 2, dtype=np.complex128)
-    spad = np.zeros(size + 2, dtype=np.complex128)
-    y, stage = ypad[1:-1], spad[1:-1]
-    y[:] = y0
-    k1, k2, k3, k4, acc = (np.empty(size, dtype=np.complex128) for _ in range(5))
-    mod = np.empty(size)
-    periodic = boundary == "periodic"
+    max|q| >= 1 - 1e-12 aborts with a blow-up error.
 
-    def guard(values: np.ndarray, context: str):
-        # |q| of the state just guarded feeds the next right-hand side.
-        np.abs(values, out=mod)
-        if float(mod.max()) >= MODULUS_GUARD:
-            raise BlowUpError(f"modulus guard tripped during {context}: max|q| >= 1 - 1e-12")
+    This is the one-row case of the kernel behind rk4_pair.  A row is the
+    lattice laid out as [pad | sites | pad]; rows sit back to back in one
+    buffer, and every numpy call acts once on the flat interior of the
+    buffer, so the neighbour sum is buffer[:-2] + buffer[2:].  Pad rule:
+    for the periodic boundary every pad cell takes its row's ring end
+    before every right-hand side; the inner pad cells (between two rows)
+    are zeroed before every guard, so they hold zero at each right-hand
+    side of the zero boundary and never trip the guard.  Every update runs in
+    place, in the operation order of the textbook step, so each row matches
+    a loop with fresh arrays bit for bit.
+    """
+    return _rk4_rows(q0, t, (h,), radius, boundary)[0]
 
-    def rhs(pad: np.ndarray, out: np.ndarray):
-        # 1j * (1 - |q|^2) * (left + right), with |q| already in mod
-        if periodic:
-            pad[0], pad[-1] = pad[-2], pad[1]
-        np.add(pad[:-2], pad[2:], out=acc)
-        np.square(mod, out=mod)
-        np.subtract(1.0, mod, out=mod)
-        np.multiply(1j, mod, out=out)
-        np.multiply(out, acc, out=out)
 
-    def stage_from(c: float, k: np.ndarray, context: str):
-        np.multiply(c, k, out=stage)
-        np.add(y, stage, out=stage)
-        guard(stage, context)
-
-    guard(y, "initialization")
-    remaining = abs(t)
-    sign = 1.0 if t >= 0 else -1.0
-    while remaining > 0.0:
-        step = sign * min(h, remaining)
-        rhs(ypad, k1)
-        stage_from(0.5 * step, k1, "rk4 stage")
-        rhs(spad, k2)
-        stage_from(0.5 * step, k2, "rk4 stage")
-        rhs(spad, k3)
-        stage_from(step, k3, "rk4 stage")
-        rhs(spad, k4)
-        # y + (step / 6) * (((k1 + 2 k2) + 2 k3) + k4)
-        np.multiply(2.0, k2, out=k2)
-        np.add(k1, k2, out=acc)
-        np.multiply(2.0, k3, out=k3)
-        np.add(acc, k3, out=acc)
-        np.add(acc, k4, out=acc)
-        np.multiply(step / 6.0, acc, out=acc)
-        np.add(y, acc, out=y)
-        guard(y, "rk4 step")
-        remaining -= abs(step)
-    return LatticeState(Sequence(offset, y), t, boundary)
+def rk4_pair(
+    q0: Sequence, t: float, h: float, radius: int | None = None, boundary: str = "zero"
+) -> tuple[LatticeState, LatticeState]:
+    """(rk4_integrate at step h, rk4_integrate at step h/2), bit for bit,
+    from one run of the shared kernel: the two rows of the layout described
+    in rk4_integrate share every numpy call while both step, and the fine
+    row runs on alone for its second half.  Every stage of every row is
+    guarded; when a guard trips, the stage it names is the first trip in
+    the interleaved order, which may differ from running h, then h/2."""
+    coarse, fine = _rk4_rows(q0, t, (h, h / 2.0), radius, boundary)
+    return coarse, fine
 
 
 def _picard_subinterval(y0: np.ndarray, dt: float, boundary: str) -> np.ndarray:

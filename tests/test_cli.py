@@ -220,6 +220,38 @@ class TestCompareCommand:
             line.endswith(",fail") for line in out.read_text().strip().splitlines()[1:]
         )
 
+    def test_periodic_boundary_refused(self, datum_file, tmp_path, capsys):
+        # The solver evolves the datum on Z; against a ring reference every
+        # row would fail and blame it.
+        path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
+        out = tmp_path / "cmp.csv"
+        code = main(
+            ["--cmd", "compare", "--in", path, "--out", str(out),
+             "--t", "1.0", "--eps", "1e-6", "--boundary", "periodic"]
+        )
+        assert code == 2
+        assert "zero boundary" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_reference_pair_per_job(self, datum_file, monkeypatch, tmp_path):
+        calls = {"rk4_pair": 0, "rk4_integrate": 0}
+        for name in calls:
+            original = getattr(al_ist.cli, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(al_ist.cli, name, counted)
+        path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
+        out = tmp_path / "cmp.csv"
+        code = main(
+            ["--cmd", "compare", "--in", path, "--out", str(out),
+             "--t", "0.5", "--eps", "1e-6", "--radius", "30"]
+        )
+        assert code == 0
+        assert calls == {"rk4_pair": 1, "rk4_integrate": 0}
+
 
 class TestNlftCommand:
     def test_single_site_closed_form(self, datum_file, capsys):

@@ -21,6 +21,7 @@ from al_ist.reference import (
     default_radius,
     picard_solve,
     rk4_integrate,
+    rk4_pair,
 )
 from al_ist.sequence import Sequence
 from al_ist.solver import localization_bound_direct
@@ -200,6 +201,57 @@ class TestRk4Kernel:
         assert str(got.value) == str(want.value)
         context = "initialization" if margin == 0.0 else "rk4 stage"
         assert f"during {context}:" in str(got.value)
+
+
+class TestRk4Pair:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        disk_sequences(max_len=8, max_modulus=0.9),
+        st.one_of(st.just(0.0), st.floats(-1.5, 1.5)),
+        st.sampled_from([0.013, 0.05, 0.3, 2.0]),
+        st.sampled_from(["zero", "periodic"]),
+        st.integers(1, 12),
+    )
+    @example(seq(-1, [0.4, 0.2j, -0.3]), -0.77, 0.05, "zero", 6)  # negative t
+    @example(seq(-1, [0.4, 0.2j, -0.3]), 0.0, 0.05, "periodic", 6)  # t = 0
+    @example(seq(0, [0.6, 0.0, 0.5 - 0.1j]), 0.13, 0.05, "periodic", 6)  # partial step
+    @example(seq(0, [0.6, 0.0, 0.5 - 0.1j]), -0.13, 2.0, "zero", 3)  # h > |t|
+    @example(seq(0, [0.7]), 0.4, 0.3, "periodic", 1)  # one-site ring
+    @example(seq(0, [0.875, 0.5, 0.75]), 1.0, 2.0, "zero", 2)  # guard trips
+    def test_bytes_equal_two_allocating_loops(self, q0, t, h, boundary, radius):
+        if boundary == "periodic" and len(q0) == 0:
+            return
+        want, tripped = [], False
+        for step in (h, h / 2.0):
+            try:
+                want.append(rk4_allocating(q0, t, step, radius, boundary))
+            except BlowUpError:
+                tripped = True
+        # The pair trips if either run does; the stage it names is the
+        # first trip in its interleaved order.
+        if tripped:
+            with pytest.raises(BlowUpError, match="^modulus guard tripped during"):
+                rk4_pair(q0, t, h, radius, boundary)
+            return
+        for got, run in zip(rk4_pair(q0, t, h, radius, boundary), want):
+            assert got.q.offset == run.q.offset and got.t == run.t
+            assert got.boundary == run.boundary
+            assert got.q.values.tobytes() == run.q.values.tobytes()
+
+    @pytest.mark.parametrize("boundary", ["zero", "periodic"])
+    @pytest.mark.parametrize("margin", [0.0, 1e-5, 3e-4])
+    def test_lowered_guard_trips(self, monkeypatch, boundary, margin):
+        # The datum of TestRk4Kernel.test_lowered_guard_trips_alike: both
+        # runs trip, at initialization or inside a stage.
+        monkeypatch.setattr(al_ist.reference, "MODULUS_GUARD", 0.5 + margin)
+        with pytest.raises(BlowUpError) as got:
+            rk4_pair(seq(0, [0.5, 0.5]), 1.0, 0.1, 4, boundary)
+        context = "initialization" if margin == 0.0 else "rk4 stage"
+        assert str(got.value).startswith(f"modulus guard tripped during {context}:")
+
+    def test_rejects_nonpositive_step(self):
+        with pytest.raises(ValidationError):
+            rk4_pair(seq(0, [0.1]), 1.0, -1e-3)
 
 
 class TestPicard:
