@@ -34,7 +34,7 @@ from .nlft import identity_grid, nlft_forward, szego_identity_check
 from .reference import rk4_integrate, rk4_pair
 from .sequence import Sequence
 from .seqio import csv_table, fmt, json_text, laurent_to_doc, read_sequence, sequence_to_text
-from .solver import solve_window_detailed
+from .solver import solve_window_detailed, window_plan
 from .multiplier import g_bundle, p_poly
 
 COMMANDS = ("solve", "reference", "compare", "nlft", "multiplier", "bench")
@@ -126,6 +126,9 @@ def _run_compare(job: JobSpec) -> int:
     # reference is another flow, so every site would read as a failure.
     _require(job.boundary == "zero", "compare needs the zero boundary")
     datum = _input_sequence(job)
+    # Refuse a window solve over its cap before the reference starts; the
+    # pool's exit would wait for the RK4 pair.
+    window_plan(datum, job.t, job.n0, job.eps, job.eta)
     with ThreadPoolExecutor(max_workers=2) as pool:
         solve_future = pool.submit(
             solve_window_detailed, datum, job.t, job.n0, job.eps, job.eta

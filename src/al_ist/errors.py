@@ -8,7 +8,8 @@ class ValidationError(ValueError):
 
 
 class InfeasibleParamsError(ValidationError):
-    """Certified window size, or the work of its Schur pass, would exceed its cap."""
+    """Certified window size, the work of its Schur pass, or the work of an RK4
+    run would exceed its cap."""
 
 
 class NumericalGuardError(RuntimeError):

@@ -16,10 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .errors import BlowUpError, NonContractionError, ValidationError
+from .errors import BlowUpError, InfeasibleParamsError, NonContractionError, ValidationError
 from .sequence import Sequence
 
 MODULUS_GUARD = 1.0 - 1e-12
+
+# Cap on the work of one RK4 call in site-steps: ceil(|t| / h) steps per
+# step size, summed over the step sizes, times the lattice sites.  A step
+# of one row costs 17-23 us up to about 200 sites, where numpy call
+# overhead dominates, 50 us at 1 001 sites and 135 us at 4 001 (2-core x86
+# host), so the cap stands for about 3.5 s at 4 001 sites, 12 s at 193 and
+# 10 min at 3.  The largest pair of the benchmark's compare jobs (t 8,
+# h 2e-3, 193 sites) needs 2.3e6.
+RK4_SITE_STEP_CAP = 10**8
 
 # Sub-interval length for the Picard composition; the integral operator is
 # a contraction with constant 6 * dt = 1/2 there.
@@ -85,9 +94,13 @@ def _initial_array(q0: Sequence, radius: int, boundary: str) -> tuple[int, np.nd
     return lo, out
 
 
+def _blow_up(context: str) -> BlowUpError:
+    return BlowUpError(f"modulus guard tripped during {context}: max|q| >= 1 - 1e-12")
+
+
 def _guard(values: np.ndarray, context: str):
     if values.size and float(np.max(np.abs(values))) >= MODULUS_GUARD:
-        raise BlowUpError(f"modulus guard tripped during {context}: max|q| >= 1 - 1e-12")
+        raise _blow_up(context)
 
 
 def _step_plan(span: float, h: float) -> tuple[int, float]:
@@ -106,18 +119,28 @@ def _rk4_rows(
 ) -> list[LatticeState]:
     """RK4 runs of one datum to time t, one row per step size in hs, all
     stepped by the same numpy calls; the layout is in rk4_integrate."""
-    if any(h <= 0 for h in hs):
+    if not all(h > 0 for h in hs):
         raise ValidationError("step size must be positive")
+    if not math.isfinite(t):
+        raise ValidationError("t must be finite")
     if radius is None:
         radius = default_radius(q0, t)
+    size = len(q0.values) if boundary == "periodic" else 2 * radius + 1
+    # -(-|t| // h) is ceil(|t| / h) as a float, inf where it overflows.
+    site_steps = size * sum(-(-abs(t) // h) for h in hs)
+    if site_steps > RK4_SITE_STEP_CAP:
+        raise InfeasibleParamsError(
+            f"RK4 over {size} sites needs about {site_steps:.3g} site-steps, "
+            f"above the cap {RK4_SITE_STEP_CAP:.3g}"
+        )
     offset, y0 = _initial_array(q0, radius, boundary)
     sign = 1.0 if t >= 0 else -1.0
     plans = [_step_plan(abs(t), h) for h in hs]
     # Rows sit in order of step count, so the rows still stepping are
     # always a suffix of the buffer.
     order = sorted(range(len(hs)), key=lambda r: plans[r][0])
-    rows, size = len(hs), len(y0)
-    stride = size + 2
+    counts = [plans[r][0] for r in order]
+    rows, stride = len(hs), size + 2
     # The state (buffers[0]) and the stage (buffers[1]), each holding every
     # row as [pad | sites | pad].
     buffers = np.zeros((2, rows * stride), dtype=np.complex128)
@@ -125,78 +148,77 @@ def _rk4_rows(
         buffers[0, p * stride + 1 : p * stride + 1 + size] = y0
     # k1..k4, acc, the gain i (1 - |q|^2) whose real part stays 0, and the
     # coefficients 0.5 step, step and step / 6, each over the flat interior
-    # buffers[:, 1:-1].
+    # buffers[:, 1:-1].  The coefficients are 0 at every pad cell, so the
+    # inner pads of the zero boundary stay +0.
     work = np.zeros((9, rows * stride - 2), dtype=np.complex128)
-    mod_all = np.empty(rows * stride - 2)
+    # Rows 0-3: |q| of the state and of the step's three stages, kept for
+    # the step's one guard test; row 4: |q|^2.
+    mods_all = np.zeros((5, rows * stride - 2))
     periodic = boundary == "periodic"
     # Per buffer: left pads, last sites, right pads, first sites.
     rings = [(b[0::stride], b[size::stride], b[stride - 1 :: stride], b[1::stride]) for b in buffers]
-    # Per buffer: the inner pad cells, between one row's sites and the next's.
-    seams = [b[stride - 1 : -1].reshape(rows - 1, stride)[:, :2] for b in buffers]
 
-    def guard(values: np.ndarray, seam: np.ndarray, context: str):
-        # |q| of the state just guarded feeds the next right-hand side.
-        if rows > 1:
-            seam.fill(0.0)
-        np.abs(values, out=mod)
-        if float(mod.max()) >= MODULUS_GUARD:
-            raise BlowUpError(f"modulus guard tripped during {context}: max|q| >= 1 - 1e-12")
-
-    def rhs(ring, left: np.ndarray, right: np.ndarray, out: np.ndarray):
-        # i (1 - |q|^2) * (left + right), with |q| already in mod
+    def rhs(ring, left: np.ndarray, right: np.ndarray, m: np.ndarray, out: np.ndarray):
+        # i (1 - |q|^2) * (left + right), with |q| already in m
         if periodic:
             np.copyto(ring[0], ring[1])
             np.copyto(ring[2], ring[3])
-        np.add(left, right, out=acc)
-        np.square(mod, out=mod)
-        np.subtract(1.0, mod, out=gain_im)
-        np.multiply(gain, acc, out=out)
+        np.add(left, right, acc)
+        np.square(m, sq)
+        np.subtract(1.0, sq, gain_im)
+        np.multiply(gain, acc, out)
 
-    def stage_from(c: np.ndarray, k: np.ndarray, context: str):
-        np.multiply(c, k, out=stage)
-        np.add(y, stage, out=stage)
-        guard(stage, seams[1], context)
+    def stage_from(c: np.ndarray, k: np.ndarray, m: np.ndarray):
+        np.multiply(c, k, stage)
+        np.add(y, stage, stage)
+        np.abs(stage, m)
 
-    y, mod = buffers[0, 1:-1], mod_all
-    guard(y, seams[0], "initialization")
-    current = [None] * rows  # the step each row's coefficients hold
-    done = 0
-    for first in range(rows):
-        # Steps done..end run rows first.. on the suffix views.
-        end = plans[order[first]][0]
-        if end <= done:
-            continue
-        b = first * stride
-        ypad, spad = buffers[:, b:]
-        y, stage = ypad[1:-1], spad[1:-1]
-        y_left, y_right, s_left, s_right = ypad[:-2], ypad[2:], spad[:-2], spad[2:]
-        k1, k2, k3, k4, acc, gain, c_half, c_full, c_sixth = work[:, b:]
-        gain_im, mod = gain.imag, mod_all[b:]
-        for i in range(done, end):
+    y = buffers[0, 1:-1]
+    np.abs(y, mods_all[0])
+    if not mods_all[0].max() < MODULUS_GUARD:
+        raise _blow_up("initialization")
+    # Some row's step changes, or a row finishes, at each bound.
+    bounds = sorted({0, *counts, *(c - 1 for c in counts if c)})
+    # A trip is raised at the end of its step; the stages computed after
+    # it may overflow, and are thrown away.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(bounds, bounds[1:]):
+            # Steps lo..hi run rows first.. on the suffix views.
+            first = sum(c <= lo for c in counts)
             for p in range(first, rows):
                 count, last = plans[order[p]]
-                step = sign * (hs[order[p]] if i < count - 1 else last)
-                if step != current[p]:
-                    current[p] = step
-                    cells = slice(p * stride, p * stride + size)
-                    work[6:, cells] = np.array([[0.5 * step], [step], [step / 6.0]])
-            rhs(rings[0], y_left, y_right, k1)
-            stage_from(c_half, k1, "rk4 stage")
-            rhs(rings[1], s_left, s_right, k2)
-            stage_from(c_half, k2, "rk4 stage")
-            rhs(rings[1], s_left, s_right, k3)
-            stage_from(c_full, k3, "rk4 stage")
-            rhs(rings[1], s_left, s_right, k4)
-            # y + (step / 6) * (((k1 + 2 k2) + 2 k3) + k4)
-            np.multiply(2.0, k2, out=k2)
-            np.add(k1, k2, out=acc)
-            np.multiply(2.0, k3, out=k3)
-            np.add(acc, k3, out=acc)
-            np.add(acc, k4, out=acc)
-            np.multiply(c_sixth, acc, out=acc)
-            np.add(y, acc, out=y)
-            guard(y, seams[0], "rk4 step")
-        done = end
+                step = sign * (hs[order[p]] if lo < count - 1 else last)
+                cells = slice(p * stride, p * stride + size)
+                work[6:, cells] = np.array([[0.5 * step], [step], [step / 6.0]])
+            b = first * stride
+            ypad, spad = buffers[:, b:]
+            y, stage = ypad[1:-1], spad[1:-1]
+            y_left, y_right, s_left, s_right = ypad[:-2], ypad[2:], spad[:-2], spad[2:]
+            k1, k2, k3, k4, acc, gain, c_half, c_full, c_sixth = work[:, b:]
+            gain_im = gain.imag
+            mods, sq = mods_all[:4, b:], mods_all[4, b:]
+            m_y, m1, m2, m3 = mods
+            for _ in range(lo, hi):
+                rhs(rings[0], y_left, y_right, m_y, k1)
+                stage_from(c_half, k1, m1)
+                rhs(rings[1], s_left, s_right, m1, k2)
+                stage_from(c_half, k2, m2)
+                rhs(rings[1], s_left, s_right, m2, k3)
+                stage_from(c_full, k3, m3)
+                rhs(rings[1], s_left, s_right, m3, k4)
+                # y + (step / 6) * (((k1 + 2 k2) + 2 k3) + k4)
+                np.multiply(2.0, k2, k2)
+                np.add(k1, k2, acc)
+                np.multiply(2.0, k3, k3)
+                np.add(acc, k3, acc)
+                np.add(acc, k4, acc)
+                np.multiply(c_sixth, acc, acc)
+                np.add(y, acc, y)
+                np.abs(y, m_y)
+                # The step's one guard test; "not <" trips on NaN too.
+                if not mods.max() < MODULUS_GUARD:
+                    stage_tripped = any(not m.max() < MODULUS_GUARD for m in (m1, m2, m3))
+                    raise _blow_up("rk4 stage" if stage_tripped else "rk4 step")
     states = [None] * rows
     for p, r in enumerate(order):
         values = buffers[0, p * stride + 1 : p * stride + 1 + size]
@@ -209,18 +231,25 @@ def rk4_integrate(
 ) -> LatticeState:
     """Classical four-stage Runge-Kutta to time t (the final partial step is
     shortened to land exactly on t).  Any intermediate state with
-    max|q| >= 1 - 1e-12 aborts with a blow-up error.
+    max|q| >= 1 - 1e-12 aborts with a blow-up error.  A run of more than
+    RK4_SITE_STEP_CAP site-steps is refused before any work.
 
     This is the one-row case of the kernel behind rk4_pair.  A row is the
     lattice laid out as [pad | sites | pad]; rows sit back to back in one
     buffer, and every numpy call acts once on the flat interior of the
     buffer, so the neighbour sum is buffer[:-2] + buffer[2:].  Pad rule:
     for the periodic boundary every pad cell takes its row's ring end
-    before every right-hand side; the inner pad cells (between two rows)
-    are zeroed before every guard, so they hold zero at each right-hand
-    side of the zero boundary and never trip the guard.  Every update runs in
-    place, in the operation order of the textbook step, so each row matches
-    a loop with fresh arrays bit for bit.
+    before every right-hand side.  The step coefficients are 0 at every
+    pad cell, so the inner pad cells (between two rows) of the zero
+    boundary stay +0 and are never zeroed.  Every update runs in place, in
+    the operation order of the textbook step, so each row matches a loop
+    with fresh arrays bit for bit.
+
+    The guard is checked once per step: |q| of the three stages and of the
+    step's result are kept in one buffer and tested by one max.  On a trip
+    the error names the first of them in that order that reached the
+    guard, "rk4 stage" or "rk4 step", as a check after each would; the
+    stages computed after it are thrown away.
     """
     return _rk4_rows(q0, t, (h,), radius, boundary)[0]
 

@@ -276,16 +276,21 @@ def _log_t3(log_c: float, t: float, n: int, j: int) -> float:
     )
 
 
-def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: int) -> np.ndarray:
-    """Window [center-W, center+W], shift onto [0, 2W], multiply by G and
-    run the Schur recursion; returns the first `steps` coefficients.
-    A pass whose estimated work exceeds SCHUR_UPDATE_CAP is refused first."""
+def _check_pass_work(W: int, steps: int):
+    """Refuse a Schur pass whose estimated work exceeds SCHUR_UPDATE_CAP."""
     updates = steps * (steps + 1) // 2
     if updates > SCHUR_UPDATE_CAP:
         raise InfeasibleParamsError(
             f"Schur pass with half-width W={W} needs {steps} steps, about "
             f"{updates:.3g} coefficient updates, above the cap {SCHUR_UPDATE_CAP:.3g}"
         )
+
+
+def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: int) -> np.ndarray:
+    """Window [center-W, center+W], shift onto [0, 2W], multiply by G and
+    run the Schur recursion; returns the first `steps` coefficients.
+    A pass whose estimated work exceeds SCHUR_UPDATE_CAP is refused first."""
+    _check_pass_work(W, steps)
     windowed = q0.windowed(center - W, center + W).shifted(-(center - W))
     m = nlft_forward(windowed)
     bundle = g_bundle(order, t)
@@ -367,10 +372,32 @@ def _window_params(closed: SolveParams) -> SolveParams:
     return replace(closed, N=M, n=2 * M, r=best_radius(eta, t, M))
 
 
+def _window_pass_shape(params: SolveParams) -> tuple[int, int, int]:
+    """(W, order, steps) of the window solve's one Schur pass."""
+    W = params.N + params.N // 2
+    return W, 2 * W, 3 * W + params.N // 2 + 1
+
+
+def window_plan(
+    q0: Sequence, t: float, n0: int, eps: float, eta: float | None = None
+) -> SolveParams:
+    """The parameters solve_window_detailed runs with, its Schur pass checked
+    against SCHUR_UPDATE_CAP; no pass is run, so a refusal comes at once."""
+    q0 = q0.trimmed()
+    if eta is None:
+        eta = 1.0 if q0.is_zero else q0.szego_product()
+    params = _window_params(select_params(t, eps, eta, n0))
+    if not q0.is_zero:
+        W, _, steps = _window_pass_shape(params)
+        _check_pass_work(W, steps)
+    return params
+
+
 def solve_window_detailed(
     q0: Sequence, t: float, n0: int, eps: float, eta: float | None = None
 ) -> tuple[Sequence, np.ndarray, SolveParams]:
-    """solve_window plus per-entry certified budgets and the parameters.
+    """solve_window plus per-entry certified budgets and the parameters
+    (window_plan).
 
     The truncation window is widened to W = N + floor(N/2) (order 2W) so
     every emitted site keeps localization margin at least N.  One Schur
@@ -380,26 +407,22 @@ def solve_window_detailed(
     N is the least M, at most the closed form of select_params, at which
     that worst bound is within eps: the localization bound at margin M and
     radius best_radius(eta, t, M), plus t3_bound(eta, t, 2W, W + floor(M/2)).
+    A negative t runs forward at |t| from the conjugated datum and
+    conjugates the output (params.reflect).
     """
+    params = window_plan(q0, t, n0, eps, eta)
     q0 = q0.trimmed()
-    if eta is None:
-        eta = 1.0 if q0.is_zero else q0.szego_product()
-    if t < 0:
-        seq, budgets, params = solve_window_detailed(q0.conjugated(), -t, n0, eps, eta)
-        return seq.conjugated(), budgets, replace(params, reflect=True)
-    params = _window_params(select_params(t, eps, eta, n0))
     half = params.N // 2
     if q0.is_zero:
-        return (
-            Sequence(n0 - half, np.zeros(2 * half + 1, dtype=np.complex128)),
-            np.zeros(2 * half + 1),
-            params,
-        )
-    W = params.N + half
-    order = 2 * W
-    gammas = _schur_pass(q0, params.t, n0, W, order, order + W + half + 1)
-    budgets = np.array([window_entry_budget(params, W, s) for s in range(-half, half + 1)])
-    return Sequence(n0 - half, gammas[order + W - half :]), budgets, params
+        window = Sequence(n0 - half, np.zeros(2 * half + 1, dtype=np.complex128))
+        budgets = np.zeros(2 * half + 1)
+    else:
+        W, order, steps = _window_pass_shape(params)
+        datum = q0.conjugated() if params.reflect else q0
+        gammas = _schur_pass(datum, params.t, n0, W, order, steps)
+        budgets = np.array([window_entry_budget(params, W, s) for s in range(-half, half + 1)])
+        window = Sequence(n0 - half, gammas[order + W - half :])
+    return (window.conjugated() if params.reflect else window), budgets, params
 
 
 def solve_window(

@@ -1,8 +1,10 @@
 """CLI front door: job validation, file formats, exit codes, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -190,6 +192,17 @@ class TestReferenceCommand:
         code = main(["--cmd", "reference", "--in", path, "--t", "1.0"])
         assert code == 3
 
+    @pytest.mark.parametrize("radius", [[], ["--radius", "5"]])
+    def test_refuses_work_above_the_cap_at_once(self, datum_file, capsys, radius):
+        # |t| / h = 1e23 steps: the step plan alone would never end, and
+        # the default radius would ask for 2e21 sites.
+        path = datum_file(seq(0, [0.5]))
+        start = time.perf_counter()
+        code = main(["--cmd", "reference", "--in", path, "--t", "1e20", "--h", "1e-3", *radius])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "site-steps, above the cap 1e+08" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_random_datum_passes(self, datum_file, tmp_path):
@@ -251,6 +264,56 @@ class TestCompareCommand:
         )
         assert code == 0
         assert calls == {"rk4_pair": 1, "rk4_integrate": 0}
+
+    def test_refused_solve_runs_no_reference(self, datum_file, monkeypatch, capsys):
+        calls = []
+        original = al_ist.cli.rk4_pair
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(al_ist.cli, "rk4_pair", counted)
+        # |q|^2 = 0.999 at t 20 needs a Schur pass above SCHUR_UPDATE_CAP.
+        path = datum_file(seq(0, [math.sqrt(0.999)]))
+        args = ["--in", path, "--t", "20", "--eps", "1e-10"]
+        assert main(["--cmd", "solve", *args]) == 2
+        refusal = capsys.readouterr().err
+        assert "above the cap 1e+09" in refusal
+        assert main(["--cmd", "compare", *args]) == 2
+        assert capsys.readouterr().err == refusal
+        assert calls == []
+
+    def test_refuses_reference_work_above_the_cap(self, datum_file, capsys):
+        path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
+        start = time.perf_counter()
+        code = main(["--cmd", "compare", "--in", path, "--t", "0.5", "--eps", "1e-6",
+                     "--h", "1e-9", "--radius", "30"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "RK4 over 61 sites needs about 9.15e+10 site-steps" in capsys.readouterr().err
+
+
+class TestPinnedArtifacts:
+    """sha256 of compare and reference artifacts of one small datum; any
+    change in the bits of the RK4 kernel or the window solve shows here."""
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["compare", "--t", "1.0", "--eps", "1e-6", "--h", "0.01", "--radius", "30"],
+             "8261a7edddd752144522bf8e43eb4ef14ac555ac67e051b877f7bec8cf28f4f6"),
+            (["reference", "--t", "-0.75", "--h", "0.01", "--radius", "12"],
+             "9b60db35bd7200d04d1fef6a5e06e305c94778b55274bdba8f3bc8c72aac141e"),
+            (["reference", "--t", "0.75", "--h", "0.01", "--boundary", "periodic"],
+             "eda03c780168ff5cceddae777d61248d6fa79c36fe4e35224a8ec9c3c4432830"),
+        ],
+    )
+    def test_digest(self, datum_file, tmp_path, args, digest):
+        path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
+        out = tmp_path / "artifact"
+        assert main(["--cmd", *args, "--in", path, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestNlftCommand:

@@ -1,6 +1,8 @@
 """Direct lattice integrators: RK4 and Picard, plus conservation checks."""
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from scipy.integrate import cumulative_simpson
 
 import al_ist.reference
 from al_ist.datagen import random_sequence
-from al_ist.errors import BlowUpError, ValidationError
+from al_ist.errors import BlowUpError, InfeasibleParamsError, ValidationError
 from al_ist.reference import (
     PICARD_MESH,
     LatticeState,
@@ -155,6 +157,12 @@ def rk4_allocating(q0, t, h, radius=None, boundary="zero"):
     return LatticeState(Sequence(offset, y), t, boundary)
 
 
+# At guard 0.58239 and h 0.1 the first state to reach the guard is a
+# step's result, not one of its stages.
+STEP_TRIP = seq(0, [0.3393 - 0.1075j, -0.2207 + 0.5312j, -0.1531 + 0.0786j])
+STEP_TRIP_GUARD = 0.58239
+
+
 class TestRk4Kernel:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -202,6 +210,40 @@ class TestRk4Kernel:
         context = "initialization" if margin == 0.0 else "rk4 stage"
         assert f"during {context}:" in str(got.value)
 
+    def test_lowered_guard_trips_at_step_end(self, monkeypatch):
+        monkeypatch.setattr(al_ist.reference, "MODULUS_GUARD", STEP_TRIP_GUARD)
+        with pytest.raises(BlowUpError) as want:
+            rk4_allocating(STEP_TRIP, 1.0, 0.1, 4)
+        with pytest.raises(BlowUpError) as got:
+            rk4_integrate(STEP_TRIP, 1.0, 0.1, 4)
+        assert str(got.value) == str(want.value)
+        assert "during rk4 step:" in str(got.value)
+
+    @pytest.mark.parametrize("run", [rk4_integrate, rk4_pair])
+    def test_huge_step_trips_without_warnings(self, run):
+        # The first stage reaches about 1e60; the kernel raises at the end
+        # of the step, after later stages have overflowed to inf and NaN.
+        q0, h = seq(0, [0.3, 0.2j]), 1e60
+        with pytest.raises(BlowUpError) as want:
+            rk4_allocating(q0, 2 * h, h, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(BlowUpError) as got:
+                run(q0, 2 * h, h, 3)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("t, h", [(1e20, 1e-3), (1e5, 1e-3), (1.0, 5e-324)])
+    def test_refuses_work_above_the_cap_at_once(self, t, h):
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleParamsError, match="above the cap 1e\\+08"):
+            rk4_integrate(seq(0, [0.5]), t, h, radius=5)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("t, h", [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan)])
+    def test_rejects_non_finite_time_and_step(self, t, h):
+        with pytest.raises(ValidationError):
+            rk4_integrate(seq(0, [0.5]), t, h, radius=5)
+
 
 class TestRk4Pair:
     @settings(max_examples=60, deadline=None)
@@ -248,6 +290,12 @@ class TestRk4Pair:
             rk4_pair(seq(0, [0.5, 0.5]), 1.0, 0.1, 4, boundary)
         context = "initialization" if margin == 0.0 else "rk4 stage"
         assert str(got.value).startswith(f"modulus guard tripped during {context}:")
+
+    def test_lowered_guard_trips_at_step_end(self, monkeypatch):
+        monkeypatch.setattr(al_ist.reference, "MODULUS_GUARD", STEP_TRIP_GUARD)
+        with pytest.raises(BlowUpError) as got:
+            rk4_pair(STEP_TRIP, 1.0, 0.1, 4)
+        assert str(got.value).startswith("modulus guard tripped during rk4 step:")
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValidationError):
