@@ -8,9 +8,6 @@ One job per process invocation.  Subcommands:
   nlft        transfer-matrix product (a, b) plus identity residuals; JSON
   multiplier  scattering-multiplier bundle and bound checks; JSON
               (the polynomial order is read from --n0)
-  bench       NLFT product wall-clock vs window size; CSV plus fitted
-              exponent on stdout (timings are inherently nondeterministic,
-              so bench output is exempt from the byte-identical guarantee)
 
 Exit codes: 0 success, 1 compare found deviations beyond the allowance,
 2 validation error, 3 numerical guard tripped.
@@ -21,24 +18,21 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import dense_random_sequence
 from .errors import NumericalGuardError, ValidationError
 from .laurent import CircleGrid, lp_eval_grid, next_pow2
 from .nlft import identity_grid, nlft_forward, szego_identity_check
-from .reference import rk4_integrate, rk4_pair
+from .reference import default_radius, rk4_integrate, rk8_pair
 from .sequence import Sequence
-from .seqio import csv_table, fmt, json_text, laurent_to_doc, read_sequence, sequence_to_text
+from .seqio import csv_table, json_text, laurent_to_doc, read_sequence, sequence_to_text
 from .solver import solve_window_detailed, window_plan
 from .multiplier import g_bundle, p_poly
 
-COMMANDS = ("solve", "reference", "compare", "nlft", "multiplier", "bench")
-BENCH_SIZES = (256, 1024, 4096)
+COMMANDS = ("solve", "reference", "compare", "nlft", "multiplier")
 
 
 @dataclass(frozen=True)
@@ -56,7 +50,6 @@ class JobSpec:
     h: float = 1e-3
     radius: int | None = None
     grid: int | None = None
-    seed: int = 0
     boundary: str = "zero"
 
     def __post_init__(self):
@@ -74,8 +67,6 @@ class JobSpec:
             raise ValidationError("radius must be a positive integer")
         if self.grid is not None and self.grid < 2:
             raise ValidationError("grid size must be at least 2")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
         if self.boundary not in ("zero", "periodic"):
             raise ValidationError('boundary must be "zero" or "periodic"')
 
@@ -127,13 +118,18 @@ def _run_compare(job: JobSpec) -> int:
     _require(job.boundary == "zero", "compare needs the zero boundary")
     datum = _input_sequence(job)
     # Refuse a window solve over its cap before the reference starts; the
-    # pool's exit would wait for the RK4 pair.
-    window_plan(datum, job.t, job.n0, job.eps, job.eta)
+    # pool's exit would wait for the reference pair.
+    params = window_plan(datum, job.t, job.n0, job.eps, job.eta)
+    radius = job.radius
+    if radius is None:
+        # A low-eta window can reach past default_radius; its outer rows
+        # would be compared against sites the reference never computed.
+        radius = max(default_radius(datum, job.t), abs(job.n0) + params.N // 2)
     with ThreadPoolExecutor(max_workers=2) as pool:
         solve_future = pool.submit(
             solve_window_detailed, datum, job.t, job.n0, job.eps, job.eta
         )
-        reference_future = pool.submit(rk4_pair, datum, job.t, job.h, job.radius)
+        reference_future = pool.submit(rk8_pair, datum, job.t, radius)
         window, budgets, _ = solve_future.result()
         coarse, fine = reference_future.result()
 
@@ -142,9 +138,9 @@ def _run_compare(job: JobSpec) -> int:
     for i, value in enumerate(window.values):
         n = window.offset + i
         ref = fine.q.at(n)
-        # Richardson estimate for the fourth-order reference, plus a roundoff
+        # Richardson estimate for the order-8 reference, plus a roundoff
         # floor; the certified budget covers the solver side.
-        ref_error = abs(coarse.q.at(n) - ref) / 15.0 + 1e-12
+        ref_error = abs(coarse.q.at(n) - ref) / 255.0 + 1e-12
         deviation = abs(value - ref)
         allowance = job.eps + ref_error
         ok = deviation <= allowance
@@ -210,39 +206,12 @@ def _run_multiplier(job: JobSpec) -> int:
     return 0
 
 
-def time_nlft(seed: int) -> tuple[list[float], float]:
-    """Best-of-3 wall time of nlft_forward on a dense random datum of each
-    of BENCH_SIZES (datum seed `seed + size`), and the fitted log-log
-    exponent."""
-    best_times = []
-    for size in BENCH_SIZES:
-        datum = dense_random_sequence(seed + size, 0, size, 0.5)
-        best = math.inf
-        for _ in range(3):
-            start = time.perf_counter()
-            nlft_forward(datum)
-            best = min(best, time.perf_counter() - start)
-        best_times.append(best)
-    log_sizes = [math.log(s) for s in BENCH_SIZES]
-    log_times = [math.log(x) for x in best_times]
-    return best_times, float(np.polyfit(log_sizes, log_times, 1)[0])
-
-
-def _run_bench(job: JobSpec) -> int:
-    best_times, slope = time_nlft(job.seed)
-    rows = [[size, size, best] for size, best in zip(BENCH_SIZES, best_times)]
-    _emit(job, csv_table(["N", "sites", "seconds"], rows))
-    sys.stdout.write(f"fitted exponent: {fmt(slope)}\n")
-    return 0
-
-
 _DISPATCH = {
     "solve": _run_solve,
     "reference": _run_reference,
     "compare": _run_compare,
     "nlft": _run_nlft,
     "multiplier": _run_multiplier,
-    "bench": _run_bench,
 }
 
 
@@ -272,10 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n0", type=int, default=0, help="center site (multiplier: polynomial order)")
     parser.add_argument("--eps", type=float, help="certified accuracy target")
     parser.add_argument("--eta", type=float, help="Szego-product lower bound override")
-    parser.add_argument("--h", type=float, default=1e-3, help="reference integrator step")
+    parser.add_argument(
+        "--h", type=float, default=1e-3,
+        help="RK4 step of the reference command (compare steps its own order-8 pair)",
+    )
     parser.add_argument("--radius", type=int, help="reference lattice truncation radius")
     parser.add_argument("--grid", type=int, help="evaluation grid size")
-    parser.add_argument("--seed", type=int, default=0, help="bench datum seed")
     parser.add_argument("--boundary", choices=("zero", "periodic"), default="zero")
     return parser
 

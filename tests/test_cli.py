@@ -11,12 +11,12 @@ import pytest
 
 import al_ist.cli
 import al_ist.nlft
-from al_ist.cli import BENCH_SIZES, JobSpec, build_parser, main
+from al_ist.cli import JobSpec, build_parser, main
 from al_ist.datagen import random_sequence
 from al_ist.errors import ValidationError
 from al_ist.laurent import LaurentPoly
 from al_ist.multiplier import delta_nt
-from al_ist.reference import rk4_integrate
+from al_ist.reference import default_radius, rk4_integrate, rk8_pair
 from al_ist.sequence import Sequence
 from al_ist.seqio import (
     json_text,
@@ -142,8 +142,6 @@ class TestJobSpec:
         with pytest.raises(ValidationError):
             JobSpec(command="nlft", grid=1)
         with pytest.raises(ValidationError):
-            JobSpec(command="bench", seed=-1)
-        with pytest.raises(ValidationError):
             JobSpec(command="reference", boundary="reflecting")
 
 
@@ -192,6 +190,12 @@ class TestReferenceCommand:
         code = main(["--cmd", "reference", "--in", path, "--t", "1.0"])
         assert code == 3
 
+    def test_refuses_a_time_without_a_finite_radius(self, datum_file, capsys):
+        # 10 (1 + |t|) overflows: refused before any allocation, no traceback
+        path = datum_file(seq(0, [0.5]))
+        assert main(["--cmd", "reference", "--in", path, "--t", "1e308", "--h", "1"]) == 2
+        assert "no finite reference lattice radius" in capsys.readouterr().err
+
     @pytest.mark.parametrize("radius", [[], ["--radius", "5"]])
     def test_refuses_work_above_the_cap_at_once(self, datum_file, capsys, radius):
         # |t| / h = 1e23 steps: the step plan alone would never end, and
@@ -233,6 +237,57 @@ class TestCompareCommand:
             line.endswith(",fail") for line in out.read_text().strip().splitlines()[1:]
         )
 
+    def test_allowance_is_eps_plus_richardson_over_255(self, datum_file, tmp_path):
+        # Each row: the fine row of rk8_pair as ref, and the allowance
+        # eps + |coarse - fine| / (2^8 - 1) + 1e-12.  --h is the reference
+        # command's RK4 step; compare takes it and does not use it.
+        q0 = random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5)
+        path = datum_file(q0)
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out, h in zip(outs, ["1e-3", "0.5"]):
+            assert main(["--cmd", "compare", "--in", path, "--out", str(out), "--t", "1.5",
+                         "--eps", "1e-8", "--radius", "30", "--h", h]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        coarse, fine = rk8_pair(q0, 1.5, 30)
+        rows = [line.split(",") for line in outs[0].read_text().strip().splitlines()[1:]]
+        assert len(rows) > 1
+        for n, _, _, ref_re, ref_im, _, allowance, _ in rows:
+            ref = fine.q.at(int(n))
+            assert complex(float(ref_re), float(ref_im)) == ref
+            assert float(allowance) == 1e-8 + (abs(coarse.q.at(int(n)) - ref) / 255.0 + 1e-12)
+
+    def test_default_lattice_covers_every_row(self, datum_file, monkeypatch, tmp_path):
+        # At eta 0.08 and t 0.5 the window reaches 46 sites from n0, past
+        # default_radius (16); no row may be compared against a site the
+        # reference never computed.
+        q0 = seq(-1, [0.8, -0.7j, 0.75])
+        lattices = []
+
+        def recorded(*args):
+            pair = rk8_pair(*args)
+            lattices.append(pair[1].q)
+            return pair
+
+        monkeypatch.setattr(al_ist.cli, "rk8_pair", recorded)
+        path = datum_file(q0)
+        out = tmp_path / "cmp.csv"
+        code = main(["--cmd", "compare", "--in", path, "--out", str(out), "--t", "0.5",
+                     "--eps", "1e-6"])
+        assert code == 0
+        (lattice,) = lattices
+        sites = [int(line.split(",")[0]) for line in out.read_text().strip().splitlines()[1:]]
+        assert max(sites) > default_radius(q0, 0.5)
+        assert lattice.offset <= min(sites) and max(sites) < lattice.offset + len(lattice.values)
+
+    def test_long_time_passes_at_tight_eps(self, datum_file, tmp_path):
+        path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
+        out = tmp_path / "cmp.csv"
+        code = main(["--cmd", "compare", "--in", path, "--out", str(out), "--t", "20",
+                     "--eps", "1e-10"])
+        assert code == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) > 1 and all(line.endswith(",pass") for line in lines[1:])
+
     def test_periodic_boundary_refused(self, datum_file, tmp_path, capsys):
         # The solver evolves the datum on Z; against a ring reference every
         # row would fail and blame it.
@@ -247,7 +302,7 @@ class TestCompareCommand:
         assert not out.exists()
 
     def test_one_reference_pair_per_job(self, datum_file, monkeypatch, tmp_path):
-        calls = {"rk4_pair": 0, "rk4_integrate": 0}
+        calls = {"rk8_pair": 0, "rk4_integrate": 0}
         for name in calls:
             original = getattr(al_ist.cli, name)
 
@@ -263,17 +318,17 @@ class TestCompareCommand:
              "--t", "0.5", "--eps", "1e-6", "--radius", "30"]
         )
         assert code == 0
-        assert calls == {"rk4_pair": 1, "rk4_integrate": 0}
+        assert calls == {"rk8_pair": 1, "rk4_integrate": 0}
 
     def test_refused_solve_runs_no_reference(self, datum_file, monkeypatch, capsys):
         calls = []
-        original = al_ist.cli.rk4_pair
+        original = al_ist.cli.rk8_pair
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(al_ist.cli, "rk4_pair", counted)
+        monkeypatch.setattr(al_ist.cli, "rk8_pair", counted)
         # |q|^2 = 0.999 at t 20 needs a Schur pass above SCHUR_UPDATE_CAP.
         path = datum_file(seq(0, [math.sqrt(0.999)]))
         args = ["--in", path, "--t", "20", "--eps", "1e-10"]
@@ -288,21 +343,22 @@ class TestCompareCommand:
         path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
         start = time.perf_counter()
         code = main(["--cmd", "compare", "--in", path, "--t", "0.5", "--eps", "1e-6",
-                     "--h", "1e-9", "--radius", "30"])
+                     "--radius", "10000000"])
         assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert "RK4 over 61 sites needs about 9.15e+10 site-steps" in capsys.readouterr().err
+        assert "RK8 over 20000001 sites needs about 3e+08 site-steps" in capsys.readouterr().err
 
 
 class TestPinnedArtifacts:
     """sha256 of compare and reference artifacts of one small datum; any
-    change in the bits of the RK4 kernel or the window solve shows here."""
+    change in the bits of the Runge-Kutta kernel or the window solve shows
+    here."""
 
     @pytest.mark.parametrize(
         "args, digest",
         [
             (["compare", "--t", "1.0", "--eps", "1e-6", "--h", "0.01", "--radius", "30"],
-             "8261a7edddd752144522bf8e43eb4ef14ac555ac67e051b877f7bec8cf28f4f6"),
+             "515145b63dde273f20e6f4b3f754732690d5d68ccea1ed3d7d9cdd4058be0ac8"),
             (["reference", "--t", "-0.75", "--h", "0.01", "--radius", "12"],
              "9b60db35bd7200d04d1fef6a5e06e305c94778b55274bdba8f3bc8c72aac141e"),
             (["reference", "--t", "0.75", "--h", "0.01", "--boundary", "periodic"],
@@ -366,16 +422,6 @@ class TestMultiplierCommand:
 
     def test_requires_positive_order(self):
         assert main(["--cmd", "multiplier", "--t", "0.5"]) == 2
-
-
-class TestBenchCommand:
-    def test_smoke(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        assert main(["--cmd", "bench", "--out", str(out), "--seed", "3"]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "N,sites,seconds"
-        assert len(lines) == 1 + len(BENCH_SIZES)
-        assert capsys.readouterr().out.startswith("fitted exponent:")
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
-"""Direct lattice integrators: RK4 and Picard, plus conservation checks."""
+"""Direct lattice integrators: RK4, the order-8 pair and Picard, plus
+conservation checks."""
 
 import math
 import time
@@ -8,22 +9,27 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import cumulative_simpson
+from scipy.integrate._ivp import dop853_coefficients as dop853
 
 import al_ist.reference
 from al_ist.datagen import random_sequence
 from al_ist.errors import BlowUpError, InfeasibleParamsError, ValidationError
 from al_ist.reference import (
     PICARD_MESH,
+    RK4,
+    RK8,
+    RK8_STEP,
     LatticeState,
     _guard,
     _initial_array,
     _rhs,
+    _rk_rows,
     al_rhs,
     conserved_product,
     default_radius,
     picard_solve,
     rk4_integrate,
-    rk4_pair,
+    rk8_pair,
 )
 from al_ist.sequence import Sequence
 from al_ist.solver import localization_bound_direct
@@ -155,6 +161,12 @@ def rk4_allocating(q0, t, h, radius=None, boundary="zero"):
         _guard(y, "rk4 step")
         remaining -= abs(step)
     return LatticeState(Sequence(offset, y), t, boundary)
+
+
+def rk4_pair(q0, t, h, radius=None, boundary="zero"):
+    """RK4 at steps h and h/2 as two rows of one kernel run: the bit-exact
+    check of the multi-row layout that rk8_pair steps on."""
+    return tuple(_rk_rows(q0, t, (h, h / 2.0), RK4, radius, boundary))
 
 
 # At guard 0.58239 and h 0.1 the first state to reach the guard is a
@@ -302,6 +314,124 @@ class TestRk4Pair:
             rk4_pair(seq(0, [0.1]), 1.0, -1e-3)
 
 
+def rk8_allocating(q0, t, h, radius):
+    """RK8 with fresh arrays at every stage: the oracle for the kernel's
+    tableau path.  It sums in the kernel's order (k_{i-1} down to k_0,
+    then y) and tests every stage and step result."""
+    offset, y = _initial_array(q0, radius, "zero")
+    _guard(y, "initialization")
+    a, b = RK8.a, RK8.b
+    remaining = abs(t)
+    sign = 1.0 if t >= 0 else -1.0
+    while remaining > 0.0:
+        step = sign * min(h, remaining)
+        ks = []
+        for i in range(len(b)):
+            stage = y
+            if i:
+                acc = (a[i, i - 1] * step) * ks[i - 1]
+                for j in range(i - 2, -1, -1):
+                    acc = acc + (a[i, j] * step) * ks[j]
+                stage = acc + y
+                _guard(stage, "rk8 stage")
+            ks.append(_rhs(stage, "zero"))
+        acc = (b[-1] * step) * ks[-1]
+        for j in range(len(b) - 2, -1, -1):
+            acc = acc + (b[j] * step) * ks[j]
+        y = acc + y
+        _guard(y, "rk8 step")
+        remaining -= abs(step)
+    return LatticeState(Sequence(offset, y), t)
+
+
+def plane_wave_ring(alpha: float, m: int, t: float):
+    """(datum, exact solution at t) of the plane wave on an m-site ring."""
+    k = 2.0 * math.pi / m
+    omega = 2.0 * (1.0 - alpha**2) * math.cos(k)
+    return ring_state(alpha, m), plane_wave(alpha, k, omega, t, m)
+
+
+class TestRk8:
+    @pytest.mark.parametrize("tableau", [RK4, RK8], ids=["rk4", "rk8"])
+    def test_tableau_is_consistent(self, tableau):
+        # Explicit (strictly lower a), weights summing to 1, and for RK8
+        # the nodes scipy lists: c == a.sum(1).
+        assert not np.triu(tableau.a).any()
+        assert abs(tableau.b.sum() - 1.0) <= 1e-15
+        if tableau is RK8:
+            assert np.allclose(RK8.a.sum(1), dop853.C[: len(RK8.b)], rtol=0.0, atol=2e-15)
+
+    def test_observed_order_is_eight(self):
+        q0, want = plane_wave_ring(0.3, 16, 4.0)
+        errs = [
+            np.max(np.abs(row.q.values - want))
+            for row in _rk_rows(q0, 4.0, (0.4, 0.2), RK8, None, "periodic")
+        ]
+        assert 7.5 <= math.log2(errs[0] / errs[1]) <= 9.5
+
+    def test_fine_row_matches_the_plane_wave(self):
+        # At the pair's steps the fine row is within 1e-12 of the exact
+        # plane wave; RK4 at h 1e-3 is held to 1e-10 above.
+        q0, want = plane_wave_ring(0.3, 16, 1.0)
+        _, fine = _rk_rows(q0, 1.0, (RK8_STEP, RK8_STEP / 2.0), RK8, None, "periodic")
+        assert np.max(np.abs(fine.q.values - want)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        disk_sequences(max_len=8, max_modulus=0.9),
+        st.one_of(st.just(0.0), st.floats(-1.5, 1.5)),
+        st.integers(1, 12),
+    )
+    @example(seq(-1, [0.4, 0.2j, -0.3]), -0.77, 6)  # negative t, partial steps
+    @example(seq(0, [0.6, 0.0, 0.5 - 0.1j]), 0.13, 3)  # coarse row ends first
+    @example(seq(0, [0.999]), 1.0, 2)  # guard trips
+    def test_pair_equals_two_allocating_loops(self, q0, t, radius):
+        want, tripped = [], False
+        for step in (RK8_STEP, RK8_STEP / 2.0):
+            try:
+                want.append(rk8_allocating(q0, t, step, radius))
+            except BlowUpError:
+                tripped = True
+        if tripped:
+            with pytest.raises(BlowUpError, match="^modulus guard tripped during"):
+                rk8_pair(q0, t, radius)
+            return
+        for got, run in zip(rk8_pair(q0, t, radius), want):
+            assert got.q.offset == run.q.offset and got.t == run.t
+            assert np.array_equal(got.q.values, run.q.values)
+
+    @pytest.mark.parametrize("margin, context", [(0.0, "initialization"), (1e-6, "rk8 stage")])
+    def test_lowered_guard_trips(self, monkeypatch, margin, context):
+        # The first stage raises |q(0)| of two neighbouring sites of
+        # modulus 0.5 by about 4e-6.
+        monkeypatch.setattr(al_ist.reference, "MODULUS_GUARD", 0.5 + margin)
+        with pytest.raises(BlowUpError) as got:
+            rk8_pair(seq(0, [0.5, 0.5]), 1.0, 4)
+        assert str(got.value).startswith(f"modulus guard tripped during {context}:")
+
+    def test_lowered_guard_trips_at_step_end(self, monkeypatch):
+        # On this datum the guards in about [0.64054734512, 0.64054735034]
+        # are first reached by a step's result, not by one of its stages.
+        monkeypatch.setattr(al_ist.reference, "MODULUS_GUARD", 0.6405473477)
+        q0 = random_sequence(seed=30, count=3, lo=0, hi=2, max_modulus=0.7)
+        with pytest.raises(BlowUpError) as got:
+            rk8_pair(q0, 1.0, 4)
+        assert str(got.value).startswith("modulus guard tripped during rk8 step:")
+
+    def test_refuses_work_above_the_cap_at_once(self):
+        # 15 steps over both step sizes at t 0.5, on 2e7 + 1 sites
+        start = time.perf_counter()
+        refusal = "^RK8 over 20000001 sites needs about 3e\\+08"
+        with pytest.raises(InfeasibleParamsError, match=refusal):
+            rk8_pair(seq(0, [0.5]), 0.5, radius=10**7)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValidationError):
+            rk8_pair(seq(0, [0.5]), t, radius=5)
+
+
 class TestPicard:
     def test_zero_datum(self):
         out = picard_solve(seq(0, [0.0]), 0.5, radius=4)
@@ -344,6 +474,12 @@ class TestHelpers:
         q0 = seq(-3, [0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2])  # support [-3, 3]
         assert default_radius(q0, 1.0) == 3 + 20
         assert default_radius(q0, 0.0) == 3 + 10
+
+    @pytest.mark.parametrize("run", [default_radius, picard_solve])
+    def test_refuses_a_time_without_a_finite_radius(self, run):
+        # 10 (1 + |t|) overflows a float above about 1.8e307.
+        with pytest.raises(InfeasibleParamsError, match="no finite reference lattice radius"):
+            run(seq(0, [0.5]), -1e308)
 
     def test_conserved_product_values(self):
         assert conserved_product(LatticeState(seq(0, [0.0]), 0.0)) == 0.0
