@@ -29,7 +29,7 @@ from .nlft import identity_grid, nlft_forward, szego_identity_check
 from .reference import default_radius, rk4_integrate, rk8_pair
 from .sequence import Sequence
 from .seqio import csv_table, json_text, laurent_to_doc, read_sequence, sequence_to_text
-from .solver import solve_window_detailed, window_plan
+from .solver import _solve_planned, solve_window_detailed, window_plan
 from .multiplier import g_bundle, p_poly
 
 COMMANDS = ("solve", "reference", "compare", "nlft", "multiplier")
@@ -126,9 +126,7 @@ def _run_compare(job: JobSpec) -> int:
         # would be compared against sites the reference never computed.
         radius = max(default_radius(datum, job.t), abs(job.n0) + params.N // 2)
     with ThreadPoolExecutor(max_workers=2) as pool:
-        solve_future = pool.submit(
-            solve_window_detailed, datum, job.t, job.n0, job.eps, job.eta
-        )
+        solve_future = pool.submit(_solve_planned, datum, params)
         reference_future = pool.submit(rk8_pair, datum, job.t, radius)
         window, budgets, _ = solve_future.result()
         coarse, fine = reference_future.result()

@@ -21,6 +21,11 @@ from .errors import ValidationError
 from .laurent import CircleGrid, LaurentPoly, lp_eval_grid, next_pow2
 
 
+# i^k by k mod 4, signed zeros as in 1j**k.  1j**k itself is inexact from
+# k = 101 on, where Python's complex power goes through polar form.
+_I_POWERS = np.array([1.0, 1j, -1.0, complex(-0.0, -1.0)])
+
+
 def bessel_j(k: int, x: float) -> float:
     """J_k(x) for integer k and x >= 0, from scipy.special.jv."""
     if x < 0:
@@ -46,12 +51,9 @@ def p_poly(n: int, t: float) -> LaurentPoly:
         raise ValidationError("p_poly requires order n >= 1")
     if t < 0:
         raise ValidationError("p_poly requires t >= 0 (negative times are reflected upstream)")
-    coeffs = np.zeros(2 * n + 1, dtype=np.complex128)
-    for k, j_k in enumerate(jv(np.arange(n + 1), 2.0 * t)):
-        c = 1j**k * float(j_k)
-        coeffs[n + k] = c
-        coeffs[n - k] = c
-    return LaurentPoly(-n, coeffs)
+    k = np.arange(n + 1)
+    half = _I_POWERS[k % 4] * jv(k, 2.0 * t)
+    return LaurentPoly(-n, np.concatenate((half[:0:-1], half)))
 
 
 @dataclass(frozen=True)

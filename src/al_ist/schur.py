@@ -29,6 +29,12 @@ STOP_THRESHOLD = 1.0 - 1e-12
 
 WITNESS_GRID = 1024
 
+# Steps the Schur kernel runs on one set of array views (see _recur).
+BLOCK = 64
+
+# |q(0)| below which the kernel rescales the iterate by a power of two.
+RESCALE_BELOW = 2.0**-256
+
 
 class SchurStop(Exception):
     """Iteration reached a (numerically) unimodular constant."""
@@ -114,73 +120,101 @@ def _dense(p: LaurentPoly, width: int) -> np.ndarray:
     return out
 
 
-def _step(p: np.ndarray, q: np.ndarray, work_p: np.ndarray, work_q: np.ndarray):
-    """One Schur step on dense coefficient arrays p, q of equal length n, in
-    place: the next iterate's numerator is written over p[:n - 1] and its
-    denominator over q.  work_p (length n - 1) and work_q (length n) are
-    caller-owned scratch.
+def _recur(p: np.ndarray, q: np.ndarray, steps: int, gammas: np.ndarray):
+    """Run up to `steps` Schur steps on dense coefficient arrays p, q of
+    equal length L >= steps, writing gamma_k to gammas[k].
 
-    gamma = p(0)/q(0); the next iterate is (p - gamma q) / (z (q - conj(gamma) p)),
-    renormalized so the new denominator has value 1 at the origin.  The
-    constant term of p - gamma q cancels by construction, so it is dropped
-    rather than divided out.  Both are scaled by the one reciprocal
-    1/(q(0) - conj(gamma) p(0)) instead of two array divisions.  The scaling
-    reads the scratch and writes p, q: numpy rounds an in-place complex
-    multiply of a length-1 array differently from a longer one, and the
-    result must not depend on how many trailing coefficients are carried.
-    Returns (gamma, ok); ok is False, and the arrays are untouched, once
-    |gamma| reaches STOP_THRESHOLD.  A zero p(0) counts as +0, whatever its
-    sign bits.
+    Step k reads the iterate p/q and writes the next one, unnormalized:
+
+        gamma = p(0) / q(0),
+        p' = (p - gamma q) / z,     q' = q - conj(gamma) p.
+
+    The constant term of p - gamma q cancels by construction, so p' is
+    p[1:] - gamma q[1:].  That is four ufunc calls, each writing a buffer it
+    does not read from at a shift: p' goes to the other of two p buffers
+    (they alternate), both products go to one scratch buffer, and q' is
+    written over q, which the subtraction reads at the same index.  A zero
+    p(0) counts as +0, whatever its sign bits.
+
+    gamma does not depend on the common scale of p and q, so the iterate is
+    not renormalized to q(0) = 1.  q(0) shrinks by the factor
+    1 - |gamma|^2 >= 1 - STOP_THRESHOLD^2 per step; once |q(0)| falls below
+    RESCALE_BELOW, p and q are multiplied by the power of two that brings
+    |q(0)| into [1/2, 1).  That scaling is exact, so no later rounding
+    depends on it while the state stays in the normal range, and it keeps
+    the state clear of underflow.
+
+    New coefficient j depends only on old j and j + 1, so the valid prefix
+    shrinks by one per step: L - k coefficients after k steps, and gamma_k
+    needs only the first.  The kernel therefore keeps the width of the
+    block's first step for BLOCK steps, slicing its views once per block;
+    the trailing coefficients it carries past the valid prefix are never
+    read for a gamma.
+
+    Returns (k, p_k, terminal): the number of gammas written, the buffer
+    holding the last iterate's numerator (its denominator is q, in place),
+    and the unimodular gamma that stopped the run at step k, or None.
     """
-    gamma = (complex(p[0]) or 0j) / complex(q[0])
-    if abs(gamma) >= STOP_THRESHOLD:
-        return gamma, False
-    np.multiply(gamma.conjugate(), p, out=work_q)
-    np.subtract(q, work_q, out=work_q)
-    # den(0) = q(0) (1 - |gamma|^2), bounded away from 0 by the stop check
-    r = 1.0 / complex(work_q[0])
-    np.multiply(gamma, q[1:], out=work_p)
-    np.subtract(p[1:], work_p, out=work_p)
-    np.multiply(work_p, r, out=p[:-1])
-    np.multiply(work_q, r, out=q)
-    return gamma, True
+    length = len(q)
+    bufs = (p, np.zeros_like(p))
+    scratch = np.empty_like(q)
+    for start in range(0, steps, BLOCK):
+        w = length - start
+        qw, q1, sw, s1 = q[:w], q[1:w], scratch[:w], scratch[: w - 1]
+        views = ((bufs[0][:w], bufs[0][1:w], bufs[1][: w - 1]),
+                 (bufs[1][:w], bufs[1][1:w], bufs[0][: w - 1]))
+        for k in range(start, min(start + BLOCK, steps)):
+            pw, p1, nxt = views[k % 2]
+            q0 = qw.item(0)
+            if abs(q0) < RESCALE_BELOW:
+                # 2^1023 is the largest finite power, for a subnormal den(0).
+                scale = math.ldexp(1.0, min(-math.frexp(abs(q0))[1], 1023))
+                # On the float64 view, so that signed zeros keep their sign.
+                for a in (pw, qw):
+                    re_im = a.view(np.float64)
+                    np.multiply(re_im, scale, out=re_im)
+                q0 = qw.item(0)
+            gamma = (pw.item(0) or 0j) / q0
+            if abs(gamma) >= STOP_THRESHOLD:
+                return k, bufs[k % 2], gamma
+            gammas[k] = gamma
+            np.multiply(gamma, q1, out=s1)
+            np.subtract(p1, s1, out=nxt)
+            np.multiply(gamma.conjugate(), pw, out=sw)
+            np.subtract(qw, sw, out=qw)
+    return steps, bufs[steps % 2], None
 
 
 def schur_step(f: RationalSchur) -> tuple[complex, RationalSchur]:
-    """One step of Schur's algorithm; raises SchurStop at a unimodular gamma."""
+    """One step of Schur's algorithm; raises SchurStop at a unimodular gamma.
+
+    Runs the kernel of schur_coeffs for one step, so the iterate is
+    unnormalized, den(0) != 1 in general, and repeated steps give
+    schur_coeffs bit for bit.
+    """
     width = max(f.num.max_deg, f.den.max_deg) + 1
-    p, q = _dense(f.num, width), _dense(f.den, width)
-    work_p = np.empty(width - 1, dtype=np.complex128)
-    work_q = np.empty(width, dtype=np.complex128)
-    gamma, ok = _step(p, q, work_p, work_q)
-    if not ok:
-        raise SchurStop(gamma)
-    return gamma, RationalSchur(LaurentPoly(0, p[:-1]), LaurentPoly(0, q))
+    q = _dense(f.den, width)
+    gamma = np.empty(1, dtype=np.complex128)
+    done, p, terminal = _recur(_dense(f.num, width), q, 1, gamma)
+    if not done:
+        raise SchurStop(terminal)
+    return complex(gamma[0]), RationalSchur(LaurentPoly(0, p[: width - 1]), LaurentPoly(0, q))
 
 
 def schur_coeffs(f: RationalSchur, m: int) -> SchurCoeffs:
     """First m recurrence coefficients of f.
 
     gamma_k depends only on the Taylor coefficients of num and den below
-    degree k + 1 (new coefficient j is built from old j and j + 1), so the
-    recursion starts from m coefficients of each and drops one trailing
-    coefficient per step.  Each step overwrites the leading part of the same
-    two arrays, with one preallocated pair of scratch buffers.  If the
-    iteration terminates at step k < m, the k collected coefficients are
-    returned and the terminating unimodular gamma is flagged separately.
+    degree k + 1, so the recursion starts from m coefficients of each (see
+    _recur).  If the iteration terminates at step k < m, the k collected
+    coefficients are returned and the terminating unimodular gamma is
+    flagged separately.
     """
     if m < 0:
         raise ValidationError("coefficient count must be nonnegative")
     gammas = np.zeros(m, dtype=np.complex128)
-    p, q = _dense(f.num, m), _dense(f.den, m)
-    work_p, work_q = np.empty_like(p), np.empty_like(q)
-    for k in range(m):
-        width = m - k
-        gamma, ok = _step(p[:width], q[:width], work_p[: width - 1], work_q[:width])
-        if not ok:
-            return SchurCoeffs(gammas[:k], terminal=gamma)
-        gammas[k] = gamma
-    return SchurCoeffs(gammas)
+    done, _, terminal = _recur(_dense(f.num, m), _dense(f.den, m), m, gammas)
+    return SchurCoeffs(gammas[:done], terminal=terminal)
 
 
 def eta(c: SchurCoeffs) -> float:

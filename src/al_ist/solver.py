@@ -42,8 +42,8 @@ N_HARD_CAP = 10**6
 
 # Cap on the estimated work of a whole point or window solve, which is one
 # Schur pass: steps (steps + 1) / 2 coefficient updates (schur_coeffs drops
-# one coefficient per step).  About 6 s of recursion at the 1.6e8-1.8e8
-# updates/s measured at 6k-12k steps on a 2-core x86 host (5e7 at 1.2k
+# one coefficient per step).  About 5 s of recursion at the 2.1e8-2.5e8
+# updates/s measured at 6k-45k steps on a 2-core x86 host (1.2e8 at 1.2k
 # steps); the largest pass of the test suite and of the benchmark jobs, a
 # point solve at eta 0.05 and t 6 with N = 385, needs under 7e5.
 SCHUR_UPDATE_CAP = 10**9
@@ -123,7 +123,8 @@ def select_params(
     closed form and shrinks it (see solve_window_detailed).
 
     Negative t is recorded via the reflect flag: the solver runs forward
-    at |t| from the conjugated datum and conjugates the output.
+    at |t| from the conjugated datum and conjugates the output.  A |t|
+    whose closed form overflows (above about 1.6e307) is refused.
     """
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
@@ -131,7 +132,11 @@ def select_params(
         raise ValidationError("eta must lie in (0, 1]")
     sc = stability_constant(eta, 0.5)
     abs_t = abs(t)
-    N = 5 + math.floor(4.0 * math.e * abs_t + (sc.log - math.log(eps)) / LOG2)
+    closed = 4.0 * math.e * abs_t + (sc.log - math.log(eps)) / LOG2
+    if not math.isfinite(closed):
+        # Above about 1.6e307, 4 e |t| overflows and floor() would raise.
+        raise InfeasibleParamsError(f"t = {t:.17g} has no finite certified window")
+    N = 5 + math.floor(closed)
     if support is not None:
         radius = max(n0 - support[0], support[1] - n0)
         covering = _covering_half_width(sc.log, abs_t, eps, max(5, radius), min(N, N_HARD_CAP))
@@ -410,9 +415,13 @@ def solve_window_detailed(
     A negative t runs forward at |t| from the conjugated datum and
     conjugates the output (params.reflect).
     """
-    params = window_plan(q0, t, n0, eps, eta)
+    return _solve_planned(q0, window_plan(q0, t, n0, eps, eta))
+
+
+def _solve_planned(q0: Sequence, params: SolveParams) -> tuple[Sequence, np.ndarray, SolveParams]:
+    """solve_window_detailed for the parameters window_plan gave for q0."""
     q0 = q0.trimmed()
-    half = params.N // 2
+    n0, half = params.n0, params.N // 2
     if q0.is_zero:
         window = Sequence(n0 - half, np.zeros(2 * half + 1, dtype=np.complex128))
         budgets = np.zeros(2 * half + 1)

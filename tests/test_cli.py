@@ -11,6 +11,7 @@ import pytest
 
 import al_ist.cli
 import al_ist.nlft
+import al_ist.solver
 from al_ist.cli import JobSpec, build_parser, main
 from al_ist.datagen import random_sequence
 from al_ist.errors import ValidationError
@@ -339,6 +340,41 @@ class TestCompareCommand:
         assert capsys.readouterr().err == refusal
         assert calls == []
 
+    def test_one_window_plan_per_job(self, datum_file, monkeypatch, tmp_path):
+        calls = []
+        for module in (al_ist.cli, al_ist.solver):
+            original = module.window_plan
+
+            def counted(*args, original=original):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(module, "window_plan", counted)
+        path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
+        out = tmp_path / "cmp.csv"
+        code = main(["--cmd", "compare", "--in", path, "--out", str(out),
+                     "--t", "-0.5", "--eps", "1e-6", "--radius", "30"])
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_rows_are_the_solve_rows(self, datum_file, tmp_path):
+        # compare's n, re, im columns are the solve command's, bit for bit.
+        path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
+        args = ["--in", path, "--t", "-0.5", "--eps", "1e-6", "--n0", "2"]
+        solve_out, compare_out = tmp_path / "solve.csv", tmp_path / "cmp.csv"
+        assert main(["--cmd", "solve", *args, "--out", str(solve_out)]) == 0
+        assert main(["--cmd", "compare", *args, "--out", str(compare_out)]) == 0
+        solve_rows = [line.split(",")[:3] for line in solve_out.read_text().splitlines()[1:]]
+        compare_rows = [line.split(",")[:3] for line in compare_out.read_text().splitlines()[1:]]
+        assert len(solve_rows) > 1 and compare_rows == solve_rows
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_refuses_a_time_without_a_finite_window(self, datum_file, capsys, command):
+        # 4 e |t| overflows in select_params: refused, no traceback
+        path = datum_file(seq(0, [0.5]))
+        assert main(["--cmd", command, "--in", path, "--t", "1e308", "--eps", "1e-6"]) == 2
+        assert "has no finite certified window" in capsys.readouterr().err
+
     def test_refuses_reference_work_above_the_cap(self, datum_file, capsys):
         path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
         start = time.perf_counter()
@@ -358,7 +394,7 @@ class TestPinnedArtifacts:
         "args, digest",
         [
             (["compare", "--t", "1.0", "--eps", "1e-6", "--h", "0.01", "--radius", "30"],
-             "515145b63dde273f20e6f4b3f754732690d5d68ccea1ed3d7d9cdd4058be0ac8"),
+             "a9a29d9774e44e2430f24449f5a601412f2c80efaf5ec25b78f4eac5b9cf0f30"),
             (["reference", "--t", "-0.75", "--h", "0.01", "--radius", "12"],
              "9b60db35bd7200d04d1fef6a5e06e305c94778b55274bdba8f3bc8c72aac141e"),
             (["reference", "--t", "0.75", "--h", "0.01", "--boundary", "periodic"],

@@ -107,6 +107,24 @@ class TestPPoly:
             assert abs(p.coefficient(k) - fourier[k % m]) <= 1e-14
 
 
+    @pytest.mark.parametrize("t", [0.0, 0.1, 0.5, 3.3, 6.0, 20.0, 49.0])
+    def test_matches_the_power_loop_to_order_100(self, t):
+        # 1j**k is exact for k <= 100, where Python multiplies it out.
+        for n in range(max(1, math.floor(t) + 1), 101):
+            loop = np.zeros(2 * n + 1, dtype=np.complex128)
+            for k, j_k in enumerate(jv(np.arange(n + 1), 2.0 * t)):
+                loop[n + k] = loop[n - k] = 1j**k * float(j_k)
+            p, ref = p_poly(n, t), LaurentPoly(-n, loop)
+            assert p.min_deg == ref.min_deg and p.coeffs.tobytes() == ref.coeffs.tobytes()
+
+    def test_powers_of_i_exact_past_order_100(self):
+        # i^k J_k is real or imaginary; 1j**101 is (4.4e-15+1j), which left a
+        # real part of 3.4e-16 at k = 101 here.
+        c = p_poly(300, 50.0).coeffs
+        assert np.all((c.real == 0.0) | (c.imag == 0.0))
+        assert c[300 + 101].real == 0.0 and c[300 + 101].imag == jv(101, 100.0)
+
+
 class TestGBundle:
     def test_rejects_order_one_at_time_one(self):
         with pytest.raises(ValidationError) as err:

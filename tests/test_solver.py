@@ -60,6 +60,14 @@ class TestSelectParams:
         with pytest.raises(InfeasibleParamsError):
             select_params(1.0, 1e-6, 1e-8)
 
+    def test_refuses_a_time_without_a_finite_window(self):
+        # 4 e |t| overflows above about 1.6e307; floor(inf) raised OverflowError.
+        for t in (1e308, -1e308):
+            with pytest.raises(InfeasibleParamsError, match="no finite certified window"):
+                select_params(t, 1e-6, 0.5)
+            with pytest.raises(InfeasibleParamsError, match="no finite certified window"):
+                solve_point(Sequence(0, np.array([0.5])), t, 0, 1e-6)
+
     def test_params_invariants_enforced(self):
         with pytest.raises(ValidationError):
             SolveParams(N=6, n=11, eps=1e-3, eta=0.9, t=1.0)
