@@ -18,7 +18,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# Unused here; perfbench/spans.py patches cli.ThreadPoolExecutor.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .nlft import identity_grid, nlft_forward, szego_identity_check
 from .reference import default_radius, rk4_integrate, rk8_pair
 from .sequence import Sequence
 from .seqio import csv_table, json_text, laurent_to_doc, read_sequence, sequence_to_text
-from .solver import _solve_planned, solve_window_detailed, window_plan
+from .solver import solve_window_detailed
 from .multiplier import g_bundle, p_poly
 
 COMMANDS = ("solve", "reference", "compare", "nlft", "multiplier")
@@ -117,19 +118,13 @@ def _run_compare(job: JobSpec) -> int:
     # reference is another flow, so every site would read as a failure.
     _require(job.boundary == "zero", "compare needs the zero boundary")
     datum = _input_sequence(job)
-    # Refuse a window solve over its cap before the reference starts; the
-    # pool's exit would wait for the reference pair.
-    params = window_plan(datum, job.t, job.n0, job.eps, job.eta)
+    window, _, params = solve_window_detailed(datum, job.t, job.n0, job.eps, job.eta)
     radius = job.radius
     if radius is None:
         # A low-eta window can reach past default_radius; its outer rows
         # would be compared against sites the reference never computed.
         radius = max(default_radius(datum, job.t), abs(job.n0) + params.N // 2)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        solve_future = pool.submit(_solve_planned, datum, params)
-        reference_future = pool.submit(rk8_pair, datum, job.t, radius)
-        window, budgets, _ = solve_future.result()
-        coarse, fine = reference_future.result()
+    coarse, fine = rk8_pair(datum, job.t, radius)
 
     rows = []
     failures = 0

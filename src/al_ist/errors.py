@@ -8,8 +8,8 @@ class ValidationError(ValueError):
 
 
 class InfeasibleParamsError(ValidationError):
-    """Certified window size, the work of its Schur pass, or the work of an RK4
-    run would exceed its cap."""
+    """Certified window size, the work of its Schur pass, or the work of a
+    Runge-Kutta run would exceed its cap."""
 
 
 class NumericalGuardError(RuntimeError):

@@ -236,9 +236,7 @@ def szego_identity_check(
         m = nlft_forward(q)
     refl = _reflection(m, g)
     lhs = float(np.mean(np.log1p(-np.abs(refl) ** 2)))
-    vals = q.values
-    rhs = float(np.sum(np.log1p(-np.abs(vals) ** 2))) if len(vals) else 0.0
-    return lhs, rhs, float(-2.0 * math.log(abs(m.a_at_zero())))
+    return lhs, q.log_szego_product(), float(-2.0 * math.log(abs(m.a_at_zero())))
 
 
 def shift_check(q: Sequence, n: int, g: CircleGrid) -> float:

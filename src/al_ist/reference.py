@@ -419,6 +419,4 @@ def picard_solve(q0: Sequence, t: float, radius: int | None = None) -> LatticeSt
 
 def conserved_product(s: LatticeState) -> float:
     """sum log(1 - |q(n)|^2): the log of the flow's conserved product."""
-    if len(s.q.values) == 0:
-        return 0.0
-    return float(np.sum(np.log1p(-np.abs(s.q.values) ** 2)))
+    return s.q.log_szego_product()

@@ -82,8 +82,10 @@ class Sequence:
             out[a - lo : b - lo + 1] = self.values[a - self.offset : b - self.offset + 1]
         return Sequence(lo, out)
 
+    def log_szego_product(self) -> float:
+        """sum log(1 - |q(n)|^2), the log of the Szego product; 0 when empty."""
+        return float(np.sum(np.log1p(-np.abs(self.values) ** 2)))
+
     def szego_product(self) -> float:
         """prod (1 - |q(n)|^2), accumulated in log space."""
-        if len(self.values) == 0:
-            return 1.0
-        return float(math.exp(np.sum(np.log1p(-np.abs(self.values) ** 2))))
+        return math.exp(self.log_szego_product())

@@ -281,21 +281,16 @@ def _log_t3(log_c: float, t: float, n: int, j: int) -> float:
     )
 
 
-def _check_pass_work(W: int, steps: int):
-    """Refuse a Schur pass whose estimated work exceeds SCHUR_UPDATE_CAP."""
+def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: int) -> np.ndarray:
+    """Window [center-W, center+W], shift onto [0, 2W], multiply by G and
+    run the Schur recursion; returns the first `steps` coefficients.
+    A pass whose estimated work exceeds SCHUR_UPDATE_CAP is refused first."""
     updates = steps * (steps + 1) // 2
     if updates > SCHUR_UPDATE_CAP:
         raise InfeasibleParamsError(
             f"Schur pass with half-width W={W} needs {steps} steps, about "
             f"{updates:.3g} coefficient updates, above the cap {SCHUR_UPDATE_CAP:.3g}"
         )
-
-
-def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: int) -> np.ndarray:
-    """Window [center-W, center+W], shift onto [0, 2W], multiply by G and
-    run the Schur recursion; returns the first `steps` coefficients.
-    A pass whose estimated work exceeds SCHUR_UPDATE_CAP is refused first."""
-    _check_pass_work(W, steps)
     windowed = q0.windowed(center - W, center + W).shifted(-(center - W))
     m = nlft_forward(windowed)
     bundle = g_bundle(order, t)
@@ -333,15 +328,14 @@ def solve_point(
         return 0.0 + 0.0j, ErrorBudget(0.0, 0.0)
     if eta is None:
         eta = q0.szego_product()
-    if t < 0:
-        # Conjugating the datum reverses the flow: conj(q)(t) solves the
-        # equation with datum conj(q0) iff q(-t) does with datum q0.
-        value, budget = solve_point(q0.conjugated(), -t, n0, eps, eta)
-        return complex(value).conjugate(), budget
     params = select_params(t, eps, eta, n0, support=q0.support())
+    # Conjugating the datum reverses the flow: conj(q)(t) solves the
+    # equation with datum conj(q0) iff q(-t) does with datum q0.
+    datum = q0.conjugated() if params.reflect else q0
     steps = params.n + params.N + 1
-    gammas = _schur_pass(q0, params.t, n0, params.N, params.n, steps)
-    return complex(gammas[params.n + params.N]), _point_budget(params)
+    gammas = _schur_pass(datum, params.t, n0, params.N, params.n, steps)
+    value = complex(gammas[params.n + params.N])
+    return (value.conjugate() if params.reflect else value), _point_budget(params)
 
 
 def window_entry_budget(params: SolveParams, W: int, s: int) -> float:
@@ -377,32 +371,10 @@ def _window_params(closed: SolveParams) -> SolveParams:
     return replace(closed, N=M, n=2 * M, r=best_radius(eta, t, M))
 
 
-def _window_pass_shape(params: SolveParams) -> tuple[int, int, int]:
-    """(W, order, steps) of the window solve's one Schur pass."""
-    W = params.N + params.N // 2
-    return W, 2 * W, 3 * W + params.N // 2 + 1
-
-
-def window_plan(
-    q0: Sequence, t: float, n0: int, eps: float, eta: float | None = None
-) -> SolveParams:
-    """The parameters solve_window_detailed runs with, its Schur pass checked
-    against SCHUR_UPDATE_CAP; no pass is run, so a refusal comes at once."""
-    q0 = q0.trimmed()
-    if eta is None:
-        eta = 1.0 if q0.is_zero else q0.szego_product()
-    params = _window_params(select_params(t, eps, eta, n0))
-    if not q0.is_zero:
-        W, _, steps = _window_pass_shape(params)
-        _check_pass_work(W, steps)
-    return params
-
-
 def solve_window_detailed(
     q0: Sequence, t: float, n0: int, eps: float, eta: float | None = None
 ) -> tuple[Sequence, np.ndarray, SolveParams]:
-    """solve_window plus per-entry certified budgets and the parameters
-    (window_plan).
+    """solve_window plus per-entry certified budgets and the parameters.
 
     The truncation window is widened to W = N + floor(N/2) (order 2W) so
     every emitted site keeps localization margin at least N.  One Schur
@@ -412,23 +384,23 @@ def solve_window_detailed(
     N is the least M, at most the closed form of select_params, at which
     that worst bound is within eps: the localization bound at margin M and
     radius best_radius(eta, t, M), plus t3_bound(eta, t, 2W, W + floor(M/2)).
+    A pass above SCHUR_UPDATE_CAP is refused before it starts.
     A negative t runs forward at |t| from the conjugated datum and
     conjugates the output (params.reflect).
     """
-    return _solve_planned(q0, window_plan(q0, t, n0, eps, eta))
-
-
-def _solve_planned(q0: Sequence, params: SolveParams) -> tuple[Sequence, np.ndarray, SolveParams]:
-    """solve_window_detailed for the parameters window_plan gave for q0."""
     q0 = q0.trimmed()
-    n0, half = params.n0, params.N // 2
+    if eta is None:
+        eta = 1.0 if q0.is_zero else q0.szego_product()
+    params = _window_params(select_params(t, eps, eta, n0))
+    half = params.N // 2
     if q0.is_zero:
         window = Sequence(n0 - half, np.zeros(2 * half + 1, dtype=np.complex128))
         budgets = np.zeros(2 * half + 1)
     else:
-        W, order, steps = _window_pass_shape(params)
+        W = params.N + half
+        order = 2 * W
         datum = q0.conjugated() if params.reflect else q0
-        gammas = _schur_pass(datum, params.t, n0, W, order, steps)
+        gammas = _schur_pass(datum, params.t, n0, W, order, order + W + half + 1)
         budgets = np.array([window_entry_budget(params, W, s) for s in range(-half, half + 1)])
         window = Sequence(n0 - half, gammas[order + W - half :])
     return (window.conjugated() if params.reflect else window), budgets, params

@@ -14,7 +14,7 @@ import al_ist.nlft
 import al_ist.solver
 from al_ist.cli import JobSpec, build_parser, main
 from al_ist.datagen import random_sequence
-from al_ist.errors import ValidationError
+from al_ist.errors import NumericalGuardError, ValidationError
 from al_ist.laurent import LaurentPoly
 from al_ist.multiplier import delta_nt
 from al_ist.reference import default_radius, rk4_integrate, rk8_pair
@@ -342,20 +342,33 @@ class TestCompareCommand:
 
     def test_one_window_plan_per_job(self, datum_file, monkeypatch, tmp_path):
         calls = []
-        for module in (al_ist.cli, al_ist.solver):
-            original = module.window_plan
+        original = al_ist.solver.select_params
 
-            def counted(*args, original=original):
-                calls.append(args)
-                return original(*args)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
 
-            monkeypatch.setattr(module, "window_plan", counted)
+        monkeypatch.setattr(al_ist.solver, "select_params", counted)
         path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
         out = tmp_path / "cmp.csv"
         code = main(["--cmd", "compare", "--in", path, "--out", str(out),
                      "--t", "-0.5", "--eps", "1e-6", "--radius", "30"])
         assert code == 0
         assert len(calls) == 1
+
+    def test_guard_in_the_solve_runs_no_reference(self, datum_file, monkeypatch, capsys):
+        calls = []
+
+        def tripped(*args):
+            raise NumericalGuardError("Schur recursion terminated")
+
+        monkeypatch.setattr(al_ist.solver, "_schur_pass", tripped)
+        monkeypatch.setattr(al_ist.cli, "rk8_pair", lambda *args: calls.append(args))
+        path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
+        code = main(["--cmd", "compare", "--in", path, "--t", "0.5", "--eps", "1e-6"])
+        assert code == 3
+        assert "Schur recursion terminated" in capsys.readouterr().err
+        assert calls == []
 
     def test_rows_are_the_solve_rows(self, datum_file, tmp_path):
         # compare's n, re, im columns are the solve command's, bit for bit.
