@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import ValidationError
 from .laurent import CircleGrid, LaurentPoly, lp_eval_grid, next_pow2
@@ -27,7 +26,14 @@ _I_POWERS = np.array([1.0, 1j, -1.0, complex(-0.0, -1.0)])
 
 
 def bessel_j(k: int, x: float) -> float:
-    """J_k(x) for integer k and x >= 0, from scipy.special.jv."""
+    """J_k(x) for integer k and x >= 0, from scipy.special.jv.
+
+    scipy.special (about 0.3 s to load) is imported at the first call here
+    or in p_poly, not with this module, so processes that never evaluate a
+    Bessel coefficient (the nlft and reference commands) never load it.
+    """
+    from scipy.special import jv
+
     if x < 0:
         raise ValidationError("bessel_j requires nonnegative x")
     return float(jv(k, x))
@@ -51,6 +57,8 @@ def p_poly(n: int, t: float) -> LaurentPoly:
         raise ValidationError("p_poly requires order n >= 1")
     if t < 0:
         raise ValidationError("p_poly requires t >= 0 (negative times are reflected upstream)")
+    from scipy.special import jv  # at first use; see bessel_j
+
     k = np.arange(n + 1)
     half = _I_POWERS[k % 4] * jv(k, 2.0 * t)
     return LaurentPoly(-n, np.concatenate((half[:0:-1], half)))

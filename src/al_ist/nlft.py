@@ -126,7 +126,9 @@ def _run_product(values: np.ndarray, start: int) -> Transfer2x2:
 
     where conj_rev reverses and conjugates a row.  With zero padding to 2w,
     the FFT of z conj_rev(x) is (-1)^k conj(fft(x)), so each level takes
-    one forward and one inverse FFT of the stacked rows.
+    one forward and one inverse FFT of the stacked rows.  Each of a level's
+    arrays (rows, spectrum, merged spectrum; 2 * size complex values and
+    up) is released as soon as the next one exists.
     """
     n = len(values)
     size = next_pow2(n)
@@ -138,11 +140,14 @@ def _run_product(values: np.ndarray, start: int) -> Transfer2x2:
     w = 1
     while rows.shape[1] > 1:
         spec = np.fft.fft(rows, n=2 * w, axis=2)
+        del rows
         a1, a2 = spec[0, 0::2], spec[0, 1::2]
         f1, f2 = spec[1, 0::2], spec[1, 1::2]
         sign = np.where(np.arange(2 * w) % 2, -1.0, 1.0)
         merged = np.stack((a1 * a2 + sign * np.conj(f1) * f2, f1 * a2 + sign * np.conj(a1) * f2))
+        del spec, a1, a2, f1, f2
         rows = np.fft.ifft(merged, axis=2)
+        del merged
         w *= 2
     # Beyond the true span the padding leaves FFT noise, not exact zeros.
     a, bf = rows[0, 0, :n], rows[1, 0, :n]

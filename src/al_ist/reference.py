@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from .errors import BlowUpError, InfeasibleParamsError, NonContractionError, ValidationError
 from .sequence import Sequence
@@ -142,9 +140,54 @@ RK4 = Tableau(
     np.array([1.0, 2.0, 2.0, 1.0]) / 6.0,
 )
 # The 12 stages of Dormand and Prince's order-8 method DOP853 (Hairer,
-# Norsett and Wanner, Solving ODEs I, section II.10), as scipy ships them;
-# the stages scipy adds for its error estimate and dense output are unused.
-RK8 = Tableau("rk8", dop853.A[: dop853.N_STAGES, : dop853.N_STAGES], dop853.B)
+# Norsett and Wanner, Solving ODEs I, section II.10): row i of _DOP853_A is
+# a[i, :i], and _DOP853_B is b.  The decimals are copied from scipy's
+# scipy/integrate/_ivp/dop853_coefficients.py, so they parse to the doubles
+# scipy's DOP853 uses; the stages scipy adds there for its error estimate
+# and dense output are left out.  Carried here so that importing this
+# module loads no scipy.
+_DOP853_A = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+)
+_DOP853_B = (
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+)
+RK8 = Tableau(
+    "rk8",
+    np.array([row + (0.0,) * (len(_DOP853_B) - len(row)) for row in _DOP853_A]),
+    np.array(_DOP853_B),
+)
 # compare's reference runs RK8 at this step and at half of it.  At h 0.1
 # the Richardson estimate |coarse - fine| / (2^8 - 1) tracked the error
 # against an h/8 run (both about 1e-15) on the benchmark's compare data;
@@ -380,6 +423,10 @@ def _picard_subinterval(y0: np.ndarray, dt: float, boundary: str) -> np.ndarray:
     u -> y0 + cumulative integral of F(u).  Starting from the constant
     trajectory, the first iterate is y0 + tau F(y0) exactly.
     """
+    # Imported here: scipy.integrate takes about 0.25 s to load, and no CLI
+    # command runs Picard.
+    from scipy.integrate import cumulative_simpson
+
     mesh = PICARD_MESH + 1
     u = np.tile(y0, (mesh, 1))
     for _ in range(PICARD_MAX_ITER):

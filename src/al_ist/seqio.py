@@ -9,6 +9,7 @@ bit-faithfully, so identical jobs produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -43,16 +44,18 @@ def sequence_from_text(text: str) -> Sequence:
     values = doc["values"]
     if not isinstance(values, list):
         raise ValidationError("values must be an array of [re, im] pairs")
-    out = np.zeros(len(values), dtype=np.complex128)
-    for i, pair in enumerate(values):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise ValidationError(f"values[{i}] is not an [re, im] number pair")
-        out[i] = complex(pair[0], pair[1])
-    return Sequence(offset, out)
+    # json.loads builds exact ints, floats and lists (bool is its own
+    # type), so the checks compare types by identity, one C-level pass each.
+    pairs = set(map(type, values)) <= {list} and set(map(len, values)) <= {2}
+    flat = list(chain.from_iterable(values)) if pairs else None
+    if flat is None or not set(map(type, flat)) <= {int, float}:
+        # Only to name the first bad pair.
+        bad = next(
+            i for i, pair in enumerate(values)
+            if type(pair) is not list or len(pair) != 2 or not set(map(type, pair)) <= {int, float}
+        )
+        raise ValidationError(f"values[{bad}] is not an [re, im] number pair")
+    return Sequence(offset, np.array(flat, dtype=np.float64).view(np.complex128))
 
 
 def read_sequence(path: str) -> Sequence:
@@ -94,10 +97,11 @@ def json_text(doc) -> str:
         if isinstance(node, np.ndarray) and node.dtype.kind == "c" and node.ndim == 1:
             if not len(node):
                 return "[]"
-            rows = ",\n".join(
-                f"{pad}  [{fmt(re)}, {fmt(im)}]"
-                for re, im in zip(node.real.tolist(), node.imag.tolist())
-            )
+            # One %-format over every float, then fmt's "-0" -> "-0.0" fix:
+            # a bare -0 token is always "[-0," (re) or " -0]" (im).
+            parts = np.ascontiguousarray(node).view(np.float64).tolist()
+            rows = ",\n".join([f"{pad}  [%.17g, %.17g]"] * len(node)) % tuple(parts)
+            rows = rows.replace("[-0,", "[-0.0,").replace(" -0]", " -0.0]")
             return f"[\n{rows}\n{pad}]"
         if isinstance(node, bool):
             return "true" if node else "false"

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import al_ist.cli
 import al_ist.nlft
@@ -20,6 +21,7 @@ from al_ist.multiplier import delta_nt
 from al_ist.reference import default_radius, rk4_integrate, rk8_pair
 from al_ist.sequence import Sequence
 from al_ist.seqio import (
+    fmt,
     json_text,
     laurent_to_doc,
     read_sequence,
@@ -31,6 +33,66 @@ from al_ist.seqio import (
 
 def seq(offset, values):
     return Sequence(offset, np.asarray(values, dtype=np.complex128))
+
+
+def rows_oracle(values: np.ndarray, pad: str) -> str:
+    """json_text's complex-array rendering as one fmt call per float."""
+    if not len(values):
+        return "[]"
+    rows = ",\n".join(
+        f"{pad}  [{fmt(re)}, {fmt(im)}]"
+        for re, im in zip(values.real.tolist(), values.imag.tolist())
+    )
+    return f"[\n{rows}\n{pad}]"
+
+
+def parse_oracle(text: str):
+    """sequence_from_text's values check and conversion as one loop over the
+    pairs; returns the values' bytes or the error's type and message."""
+    values = json.loads(text)["values"]
+    out = np.zeros(len(values), dtype=np.complex128)
+    try:
+        for i, pair in enumerate(values):
+            if (
+                not isinstance(pair, list)
+                or len(pair) != 2
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+            ):
+                raise ValidationError(f"values[{i}] is not an [re, im] number pair")
+            out[i] = complex(pair[0], pair[1])
+        return Sequence(0, out).values.tobytes()
+    except ValidationError as exc:
+        return ValidationError, str(exc)
+
+
+def parse_outcome(text: str):
+    try:
+        return sequence_from_text(text).values.tobytes()
+    except ValidationError as exc:
+        return ValidationError, str(exc)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, math.nan, -math.nan, math.inf, -math.inf]
+any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
+# "values" lists as json.loads builds them: number pairs inside the unit
+# disk, with up to two entries replaced by anything else JSON can hold.
+small_number = st.floats(-0.7, 0.7) | st.sampled_from([0, -0.0, 5e-324, -5e-324])
+odd_item = (st.booleans() | st.none() | st.text(max_size=2) | st.integers(-(2**80), 2**80)
+            | any_float)
+bad_entry = st.one_of(
+    st.lists(small_number | odd_item, min_size=2, max_size=2),
+    st.lists(small_number, max_size=3),
+    odd_item,
+)
+
+
+@st.composite
+def values_lists(draw):
+    values = draw(st.lists(st.lists(small_number, min_size=2, max_size=2), max_size=12))
+    for _ in range(draw(st.integers(0, 2)) if values else 0):
+        values[draw(st.integers(0, len(values) - 1))] = draw(bad_entry)
+    return values
 
 
 @pytest.fixture
@@ -91,6 +153,12 @@ class TestSequenceFiles:
         with pytest.raises(ValidationError):
             sequence_from_text('{"offset": 0, "values": [["a", 0.0]]}')
 
+    @settings(max_examples=300, deadline=None)
+    @given(values_lists())
+    def test_parse_matches_the_pair_loop(self, values):
+        text = json.dumps({"offset": 0, "values": values})
+        assert parse_outcome(text) == parse_oracle(text)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)])
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValidationError, match="finite"):
@@ -113,6 +181,16 @@ class TestJsonText:
             '  "checks": {\n    "ok": true,\n    "no": false\n  },\n'
             '  "n": -3,\n  "x": 2.5,\n  "z": -0.0\n}\n'
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(any_float, any_float), max_size=12), st.booleans())
+    def test_rows_match_one_fmt_per_float(self, pairs, strided):
+        values = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+        if strided:
+            values = values[::2]
+        doc = {"p": {"coeffs": values}}
+        want = '{\n  "p": {\n    "coeffs": ' + rows_oracle(values, "    ") + "\n  }\n}\n"
+        assert json_text(doc) == want
 
     @pytest.mark.parametrize(
         "node", [[1.0], "x", None, np.zeros(2), np.zeros((1, 1), dtype=np.complex128), np.int64(1)]

@@ -361,6 +361,13 @@ class TestRk8:
         if tableau is RK8:
             assert np.allclose(RK8.a.sum(1), dop853.C[: len(RK8.b)], rtol=0.0, atol=2e-15)
 
+    def test_tableau_literals_are_scipys_doubles(self):
+        # RK8 carries the tableau as decimal literals; they must parse to
+        # the bits of the 12-stage tableau scipy's DOP853 uses.
+        assert RK8.a.shape == (dop853.N_STAGES, dop853.N_STAGES)
+        assert RK8.a.tobytes() == dop853.A[: dop853.N_STAGES, : dop853.N_STAGES].tobytes()
+        assert RK8.b.tobytes() == dop853.B.tobytes()
+
     def test_observed_order_is_eight(self):
         q0, want = plane_wave_ring(0.3, 16, 4.0)
         errs = [
