@@ -35,6 +35,11 @@ from .multiplier import g_bundle, p_poly
 
 COMMANDS = ("solve", "reference", "compare", "nlft", "multiplier")
 
+# Cap on the nodes of an nlft or multiplier evaluation grid (--grid or the
+# default): 64 MB per complex array.  The default nlft grid grows with the
+# sites' distance from 0, so a far offset alone could ask for gigabytes.
+GRID_NODE_CAP = 2**22
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -47,7 +52,6 @@ class JobSpec:
     t: float | None = None
     n0: int = 0
     eps: float | None = None
-    eta: float | None = None
     h: float = 1e-3
     radius: int | None = None
     grid: int | None = None
@@ -60,8 +64,6 @@ class JobSpec:
             raise ValidationError("t must be finite")
         if self.eps is not None and not 0.0 < self.eps < 1.0:
             raise ValidationError("eps must lie in (0, 1)")
-        if self.eta is not None and not 0.0 < self.eta <= 1.0:
-            raise ValidationError("eta must lie in (0, 1]")
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise ValidationError("h must be positive")
         if self.radius is not None and self.radius < 1:
@@ -85,6 +87,15 @@ def _emit(job: JobSpec, text: str):
             fh.write(text)
 
 
+def _grid(size: int) -> CircleGrid:
+    """CircleGrid(size), refused above GRID_NODE_CAP before any evaluation."""
+    _require(
+        size <= GRID_NODE_CAP,
+        f"evaluation grid of {size} nodes exceeds GRID_NODE_CAP = {GRID_NODE_CAP}",
+    )
+    return CircleGrid(size)
+
+
 def _input_sequence(job: JobSpec) -> Sequence:
     _require(job.input_path is not None, f"{job.command} needs --in")
     return read_sequence(job.input_path)
@@ -94,7 +105,7 @@ def _run_solve(job: JobSpec) -> int:
     _require(job.t is not None, "solve needs --t")
     _require(job.eps is not None, "solve needs --eps")
     datum = _input_sequence(job)
-    window, budgets, _ = solve_window_detailed(datum, job.t, job.n0, job.eps, job.eta)
+    window, budgets, _ = solve_window_detailed(datum, job.t, job.n0, job.eps)
     rows = [
         [window.offset + i, float(v.real), float(v.imag), float(b)]
         for i, (v, b) in enumerate(zip(window.values, budgets))
@@ -118,7 +129,7 @@ def _run_compare(job: JobSpec) -> int:
     # reference is another flow, so every site would read as a failure.
     _require(job.boundary == "zero", "compare needs the zero boundary")
     datum = _input_sequence(job)
-    window, _, params = solve_window_detailed(datum, job.t, job.n0, job.eps, job.eta)
+    window, _, params = solve_window_detailed(datum, job.t, job.n0, job.eps)
     radius = job.radius
     if radius is None:
         # A low-eta window can reach past default_radius; its outer rows
@@ -157,8 +168,8 @@ def _run_compare(job: JobSpec) -> int:
 
 def _run_nlft(job: JobSpec) -> int:
     datum = _input_sequence(job)
+    grid = _grid(job.grid if job.grid is not None else identity_grid(datum).size)
     m = nlft_forward(datum).validate()
-    grid = CircleGrid(job.grid) if job.grid is not None else identity_grid(datum)
     szego_lhs, szego_rhs, _ = szego_identity_check(datum, grid, m)
     doc = {
         "a": laurent_to_doc(m.a),
@@ -176,9 +187,10 @@ def _run_multiplier(job: JobSpec) -> int:
     _require(job.t is not None, "multiplier needs --t")
     _require(job.n0 >= 1, "multiplier needs a positive order in --n0")
     order = job.n0
+    default = next_pow2(4 * order, 64)  # also the grid of g_bundle's own check
+    _grid(default)
+    grid = _grid(job.grid if job.grid is not None else default)
     bundle = g_bundle(order, job.t)
-    size = job.grid if job.grid is not None else next_pow2(4 * order, 64)
-    grid = CircleGrid(size)
     phase = np.exp(1j * job.t * (grid.nodes + 1.0 / grid.nodes))
     p_error = float(np.max(np.abs(lp_eval_grid(p_poly(order, job.t), grid) - phase)))
     g_peak = float(np.max(np.abs(lp_eval_grid(bundle.g, grid))))
@@ -192,7 +204,7 @@ def _run_multiplier(job: JobSpec) -> int:
             "p_within_delta": p_error <= bundle.delta,
             "g_inside_disk": g_peak < 1.0,
         },
-        "grid": size,
+        "grid": grid.size,
         "g": laurent_to_doc(bundle.g),
     }
     _emit(job, json_text(doc))
@@ -233,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t", type=float, help="evolution time")
     parser.add_argument("--n0", type=int, default=0, help="center site (multiplier: polynomial order)")
     parser.add_argument("--eps", type=float, help="certified accuracy target")
-    parser.add_argument("--eta", type=float, help="Szego-product lower bound override")
     parser.add_argument(
         "--h", type=float, default=1e-3,
         help="RK4 step of the reference command (compare steps its own order-8 pair)",

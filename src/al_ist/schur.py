@@ -237,8 +237,6 @@ def stability_constant(eta_value: float, r: float) -> StabilityConstant:
         raise ValidationError("eta must lie in (0, 1]")
     if not (0.0 < r < 1.0):
         raise ValidationError("r must lie in (0, 1)")
-    if eta_value == 1.0:
-        return StabilityConstant(1.0, 0.0)
     log_c = (
         math.log(1.0 / eta_value)
         * (2.0 + 1.0 / (1.0 - math.sqrt(1.0 - eta_value)))

@@ -44,6 +44,10 @@ def sequence_from_text(text: str) -> Sequence:
     values = doc["values"]
     if not isinstance(values, list):
         raise ValidationError("values must be an array of [re, im] pairs")
+    # numpy holds lattice exponents as int64; |site| <= 2^62 leaves room for
+    # the negated and shifted exponents that the transforms form.
+    if not (-(2**62) <= offset and offset + max(len(values) - 1, 0) <= 2**62):
+        raise ValidationError("sites must lie in [-2^62, 2^62], inside numpy's int64 range")
     # json.loads builds exact ints, floats and lists (bool is its own
     # type), so the checks compare types by identity, one C-level pass each.
     pairs = set(map(type, values)) <= {list} and set(map(len, values)) <= {2}
@@ -55,7 +59,11 @@ def sequence_from_text(text: str) -> Sequence:
             if type(pair) is not list or len(pair) != 2 or not set(map(type, pair)) <= {int, float}
         )
         raise ValidationError(f"values[{bad}] is not an [re, im] number pair")
-    return Sequence(offset, np.array(flat, dtype=np.float64).view(np.complex128))
+    try:
+        parts = np.array(flat, dtype=np.float64)
+    except OverflowError as exc:  # an integer token beyond the largest double
+        raise ValidationError(f"values hold a number too large for a double: {exc}") from exc
+    return Sequence(offset, parts.view(np.complex128))
 
 
 def read_sequence(path: str) -> Sequence:

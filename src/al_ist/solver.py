@@ -51,9 +51,11 @@ SCHUR_UPDATE_CAP = 10**9
 
 @dataclass(frozen=True)
 class SolveParams:
-    """Certified run parameters: window half-width N, multiplier order n.
+    """Certified run parameters: window half-width N; the multiplier order
+    n = 2N is derived from it.
 
-    support is the datum's inclusive support (lo, hi) when the caller
+    eta is the Szego product the budgets use; the solvers take the datum's
+    own.  support is the datum's inclusive support (lo, hi) when the caller
     supplied it; the point budget needs it to tell whether the window
     [n0 - N, n0 + N] covers the datum.  r is the radius at which the
     budgets evaluate localization_bound: 1/2 from select_params, the
@@ -61,7 +63,6 @@ class SolveParams:
     """
 
     N: int
-    n: int
     eps: float
     eta: float
     t: float
@@ -73,14 +74,16 @@ class SolveParams:
     def __post_init__(self):
         if not (0.0 < self.r < 1.0):
             raise ValidationError("params require 0 < r < 1")
-        if self.n != 2 * self.N:
-            raise ValidationError("params require n = 2N")
         if self.N < 5:
             raise ValidationError("params require N >= 5")
         if not (self.n > self.t):
             raise ValidationError("params require n > t")
         if not (delta_nt(self.n, self.t) < 1.0):
             raise ValidationError("params require delta_{n,t} < 1")
+
+    @property
+    def n(self) -> int:
+        return 2 * self.N
 
     @property
     def covers_support(self) -> bool:
@@ -147,9 +150,7 @@ def select_params(
             f"certified window N={N} exceeds the hard cap {N_HARD_CAP}; "
             f"eta={eta:.17g} is too small for eps={eps:.17g}"
         )
-    return SolveParams(
-        N=N, n=2 * N, eps=eps, eta=eta, t=abs_t, n0=n0, reflect=t < 0, support=support
-    )
+    return SolveParams(N=N, eps=eps, eta=eta, t=abs_t, n0=n0, reflect=t < 0, support=support)
 
 
 def _covering_half_width(log_c: float, t: float, eps: float, lo: int, hi: int) -> int | None:
@@ -315,20 +316,17 @@ def _point_budget(params: SolveParams) -> ErrorBudget:
     return ErrorBudget(loc, trunc)
 
 
-def solve_point(
-    q0: Sequence, t: float, n0: int, eps: float, eta: float | None = None
-) -> tuple[complex, ErrorBudget]:
+def solve_point(q0: Sequence, t: float, n0: int, eps: float) -> tuple[complex, ErrorBudget]:
     """Approximate q(t, n0) with certified absolute error at most eps.
 
-    The window is sized from the datum's support (see select_params); the
-    budget is an exact-arithmetic bound and leaves float64 roundoff out.
+    The window is sized from the datum's support (see select_params) and
+    the budget from the datum's own Szego product; the budget is an
+    exact-arithmetic bound and leaves float64 roundoff out.
     """
     q0 = q0.trimmed()
     if q0.is_zero:
         return 0.0 + 0.0j, ErrorBudget(0.0, 0.0)
-    if eta is None:
-        eta = q0.szego_product()
-    params = select_params(t, eps, eta, n0, support=q0.support())
+    params = select_params(t, eps, q0.szego_product(), n0, support=q0.support())
     # Conjugating the datum reverses the flow: conj(q)(t) solves the
     # equation with datum conj(q0) iff q(-t) does with datum q0.
     datum = q0.conjugated() if params.reflect else q0
@@ -368,11 +366,11 @@ def _window_params(closed: SolveParams) -> SolveParams:
     M = _least(fits, max(5, math.ceil(math.e * t)), closed.N)
     if M is None:
         return closed
-    return replace(closed, N=M, n=2 * M, r=best_radius(eta, t, M))
+    return replace(closed, N=M, r=best_radius(eta, t, M))
 
 
 def solve_window_detailed(
-    q0: Sequence, t: float, n0: int, eps: float, eta: float | None = None
+    q0: Sequence, t: float, n0: int, eps: float
 ) -> tuple[Sequence, np.ndarray, SolveParams]:
     """solve_window plus per-entry certified budgets and the parameters.
 
@@ -384,14 +382,13 @@ def solve_window_detailed(
     N is the least M, at most the closed form of select_params, at which
     that worst bound is within eps: the localization bound at margin M and
     radius best_radius(eta, t, M), plus t3_bound(eta, t, 2W, W + floor(M/2)).
+    eta is the datum's own Szego product, 1 for the zero datum.
     A pass above SCHUR_UPDATE_CAP is refused before it starts.
     A negative t runs forward at |t| from the conjugated datum and
     conjugates the output (params.reflect).
     """
     q0 = q0.trimmed()
-    if eta is None:
-        eta = 1.0 if q0.is_zero else q0.szego_product()
-    params = _window_params(select_params(t, eps, eta, n0))
+    params = _window_params(select_params(t, eps, q0.szego_product(), n0))
     half = params.N // 2
     if q0.is_zero:
         window = Sequence(n0 - half, np.zeros(2 * half + 1, dtype=np.complex128))
@@ -406,10 +403,8 @@ def solve_window_detailed(
     return (window.conjugated() if params.reflect else window), budgets, params
 
 
-def solve_window(
-    q0: Sequence, t: float, n0: int, eps: float, eta: float | None = None
-) -> Sequence:
+def solve_window(q0: Sequence, t: float, n0: int, eps: float) -> Sequence:
     """Approximate q(t, .) on [n0 - floor(N/2), n0 + floor(N/2)]; every
     entry carries a certified budget <= eps."""
-    seq, _, _ = solve_window_detailed(q0, t, n0, eps, eta)
+    seq, _, _ = solve_window_detailed(q0, t, n0, eps)
     return seq

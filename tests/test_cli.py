@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import al_ist.cli
 import al_ist.nlft
 import al_ist.solver
-from al_ist.cli import JobSpec, build_parser, main
+from al_ist.cli import GRID_NODE_CAP, JobSpec, build_parser, main
 from al_ist.datagen import random_sequence
 from al_ist.errors import NumericalGuardError, ValidationError
 from al_ist.laurent import LaurentPoly
@@ -159,6 +159,15 @@ class TestSequenceFiles:
         text = json.dumps({"offset": 0, "values": values})
         assert parse_outcome(text) == parse_oracle(text)
 
+    def test_sites_stay_within_two_to_the_62(self):
+        for offset, count in ((2**62, 1), (-(2**62), 2)):
+            values = json.dumps([[0.5, 0.0]] * count)
+            assert sequence_from_text(f'{{"offset": {offset}, "values": {values}}}').offset == offset
+        for offset, count in ((2**62, 2), (-(2**62) - 1, 1), (10**30, 0)):
+            values = json.dumps([[0.5, 0.0]] * count)
+            with pytest.raises(ValidationError, match="int64 range"):
+                sequence_from_text(f'{{"offset": {offset}, "values": {values}}}')
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)])
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValidationError, match="finite"):
@@ -212,8 +221,6 @@ class TestJobSpec:
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValidationError):
             JobSpec(command="solve", eps=2.0)
-        with pytest.raises(ValidationError):
-            JobSpec(command="solve", eta=0.0)
         with pytest.raises(ValidationError):
             JobSpec(command="reference", h=0.0)
         with pytest.raises(ValidationError):
@@ -537,6 +544,45 @@ class TestNlftCommand:
         assert doc["grid"] == 256
 
 
+class TestGridCap:
+    """Grids above GRID_NODE_CAP are refused before the transform or the
+    multiplier bundle is built; no job is run at the cap itself."""
+
+    @pytest.fixture
+    def unbuilt(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built before the grid cap was checked")
+
+        monkeypatch.setattr(al_ist.cli, "nlft_forward", refuse)
+        monkeypatch.setattr(al_ist.cli, "g_bundle", refuse)
+
+    def refused(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"exceeds GRID_NODE_CAP = {GRID_NODE_CAP}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_nlft_grid_grows_with_the_offset(self, datum_file, tmp_path, capsys, unbuilt):
+        # One site at 2^20: 4 (1 + 2^20) nodes round up to 2^23.
+        assert GRID_NODE_CAP == 2**22
+        path = datum_file(seq(2**20, [0.5]))
+        self.refused(["--cmd", "nlft", "--in", path], tmp_path, capsys)
+
+    def test_grid_option(self, datum_file, tmp_path, capsys, unbuilt):
+        path = datum_file(seq(0, [0.5]))
+        over = str(GRID_NODE_CAP + 1)
+        self.refused(["--cmd", "nlft", "--in", path, "--grid", over], tmp_path, capsys)
+        self.refused(["--cmd", "multiplier", "--t", "0.5", "--n0", "8", "--grid", over],
+                     tmp_path, capsys)
+
+    def test_multiplier_order(self, tmp_path, capsys, unbuilt):
+        # Order 2^20 + 1: the default and bundle grid, 4n rounded up, is 2^23.
+        order = str(2**20 + 1)
+        self.refused(["--cmd", "multiplier", "--t", "0.5", "--n0", order], tmp_path, capsys)
+        self.refused(["--cmd", "multiplier", "--t", "0.5", "--n0", order, "--grid", "64"],
+                     tmp_path, capsys)
+
+
 class TestMultiplierCommand:
     def test_bundle_report(self, datum_file, capsys):
         assert main(["--cmd", "multiplier", "--t", "0.5", "--n0", "8"]) == 0
@@ -569,7 +615,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command",
-        [["solve", "--t", "1.0", "--eps", "1e-6", "--eta", "0.5"],
+        [["solve", "--t", "1.0", "--eps", "1e-6"],
          ["reference", "--t", "1.0"],
          ["compare", "--t", "1.0", "--eps", "1e-6"],
          ["nlft"]],
@@ -581,6 +627,25 @@ class TestExitCodes:
         code = main(["--cmd", *command, "--in", str(path), "--out", str(out)])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"offset": 0, "values": [[0, 1' + "0" * 400 + "]]}", "too large for a double"),
+         ('{"offset": ' + str(10**30) + ', "values": [[0.5, 0]]}', "int64 range")],
+    )
+    def test_numbers_beyond_a_double_or_int64(self, tmp_path, capsys, text, message):
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["--cmd", "nlft", "--in", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eta_is_not_an_option(self, datum_file):
+        path = datum_file(seq(0, [0.1]))
+        with pytest.raises(SystemExit) as info:
+            main(["--cmd", "solve", "--in", path, "--t", "1.0", "--eps", "1e-6", "--eta", "0.5"])
+        assert info.value.code == 2
 
     def test_bad_flag_value(self):
         assert main(["--cmd", "solve", "--eps", "7.0", "--t", "1.0"]) == 2

@@ -142,12 +142,14 @@ def test_subnormal_time_has_zero_truncation_bound():
 
 
 def test_refuses_a_schur_pass_above_the_work_cap():
-    # N = 69,033 would need 207,100 Schur steps, about 2.1e10 updates; a
-    # point pass runs at half-width W = N.
-    datum = Sequence(-1, np.array([0.5, 0.6j, 0.5]))
+    # At the datum's own Szego product, about 2e-4, N = 69,033 would need
+    # 207,100 Schur steps, about 2.1e10 updates; a point pass runs at
+    # half-width W = N.
+    datum = uniform_datum(-1, 1, 2e-4)
+    assert datum.szego_product() == pytest.approx(2e-4)
     start = time.perf_counter()
     with pytest.raises(InfeasibleParamsError, match="W=69033 needs 207100 steps"):
-        solve_point(datum, 0.5, 0, 1e-10, eta=2e-4)
+        solve_point(datum, 0.5, 0, 1e-10)
     assert time.perf_counter() - start < 1.0
 
 

@@ -70,9 +70,13 @@ class TestSelectParams:
 
     def test_params_invariants_enforced(self):
         with pytest.raises(ValidationError):
-            SolveParams(N=6, n=11, eps=1e-3, eta=0.9, t=1.0)
-        with pytest.raises(ValidationError):
-            SolveParams(N=4, n=8, eps=1e-3, eta=0.9, t=1.0)
+            SolveParams(N=4, eps=1e-3, eta=0.9, t=1.0)
+
+    def test_multiplier_order_is_derived(self):
+        p = SolveParams(N=7, eps=1e-3, eta=0.9, t=1.0)
+        assert p.n == 2 * p.N == 14
+        with pytest.raises(TypeError):
+            SolveParams(N=7, n=14, eps=1e-3, eta=0.9, t=1.0)
 
 
 class TestBounds:
@@ -184,11 +188,13 @@ class TestSolvePoint:
         assert budget.total <= 1e-8
         assert abs(value - ref.q.at(0)) <= 1e-8
 
-    def test_eta_override_matches_default(self):
+    def test_solvers_take_eta_from_the_datum_only(self):
         q0 = random_sequence(seed=303, count=4, lo=-2, hi=3, max_modulus=0.5)
-        a, _ = solve_point(q0, 0.5, 0, 1e-6)
-        b, _ = solve_point(q0, 0.5, 0, 1e-6, eta=q0.szego_product())
-        assert a == b
+        for solve in (solve_point, solve_window, solve_window_detailed):
+            with pytest.raises(TypeError):
+                solve(q0, 0.5, 0, 1e-6, eta=0.5)
+        _, _, params = solve_window_detailed(q0, 0.5, 0, 1e-6)
+        assert params.eta == q0.szego_product()
 
     def test_rejects_boundary_modulus(self):
         with pytest.raises(ValidationError):

@@ -73,12 +73,13 @@ def test_window_rows_at_eta_six_tenths():
     assert np.all(budgets <= 1e-6)
 
 
-@pytest.mark.parametrize("eta, t", [(0.22, 2.0), (0.11, 6.0)])
-def test_right_edge_sets_the_window(eta, t):
+@pytest.mark.parametrize("eta_class, t", [(0.22, 2.0), (0.11, 6.0)])
+def test_right_edge_sets_the_window(eta_class, t):
     # At these classes the t3 factor 2^floor(N/2) of the right edge moves
     # N above the least M that fits with t3 at index W alone.
-    datum = Sequence(0, np.array([math.sqrt(1.0 - eta)]))
-    _, budgets, params = solve_window_detailed(datum, t, 0, 1e-6, eta=eta)
+    datum = Sequence(0, np.array([math.sqrt(1.0 - eta_class)]))
+    eta = datum.szego_product()
+    _, budgets, params = solve_window_detailed(datum, t, 0, 1e-6)
     assert params.N == least_window_half_width(eta, t, 1e-6)
     assert budgets.max() == budgets[-1] <= 1e-6
     M = params.N - 1
