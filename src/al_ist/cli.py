@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalGuardError, ValidationError
-from .laurent import CircleGrid, lp_eval_grid, next_pow2
+from .laurent import CircleGrid, lp_eval_grid
 from .nlft import identity_grid, nlft_forward, szego_identity_check
 from .reference import default_radius, rk4_integrate, rk8_pair
 from .sequence import Sequence
 from .seqio import csv_table, json_text, laurent_to_doc, read_sequence, sequence_to_text
 from .solver import solve_window_detailed
-from .multiplier import g_bundle, p_poly
+from .multiplier import bundle_grid_size, g_bundle, p_poly
 
 COMMANDS = ("solve", "reference", "compare", "nlft", "multiplier")
 
@@ -187,7 +187,7 @@ def _run_multiplier(job: JobSpec) -> int:
     _require(job.t is not None, "multiplier needs --t")
     _require(job.n0 >= 1, "multiplier needs a positive order in --n0")
     order = job.n0
-    default = next_pow2(4 * order, 64)  # also the grid of g_bundle's own check
+    default = bundle_grid_size(order)
     _grid(default)
     grid = _grid(job.grid if job.grid is not None else default)
     bundle = g_bundle(order, job.t)

@@ -18,34 +18,113 @@ import numpy as np
 
 from .errors import ValidationError
 from .laurent import CircleGrid, LaurentPoly, lp_eval_grid, next_pow2
+from .schur import exp_or_inf
 
 
 # i^k by k mod 4, signed zeros as in 1j**k.  1j**k itself is inexact from
 # k = 101 on, where Python's complex power goes through polar form.
 _I_POWERS = np.array([1.0, 1j, -1.0, complex(-0.0, -1.0)])
 
+# log(2^-64): the Bessel table stores J_k(x) below e^this as exact zeros,
+# 2^-11 of the rounding unit of its O(1) entries.
+_LOG_NEGLIGIBLE = -64.0 * math.log(2.0)
+
+
+def _least(holds, lo: int) -> int:
+    """Least integer n >= lo with holds(n), for holds false then true on
+    n >= lo: a doubling bracket, then bisection."""
+    if holds(lo):
+        return lo
+    step = 1
+    while not holds(lo + step):
+        step *= 2
+    bad, good = lo + step // 2, lo + step
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        if holds(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def _log_bessel_bound(k: int, x: float) -> float:
+    """log of Siegel's bound |J_k(x)| <= z^k e^{k s} / (1 + s)^k, where
+    z = x/k <= 1 and s = sqrt(1 - z^2) (DLMF 10.14.5)."""
+    z = x / k
+    s = math.sqrt((1.0 - z) * (1.0 + z))
+    return k * (math.log(z) + s - math.log1p(s))
+
+
+def _bessel_start(x: float) -> int:
+    """Order M from which Miller's recurrence for J_k(x) starts, x > 0:
+    the least M >= x - 1 at which Siegel's bound on J_{M+1}(x) is below
+    2^-64, so that J_k(x) < 2^-64 for every k > M.
+
+    Past k = x, J_k(x) stops oscillating and decays: the log of the bound
+    is -k (artanh s - s) <= -k s^3 / 3, which falls like
+    -(2^{3/2}/3) k (1 - x/k)^{3/2} just past x and like k log(e x / 2k)
+    far out.  It decreases in k for k >= x, so the search bisects, and
+    M - x grows like x^{1/3}: M(1) = 17, M(16) = 50, M(2400) = 2574.
+    """
+    lo = max(1, math.ceil(x))
+    return _least(lambda k: _log_bessel_bound(k, x) < _LOG_NEGLIGIBLE, lo) - 1
+
+
+def _bessel_table(n: int, x: float) -> np.ndarray:
+    """J_0(x), ..., J_m(x) for x >= 0 and m = min(n, M), in one backward
+    pass of Miller's recurrence (Gautschi, SIAM Review 9, 1967; DLMF 3.6,
+    10.12); J_k(x) for k > M is an exact 0.
+
+    The pass starts at M = _bessel_start(x), fixed by x alone, so tables of
+    any length agree bit for bit where they overlap.  Every J_k(x) with
+    k > M is below 2^-64 and falls off faster than geometrically, so the
+    zeros past the table, and the terms past M left out of the
+    normalising sum, cost each entry well under an ulp.  From
+    v_{M+1} = 0, v_M = 1 it runs v_{k-1} = (2k/x) v_k - v_{k+1}, which
+    J_k(x) and Y_k(x) both satisfy.  So v_k = a (J_k - (J_{M+1} / Y_{M+1})
+    Y_k), and since |Y_k| <= |Y_{M+1}| for k <= M + 1, the start costs
+    each entry at most J_{M+1}(x) < 2^-64 more.  The running value grows
+    about as 1/J_M(x).  Siegel's bound exceeds J_M(x) by a factor that
+    grows only like M^{1/2} (Debye's expansion), so that stays near 2^64
+    (at most 2^68.3 for x from 1e-25 to 1e5), far inside the float64
+    range, and the pass is not rescaled.  J_0 + 2 sum_k J_2k = 1
+    (DLMF 10.12.4) fixes the common factor a; at x = 0 the table is
+    exactly 1.
+    """
+    if x == 0.0:
+        return np.ones(1)
+    top = _bessel_start(x)
+    values = [1.0]  # v_top, ..., v_k
+    ahead, cur = 0.0, 1.0
+    for k in range(top, 0, -1):
+        ahead, cur = cur, 2.0 * k / x * cur - ahead
+        values.append(cur)
+    # v_0 + 2 sum_{k >= 1} v_2k (cur is v_0), rounded once.
+    even = values[top % 2 :: 2]
+    norm = math.fsum(even + even + [-cur])
+    return np.array(values[::-1][: n + 1]) / norm
+
 
 def bessel_j(k: int, x: float) -> float:
-    """J_k(x) for integer k and x >= 0, from scipy.special.jv.
-
-    scipy.special (about 0.3 s to load) is imported at the first call here
-    or in p_poly, not with this module, so processes that never evaluate a
-    Bessel coefficient (the nlft and reference commands) never load it.
-    """
-    from scipy.special import jv
-
-    if x < 0:
-        raise ValidationError("bessel_j requires nonnegative x")
-    return float(jv(k, x))
+    """J_k(x) for integer k and x >= 0, from the table of _bessel_table;
+    a negative order by parity, J_{-k} = (-1)^k J_k."""
+    if not 0.0 <= x < math.inf:
+        raise ValidationError("bessel_j requires finite nonnegative x")
+    m = abs(k)
+    table = _bessel_table(m, x)
+    j = float(table[m]) if m < len(table) else 0.0
+    return -j if k < 0 and m % 2 else j
 
 
 def delta_nt(n: int, t: float) -> float:
-    """delta_{n,t} = t^n e^t / n!, via exp(n log t + t - lgamma(n+1))."""
+    """delta_{n,t} = t^n e^t / n!, via exp(n log t + t - lgamma(n+1)),
+    saturating to +inf where that overflows."""
     if t < 0:
         raise ValidationError("delta_nt requires t >= 0")
     if t == 0.0:
         return 1.0 if n == 0 else 0.0
-    return math.exp(n * math.log(t) + t - math.lgamma(n + 1))
+    return exp_or_inf(n * math.log(t) + t - math.lgamma(n + 1))
 
 
 def p_poly(n: int, t: float) -> LaurentPoly:
@@ -57,11 +136,19 @@ def p_poly(n: int, t: float) -> LaurentPoly:
         raise ValidationError("p_poly requires order n >= 1")
     if t < 0:
         raise ValidationError("p_poly requires t >= 0 (negative times are reflected upstream)")
-    from scipy.special import jv  # at first use; see bessel_j
-
-    k = np.arange(n + 1)
-    half = _I_POWERS[k % 4] * jv(k, 2.0 * t)
+    if not 2.0 * t < math.inf:
+        raise ValidationError("p_poly requires a finite 2t")
+    j = np.zeros(n + 1)
+    table = _bessel_table(n, 2.0 * t)
+    j[: len(table)] = table
+    half = _I_POWERS[np.arange(n + 1) % 4] * j
     return LaurentPoly(-n, np.concatenate((half[:0:-1], half)))
+
+
+def bundle_grid_size(n: int) -> int:
+    """Nodes of the grid on which MultiplierBundle checks the peak of an
+    order-n multiplier: 4n rounded up to a power of two, at least 64."""
+    return next_pow2(4 * n, 64)
 
 
 @dataclass(frozen=True)
@@ -76,7 +163,7 @@ class MultiplierBundle:
     def __post_init__(self):
         if not (self.delta < 1.0):
             raise ValidationError("multiplier bundle requires delta < 1")
-        grid = CircleGrid(next_pow2(4 * self.n, 64))
+        grid = CircleGrid(bundle_grid_size(self.n))
         peak = float(np.max(np.abs(lp_eval_grid(self.g, grid))))
         # Exact bound is 1 - delta^2; the slack covers double rounding when
         # delta has underflowed far below the evaluation noise.
@@ -85,11 +172,9 @@ class MultiplierBundle:
 
 
 def smallest_admissible_order(t: float) -> int:
-    """Least n with n > t and delta_{n,t} < 1."""
-    n = max(1, math.floor(t) + 1)
-    while delta_nt(n, t) >= 1.0:
-        n += 1
-    return n
+    """Least n with n > t and delta_{n,t} < 1.  delta_{n+1,t} / delta_{n,t}
+    = t / (n + 1) < 1 above t, so the search bisects."""
+    return _least(lambda n: delta_nt(n, t) < 1.0, max(1, math.floor(t) + 1))
 
 
 def g_bundle(n: int, t: float) -> MultiplierBundle:

@@ -416,6 +416,25 @@ def rk8_pair(
     return coarse, fine
 
 
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Running integral of samples y (along axis 0, spacing h, an odd
+    number of them) by Simpson's rule, 0 at the first sample.
+
+    On each panel pair y0, y1, y2 the two half-panel integrals are
+    h/12 (5 y0 + 8 y1 - y2) and h/12 (-y0 + 8 y1 + 5 y2), the integrals
+    of the interpolating parabola; their running sum is the rule, and at
+    every even node it is composite Simpson.  Complex samples are
+    integrated directly.
+    """
+    y0, y1, y2 = y[:-2:2], y[1:-1:2], y[2::2]
+    halves = np.empty((len(y) - 1, *y.shape[1:]), dtype=y.dtype)
+    halves[0::2] = 5.0 * y0 + 8.0 * y1 - y2
+    halves[1::2] = 8.0 * y1 + 5.0 * y2 - y0
+    out = np.zeros_like(y)
+    np.cumsum(h / 12.0 * halves, axis=0, out=out[1:])
+    return out
+
+
 def _picard_subinterval(y0: np.ndarray, dt: float, boundary: str) -> np.ndarray:
     """Fixed-point iteration for the integral form on one sub-interval.
 
@@ -423,20 +442,10 @@ def _picard_subinterval(y0: np.ndarray, dt: float, boundary: str) -> np.ndarray:
     u -> y0 + cumulative integral of F(u).  Starting from the constant
     trajectory, the first iterate is y0 + tau F(y0) exactly.
     """
-    # Imported here: scipy.integrate takes about 0.25 s to load, and no CLI
-    # command runs Picard.
-    from scipy.integrate import cumulative_simpson
-
     mesh = PICARD_MESH + 1
     u = np.tile(y0, (mesh, 1))
     for _ in range(PICARD_MAX_ITER):
-        f = _rhs(u, boundary)
-        # cumulative_simpson mishandles complex input (real internal buffer),
-        # so the two real integrals are taken separately.
-        integral = cumulative_simpson(
-            f.real, dx=dt / PICARD_MESH, axis=0, initial=0.0
-        ) + 1j * cumulative_simpson(f.imag, dx=dt / PICARD_MESH, axis=0, initial=0.0)
-        new = y0[None, :] + integral
+        new = y0[None, :] + _cumulative_simpson(_rhs(u, boundary), dt / PICARD_MESH)
         residual = float(np.max(np.abs(new - u)))
         u = new
         if residual <= PICARD_RESIDUAL:

@@ -32,9 +32,6 @@ WITNESS_GRID = 1024
 # Steps the Schur kernel runs on one set of array views (see _recur).
 BLOCK = 64
 
-# |q(0)| below which the kernel rescales the iterate by a power of two.
-RESCALE_BELOW = 2.0**-256
-
 
 class SchurStop(Exception):
     """Iteration reached a (numerically) unimodular constant."""
@@ -137,12 +134,15 @@ def _recur(p: np.ndarray, q: np.ndarray, steps: int, gammas: np.ndarray):
     p(0) counts as +0, whatever its sign bits.
 
     gamma does not depend on the common scale of p and q, so the iterate is
-    not renormalized to q(0) = 1.  q(0) shrinks by the factor
-    1 - |gamma|^2 >= 1 - STOP_THRESHOLD^2 per step; once |q(0)| falls below
-    RESCALE_BELOW, p and q are multiplied by the power of two that brings
-    |q(0)| into [1/2, 1).  That scaling is exact, so no later rounding
-    depends on it while the state stays in the normal range, and it keeps
-    the state clear of underflow.
+    not renormalized to q(0) = 1.  Instead, whenever |q(0)| lies outside
+    [1/2, 1), p and q are multiplied by the power of two that brings it
+    back: before the first step, and then each time q(0), which shrinks by
+    the factor 1 - |gamma|^2 per step, falls below 1/2.  That is about
+    log2(1/prod(1 - |gamma_k|^2)) scalings in a run.  The scaling is exact
+    in the normal range and keeps the state clear of underflow.  The rule
+    reads the state alone, so an input and any exact multiple 2^e of it
+    run from the same bits, and so do a run of m steps and m runs of one
+    step, even where the state later leaves the normal range.
 
     New coefficient j depends only on old j and j + 1, so the valid prefix
     shrinks by one per step: L - k coefficients after k steps, and gamma_k
@@ -166,7 +166,7 @@ def _recur(p: np.ndarray, q: np.ndarray, steps: int, gammas: np.ndarray):
         for k in range(start, min(start + BLOCK, steps)):
             pw, p1, nxt = views[k % 2]
             q0 = qw.item(0)
-            if abs(q0) < RESCALE_BELOW:
+            if not 0.5 <= abs(q0) < 1.0:
                 # 2^1023 is the largest finite power, for a subnormal den(0).
                 scale = math.ldexp(1.0, min(-math.frexp(abs(q0))[1], 1023))
                 # On the float64 view, so that signed zeros keep their sign.

@@ -17,7 +17,7 @@ from al_ist.cli import GRID_NODE_CAP, JobSpec, build_parser, main
 from al_ist.datagen import random_sequence
 from al_ist.errors import NumericalGuardError, ValidationError
 from al_ist.laurent import LaurentPoly
-from al_ist.multiplier import delta_nt
+from al_ist.multiplier import delta_nt, smallest_admissible_order
 from al_ist.reference import default_radius, rk4_integrate, rk8_pair
 from al_ist.sequence import Sequence
 from al_ist.seqio import (
@@ -492,7 +492,7 @@ class TestPinnedArtifacts:
         "args, digest",
         [
             (["compare", "--t", "1.0", "--eps", "1e-6", "--h", "0.01", "--radius", "30"],
-             "a9a29d9774e44e2430f24449f5a601412f2c80efaf5ec25b78f4eac5b9cf0f30"),
+             "0f4fc50f78348117378880a4bc4c8341c9a9670f495d5aa9fbdd1dee3103e2cc"),
             (["reference", "--t", "-0.75", "--h", "0.01", "--radius", "12"],
              "9b60db35bd7200d04d1fef6a5e06e305c94778b55274bdba8f3bc8c72aac141e"),
             (["reference", "--t", "0.75", "--h", "0.01", "--boundary", "periodic"],
@@ -595,6 +595,30 @@ class TestMultiplierCommand:
 
     def test_requires_positive_order(self):
         assert main(["--cmd", "multiplier", "--t", "0.5"]) == 2
+
+    @pytest.mark.parametrize("t, order", [("700", "8"), ("700", "2000"), ("1e9", "8")])
+    def test_inadmissible_order_at_a_long_time(self, capsys, t, order):
+        # delta_{n,t} overflows a float above t of about 355, and the least
+        # admissible order at t 1e9 is about 3.6e9: refused at once, with
+        # that order named.
+        start = time.perf_counter()
+        assert main(["--cmd", "multiplier", "--t", t, "--n0", order]) == 2
+        assert time.perf_counter() - start < 1.0
+        least = smallest_admissible_order(float(t))
+        assert f"smallest admissible n is {least}" in capsys.readouterr().err
+
+
+class TestLongTimes:
+    def test_solve_at_t_1200_stays_in_the_schur_class(self, datum_file, tmp_path, capsys):
+        # An eta-0.61 datum: its multiplier once peaked at 1 + 1.0e-12,
+        # outside the Schur class, and the solve exited 2.
+        q0 = random_sequence(seed=3, count=7, lo=-6, hi=6, max_modulus=0.3, min_modulus=0.2)
+        path = datum_file(q0)
+        out = tmp_path / "out.csv"
+        code = main(["--cmd", "solve", "--in", path, "--out", str(out),
+                     "--t", "1200", "--eps", "1e-10"])
+        assert code == 0, capsys.readouterr().err
+        assert out.read_text().startswith("n,re,im,budget")
 
 
 class TestExitCodes:

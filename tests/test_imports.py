@@ -1,5 +1,5 @@
-"""What a fresh CLI process loads: no scipy at import, nor for nlft and
-reference jobs; scipy.special, and nothing else of scipy, for solve."""
+"""scipy is not a runtime dependency: every CLI command, and the library's
+Picard integrator, runs in a fresh interpreter where importing scipy fails."""
 
 import json
 import os
@@ -11,44 +11,49 @@ import al_ist
 from al_ist.datagen import random_sequence
 from al_ist.seqio import write_sequence
 
-# Runs CLI jobs in one fresh interpreter and prints, as one JSON list, the
-# scipy modules loaded after the import and after each job.
+# Installs a meta-path finder that refuses every scipy module, then runs the
+# CLI jobs given as a JSON list and one Picard solve.
 _SCRIPT = """
 import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked: scipy is not a runtime dependency")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+
 import al_ist.cli
+from al_ist.datagen import random_sequence
+from al_ist.reference import picard_solve
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-seen = [scipy_modules()]
 for argv in json.loads(sys.argv[1]):
-    if al_ist.cli.main(argv) != 0:
-        sys.exit(f"job failed: {argv}")
-    seen.append(scipy_modules())
-print(json.dumps(seen))
+    code = al_ist.cli.main(argv)
+    if code != 0:
+        sys.exit(f"exit {code}: {argv}")
+picard_solve(random_sequence(seed=5, count=4, lo=-2, hi=2, max_modulus=0.5), 0.2)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def _scipy_after_each(jobs: list[list[str]]) -> list[list[str]]:
-    env = dict(os.environ, PYTHONPATH=str(Path(al_ist.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, json.dumps(jobs)],
-        env=env, capture_output=True, text=True, timeout=120, check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def test_cli_jobs_load_scipy_special_only_for_bessel_coefficients(tmp_path):
+def test_every_command_and_picard_run_without_scipy(tmp_path):
     path = tmp_path / "q.json"
     write_sequence(random_sequence(seed=5, count=4, lo=-2, hi=2, max_modulus=0.5), str(path))
     common = ["--in", str(path), "--t", "0.5"]
-    at_import, after_nlft, after_reference, after_solve = _scipy_after_each([
-        ["--cmd", "nlft", "--in", str(path), "--out", str(tmp_path / "nlft.json")],
-        ["--cmd", "reference", *common, "--h", "0.05", "--out", str(tmp_path / "ref.json")],
+    jobs = [
         ["--cmd", "solve", *common, "--eps", "1e-6", "--out", str(tmp_path / "solve.csv")],
-    ])
-    assert at_import == after_nlft == after_reference == []
-    assert "scipy.special" in after_solve
-    assert not [m for m in after_solve if m.startswith(("scipy.integrate", "scipy.optimize",
-                                                         "scipy.sparse"))]
+        ["--cmd", "reference", *common, "--h", "0.05", "--out", str(tmp_path / "ref.json")],
+        ["--cmd", "compare", *common, "--eps", "1e-6", "--out", str(tmp_path / "compare.csv")],
+        ["--cmd", "nlft", "--in", str(path), "--out", str(tmp_path / "nlft.json")],
+        ["--cmd", "multiplier", "--t", "0.5", "--n0", "8", "--out", str(tmp_path / "g.json")],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, json.dumps(jobs)],
+        env=dict(os.environ, PYTHONPATH=str(Path(al_ist.__file__).resolve().parents[1])),
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    for name in ("solve.csv", "ref.json", "compare.csv", "nlft.json", "g.json"):
+        assert (tmp_path / name).stat().st_size > 0

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,10 @@ from al_ist.errors import ValidationError
 from al_ist.laurent import CircleGrid, LaurentPoly, lp_eval_grid, monomial
 from al_ist.multiplier import (
     MultiplierBundle,
+    _bessel_start,
+    _bessel_table,
     bessel_j,
+    bundle_grid_size,
     delta_nt,
     g_bundle,
     p_poly,
@@ -60,6 +64,56 @@ class TestBesselJ:
         assert bessel_j(400, 1.0) == 0.0
 
 
+# (t, n) of multiplier tables: desk-scale orders, the t 8 benchmark job, and
+# the orders long solves ask for, up to t 1 200.
+TABLE_CASES = [(0.5, 12), (6.0, 60), (8.0, 1200), (50.0, 460), (400.0, 3440), (1200.0, 15366)]
+
+
+class TestBesselTable:
+    @pytest.mark.parametrize("t, n", TABLE_CASES)
+    def test_against_a_30_digit_oracle(self, t, n):
+        # Orders through the transition k ~ 2t, where J_k turns from
+        # oscillation to decay, plus the ends; jv is 1.2e-14 off at
+        # (400, 3440) on these orders.
+        x = 2.0 * t
+        table = _bessel_table(n, x)
+        mid = round(x)
+        orders = {0, 1, 2, n, *range(0, min(n, mid), max(1, mid // 12)),
+                  *(k for k in range(mid - 40, mid + 120, 5) if 0 <= k <= n)}
+        with mpmath.workdps(30):
+            for k in sorted(orders):
+                got = table[k] if k < len(table) else 0.0
+                assert abs(got - float(mpmath.besselj(k, x))) <= 1e-15, k
+
+    def test_start_depends_on_the_argument_alone(self):
+        # A short table is a prefix of a long one, bit for bit; beyond the
+        # start order every J_k is below 2^-64.
+        x = 16.0
+        start = _bessel_start(x)
+        short, long = _bessel_table(30, x), _bessel_table(5000, x)
+        assert len(short) == 31 and len(long) == start + 1
+        assert short.tobytes() == long[:31].tobytes()
+        with mpmath.workdps(30):
+            assert 0.0 < mpmath.besselj(start + 1, x) < 2.0**-64
+
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-100, 2.0**-63, 1e-8, 0.01, 0.3])
+    def test_small_arguments(self, x):
+        # Down to the least subnormal and 0, where the table is [1] and
+        # the dropped J_1(x) = x/2 is below 2^-64.
+        table = np.zeros(6)
+        short = _bessel_table(5, x)
+        table[: len(short)] = short
+        with mpmath.workdps(30):
+            for k in range(6):
+                assert abs(table[k] - float(mpmath.besselj(k, x))) <= 2.0**-64 + 1e-16, k
+
+    @pytest.mark.parametrize("call", [lambda: bessel_j(0, math.inf), lambda: bessel_j(0, math.nan),
+                                      lambda: p_poly(4, math.nan), lambda: p_poly(4, 1e308)])
+    def test_refuses_arguments_without_a_finite_table(self, call):
+        with pytest.raises(ValidationError):
+            call()
+
+
 class TestDelta:
     def test_formula_moderate_orders(self):
         for n, t in ((10, 1.0), (20, 2.0), (5, 0.5)):
@@ -72,6 +126,11 @@ class TestDelta:
 
     def test_extreme_order_underflow_free(self):
         assert 0.0 < delta_nt(40, 4.0) < 1e-22
+
+    def test_saturates_instead_of_overflowing(self):
+        # e^700 t^8 / 8! is about 1e341.
+        assert delta_nt(8, 700.0) == math.inf
+        assert delta_nt(2000, 700.0) > 1.0
 
     @settings(max_examples=50)
     @given(st.integers(1, 60), st.floats(0.01, 8.0))
@@ -110,19 +169,21 @@ class TestPPoly:
     @pytest.mark.parametrize("t", [0.0, 0.1, 0.5, 3.3, 6.0, 20.0, 49.0])
     def test_matches_the_power_loop_to_order_100(self, t):
         # 1j**k is exact for k <= 100, where Python multiplies it out.
+        j = [bessel_j(k, 2.0 * t) for k in range(101)]
         for n in range(max(1, math.floor(t) + 1), 101):
             loop = np.zeros(2 * n + 1, dtype=np.complex128)
-            for k, j_k in enumerate(jv(np.arange(n + 1), 2.0 * t)):
-                loop[n + k] = loop[n - k] = 1j**k * float(j_k)
+            for k, j_k in enumerate(j[: n + 1]):
+                loop[n + k] = loop[n - k] = 1j**k * j_k
             p, ref = p_poly(n, t), LaurentPoly(-n, loop)
             assert p.min_deg == ref.min_deg and p.coeffs.tobytes() == ref.coeffs.tobytes()
 
     def test_powers_of_i_exact_past_order_100(self):
         # i^k J_k is real or imaginary; 1j**101 is (4.4e-15+1j), which left a
         # real part of 3.4e-16 at k = 101 here.
-        c = p_poly(300, 50.0).coeffs
-        assert np.all((c.real == 0.0) | (c.imag == 0.0))
-        assert c[300 + 101].real == 0.0 and c[300 + 101].imag == jv(101, 100.0)
+        p = p_poly(300, 50.0)
+        assert np.all((p.coeffs.real == 0.0) | (p.coeffs.imag == 0.0))
+        c = p.coefficient(101)
+        assert c.real == 0.0 and c.imag == bessel_j(101, 100.0) != 0.0
 
 
 class TestGBundle:
@@ -134,6 +195,20 @@ class TestGBundle:
     def test_smallest_admissible_order(self):
         assert smallest_admissible_order(1.0) == 3
         assert delta_nt(3, 1.0) < 1.0 <= delta_nt(2, 1.0)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 2.0, 7.5, 40.0, 300.0, 700.0, 1e9])
+    def test_smallest_admissible_order_is_least(self, t):
+        n = smallest_admissible_order(t)
+        assert n > t and delta_nt(n, t) < 1.0
+        assert n - 1 <= t or delta_nt(n - 1, t) >= 1.0
+
+    def test_builds_at_long_times(self):
+        # t 1 200 with the order of a long window solve: the float64
+        # coefficients keep the peak within 1 - delta^2 + 1e-12.
+        assert g_bundle(15366, 1200.0).n == 15366
+
+    def test_check_grid(self):
+        assert [bundle_grid_size(n) for n in (1, 16, 17, 15366)] == [64, 64, 128, 65536]
 
     def test_order_ten_time_one(self):
         b = g_bundle(10, 1.0)

@@ -20,6 +20,7 @@ from al_ist.reference import (
     RK8,
     RK8_STEP,
     LatticeState,
+    _cumulative_simpson,
     _guard,
     _initial_array,
     _rhs,
@@ -466,14 +467,23 @@ class TestPicard:
         for i, v in enumerate(q0.values):
             y0[q0.offset + i + radius] = v
         u = np.tile(y0, (PICARD_MESH + 1, 1))
-        f = _rhs(u, "zero")
-        integral = cumulative_simpson(
-            f.real, dx=dt / PICARD_MESH, axis=0, initial=0.0
-        ) + 1j * cumulative_simpson(f.imag, dx=dt / PICARD_MESH, axis=0, initial=0.0)
-        first = y0 + integral[-1]
+        first = y0 + _cumulative_simpson(_rhs(u, "zero"), dt / PICARD_MESH)[-1]
         want = y0 + dt * _rhs(y0, "zero")
         assert np.max(np.abs(first - want)) <= 1e-15
         assert sup is not None  # datum is nonempty by construction
+
+    @pytest.mark.parametrize("nodes", [3, 5, PICARD_MESH + 1])
+    def test_simpson_is_scipys_on_complex_samples(self, nodes):
+        # scipy's cumulative_simpson on the real and imaginary parts, for
+        # an even panel count (bit for bit with scipy 1.17).
+        rng = np.random.default_rng(nodes)
+        y = rng.normal(size=(nodes, 7)) + 1j * rng.normal(size=(nodes, 7))
+        h = 1.0 / (12.0 * PICARD_MESH)
+        want = cumulative_simpson(y.real, dx=h, axis=0, initial=0.0) + 1j * cumulative_simpson(
+            y.imag, dx=h, axis=0, initial=0.0
+        )
+        got = _cumulative_simpson(y, h)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestHelpers:

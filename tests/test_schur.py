@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from al_ist.errors import ValidationError
 from al_ist.laurent import CircleGrid, LaurentPoly, lp_conj_flip, lp_mul, monomial
@@ -37,9 +37,10 @@ def constant(c: complex) -> RationalSchur:
 
 class TestSchurStep:
     def test_delta_z(self):
+        # The kernel first scales den(0) = 1 into [1/2, 1), exactly.
         gamma, nxt = schur_step(RationalSchur(monomial(0.3, 1)))
         assert gamma == 0.0
-        assert nxt.num == LaurentPoly(0, [0.3])
+        assert nxt.num == LaurentPoly(0, [0.15]) and nxt.den == LaurentPoly(0, [0.5])
         assert abs(nxt.value_at_zero() - 0.3) <= 1e-15
 
     def test_constant(self):
@@ -61,7 +62,8 @@ class TestSchurStep:
     def test_iterate_is_the_renormalized_function(self):
         f = RationalSchur(LaurentPoly(0, [0.1, 0.2]), LaurentPoly(0, [2.0, 0.4]))
         _, nxt = schur_step(f)
-        assert nxt.den.coefficient(0) == 2.0 - 0.05 * 0.1
+        # den(0) = 2 is first scaled into [1/2, 1), by 1/4, exactly.
+        assert nxt.den.coefficient(0) == (2.0 - 0.05 * 0.1) / 4.0
         assert_same_function(nxt, renormalized_step(f))
 
 
@@ -308,6 +310,9 @@ def test_step_is_the_renormalized_step(f):
 
 @settings(max_examples=60, deadline=None)
 @given(schur_functions, st.integers(0, 24), st.sampled_from([300, 900]))
+# gamma 13 here has a subnormal imaginary part, which the two runs round
+# alike only when both start from den(0) scaled into [1/2, 1).
+@example(fc_plus(Sequence(0, np.array([0.125, 0.125 + 3.576e-125j]))), 14, 300)
 def test_coeffs_scale_invariant(f, m, e):
     # den(0) 2^-e lies below the kernel's rescale threshold, so the first
     # step rescales by a power of two; the gammas must not move a bit.
