@@ -120,11 +120,17 @@ def bessel_j(k: int, x: float) -> float:
 def delta_nt(n: int, t: float) -> float:
     """delta_{n,t} = t^n e^t / n!, via exp(n log t + t - lgamma(n+1)),
     saturating to +inf where that overflows."""
+    return exp_or_inf(_log_delta_nt(n, t))
+
+
+def _log_delta_nt(n: int, t: float) -> float:
+    """n log t + t - lgamma(n + 1), the log of delta_{n,t}; at t = 0 it is
+    0 for n = 0 and -inf above."""
     if t < 0:
         raise ValidationError("delta_nt requires t >= 0")
     if t == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return exp_or_inf(n * math.log(t) + t - math.lgamma(n + 1))
+        return 0.0 if n == 0 else -math.inf
+    return n * math.log(t) + t - math.lgamma(n + 1)
 
 
 def p_poly(n: int, t: float) -> LaurentPoly:
@@ -193,16 +199,19 @@ def g_bundle(n: int, t: float) -> MultiplierBundle:
 
 
 def s_bound(n: int, t: float, r: float) -> float:
-    """One-step multiplier increment bound S_n(t,r) = 6 delta_{n,t} e^{t/r}."""
+    """One-step multiplier increment bound S_n(t,r) = 6 delta_{n,t} e^{t/r},
+    formed as one exp of its log, so that e^{t/r} cannot overflow where
+    delta_{n,t} underflows."""
     if not (0.0 < r < 1.0):
         raise ValidationError("s_bound requires 0 < r < 1")
-    return 6.0 * delta_nt(n, t) * math.exp(t / r)
+    return exp_or_inf(math.log(6.0) + _log_delta_nt(n, t) + t / r)
 
 
 def tail_bound(n: int, t: float, r: float) -> float:
-    """Bound for sum_{k >= n} S_k(t,r) r^{-k}: 6 delta_{n,t} e^{2t/r} r^{-n}."""
+    """Bound for sum_{k >= n} S_k(t,r) r^{-k}: 6 delta_{n,t} e^{2t/r} r^{-n},
+    formed as one exp of its log like s_bound."""
     if not (0.0 < r < 1.0):
         raise ValidationError("tail_bound requires 0 < r < 1")
     if not (n > t > 0.0):
         raise ValidationError("tail_bound requires n > t > 0")
-    return 6.0 * delta_nt(n, t) * math.exp(2.0 * t / r) * r ** (-n)
+    return exp_or_inf(math.log(6.0) + _log_delta_nt(n, t) + 2.0 * t / r - n * math.log(r))

@@ -109,12 +109,27 @@ class SchurCoeffs:
         return len(self.gammas)
 
 
-def _dense(p: LaurentPoly, width: int) -> np.ndarray:
-    """Coefficients of z^0 .. z^(width-1) of p (min_deg >= 0), zero-padded."""
+def _dense(p: LaurentPoly, width: int, start: int = 0) -> np.ndarray:
+    """Coefficients of z^start .. z^(start+width-1) of p (min_deg >= start),
+    zero-padded."""
     out = np.zeros(width, dtype=np.complex128)
-    block = p.coeffs[: max(0, width - p.min_deg)]
-    out[p.min_deg : p.min_deg + len(block)] = block
+    first = p.min_deg - start
+    block = p.coeffs[: max(0, width - first)]
+    out[first : first + len(block)] = block
     return out
+
+
+def _shifts_exactly(p: LaurentPoly) -> bool:
+    """Every real and imaginary part of p's coefficients is finite, and
+    none is -0.
+
+    A zero gamma times such a coefficient is a signed zero, and taking a
+    signed zero away from a part leaves a nonzero part as it is and a +0
+    part +0.  A -0 part can turn into +0 there, and an infinite part gives
+    NaN, so a zero step would not be a plain shift.
+    """
+    parts = p.coeffs.view(np.float64)
+    return bool(np.isfinite(parts).all()) and not np.signbit(parts[parts == 0]).any()
 
 
 def _recur(p: np.ndarray, q: np.ndarray, steps: int, gammas: np.ndarray):
@@ -209,12 +224,32 @@ def schur_coeffs(f: RationalSchur, m: int) -> SchurCoeffs:
     _recur).  If the iteration terminates at step k < m, the k collected
     coefficients are returned and the terminating unimodular gamma is
     flagged separately.
+
+    A numerator z^lead g, lead <= m, gives gamma_0 = ... = gamma_{lead-1}
+    = 0: the iterates F_k = z^(lead-k) g / den only shift down.  Those
+    gammas are written directly, with the bits the kernel's first step
+    writes for a zero p(0): 0j / den(0), a zero whose signs follow the
+    signs of den(0)'s parts (+0 for a positive den(0)), which scaling
+    den(0) by a power of two leaves alone.  The kernel then runs m - lead
+    steps from g and den.  When num and den pass _shifts_exactly, a zero
+    step only shifts p and leaves q, and with it q(0)'s one power-of-two
+    rescale, bit for bit as they were, so the result is bit for bit that
+    of running all m steps.  Otherwise lead is 0 and all m steps run.
+    The solvers' numerator G_{n,t} conj-flip(b) has no coefficient below
+    z^(n - M), where the multiplier's Bessel table ends (see
+    solver._schur_pass), so most of their steps are skipped this way.
     """
     if m < 0:
         raise ValidationError("coefficient count must be nonnegative")
     gammas = np.zeros(m, dtype=np.complex128)
-    done, _, terminal = _recur(_dense(f.num, m), _dense(f.den, m), m, gammas)
-    return SchurCoeffs(gammas[:done], terminal=terminal)
+    lead = min(f.num.min_deg, m) if _shifts_exactly(f.num) and _shifts_exactly(f.den) else 0
+    if lead:
+        gammas[:lead] = 0j / complex(f.den.coeffs[0])
+    width = m - lead
+    done, _, terminal = _recur(
+        _dense(f.num, width, lead), _dense(f.den, width), width, gammas[lead:]
+    )
+    return SchurCoeffs(gammas[: lead + done], terminal=terminal)
 
 
 def eta(c: SchurCoeffs) -> float:

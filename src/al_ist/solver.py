@@ -40,12 +40,17 @@ LOG2 = math.log(2.0)
 # (eta, eps) pair is declared infeasible rather than attempted.
 N_HARD_CAP = 10**6
 
-# Cap on the estimated work of a whole point or window solve, which is one
-# Schur pass: steps (steps + 1) / 2 coefficient updates (schur_coeffs drops
-# one coefficient per step).  About 5 s of recursion at the 2.1e8-2.5e8
-# updates/s measured at 6k-45k steps on a 2-core x86 host (1.2e8 at 1.2k
-# steps); the largest pass of the test suite and of the benchmark jobs, a
-# point solve at eta 0.05 and t 6 with N = 385, needs under 7e5.
+# Cap on the size of a whole point or window solve, which is one Schur
+# pass, counted as steps (steps + 1) / 2 coefficient updates over all of
+# its steps (schur_coeffs drops one coefficient per step).  The kernel runs
+# only the steps past f0's leading zeros (see _schur_pass), so the cap
+# bounds the size of a pass, not its arithmetic: a window pass just under
+# it, W = 12 198 with 40 661 counted steps of which 4 084 run, takes about
+# 0.08 s on a 2-core x86 host, where running every step took 3.5 s.  The
+# count is unchanged, so every refusal is too.  Deriving the cap from the
+# steps that run waits until the rest of a pass stops growing with N: the
+# dense window of 2W + 1 sites, p_poly's 2n + 1 coefficients and
+# g_bundle's 4n-node check.
 SCHUR_UPDATE_CAP = 10**9
 
 
@@ -285,7 +290,16 @@ def _log_t3(log_c: float, t: float, n: int, j: int) -> float:
 def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: int) -> np.ndarray:
     """Window [center-W, center+W], shift onto [0, 2W], multiply by G and
     run the Schur recursion; returns the first `steps` coefficients.
-    A pass whose estimated work exceeds SCHUR_UPDATE_CAP is refused first."""
+
+    G = (1 - delta) z^order P has no coefficient below z^(order - M), with
+    M = multiplier._bessel_start(2t) the last order of the Bessel table,
+    and the datum's first site lo in the window adds W + lo - center.  The
+    numerator of f0 starts there, and schur_coeffs writes the zero gammas
+    below it without running the kernel.  So a point pass (W = N, order
+    2N, 3N + 1 steps) runs at most M + 1 + (center - lo) steps, whatever N
+    is, and a window pass at most floor(N/2) + 1 + M + (center - lo) of its
+    3W + floor(N/2) + 1.  A pass of more than SCHUR_UPDATE_CAP counted
+    updates, over all of its steps, is refused first."""
     updates = steps * (steps + 1) // 2
     if updates > SCHUR_UPDATE_CAP:
         raise InfeasibleParamsError(

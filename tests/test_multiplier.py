@@ -242,6 +242,14 @@ class TestSBound:
     def test_pinned_value(self):
         assert abs(s_bound(10, 1.0, 0.5) - 3.3210213166646324e-05) <= 1e-12 * 3.3e-5
 
+    def test_no_overflow_where_delta_underflows(self):
+        # e^{t/r} = e^1600 alone overflows a double; the bound does not.
+        got = s_bound(4000, 800.0, 0.5)
+        with mpmath.workdps(30):
+            want = 6 * mpmath.mpf(800) ** 4000 * mpmath.exp(2400) / mpmath.factorial(4000)
+        assert abs(got - float(want)) <= 1e-10 * float(want)
+        assert got < 1e-15
+
     def test_increment_bound_empirical(self):
         # max over the r-circle of |G_{n+1,t} - z G_{n,t}| <= S_n(t,r)
         n, t, r = 12, 1.0, 0.5
@@ -263,6 +271,13 @@ class TestTailBound:
         r = 1.0 - 1e-9
         want = 6.0 * delta_nt(n, t) * math.exp(2.0 * t)
         assert abs(tail_bound(n, t, r) - want) <= 1e-6 * want
+
+    def test_saturates_instead_of_overflowing(self):
+        # r^-n = 2^4000 and e^{2t/r} = e^3200 overflow a double: the bound
+        # is +inf.  At (2000, 1, 1/2) 2^2000 alone overflows, but the bound
+        # is e^-11813, which underflows to 0.
+        assert tail_bound(4000, 800.0, 0.5) == math.inf
+        assert tail_bound(2000, 1.0, 0.5) == 0.0
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValidationError):

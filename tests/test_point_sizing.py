@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import al_ist.schur as schur
 from al_ist.errors import InfeasibleParamsError
-from al_ist.multiplier import delta_nt
+from al_ist.multiplier import _bessel_start, delta_nt
 from al_ist.reference import rk4_integrate
 from al_ist.sequence import Sequence
 from al_ist.solver import (
@@ -139,6 +140,47 @@ def test_subnormal_time_has_zero_truncation_bound():
     assert budget.total == 0.0
     assert abs(value - 0.5) <= 1e-6
 
+
+
+@pytest.mark.parametrize(
+    "eta, t, n0, eps, pinned",
+    [
+        (0.6, 0.5, 0, 1e-10, ("0x1.c8d924080d597p-4", "-0x1.4ad09d0b0871ap-3",
+                              "0x0.0p+0", "0x1.98f660c13c10cp-36")),
+        (0.11, 2.0, 0, 1e-6, ("-0x1.3906d226f01e4p-3", "-0x1.74c88a010cce3p-2",
+                              "0x0.0p+0", "0x1.35aef61b14e00p-28")),
+        (0.05, 6.0, 0, 1e-10, ("0x1.bbad5741ebd18p-4", "-0x1.2fcb7e3028f41p-5",
+                               "0x0.0p+0", "0x1.4d5d8489cc190p-38")),
+        # n0 outside the support [-6, 6]
+        (0.22, 2.0, 12, 1e-10, ("-0x1.a66b0d1479144p-8", "0x1.4a5bb6094b890p-6",
+                                "0x0.0p+0", "0x1.1ab03f459446cp-41")),
+    ],
+)
+def test_point_values_are_pinned(eta, t, n0, eps, pinned):
+    # Value and budget bits of four point solves, computed with every Schur
+    # step run from index 0; skipping f0's leading zeros must not move them.
+    value, budget = solve_point(uniform_datum(-6, 6, eta), t, n0, eps)
+    got = (value.real, value.imag, budget.localization, budget.truncation)
+    assert tuple(float.hex(x) for x in got) == pinned
+
+
+def test_point_pass_starts_past_the_multiplier_zero_band(monkeypatch):
+    # f0's numerator starts at z^(n - M + N - 6): M = _bessel_start(2t) is
+    # the last order at which the multiplier stores a nonzero J_k(2t), and
+    # the datum's first site -6 sits at N - 6 in the shifted window.  Of
+    # the n + N + 1 = 1156 steps of this pass the kernel runs the last
+    # M + 1 + (n0 - (-6)) = 50.
+    steps = []
+    recur = schur._recur
+
+    def recording(p, q, count, gammas):
+        steps.append(count)
+        return recur(p, q, count, gammas)
+
+    monkeypatch.setattr(schur, "_recur", recording)
+    solve_point(uniform_datum(-6, 6, 0.05), 6.0, 0, 1e-10)
+    assert _bessel_start(12.0) == 43
+    assert steps == [50]
 
 
 def test_refuses_a_schur_pass_above_the_work_cap():

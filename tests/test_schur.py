@@ -20,6 +20,7 @@ from al_ist.schur import (
     SchurCoeffs,
     SchurStop,
     _dense,
+    _recur,
     eta,
     iterate_energy_bound_check,
     l2_norm_circle,
@@ -99,11 +100,14 @@ class TestSchurCoeffs:
         assert len(c.gammas) == 0 and c.terminal is None
 
     def test_numerator_beyond_count(self):
-        # z^5 / (1 + z/2): no Taylor coefficient below degree 5 is nonzero
+        # z^5 / (1 + z/2): no Taylor coefficient below degree 5 is nonzero,
+        # so m <= 5 gives m zeros, no terminal and no step of the kernel.
         f = RationalSchur(monomial(0.4, 5), LaurentPoly(0, [1.0, 0.5]))
-        c = schur_coeffs(f, 5)
-        assert np.array_equal(c.gammas, np.zeros(5)) and c.terminal is None
-        assert c.gammas.tobytes() == schur_coeffs_by_steps(f, 5)[0].tobytes()
+        for m in (3, 5):
+            c = schur_coeffs(f, m)
+            assert np.array_equal(c.gammas, np.zeros(m)) and c.terminal is None
+            assert c.gammas.tobytes() == schur_coeffs_by_steps(f, m)[0].tobytes()
+            assert_matches_all_steps(f, m)
 
     def test_blaschke_stop_before_count(self):
         # z (z + 1/2) / (1 + z/2): gammas 0, 1/2, then the unimodular 1
@@ -270,6 +274,85 @@ def test_coeffs_match_repeated_steps_bitwise_at_one_coefficient():
     gammas, terminal = schur_coeffs_by_steps(f, 18)
     assert c.gammas.tobytes() == gammas.tobytes()
     assert c.terminal == terminal
+
+
+def schur_coeffs_all_steps(f: RationalSchur, m: int) -> tuple[np.ndarray, complex | None]:
+    """Up to m gammas of f and the terminal gamma, by the kernel run for
+    all m steps from m coefficients of num and den: schur_coeffs without
+    its shortcut past a numerator's leading zeros."""
+    gammas = np.zeros(m, dtype=np.complex128)
+    done, _, terminal = _recur(_dense(f.num, m), _dense(f.den, m), m, gammas)
+    return gammas[:done], terminal
+
+
+def times_z_to(f: RationalSchur, d: int) -> RationalSchur:
+    """z^d f: the numerator moved up by d degrees."""
+    return RationalSchur(LaurentPoly(f.num.min_deg + d, f.num.coeffs), f.den)
+
+
+def assert_matches_all_steps(f: RationalSchur, m: int):
+    c = schur_coeffs(f, m)
+    gammas, terminal = schur_coeffs_all_steps(f, m)
+    assert c.gammas.tobytes() == gammas.tobytes()
+    assert c.terminal == terminal
+
+
+@settings(max_examples=100, deadline=None)
+@given(schur_functions, st.integers(0, 24), st.data())
+def test_lead_matches_all_steps_bitwise(f, m, data):
+    assert_matches_all_steps(times_z_to(f, data.draw(st.integers(0, m + 5))), m)
+
+
+# Real and imaginary parts with both signed zeros among them.
+signed_zero_parts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5))
+
+
+@st.composite
+def signed_zero_functions(draw):
+    """num / den with zero parts of either sign, and |den(0)| >= 2."""
+    def coeffs(size):
+        return [complex(draw(signed_zero_parts), draw(signed_zero_parts)) for _ in range(size)]
+
+    num = coeffs(draw(st.integers(1, 4)))
+    den = coeffs(draw(st.integers(1, 4)))
+    den[0] += draw(st.sampled_from([2.0, -2.0, 2j, -2j]))
+    return RationalSchur(LaurentPoly(draw(st.integers(0, 8)), num), LaurentPoly(0, den))
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_zero_functions(), st.integers(0, 16))
+def test_signed_zero_parts_match_all_steps_bitwise(f, m):
+    # A zero step turns a -0 part of p or q into +0 where the zero it
+    # subtracts is -0, so with a -0 part anywhere all steps run.
+    gammas, _ = schur_coeffs_all_steps(f, m)
+    assume(np.all(np.isfinite(gammas)))
+    assert_matches_all_steps(f, m)
+
+
+def test_signed_zero_part_would_change_a_gamma():
+    # The zero steps turn the -0 imaginary parts of num into +0, so
+    # running only from the first nonzero coefficient would give gammas 3
+    # and 4 an imaginary part of +0 where all steps give -0.
+    f = RationalSchur(
+        LaurentPoly(3, [complex(-0.10029076, -0.0), complex(-0.06950754, -0.0), 0.17438929]),
+        LaurentPoly(0, [-2.46344219, -0.65086986]),
+    )
+    assert_matches_all_steps(f, 11)
+
+
+def test_lead_over_a_negative_den0_is_negative_zeros():
+    # 0j / den(0) for den(0) < 0 is -0 - 0j, as the kernel writes it.
+    f = RationalSchur(LaurentPoly(3, [0.2, 0.1j]), LaurentPoly(0, [-2.0, 0.5]))
+    c = schur_coeffs(f, 6)
+    assert c.gammas[:3].tobytes() == np.full(3, complex(-0.0, -0.0)).tobytes()
+    assert_matches_all_steps(f, 6)
+
+
+def test_unimodular_stop_right_after_the_lead():
+    c = schur_coeffs(RationalSchur(monomial(1.0, 5)), 8)
+    assert c.gammas.tobytes() == np.zeros(5, dtype=np.complex128).tobytes()
+    assert c.terminal == 1.0
+    assert_matches_all_steps(RationalSchur(monomial(1.0, 5)), 8)
 
 
 def renormalized_step(f: RationalSchur) -> RationalSchur:
