@@ -36,7 +36,7 @@ def main() -> None:
 
     print(f"datum sites {datum.support()}, eta = {datum.szego_product():.6f}")
     point = select_params(args.t, args.eps, params.eta, 0, support=datum.support())
-    W = params.N + params.N // 2
+    W = params.N + len(window.values) // 2
     print(
         f"window N = {params.N} at radius r = {params.r:.4f}; "
         f"its pass runs over half-width W = {W} at multiplier order 2W = {2 * W}"

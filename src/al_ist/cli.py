@@ -129,12 +129,13 @@ def _run_compare(job: JobSpec) -> int:
     # reference is another flow, so every site would read as a failure.
     _require(job.boundary == "zero", "compare needs the zero boundary")
     datum = _input_sequence(job)
-    window, _, params = solve_window_detailed(datum, job.t, job.n0, job.eps)
+    window, _, _ = solve_window_detailed(datum, job.t, job.n0, job.eps)
     radius = job.radius
     if radius is None:
         # A low-eta window can reach past default_radius; its outer rows
         # would be compared against sites the reference never computed.
-        radius = max(default_radius(datum, job.t), abs(job.n0) + params.N // 2)
+        reach = max(abs(window.offset), abs(window.offset + len(window.values) - 1))
+        radius = max(default_radius(datum, job.t), reach)
     coarse, fine = rk8_pair(datum, job.t, radius)
 
     rows = []

@@ -177,22 +177,29 @@ class MultiplierBundle:
             raise ValidationError(f"multiplier peak {peak:.17g} outside the Schur class")
 
 
+def order_admissible(n: int, t: float) -> bool:
+    """The orders at which G_{n,t} is built: n > t and delta_{n,t} < 1."""
+    return n > t and delta_nt(n, t) < 1.0
+
+
 def smallest_admissible_order(t: float) -> int:
-    """Least n with n > t and delta_{n,t} < 1.  delta_{n+1,t} / delta_{n,t}
+    """Least admissible n (see order_admissible).  delta_{n+1,t} / delta_{n,t}
     = t / (n + 1) < 1 above t, so the search bisects."""
-    return _least(lambda n: delta_nt(n, t) < 1.0, max(1, math.floor(t) + 1))
+    return _least(lambda n: order_admissible(n, t), max(1, math.floor(t) + 1))
 
 
 def g_bundle(n: int, t: float) -> MultiplierBundle:
     """Schur-class multiplier bundle G_{n,t} = (1 - delta) z^n P_{n,t}."""
-    if t < 0:
-        raise ValidationError("g_bundle requires t >= 0")
-    delta = delta_nt(n, t)
-    if n <= t or delta >= 1.0:
+    # "Not within", so that NaN is refused too; an infinite t has no
+    # admissible order to name.
+    if not 0.0 <= t < math.inf:
+        raise ValidationError("g_bundle requires a finite t >= 0")
+    if not order_admissible(n, t):
         raise ValidationError(
             f"order n={n} inadmissible at t={t:.17g}; "
             f"smallest admissible n is {smallest_admissible_order(t)}"
         )
+    delta = delta_nt(n, t)
     p = p_poly(n, t)
     shifted = LaurentPoly(n + p.min_deg, p.coeffs)  # z^n P_{n,t}
     return MultiplierBundle(n, t, (1.0 - delta) * shifted, delta)

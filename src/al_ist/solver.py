@@ -1,17 +1,21 @@
 """Fast point and window solver for the defocusing Ablowitz-Ladik equation.
 
-Pipeline for q(t, n0): truncate the datum to a window centered at n0, shift
-it onto [0, 2N], multiply its one-sided Schur function by the Schur-class
-multiplier G_{n,t}, and run Schur's algorithm; the recurrence coefficient at
-index n + N + s approximates q(t, n0 + s), so one pass serves a point or a
-whole window.  The returned budget certifies the two
-error sources: window truncation (localization) and multiplier truncation.
-It bounds the error of the exact-arithmetic pipeline; float64 roundoff is
-not part of it.
+Both solvers run one pass (_solve).  For the sites n0 - half .. n0 + half
+it truncates the datum to the window of half-width W = N + half centered
+at n0, shifts it onto [0, 2W], multiplies its one-sided Schur function by
+the Schur-class multiplier G_{2W,t}, and runs Schur's algorithm; the
+recurrence coefficient at index 3W + s approximates q(t, n0 + s).  A point
+value is the window at half = 0.  Each entry's budget (window_entry_budget)
+certifies the two error sources: window truncation (localization) and
+multiplier truncation.  It bounds the error of the exact-arithmetic
+pipeline; float64 roundoff is not part of it.
 
-The localization bound holds in L2(rT) for every radius r in (0, 1); the
-window solver evaluates it at the r that minimizes it (best_radius) and
-records that r in its parameters.
+The solvers differ only in how they size N: solve_point from the datum's
+support (select_params), solve_window from the worst entry of its window
+(_window_params), which also picks the localization radius.  The
+localization bound holds in L2(rT) for every radius r in (0, 1); the window
+solver evaluates it at the r that minimizes it (best_radius) and records
+that r in its parameters.
 
 All bound formulas are evaluated in log space; the stability constant can
 exceed 1e27 at moderate eta, so certified budgets are often astronomically
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import InfeasibleParamsError, NumericalGuardError, ValidationError
 from .laurent import lp_conj_flip, lp_mul
-from .multiplier import delta_nt, g_bundle
+from .multiplier import g_bundle, order_admissible
 from .nlft import nlft_forward
 from .schur import RationalSchur, exp_or_inf, schur_coeffs, stability_constant
 from .sequence import Sequence
@@ -61,7 +65,7 @@ class SolveParams:
 
     eta is the Szego product the budgets use; the solvers take the datum's
     own.  support is the datum's inclusive support (lo, hi) when the caller
-    supplied it; the point budget needs it to tell whether the window
+    supplied it; the budgets need it to tell whether the window
     [n0 - N, n0 + N] covers the datum.  r is the radius at which the
     budgets evaluate localization_bound: 1/2 from select_params, the
     minimizing radius from the window solver.
@@ -81,10 +85,8 @@ class SolveParams:
             raise ValidationError("params require 0 < r < 1")
         if self.N < 5:
             raise ValidationError("params require N >= 5")
-        if not (self.n > self.t):
-            raise ValidationError("params require n > t")
-        if not (delta_nt(self.n, self.t) < 1.0):
-            raise ValidationError("params require delta_{n,t} < 1")
+        if not order_admissible(self.n, self.t):
+            raise ValidationError("params require n > t and delta_{n,t} < 1")
 
     @property
     def n(self) -> int:
@@ -169,14 +171,9 @@ def _covering_half_width(log_c: float, t: float, eps: float, lo: int, hi: int) -
     max(lo, ceil(e t)) finds the least M.
     """
     def fits(M: int) -> bool:
-        return _order_admissible(2 * M, t) and exp_or_inf(_log_t3(log_c, t, 2 * M, M)) <= eps
+        return order_admissible(2 * M, t) and exp_or_inf(_log_t3(log_c, t, 2 * M, M)) <= eps
 
     return _least(fits, max(lo, math.ceil(math.e * t)), hi)
-
-
-def _order_admissible(n: int, t: float) -> bool:
-    """The SolveParams conditions on the multiplier order: n > t, delta_{n,t} < 1."""
-    return n > t and delta_nt(n, t) < 1.0
 
 
 def _least(fits, lo: int, hi: int) -> int | None:
@@ -295,11 +292,11 @@ def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: 
     M = multiplier._bessel_start(2t) the last order of the Bessel table,
     and the datum's first site lo in the window adds W + lo - center.  The
     numerator of f0 starts there, and schur_coeffs writes the zero gammas
-    below it without running the kernel.  So a point pass (W = N, order
-    2N, 3N + 1 steps) runs at most M + 1 + (center - lo) steps, whatever N
-    is, and a window pass at most floor(N/2) + 1 + M + (center - lo) of its
-    3W + floor(N/2) + 1.  A pass of more than SCHUR_UPDATE_CAP counted
-    updates, over all of its steps, is refused first."""
+    below it without running the kernel.  So the pass of _solve at
+    half-width half runs at most half + 1 + M + (center - lo) of its
+    3W + half + 1 steps, whatever N is.  A pass of more than
+    SCHUR_UPDATE_CAP counted updates, over all of its steps, is refused
+    first."""
     updates = steps * (steps + 1) // 2
     if updates > SCHUR_UPDATE_CAP:
         raise InfeasibleParamsError(
@@ -319,45 +316,56 @@ def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: 
     return coeffs.gammas
 
 
-def _point_budget(params: SolveParams) -> ErrorBudget:
+def window_entry_budget(params: SolveParams, W: int, s: int) -> ErrorBudget:
+    """Certified budget for the entry at signed offset s from the center of
+    a pass over half-width W at the radius params.r: localization at margin
+    W - |s|, t3 at query index W + s, so the budgets are not symmetric and
+    the right edge is worst.  The localization term is exactly 0 when the
+    window [n0 - N, n0 + N], and so the pass's, covers the recorded
+    support: the windowed datum is then the datum."""
     if params.covers_support:
-        # The windowed datum equals the datum, so truncating it to the
-        # window changes nothing and there is no localization error.
         loc = 0.0
     else:
-        loc = localization_bound(params.eta, params.r, params.t, params.N, 0)
-    trunc = t3_bound(params.eta, params.t, params.n, params.N)
-    return ErrorBudget(loc, trunc)
+        loc = localization_bound(params.eta, params.r, params.t, W, s)
+    return ErrorBudget(loc, t3_bound(params.eta, params.t, 2 * W, W + s))
+
+
+def _solve(q0: Sequence, params: SolveParams, half: int) -> tuple[Sequence, list[ErrorBudget]]:
+    """Sites n0 - half .. n0 + half of the trimmed datum q0 at time t, with
+    their budgets, from one Schur pass.
+
+    The window is widened to W = N + half (multiplier order 2W), so every
+    site keeps localization margin at least N; site n0 + s is the
+    coefficient at index 3W + s of a 3W + half + 1 step pass.  The zero
+    datum stays zero, with zero budgets.  A negative t (params.reflect)
+    runs forward at |t| from the conjugated datum and conjugates the
+    output: conj(q)(t) solves the equation with datum conj(q0) iff q(-t)
+    does with datum q0.
+    """
+    n0, W = params.n0, params.N + half
+    if q0.is_zero:
+        window = Sequence(n0 - half, np.zeros(2 * half + 1, dtype=np.complex128))
+        budgets = [ErrorBudget(0.0, 0.0)] * (2 * half + 1)
+    else:
+        datum = q0.conjugated() if params.reflect else q0
+        gammas = _schur_pass(datum, params.t, n0, W, 2 * W, 3 * W + half + 1)
+        window = Sequence(n0 - half, gammas[3 * W - half :])
+        budgets = [window_entry_budget(params, W, s) for s in range(-half, half + 1)]
+    return (window.conjugated() if params.reflect else window), budgets
 
 
 def solve_point(q0: Sequence, t: float, n0: int, eps: float) -> tuple[complex, ErrorBudget]:
     """Approximate q(t, n0) with certified absolute error at most eps.
 
-    The window is sized from the datum's support (see select_params) and
+    The value is the pass of _solve at half-width 0.  Its window is sized
+    from the datum's support (see select_params) and
     the budget from the datum's own Szego product; the budget is an
     exact-arithmetic bound and leaves float64 roundoff out.
     """
     q0 = q0.trimmed()
-    if q0.is_zero:
-        return 0.0 + 0.0j, ErrorBudget(0.0, 0.0)
     params = select_params(t, eps, q0.szego_product(), n0, support=q0.support())
-    # Conjugating the datum reverses the flow: conj(q)(t) solves the
-    # equation with datum conj(q0) iff q(-t) does with datum q0.
-    datum = q0.conjugated() if params.reflect else q0
-    steps = params.n + params.N + 1
-    gammas = _schur_pass(datum, params.t, n0, params.N, params.n, steps)
-    value = complex(gammas[params.n + params.N])
-    return (value.conjugate() if params.reflect else value), _point_budget(params)
-
-
-def window_entry_budget(params: SolveParams, W: int, s: int) -> float:
-    """Certified budget for the window entry at signed offset s from the
-    center, computed with the widened half-width W used by solve_window and
-    the radius params.r: localization at margin W - |s|, t3 at query index
-    W + s, so the budgets are not symmetric and the right edge is worst."""
-    loc = localization_bound(params.eta, params.r, params.t, W, s)
-    trunc = t3_bound(params.eta, params.t, 2 * W, W + s)
-    return loc + trunc
+    window, budgets = _solve(q0, params, 0)
+    return complex(window.values[0]), budgets[0]
 
 
 def _window_params(closed: SolveParams) -> SolveParams:
@@ -371,7 +379,7 @@ def _window_params(closed: SolveParams) -> SolveParams:
     eta, t, eps = closed.eta, closed.t, closed.eps
 
     def fits(M: int) -> bool:
-        if not _order_admissible(2 * M, t):
+        if not order_admissible(2 * M, t):
             return False
         W = M + M // 2
         loc = localization_bound(eta, best_radius(eta, t, M), t, M, 0)
@@ -388,33 +396,19 @@ def solve_window_detailed(
 ) -> tuple[Sequence, np.ndarray, SolveParams]:
     """solve_window plus per-entry certified budgets and the parameters.
 
-    The truncation window is widened to W = N + floor(N/2) (order 2W) so
-    every emitted site keeps localization margin at least N.  One Schur
-    pass over it gives all 2 floor(N/2) + 1 entries: site n0 + s is the
-    coefficient at index order + W + s, with t3 at query index W + s, so
-    the right edge s = floor(N/2) carries the worst budget, <= eps.
+    One pass at half-width floor(N/2) (see _solve) gives all 2 floor(N/2) + 1
+    entries; the right edge s = floor(N/2) carries the worst budget, <= eps.
     N is the least M, at most the closed form of select_params, at which
     that worst bound is within eps: the localization bound at margin M and
-    radius best_radius(eta, t, M), plus t3_bound(eta, t, 2W, W + floor(M/2)).
+    radius best_radius(eta, t, M), plus t3_bound(eta, t, 2W, W + floor(M/2))
+    with W = M + floor(M/2).
     eta is the datum's own Szego product, 1 for the zero datum.
     A pass above SCHUR_UPDATE_CAP is refused before it starts.
-    A negative t runs forward at |t| from the conjugated datum and
-    conjugates the output (params.reflect).
     """
     q0 = q0.trimmed()
     params = _window_params(select_params(t, eps, q0.szego_product(), n0))
-    half = params.N // 2
-    if q0.is_zero:
-        window = Sequence(n0 - half, np.zeros(2 * half + 1, dtype=np.complex128))
-        budgets = np.zeros(2 * half + 1)
-    else:
-        W = params.N + half
-        order = 2 * W
-        datum = q0.conjugated() if params.reflect else q0
-        gammas = _schur_pass(datum, params.t, n0, W, order, order + W + half + 1)
-        budgets = np.array([window_entry_budget(params, W, s) for s in range(-half, half + 1)])
-        window = Sequence(n0 - half, gammas[order + W - half :])
-    return (window.conjugated() if params.reflect else window), budgets, params
+    window, budgets = _solve(q0, params, params.N // 2)
+    return window, np.array([b.total for b in budgets]), params
 
 
 def solve_window(q0: Sequence, t: float, n0: int, eps: float) -> Sequence:

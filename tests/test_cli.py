@@ -365,6 +365,24 @@ class TestCompareCommand:
         assert max(sites) > default_radius(q0, 0.5)
         assert lattice.offset <= min(sites) and max(sites) < lattice.offset + len(lattice.values)
 
+    @pytest.mark.parametrize(
+        "n0, digest",
+        [("0", "2e39f678d931c9d1deb3ccb08a1bd5f49cf0fcbd176181ce44d7a121887ca7ea"),
+         ("-3", "5139d25679ee1fe42bf68abbbf89c30724feb91a039b9114c47d7050f4e07bce")],
+    )
+    def test_window_past_default_radius_is_pinned(self, datum_file, tmp_path, n0, digest):
+        # The datum above: the window reaches |n0| + 46 > default_radius (16),
+        # so the reference lattice is sized from the window.  The digests
+        # were taken while that radius was read off the window's parameters.
+        q0 = seq(-1, [0.8, -0.7j, 0.75])
+        out = tmp_path / "cmp.csv"
+        code = main(["--cmd", "compare", "--in", datum_file(q0), "--out", str(out),
+                     "--t", "0.5", "--eps", "1e-6", "--n0", n0])
+        assert code == 0
+        sites = [int(line.split(",")[0]) for line in out.read_text().strip().splitlines()[1:]]
+        assert max(abs(min(sites)), max(sites)) == abs(int(n0)) + 46 > default_radius(q0, 0.5)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_long_time_passes_at_tight_eps(self, datum_file, tmp_path):
         path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
         out = tmp_path / "cmp.csv"

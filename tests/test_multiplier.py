@@ -10,6 +10,7 @@ from scipy.special import jv
 
 from al_ist.errors import ValidationError
 from al_ist.laurent import CircleGrid, LaurentPoly, lp_eval_grid, monomial
+from al_ist.solver import SolveParams
 from al_ist.multiplier import (
     MultiplierBundle,
     _bessel_start,
@@ -18,6 +19,7 @@ from al_ist.multiplier import (
     bundle_grid_size,
     delta_nt,
     g_bundle,
+    order_admissible,
     p_poly,
     s_bound,
     smallest_admissible_order,
@@ -201,6 +203,33 @@ class TestGBundle:
         n = smallest_admissible_order(t)
         assert n > t and delta_nt(n, t) < 1.0
         assert n - 1 <= t or delta_nt(n - 1, t) >= 1.0
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 5.5, 12.0])
+    def test_one_admissibility_rule(self, t):
+        # g_bundle, SolveParams and smallest_admissible_order all take
+        # order_admissible's verdict, n > t and delta_{n,t} < 1.
+        least = smallest_admissible_order(t)
+        for n in range(1, 41):
+            admissible = n > t and delta_nt(n, t) < 1.0
+            assert order_admissible(n, t) == admissible == (n >= least)
+            if admissible:
+                assert g_bundle(n, t).n == n
+            else:
+                with pytest.raises(ValidationError, match=f"smallest admissible n is {least}$"):
+                    g_bundle(n, t)
+            if n % 2 == 0 and n >= 10:
+                if admissible:
+                    assert SolveParams(N=n // 2, eps=1e-6, eta=0.5, t=t).n == n
+                else:
+                    with pytest.raises(ValidationError, match="n > t and delta"):
+                        SolveParams(N=n // 2, eps=1e-6, eta=0.5, t=t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_refuses_a_time_with_no_admissible_order(self, t):
+        # floor(inf) raised OverflowError while the refusal named the least
+        # admissible order; NaN reached p_poly.
+        with pytest.raises(ValidationError, match="g_bundle requires a finite t >= 0"):
+            g_bundle(10, t)
 
     def test_builds_at_long_times(self):
         # t 1 200 with the order of a long window solve: the float64

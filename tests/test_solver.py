@@ -128,6 +128,42 @@ class TestBounds:
         assert t3_bound(1.0, 0.0, 30, 0) == 0.0
 
 
+def signed_parts(z):
+    """float.hex of the real and imaginary parts, signed zeros told apart."""
+    return (float(z.real).hex(), float(z.imag).hex())
+
+
+class TestZeroDatum:
+    """Both solvers share one zero branch, after parameter selection and
+    before time reversal; the pins below were taken before they did."""
+
+    @pytest.mark.parametrize("datum", [Sequence(0, []), seq(0, [0.0, 0.0])])
+    @pytest.mark.parametrize("t", [1.0, -1.0])
+    def test_results_are_pinned(self, datum, t):
+        # A negative t conjugates the zero window: every entry is 0-0j.
+        # The point value is the window's centre entry, so it is 0-0j too.
+        zero = ("0x0.0p+0", "-0x0.0p+0" if t < 0 else "0x0.0p+0")
+        value, budget = solve_point(datum, t, 2, 1e-6)
+        assert signed_parts(value) == zero
+        assert (budget.localization, budget.truncation) == (0.0, 0.0)
+        win, budgets, params = solve_window_detailed(datum, t, 2, 1e-6)
+        assert params.N == 11 and params.reflect == (t < 0)
+        assert win.offset == -3 and [signed_parts(v) for v in win.values] == [zero] * 11
+        assert budgets.tobytes() == np.zeros(11).tobytes()
+
+    @pytest.mark.parametrize("eps", [2.0, 1.0, 0.0, -1e-6, math.nan])
+    @pytest.mark.parametrize("solve", [solve_point, solve_window_detailed])
+    def test_refuses_eps_outside_unit_interval(self, solve, eps):
+        with pytest.raises(ValidationError, match="eps must lie in"):
+            solve(Sequence(0, []), 1.0, 0, eps)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("solve", [solve_point, solve_window_detailed])
+    def test_refuses_non_finite_time(self, solve, t):
+        with pytest.raises(InfeasibleParamsError, match="no finite certified window"):
+            solve(Sequence(0, []), t, 0, 1e-6)
+
+
 class TestSolvePoint:
     def test_zero_datum(self):
         value, budget = solve_point(seq(0, [0.0, 0.0]), 1.0, 0, 1e-6)
@@ -188,6 +224,22 @@ class TestSolvePoint:
         assert budget.total <= 1e-8
         assert abs(value - ref.q.at(0)) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "datum, covered",
+        [(random_sequence(seed=405, count=5, lo=-3, hi=4, max_modulus=0.5), True),
+         (seq(0, np.r_[0.05, np.zeros(399), 0.05j]), False)],
+    )
+    def test_point_budget_is_the_centre_entry_budget(self, datum, covered):
+        # A point solve is the window pass at half-width 0 (W = N); its
+        # budget is window_entry_budget's at offset 0, with no localization
+        # term where the window covers the support.
+        for t in (0.5, -0.5):
+            params = select_params(t, 1e-8, datum.szego_product(), 0, support=datum.support())
+            assert params.covers_support == covered
+            _, budget = solve_point(datum, t, 0, 1e-8)
+            assert budget == window_entry_budget(params, params.N, 0)
+            assert (budget.localization == 0.0) == covered
+
     def test_solvers_take_eta_from_the_datum_only(self):
         q0 = random_sequence(seed=303, count=4, lo=-2, hi=3, max_modulus=0.5)
         for solve in (solve_point, solve_window, solve_window_detailed):
@@ -232,7 +284,7 @@ class TestSolveWindow:
         assert np.all(budgets <= 1e-6)
         W = params.N + half
         for s in range(half + 1):
-            assert budgets[half + s] == window_entry_budget(params, W, s)
+            assert budgets[half + s] == window_entry_budget(params, W, s).total
             assert budgets[half + s] >= budgets[half - s]
         assert budgets.max() == budgets[-1] <= 1e-6
 
@@ -265,6 +317,26 @@ class TestSolveWindow:
             abs(v - ref.q.at(win.offset + i)) for i, v in enumerate(win.values)
         )
         assert worst <= 1e-6 + 1e-6
+
+    def test_reflected_window_is_pinned(self):
+        # Values and budgets of a t < 0 window solve, sites -3..3, taken
+        # when the window solver still reflected on its own.
+        win, budgets, params = solve_window_detailed(seq(0, [0.1]), -0.25, 0, 1e-6)
+        assert (params.N, params.reflect, win.offset) == (7, True, -3)
+        assert [signed_parts(v) for v in win.values] == [
+            ("0x0.0p+0", "0x1.0cd39a606a29fp-12"),
+            ("-0x1.912211b853eebp-9", "-0x0.0p+0"),
+            ("0x0.0p+0", "-0x1.8cefb9880ce1fp-6"),
+            ("0x1.80a256acc438ep-4", "-0x0.0p+0"),
+            ("0x0.0p+0", "-0x1.8cefb9880ce1dp-6"),
+            ("-0x1.912211b853eebp-9", "-0x0.0p+0"),
+            ("0x0.0p+0", "0x1.0cd39a606a29fp-12"),
+        ]
+        assert [float(b).hex() for b in budgets] == [
+            "0x1.ab347f0f18320p-22", "0x1.e500269a650e3p-27", "0x1.134ebc8d9250ap-31",
+            "0x1.388da1cf00796p-36", "0x1.134ebc8df80eep-31", "0x1.e500269a74f3fp-27",
+            "0x1.ab347f0f193d1p-22",
+        ]
 
     def test_negative_time_window_against_rk4(self):
         q0 = random_sequence(seed=403, count=4, lo=-2, hi=3, max_modulus=0.5)
