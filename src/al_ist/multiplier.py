@@ -133,22 +133,27 @@ def _log_delta_nt(n: int, t: float) -> float:
     return n * math.log(t) + t - math.lgamma(n + 1)
 
 
-def p_poly(n: int, t: float) -> LaurentPoly:
-    """Truncated multiplier P_{n,t} = sum_{|k| <= n} i^k J_k(2t) z^k.
-
-    Coefficients at +k and -k coincide: i^{-k} J_{-k} = i^k J_k.
-    """
+def _band(n: int, t: float) -> np.ndarray:
+    """The coefficients i^|k| J_|k|(2t) of P_{n,t} at z^-m .. z^m, for
+    m = min(n, M) and M = _bessel_start(2t); every one past order M is an
+    exact 0.  Those at +k and -k coincide: i^{-k} J_{-k} = i^k J_k."""
     if n < 1:
         raise ValidationError("p_poly requires order n >= 1")
     if t < 0:
         raise ValidationError("p_poly requires t >= 0 (negative times are reflected upstream)")
     if not 2.0 * t < math.inf:
         raise ValidationError("p_poly requires a finite 2t")
-    j = np.zeros(n + 1)
     table = _bessel_table(n, 2.0 * t)
-    j[: len(table)] = table
-    half = _I_POWERS[np.arange(n + 1) % 4] * j
-    return LaurentPoly(-n, np.concatenate((half[:0:-1], half)))
+    half = _I_POWERS[np.arange(len(table)) % 4] * table
+    return np.concatenate((half[:0:-1], half))
+
+
+def p_poly(n: int, t: float) -> LaurentPoly:
+    """Truncated multiplier P_{n,t} = sum_{|k| <= n} i^k J_k(2t) z^k; its
+    coefficients past order M = _bessel_start(2t) are exact zeros and are
+    not stored."""
+    band = _band(n, t)
+    return LaurentPoly(-(len(band) // 2), band)
 
 
 def bundle_grid_size(n: int) -> int:
@@ -200,9 +205,9 @@ def g_bundle(n: int, t: float) -> MultiplierBundle:
             f"smallest admissible n is {smallest_admissible_order(t)}"
         )
     delta = delta_nt(n, t)
-    p = p_poly(n, t)
-    shifted = LaurentPoly(n + p.min_deg, p.coeffs)  # z^n P_{n,t}
-    return MultiplierBundle(n, t, (1.0 - delta) * shifted, delta)
+    band = _band(n, t)  # z^n P_{n,t} at z^(n - m) .. z^(n + m)
+    g = LaurentPoly(n - len(band) // 2, band * (1.0 - delta))
+    return MultiplierBundle(n, t, g, delta)
 
 
 def s_bound(n: int, t: float, r: float) -> float:

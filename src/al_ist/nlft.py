@@ -7,15 +7,17 @@ The transform is the ordered product over increasing lattice index of
 Only the top row (a, b) is stored; the bottom row is the conj-flip of the
 top by the symmetry of the factors.
 
-The product tree runs level by level on arrays.  For a block of sites
-[s, e], a has exponents [0, e - s] and conj-flip(b) has exponents [s, e],
-so every block of one tree level is a pair of rows of one fixed width w.
-Pairing adjacent blocks takes one batched FFT of length 2w for all of them
-and gives blocks of width 2w, in O(n log^2 n) for n sites and a dozen numpy
-calls per level.  Zero sites inside a block are identity factors.  A long
-zero gap would still cost FFT work at every level, so the support is first
-cut into runs at gaps of more than RUN_GAP zero sites; each run is batched
-and the run products are joined pairwise with Transfer2x2.matmul, whose
+A run of at most DIRECT_RUN sites is multiplied out site by site, in
+O(sites^2) with two numpy calls per nonzero site.  Longer runs go through
+the product tree, level by level on arrays.  For a block of sites [s, e],
+a has exponents [0, e - s] and conj-flip(b) has exponents [s, e], so every
+block of one tree level is a pair of rows of one fixed width w.  Pairing
+adjacent blocks takes one batched FFT of length 2w for all of them and
+gives blocks of width 2w, in O(n log^2 n) for n sites: per level, one
+forward and one inverse FFT around five ufunc calls.  Zero sites inside a
+block are identity factors.  A long zero gap would still cost work at every
+level, so the support is first cut into runs at gaps of more than RUN_GAP
+zero sites; each run is multiplied out and the run products are joined pairwise with Transfer2x2.matmul, whose
 LaurentPoly products store no coefficients outside a polynomial's span.
 """
 
@@ -48,6 +50,12 @@ UNITARITY_TOL = 1e-9
 # Zero gaps longer than this split the support into separately batched runs
 # (measured break-even between padding the gap and joining two products).
 RUN_GAP = 32
+
+# Runs of at most this many sites are multiplied out site by site; longer
+# ones go through the FFT tree.  Measured break-even for a run with no zero
+# sites, where the two cost the same at about 44 sites on a 2-core x86 host
+# (a run with zeros favours the site-by-site product further).
+DIRECT_RUN = 40
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,42 @@ def _leaf_factors(q: Sequence) -> list[Transfer2x2]:
 
 def _run_product(values: np.ndarray, start: int) -> Transfer2x2:
     """Product of the factors of sites start, start + 1, ... with the given
-    values (nonzero at both ends, zeros inside), by the level-batched tree.
+    values (nonzero at both ends, zeros inside): _direct_product for at
+    most DIRECT_RUN sites, else _tree_product."""
+    if len(values) <= DIRECT_RUN:
+        return _direct_product(values, start)
+    return _tree_product(values, start)
+
+
+def _direct_product(values: np.ndarray, start: int) -> Transfer2x2:
+    """The run product accumulated site by site, left to right.
+
+    Without the factors (1 - |q|^2)^(-1/2), which are applied once at the
+    end, appending site start + k with value v to the block of sites
+    start .. start + k - 1 gives
+
+        a' = a + v conj_rev(bf),     bf' = bf + v conj_rev(a),
+
+    with a at exponents 0..k and bf = conj-flip(b) at start..start + k,
+    both stored from index 0 (entry k still 0), and conj_rev reversing and
+    conjugating entries 0..k of a row.  The rows kept are a and
+    g = conj(bf), so the update is
+    rows[:, :k + 1] += [v, conj(v)] * rows[::-1, k::-1], and b, which is
+    conj-flip(bf), is g reversed.
+    """
+    n = len(values)
+    rows = np.zeros((2, n), dtype=np.complex128)
+    rows[0, 0] = 1.0
+    mult = np.stack((values, np.conj(values)))
+    for k in np.flatnonzero(values).tolist():
+        head = rows[:, : k + 1]
+        head += rows[::-1, k::-1] * mult[:, k : k + 1]
+    rows *= np.prod(1.0 / np.sqrt(1.0 - np.abs(values) ** 2))
+    return Transfer2x2(LaurentPoly(0, rows[0]), LaurentPoly(-(start + n - 1), rows[1, ::-1]))
+
+
+def _tree_product(values: np.ndarray, start: int) -> Transfer2x2:
+    """The run product by the level-batched tree.
 
     At a level of block width w, rows[0, p] holds block p's a at exponents
     0..w-1 and rows[1, p] its bf = conj-flip(b) at exponents s_p..s_p + w - 1.
@@ -125,10 +168,11 @@ def _run_product(values: np.ndarray, start: int) -> Transfer2x2:
         bf = bf1 a2 + z conj_rev(a1) bf2
 
     where conj_rev reverses and conjugates a row.  With zero padding to 2w,
-    the FFT of z conj_rev(x) is (-1)^k conj(fft(x)), so each level takes
-    one forward and one inverse FFT of the stacked rows.  Each of a level's
-    arrays (rows, spectrum, merged spectrum; 2 * size complex values and
-    up) is released as soon as the next one exists.
+    the FFT of z conj_rev(x) is (-1)^k conj(fft(x)), so with left = (a1, bf1)
+    the merged spectrum is conj(left swapped) (-1)^k bf2 + left a2: one
+    forward FFT, five ufunc calls and one inverse FFT per level.  Each of a
+    level's arrays (rows, spectrum, merged spectrum; 2 * size complex values
+    and up) is released as soon as the next one exists.
     """
     n = len(values)
     size = next_pow2(n)
@@ -141,11 +185,11 @@ def _run_product(values: np.ndarray, start: int) -> Transfer2x2:
     while rows.shape[1] > 1:
         spec = np.fft.fft(rows, n=2 * w, axis=2)
         del rows
-        a1, a2 = spec[0, 0::2], spec[0, 1::2]
-        f1, f2 = spec[1, 0::2], spec[1, 1::2]
-        sign = np.where(np.arange(2 * w) % 2, -1.0, 1.0)
-        merged = np.stack((a1 * a2 + sign * np.conj(f1) * f2, f1 * a2 + sign * np.conj(a1) * f2))
-        del spec, a1, a2, f1, f2
+        left, a2, f2 = spec[:, 0::2], spec[0, 1::2], spec[1, 1::2]
+        sign = np.ones(2 * w)
+        sign[1::2] = -1.0
+        merged = np.conj(left[::-1]) * sign * f2 + left * a2
+        del spec, left, a2, f2
         rows = np.fft.ifft(merged, axis=2)
         del merged
         w *= 2
@@ -169,13 +213,14 @@ def _runs(q: Sequence) -> list[tuple[np.ndarray, int]]:
 def nlft_forward(q: Sequence) -> Transfer2x2:
     """Ordered transfer-matrix product over increasing site index.
 
-    Each run of the support is multiplied out by the level-batched array
-    tree of _run_product: per level, the blocks are rows of two arrays (a
-    and conj-flip(b)) of one width, paired by one batched FFT.  Runs end at
-    zero gaps longer than RUN_GAP, because inside a run a gap is carried as
-    identity factors through every level, while across runs it costs
-    nothing until the join.  The run products are then paired adjacently
-    (balanced binary tree over Transfer2x2.matmul).
+    Each run of the support is multiplied out by _run_product: site by site
+    up to DIRECT_RUN sites, else by the level-batched array tree, where per
+    level the blocks are rows of two arrays (a and conj-flip(b)) of one
+    width, paired by one batched FFT.  Runs end at zero gaps longer than
+    RUN_GAP, because inside a run a gap is carried as identity factors
+    through every level, while across runs it costs nothing until the
+    join.  The run products are then paired adjacently (balanced binary
+    tree over Transfer2x2.matmul).
     """
     level = [_run_product(values, start) for values, start in _runs(q)]
     if not level:

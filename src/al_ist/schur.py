@@ -173,6 +173,9 @@ def _recur(p: np.ndarray, q: np.ndarray, steps: int, gammas: np.ndarray):
     length = len(q)
     bufs = (p, np.zeros_like(p))
     scratch = np.empty_like(q)
+    # gamma and conj(gamma) as 0-d arrays: a ufunc converts a Python complex
+    # operand anew on every call.
+    g, g_conj = np.empty((), dtype=np.complex128), np.empty((), dtype=np.complex128)
     for start in range(0, steps, BLOCK):
         w = length - start
         qw, q1, sw, s1 = q[:w], q[1:w], scratch[:w], scratch[: w - 1]
@@ -192,10 +195,11 @@ def _recur(p: np.ndarray, q: np.ndarray, steps: int, gammas: np.ndarray):
             gamma = (pw.item(0) or 0j) / q0
             if abs(gamma) >= STOP_THRESHOLD:
                 return k, bufs[k % 2], gamma
-            gammas[k] = gamma
-            np.multiply(gamma, q1, out=s1)
+            gammas[k] = g[()] = gamma
+            g_conj[()] = gamma.conjugate()
+            np.multiply(g, q1, out=s1)
             np.subtract(p1, s1, out=nxt)
-            np.multiply(gamma.conjugate(), pw, out=sw)
+            np.multiply(g_conj, pw, out=sw)
             np.subtract(qw, sw, out=qw)
     return steps, bufs[steps % 2], None
 

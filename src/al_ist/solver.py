@@ -52,9 +52,9 @@ N_HARD_CAP = 10**6
 # it, W = 12 198 with 40 661 counted steps of which 4 084 run, takes about
 # 0.08 s on a 2-core x86 host, where running every step took 3.5 s.  The
 # count is unchanged, so every refusal is too.  Deriving the cap from the
-# steps that run waits until the rest of a pass stops growing with N: the
-# dense window of 2W + 1 sites, p_poly's 2n + 1 coefficients and
-# g_bundle's 4n-node check.
+# steps that run waits until the rest of a pass stops growing with N; the
+# multiplier is built on its Bessel band alone, which leaves the dense
+# window of 2W + 1 sites and g_bundle's 4n-node check.
 SCHUR_UPDATE_CAP = 10**9
 
 
@@ -171,7 +171,7 @@ def _covering_half_width(log_c: float, t: float, eps: float, lo: int, hi: int) -
     max(lo, ceil(e t)) finds the least M.
     """
     def fits(M: int) -> bool:
-        return order_admissible(2 * M, t) and exp_or_inf(_log_t3(log_c, t, 2 * M, M)) <= eps
+        return order_admissible(2 * M, t) and exp_or_inf(_log_t3(log_c, t, 2 * M, [M])[0]) <= eps
 
     return _least(fits, max(lo, math.ceil(math.e * t)), hi)
 
@@ -227,11 +227,16 @@ def localization_bound(eta: float, r: float, t: float, N: int, j: int) -> float:
         raise ValidationError("localization bound requires 0 < r < 1")
     if t < 0:
         raise ValidationError("localization bound requires t >= 0")
-    sc = stability_constant(eta, r)
-    log_val = (
-        math.log(4.0) + t / r + sc.log + (N - abs(j)) * math.log(r) - math.log(1.0 - r)
-    )
-    return exp_or_inf(log_val)
+    return exp_or_inf(_log_localization(eta, r, t, N, [j])[0])
+
+
+def _log_localization(eta: float, r: float, t: float, N: int, js) -> list[float]:
+    """log of localization_bound(eta, r, t, N, j) for each j in js.  The
+    sum runs left to right from its prefix log 4 + t/r + log C(eta, r),
+    which is formed once."""
+    head = math.log(4.0) + t / r + stability_constant(eta, r).log
+    log_r, log_gap = math.log(r), math.log(1.0 - r)
+    return [head + (N - abs(j)) * log_r - log_gap for j in js]
 
 
 def localization_bound_direct(t: float, r: float, N: int, j: int) -> float:
@@ -266,22 +271,20 @@ def t3_bound(eta: float, t: float, n: int, j: int) -> float:
         return 0.0
     if not (n > t > 0.0):
         raise ValidationError("t3 bound requires n > t > 0")
-    return exp_or_inf(_log_t3(stability_constant(eta, 0.5).log, t, n, j))
+    return exp_or_inf(_log_t3(stability_constant(eta, 0.5).log, t, n, [j])[0])
 
 
-def _log_t3(log_c: float, t: float, n: int, j: int) -> float:
-    """log of t3_bound for n > t >= 0, given log C(eta, 1/2)."""
+def _log_t3(log_c: float, t: float, n: int, js) -> list[float]:
+    """log of t3_bound at each query index j in js, for n > t >= 0, given
+    log C(eta, 1/2).  Each sum runs left to right from j log 2, as the
+    bound's factors are written; the terms that do not depend on j are
+    formed once."""
     ratio = 2.0 * math.e * t / n
     if ratio == 0.0:  # t = 0, or a subnormal t that underflows: the bound is 0
-        return -math.inf
-    return (
-        j * LOG2
-        + log_c
-        + math.log(12.0)
-        + 5.0 * t
-        - 0.5 * math.log(2.0 * math.pi * n)
-        + n * math.log(ratio)
-    )
+        return [-math.inf] * len(js)
+    log_12, five_t = math.log(12.0), 5.0 * t
+    root, power = 0.5 * math.log(2.0 * math.pi * n), n * math.log(ratio)
+    return [j * LOG2 + log_c + log_12 + five_t - root + power for j in js]
 
 
 def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: int) -> np.ndarray:
@@ -294,9 +297,14 @@ def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: 
     numerator of f0 starts there, and schur_coeffs writes the zero gammas
     below it without running the kernel.  So the pass of _solve at
     half-width half runs at most half + 1 + M + (center - lo) of its
-    3W + half + 1 steps, whatever N is.  A pass of more than
-    SCHUR_UPDATE_CAP counted updates, over all of its steps, is refused
-    first."""
+    3W + half + 1 steps, whatever N is.  The stages before it pay for the
+    support and the band too: a support of at most nlft.DIRECT_RUN sites
+    is multiplied out site by site, G is stored on its band of
+    2 min(order, M) + 1 coefficients, and their product is a direct
+    convolution.  What still grows with N is the dense window of 2W + 1
+    sites and g_bundle's check on a grid of about 4 order nodes.  A pass
+    of more than SCHUR_UPDATE_CAP counted updates, over all of its steps,
+    is refused first."""
     updates = steps * (steps + 1) // 2
     if updates > SCHUR_UPDATE_CAP:
         raise InfeasibleParamsError(
@@ -317,17 +325,35 @@ def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: 
 
 
 def window_entry_budget(params: SolveParams, W: int, s: int) -> ErrorBudget:
-    """Certified budget for the entry at signed offset s from the center of
-    a pass over half-width W at the radius params.r: localization at margin
-    W - |s|, t3 at query index W + s, so the budgets are not symmetric and
-    the right edge is worst.  The localization term is exactly 0 when the
-    window [n0 - N, n0 + N], and so the pass's, covers the recorded
-    support: the windowed datum is then the datum."""
+    """Certified budget for the entry at signed offset s, |s| <= W, from the
+    center of a pass over half-width W > t/2 at the radius params.r:
+    localization_bound at margin W - |s| plus t3_bound at query index W + s,
+    so the budgets are not symmetric and the right edge is worst.  The
+    localization term is exactly 0 when the window [n0 - N, n0 + N], and so
+    the pass's, covers the recorded support: the windowed datum is then the
+    datum."""
+    return _window_budgets(params, W, range(s, s + 1))[0]
+
+
+def _window_budgets(params: SolveParams, W: int, offsets: range) -> list[ErrorBudget]:
+    """window_entry_budget at each offset in offsets.  The stability
+    constants and the other terms that do not depend on the offset are
+    formed once, and each sum keeps the order of localization_bound and
+    t3_bound, so every budget is theirs bit for bit."""
+    if max(map(abs, offsets)) > W or not 2 * W > params.t:
+        raise ValidationError("window entry budget requires |s| <= W and 2W > t")
     if params.covers_support:
-        loc = 0.0
+        locs = [0.0] * len(offsets)
     else:
-        loc = localization_bound(params.eta, params.r, params.t, W, s)
-    return ErrorBudget(loc, t3_bound(params.eta, params.t, 2 * W, W + s))
+        logs = _log_localization(params.eta, params.r, params.t, W, offsets)
+        locs = [exp_or_inf(x) for x in logs]
+    if params.t == 0.0:
+        truncs = [0.0] * len(offsets)
+    else:
+        log_c = stability_constant(params.eta, 0.5).log
+        logs = _log_t3(log_c, params.t, 2 * W, [W + s for s in offsets])
+        truncs = [exp_or_inf(x) for x in logs]
+    return [ErrorBudget(loc, trunc) for loc, trunc in zip(locs, truncs)]
 
 
 def _solve(q0: Sequence, params: SolveParams, half: int) -> tuple[Sequence, list[ErrorBudget]]:
@@ -350,7 +376,7 @@ def _solve(q0: Sequence, params: SolveParams, half: int) -> tuple[Sequence, list
         datum = q0.conjugated() if params.reflect else q0
         gammas = _schur_pass(datum, params.t, n0, W, 2 * W, 3 * W + half + 1)
         window = Sequence(n0 - half, gammas[3 * W - half :])
-        budgets = [window_entry_budget(params, W, s) for s in range(-half, half + 1)]
+        budgets = _window_budgets(params, W, range(-half, half + 1))
     return (window.conjugated() if params.reflect else window), budgets
 
 
@@ -363,7 +389,8 @@ def solve_point(q0: Sequence, t: float, n0: int, eps: float) -> tuple[complex, E
     exact-arithmetic bound and leaves float64 roundoff out.
     """
     q0 = q0.trimmed()
-    params = select_params(t, eps, q0.szego_product(), n0, support=q0.support())
+    support = None if q0.is_zero else (q0.offset, q0.offset + len(q0.values) - 1)
+    params = select_params(t, eps, q0.szego_product(), n0, support=support)
     window, budgets = _solve(q0, params, 0)
     return complex(window.values[0]), budgets[0]
 

@@ -14,7 +14,7 @@ import al_ist.cli
 import al_ist.nlft
 import al_ist.solver
 from al_ist.cli import GRID_NODE_CAP, JobSpec, build_parser, main
-from al_ist.datagen import random_sequence
+from al_ist.datagen import dense_random_sequence, random_sequence
 from al_ist.errors import NumericalGuardError, ValidationError
 from al_ist.laurent import LaurentPoly
 from al_ist.multiplier import delta_nt, smallest_admissible_order
@@ -367,8 +367,8 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize(
         "n0, digest",
-        [("0", "2e39f678d931c9d1deb3ccb08a1bd5f49cf0fcbd176181ce44d7a121887ca7ea"),
-         ("-3", "5139d25679ee1fe42bf68abbbf89c30724feb91a039b9114c47d7050f4e07bce")],
+        [("0", "976050c8f01d9a0a8daaaa97741b7756a9bc3d1d03e238c2f6b4ab9bdfec9f51"),
+         ("-3", "5e53d9645c9b001e6320ae05c13b8e53c5e0ea63fe6af4801e806cd1df9c01c3")],
     )
     def test_window_past_default_radius_is_pinned(self, datum_file, tmp_path, n0, digest):
         # The datum above: the window reaches |n0| + 46 > default_radius (16),
@@ -510,7 +510,7 @@ class TestPinnedArtifacts:
         "args, digest",
         [
             (["compare", "--t", "1.0", "--eps", "1e-6", "--h", "0.01", "--radius", "30"],
-             "0f4fc50f78348117378880a4bc4c8341c9a9670f495d5aa9fbdd1dee3103e2cc"),
+             "18e82bfe53f3f37c0231b8d1217243392f4f3c0425c0603012d73f4686f82479"),
             (["reference", "--t", "-0.75", "--h", "0.01", "--radius", "12"],
              "9b60db35bd7200d04d1fef6a5e06e305c94778b55274bdba8f3bc8c72aac141e"),
             (["reference", "--t", "0.75", "--h", "0.01", "--boundary", "periodic"],
@@ -522,6 +522,16 @@ class TestPinnedArtifacts:
         out = tmp_path / "artifact"
         assert main(["--cmd", *args, "--in", path, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_nlft_of_a_dense_run(self, datum_file, tmp_path):
+        # 1 024 nonzero sites, one run past nlft.DIRECT_RUN: the FFT product
+        # tree computes it, and its bits must not move.
+        q = dense_random_sequence(23, -300, 1024, 0.04, 0.01)
+        assert np.all(q.values != 0)
+        out = tmp_path / "ab.json"
+        assert main(["--cmd", "nlft", "--in", datum_file(q), "--out", str(out)]) == 0
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "2f31df5d20a6238a78dce5f3d152cd758bc7fd6e0c04cf80fdd23d2ccc5fdfd0")
 
 
 class TestNlftCommand:

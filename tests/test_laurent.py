@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from al_ist.laurent import (
+    CONVOLVE_WORK,
     CircleGrid,
     LaurentPoly,
     lp_add,
@@ -90,16 +91,46 @@ class TestMul:
             np.abs(want.coeffs)
         )
 
-    def test_fft_path_matches_schoolbook(self):
-        # spans large enough to cross the FFT threshold
+    def test_fft_path_matches_schoolbook(self, monkeypatch):
+        # 900 x 1100 coefficient pairs, past CONVOLVE_WORK: the FFT path
         rng = np.random.default_rng(7)
         p = LaurentPoly(-40, rng.standard_normal(900) + 1j * rng.standard_normal(900))
         q = LaurentPoly(13, rng.standard_normal(1100) + 1j * rng.standard_normal(1100))
-        got = lp_mul(p, q)
+        assert len(p.coeffs) * len(q.coeffs) >= CONVOLVE_WORK
+        got = fft_spied(monkeypatch, lambda: lp_mul(p, q), expect_calls=2)
         want = schoolbook_mul(p, q)
         scale = np.sum(np.abs(p.coeffs)) * np.sum(np.abs(q.coeffs))
         assert got.min_deg == want.min_deg
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-10 * scale
+
+
+    def test_long_by_short_matches_schoolbook(self, monkeypatch):
+        # A multiplier band times a 13-site datum's b, far longer: 2000 x 13
+        # pairs, below CONVOLVE_WORK, so np.convolve and no FFT.
+        rng = np.random.default_rng(8)
+        p = LaurentPoly(5, rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
+        q = LaurentPoly(-12, rng.standard_normal(13) + 1j * rng.standard_normal(13))
+        assert len(p.coeffs) * len(q.coeffs) < CONVOLVE_WORK
+        got = fft_spied(monkeypatch, lambda: lp_mul(p, q), expect_calls=0)
+        want = schoolbook_mul(p, q)
+        assert got.min_deg == want.min_deg and len(got.coeffs) == len(want.coeffs)
+        scale = np.sum(np.abs(p.coeffs)) * np.sum(np.abs(q.coeffs))
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * scale
+
+
+def fft_spied(monkeypatch, work, expect_calls: int):
+    """work(), asserting that it called np.fft.fft expect_calls times."""
+    calls = []
+    fft = np.fft.fft
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", spy)
+    result = work()
+    assert len(calls) == expect_calls
+    return result
 
 
 class TestEval:

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from al_ist.datagen import dense_random_sequence, random_sequence
 from al_ist.errors import ValidationError
 from al_ist.laurent import CircleGrid, LaurentPoly, lp_eval_grid, witness_grid
+import al_ist.nlft
 from al_ist.nlft import (
+    DIRECT_RUN,
     RUN_GAP,
     Transfer2x2,
     fc_plus,
@@ -269,6 +271,33 @@ def assert_matches_naive(q):
 @given(gapped_sequences())
 def test_batched_tree_equals_naive(q):
     assert_matches_naive(q)
+
+
+@pytest.mark.parametrize("sites", [DIRECT_RUN - 1, DIRECT_RUN, DIRECT_RUN + 1])
+def test_run_product_on_both_sides_of_the_direct_size(sites, monkeypatch):
+    # One run with interior zeros and moduli up to 0.999: site by site up to
+    # DIRECT_RUN sites, by the FFT tree above.  Entries reach 1e8-1e14, and
+    # cancellation costs digits on both sides; against the naive product the
+    # worst of 90 such draws was 2.2e-13 of the largest entry.
+    trees = []
+    tree = al_ist.nlft._tree_product
+
+    def recording(values, start):
+        trees.append(len(values))
+        return tree(values, start)
+
+    monkeypatch.setattr(al_ist.nlft, "_tree_product", recording)
+    rng = np.random.default_rng(sites)
+    modulus = rng.uniform(0.0, 0.999, sites)
+    modulus[rng.choice(sites, 3)] = 0.999
+    modulus[rng.choice(np.arange(1, sites - 1), 5)] = 0.0
+    modulus[[0, -1]] = 0.999
+    q = seq(-20, modulus * np.exp(2j * np.pi * rng.uniform(size=sites)))
+    fast, slow = nlft_forward(q), nlft_forward_naive(q)
+    assert trees == ([sites] if sites > DIRECT_RUN else [])
+    for x, y in ((fast.a, slow.a), (fast.b, slow.b)):
+        assert (x.min_deg, x.max_deg) == (y.min_deg, y.max_deg)
+        assert float(np.max(np.abs(x.coeffs - y.coeffs))) <= 1e-11 * float(np.max(np.abs(y.coeffs)))
 
 
 def test_all_zero_datum_is_identity():

@@ -8,6 +8,7 @@ datum.  Without cover it falls back to the closed form and its budget.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,14 +146,14 @@ def test_subnormal_time_has_zero_truncation_bound():
 @pytest.mark.parametrize(
     "eta, t, n0, eps, pinned",
     [
-        (0.6, 0.5, 0, 1e-10, ("0x1.c8d924080d597p-4", "-0x1.4ad09d0b0871ap-3",
+        (0.6, 0.5, 0, 1e-10, ("0x1.c8d924080d590p-4", "-0x1.4ad09d0b08718p-3",
                               "0x0.0p+0", "0x1.98f660c13c10cp-36")),
-        (0.11, 2.0, 0, 1e-6, ("-0x1.3906d226f01e4p-3", "-0x1.74c88a010cce3p-2",
+        (0.11, 2.0, 0, 1e-6, ("-0x1.3906d226f0218p-3", "-0x1.74c88a010cc98p-2",
                               "0x0.0p+0", "0x1.35aef61b14e00p-28")),
-        (0.05, 6.0, 0, 1e-10, ("0x1.bbad5741ebd18p-4", "-0x1.2fcb7e3028f41p-5",
+        (0.05, 6.0, 0, 1e-10, ("0x1.bbad5741ebd3bp-4", "-0x1.2fcb7e3028d83p-5",
                                "0x0.0p+0", "0x1.4d5d8489cc190p-38")),
         # n0 outside the support [-6, 6]
-        (0.22, 2.0, 12, 1e-10, ("-0x1.a66b0d1479144p-8", "0x1.4a5bb6094b890p-6",
+        (0.22, 2.0, 12, 1e-10, ("-0x1.a66b0d147e753p-8", "0x1.4a5bb6094c00fp-6",
                                 "0x0.0p+0", "0x1.1ab03f459446cp-41")),
     ],
 )
@@ -181,6 +182,38 @@ def test_point_pass_starts_past_the_multiplier_zero_band(monkeypatch):
     solve_point(uniform_datum(-6, 6, 0.05), 6.0, 0, 1e-10)
     assert _bessel_start(12.0) == 43
     assert steps == [50]
+
+
+def test_zero_band_skip_fires_on_every_benchmark_pass(monkeypatch):
+    # schur_coeffs skips f0's leading zero gammas only when no part of num
+    # or den is -0 (schur._shifts_exactly); otherwise it falls back to
+    # running every step, correctly but without a word.  The multiplier's
+    # powers of i carry -0 parts and np.convolve products of them could
+    # too, so check that no point or compare pass of the benchmark data,
+    # at t and -t, and no pass over a real datum falls back.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import jobs
+
+    results = []
+    shifts_exactly = schur._shifts_exactly
+
+    def spy(p):
+        results.append(shifts_exactly(p))
+        return results[-1]
+
+    monkeypatch.setattr(schur, "_shifts_exactly", spy)
+    for seed in range(1, 21):
+        for workload, solve in (("point", solve_point), ("compare", solve_window_detailed)):
+            data, round_ = jobs.build(workload, seed)
+            for job in round_:
+                for sign in (1.0, -1.0):
+                    solve(data[job["datum"]], sign * job["t"], job["n0"], job["eps"])
+    assert len(results) == 2 * 880 and all(results)
+    real = Sequence(-3, np.array([0.3, -0.5, 0.0, 0.2, 0.45, -0.1, 0.25]))
+    for t in (0.5, 2.0, 6.0):
+        solve_point(real, t, 0, 1e-10)
+        solve_window_detailed(real, t, 1, 1e-8)
+    assert len(results) == 2 * 886 and all(results)
 
 
 def test_refuses_a_schur_pass_above_the_work_cap():

@@ -288,6 +288,17 @@ class TestSolveWindow:
             assert budgets[half + s] >= budgets[half - s]
         assert budgets.max() == budgets[-1] <= 1e-6
 
+    def test_entry_budget_is_the_two_bounds_and_refuses_outside_the_pass(self):
+        params = select_params(2.0, 1e-6, 0.3)
+        W = params.N + 4
+        for s in (-W, -3, 0, 4, W):
+            want = (localization_bound(0.3, 0.5, 2.0, W, s), t3_bound(0.3, 2.0, 2 * W, W + s))
+            got = window_entry_budget(params, W, s)
+            assert (got.localization, got.truncation) == want
+        for W, s in ((params.N, params.N + 1), (params.N, -params.N - 1), (1, 0)):
+            with pytest.raises(ValidationError, match=r"\|s\| <= W and 2W > t"):
+                window_entry_budget(params, W, s)
+
     def test_one_schur_pass_per_solve(self, monkeypatch):
         calls = {"nlft_forward": 0, "_schur_pass": 0}
         for name in calls:
