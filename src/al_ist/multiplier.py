@@ -157,8 +157,9 @@ def p_poly(n: int, t: float) -> LaurentPoly:
 
 
 def bundle_grid_size(n: int) -> int:
-    """Nodes of the grid on which MultiplierBundle checks the peak of an
-    order-n multiplier: 4n rounded up to a power of two, at least 64."""
+    """Grid nodes for a peak check of n coefficients: 4n rounded up to a
+    power of two, at least 64.  MultiplierBundle passes the length of its
+    stored band, the multiplier command the order."""
     return next_pow2(4 * n, 64)
 
 
@@ -174,7 +175,10 @@ class MultiplierBundle:
     def __post_init__(self):
         if not (self.delta < 1.0):
             raise ValidationError("multiplier bundle requires delta < 1")
-        grid = CircleGrid(bundle_grid_size(self.n))
+        # |z^(n - m)| = 1 on the circle, so G peaks where the polynomial of
+        # its 2m + 1 stored coefficients does; a grid sized from that band,
+        # not from n, does not alias it.
+        grid = CircleGrid(bundle_grid_size(len(self.g.coeffs)))
         peak = float(np.max(np.abs(lp_eval_grid(self.g, grid))))
         # Exact bound is 1 - delta^2; the slack covers double rounding when
         # delta has underflowed far below the evaluation noise.

@@ -23,14 +23,14 @@ MODULUS_GUARD = 1.0 - 1e-12
 
 # Cap on the work of one Runge-Kutta run (rk4_integrate, rk8_pair) in
 # site-steps: ceil(|t| / h) steps per step size, summed over the step
-# sizes, times the lattice sites.  A step of one RK4 row costs 16-20 us up
-# to about 200 sites, where numpy call overhead dominates, 45 us at 1 001
-# sites and 110 us at 4 001; a step of one RK8 row (12 stages) costs 53 us
-# at 3 sites, 106 us at 193, 460 us at 1 001 and 950 us at 4 001 (2-core
-# x86 host).  So the cap stands for about 3 s at 4 001 sites, 10 s at 193
-# and 9 min at 3 for RK4, and about 25 s, 55 s and 30 min for RK8.  The
-# largest pair of the benchmark's compare jobs (t 8, 193 sites) needs
-# 4.6e4.
+# sizes, times the lattice sites.  A step of one RK4 row costs 18-21 us up
+# to about 200 sites, where numpy call overhead dominates, 51 us at 1 001
+# sites and 111 us at 4 001; a step of one RK8 row (12 stages, one einsum
+# per stage sum) costs 64 us at 3 sites, 87 us at 193, 234 us at 1 001
+# and 597 us at 4 001 (2-core x86 host, best of 5 runs of 200 steps).  So
+# the cap stands for about 3 s at 4 001 sites, 11 s at 193 and 10 min at 3
+# for RK4, and about 15 s, 45 s and 35 min for RK8.  The largest pair of
+# the benchmark's compare jobs (t 8, 193 sites) needs 4.6e4.
 RK4_SITE_STEP_CAP = 10**8
 
 # Sub-interval length for the Picard composition; the integral operator is
@@ -248,18 +248,25 @@ def _rk_rows(
         coef = np.zeros((3, width), dtype=np.complex128)
     else:
         # Stage i is the sum, in order, of step a[i, j] k_j for j = i - 1
-        # down to 0 and then of the state: z[s - i:] times the block
-        # coef[base[i - 1] : base[i]], whose last entry, the state's, is 1.
-        # The step's result is z times the last block, with b.  The state
-        # comes last so that each sum rounds once at its scale.  Each
-        # lattice row has its own coefficients (its own step), which act on
-        # the sites of the float view of z, so no pad cell is written.
+        # down to 0 and then of the state: z[s - i:] contracted with the
+        # block coef[base[i - 1] : base[i]], whose last entry, the state's,
+        # is 1.  The step's result is z contracted with the last block, with
+        # b.  The state comes last so that each sum rounds once at its
+        # scale.  Each lattice row has its own coefficients (its own step),
+        # which act on the sites of the float view of z, so no pad cell is
+        # written.  One einsum forms a sum: it adds the products one at a
+        # time in the order of j, as a loop over fresh arrays would, in one
+        # pass over the terms.  The zero coefficients (a[i, 1] from stage 3
+        # on, a[i, 2] from stage 5 on, b[1:5]) stay in: with the order
+        # fixed, no one row order keeps them out of every stage's block,
+        # and at a few hundred sites two fewer terms save less than one
+        # more call costs.  The result reads y, so it is formed in the
+        # stage buffer, which is free by then, and copied into y.
         weights = [np.r_[tableau.a[i, :i][::-1], 1.0] for i in range(1, stages)]
         weights.append(np.r_[tableau.b[::-1], 1.0])
         base = np.cumsum([0] + [len(w) for w in weights])
         weights = np.concatenate(weights)
-        coef = np.zeros((len(weights), rows, 1))
-        prod = np.zeros((stages + 1, rows, 2 * size))
+        coef = np.zeros((len(weights), rows))
         z_sites = z.view(np.float64).reshape(stages + 1, rows, 2 * stride)[:, :, 2:-2]
         stage_sites = stage_buf.view(np.float64).reshape(rows, 2 * stride)[:, 2:-2]
     periodic = boundary == "periodic"
@@ -304,14 +311,13 @@ def _rk_rows(
 
     def tableau_step():
         rhs(rings[0], y_left, y_right, m_y, ks[0])
-        for terms, c, products, out, m, k in stage_ops:
-            np.multiply(terms, c, products)
-            np.add.reduce(products, axis=0, out=out)
+        for c, terms, out, m, k in stage_ops:
+            np.einsum("jr,jrk->rk", c, terms, out=out)
             np.abs(stage, m)
             rhs(rings[1], s_left, s_right, m, k)
-        terms, c, products, out = result_op
-        np.multiply(terms, c, products)
-        np.add.reduce(products, axis=0, out=out)
+        c, terms, out, y_sites = result_op
+        np.einsum("jr,jrk->rk", c, terms, out=out)
+        np.copyto(y_sites, out)
         np.abs(y, m_y)
 
     y = z[stages, 1:-1]
@@ -333,8 +339,8 @@ def _rk_rows(
                     cells = slice(p * stride, p * stride + size)
                     coef[:, cells] = np.array([[0.5 * step], [step], [step / 6.0]])
                 else:
-                    coef[:, p, 0] = weights * step
-                    coef[base[1:] - 1, p, 0] = 1.0
+                    coef[:, p] = weights * step
+                    coef[base[1:] - 1, p] = 1.0
             b = first * stride
             ypad, spad = z[stages, b:], stage_buf[b:]
             y, stage = ypad[1:-1], spad[1:-1]
@@ -353,11 +359,10 @@ def _rk_rows(
                 terms = z_sites[:, first:]
                 parts = [coef[base[i] : base[i + 1], first:] for i in range(stages)]
                 stage_ops = [
-                    (terms[stages - i :], parts[i - 1], prod[: i + 1, first:], stage_sites[first:],
-                     mods[i], ks[i])
+                    (parts[i - 1], terms[stages - i :], stage_sites[first:], mods[i], ks[i])
                     for i in range(1, stages)
                 ]
-                result_op = (terms, parts[-1], prod[:, first:], terms[stages])
+                result_op = (parts[-1], terms, stage_sites[first:], terms[stages])
                 step_once = tableau_step
             for _ in range(lo, hi):
                 step_once()
@@ -391,8 +396,9 @@ def rk4_integrate(
     cells (between two rows) of the zero boundary, which stay +0 and are
     never zeroed.  Every update runs in place.  RK4 keeps its own update
     path, in the operation order of the textbook step, so each row matches
-    a loop with fresh arrays bit for bit; another tableau forms each stage
-    as one product and one sum over the state and the k_j.
+    a loop with fresh arrays bit for bit; another tableau forms each stage,
+    and the step's result, as one einsum of its coefficients with the k_j
+    and the state, which adds the products in the order of that loop.
 
     The guard is checked once per step: |q| of every stage and of the
     step's result are kept in one buffer and tested by one max.  On a trip

@@ -53,8 +53,8 @@ N_HARD_CAP = 10**6
 # 0.08 s on a 2-core x86 host, where running every step took 3.5 s.  The
 # count is unchanged, so every refusal is too.  Deriving the cap from the
 # steps that run waits until the rest of a pass stops growing with N; the
-# multiplier is built on its Bessel band alone, which leaves the dense
-# window of 2W + 1 sites and g_bundle's 4n-node check.
+# multiplier is built and checked on its Bessel band alone, which leaves
+# the dense window of 2W + 1 sites.
 SCHUR_UPDATE_CAP = 10**9
 
 

@@ -238,7 +238,7 @@ def test_work_cap_refusal_names_the_widened_half_width():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 4: the point budget leaves float64 roundoff out, so it "
+    reason="ROADMAP item 3: the point budget leaves float64 roundoff out, so it "
     "is exactly 0 here while the value is 1.6e-15 from RK4",
 )
 def test_covered_support_budget_holds_against_rk4():

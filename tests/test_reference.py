@@ -352,6 +352,10 @@ def plane_wave_ring(alpha: float, m: int, t: float):
     return ring_state(alpha, m), plane_wave(alpha, k, omega, t, m)
 
 
+BENCH_DATUM = seq(-6, [0.5, 0.0, 0.3j, 0.0, -0.4 + 0.2j, 0.0, 0.6, 0.0, 0.1 - 0.5j, 0.0, 0.35,
+                       0.0, -0.45j])
+
+
 class TestRk8:
     @pytest.mark.parametrize("tableau", [RK4, RK8], ids=["rk4", "rk8"])
     def test_tableau_is_consistent(self, tableau):
@@ -393,6 +397,10 @@ class TestRk8:
     @example(seq(-1, [0.4, 0.2j, -0.3]), -0.77, 6)  # negative t, partial steps
     @example(seq(0, [0.6, 0.0, 0.5 - 0.1j]), 0.13, 3)  # coarse row ends first
     @example(seq(0, [0.999]), 1.0, 2)  # guard trips
+    # Benchmark shapes: seven sites of a compare datum on [-6, 6].  At t 6
+    # on 153 sites the coarse row ends halfway and the fine row runs alone.
+    @example(BENCH_DATUM, 6.0, 76)
+    @example(BENCH_DATUM, -8.0, 96)
     def test_pair_equals_two_allocating_loops(self, q0, t, radius):
         want, tripped = [], False
         for step in (RK8_STEP, RK8_STEP / 2.0):
