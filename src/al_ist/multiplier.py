@@ -30,28 +30,27 @@ _I_POWERS = np.array([1.0, 1j, -1.0, complex(-0.0, -1.0)])
 _LOG_NEGLIGIBLE = -64.0 * math.log(2.0)
 
 
-def _least(holds, lo: int) -> int:
-    """Least integer n >= lo with holds(n), for holds false then true on
-    n >= lo: a doubling bracket, then bisection."""
-    if holds(lo):
-        return lo
-    step = 1
-    while not holds(lo + step):
-        step *= 2
-    bad, good = lo + step // 2, lo + step
-    while good - bad > 1:
-        mid = (bad + good) // 2
+def _least(holds, lo: int, hi: int) -> int | None:
+    """Least n in [lo, hi] with holds(n), or None if holds(hi) is false;
+    holds must be false, then true, as n grows."""
+    if lo > hi or not holds(hi):
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
         if holds(mid):
-            good = mid
+            hi = mid
         else:
-            bad = mid
-    return good
+            lo = mid + 1
+    return lo
 
 
 def _log_bessel_bound(k: int, x: float) -> float:
     """log of Siegel's bound |J_k(x)| <= z^k e^{k s} / (1 + s)^k, where
-    z = x/k <= 1 and s = sqrt(1 - z^2) (DLMF 10.14.5)."""
+    z = x/k <= 1 and s = sqrt(1 - z^2) (DLMF 10.14.5); -inf where z
+    underflows to 0."""
     z = x / k
+    if z == 0.0:
+        return -math.inf
     s = math.sqrt((1.0 - z) * (1.0 + z))
     return k * (math.log(z) + s - math.log1p(s))
 
@@ -66,9 +65,14 @@ def _bessel_start(x: float) -> int:
     -(2^{3/2}/3) k (1 - x/k)^{3/2} just past x and like k log(e x / 2k)
     far out.  It decreases in k for k >= x, so the search bisects, and
     M - x grows like x^{1/3}: M(1) = 17, M(16) = 50, M(2400) = 2574.
+
+    The search ends at hi = max(lo, 2 ceil(x), 99): there z <= 1/2, so the
+    bound's log per unit of k, log z + s - log(1 + s), which rises with z,
+    is at most -0.4509, and 99 (-0.4509) = -44.64 < -64 log 2.
     """
     lo = max(1, math.ceil(x))
-    return _least(lambda k: _log_bessel_bound(k, x) < _LOG_NEGLIGIBLE, lo) - 1
+    hi = max(lo, 2 * math.ceil(x), 99)
+    return _least(lambda k: _log_bessel_bound(k, x) < _LOG_NEGLIGIBLE, lo, hi) - 1
 
 
 def _bessel_table(n: int, x: float) -> np.ndarray:
@@ -175,14 +179,17 @@ class MultiplierBundle:
     def __post_init__(self):
         if not (self.delta < 1.0):
             raise ValidationError("multiplier bundle requires delta < 1")
+        if not np.isfinite(self.g.coeffs).all():
+            raise ValidationError("multiplier bundle requires finite coefficients")
         # |z^(n - m)| = 1 on the circle, so G peaks where the polynomial of
         # its 2m + 1 stored coefficients does; a grid sized from that band,
         # not from n, does not alias it.
         grid = CircleGrid(bundle_grid_size(len(self.g.coeffs)))
         peak = float(np.max(np.abs(lp_eval_grid(self.g, grid))))
         # Exact bound is 1 - delta^2; the slack covers double rounding when
-        # delta has underflowed far below the evaluation noise.
-        if peak > 1.0 - self.delta**2 + 1e-12:
+        # delta has underflowed far below the evaluation noise.  A NaN peak
+        # fails "not within".
+        if not peak <= 1.0 - self.delta**2 + 1e-12:
             raise ValidationError(f"multiplier peak {peak:.17g} outside the Schur class")
 
 
@@ -193,8 +200,11 @@ def order_admissible(n: int, t: float) -> bool:
 
 def smallest_admissible_order(t: float) -> int:
     """Least admissible n (see order_admissible).  delta_{n+1,t} / delta_{n,t}
-    = t / (n + 1) < 1 above t, so the search bisects."""
-    return _least(lambda n: order_admissible(n, t), max(1, math.floor(t) + 1))
+    = t / (n + 1) < 1 above t, so the search bisects.  It ends at
+    hi = max(lo, ceil(e^2 t)): n! >= (n/e)^n gives
+    delta_{n,t} <= e^t (e t / n)^n <= e^{t - n} < 1 there."""
+    lo = max(1, math.floor(t) + 1)
+    return _least(lambda n: order_admissible(n, t), lo, max(lo, math.ceil(math.e**2 * t)))
 
 
 def g_bundle(n: int, t: float) -> MultiplierBundle:

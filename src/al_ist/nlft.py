@@ -94,7 +94,7 @@ class Transfer2x2:
         UNITARITY_TOL * max(1, max |a|^2)."""
         res, peak = self._unitarity(witness_grid(self.a, self.b))
         tol = UNITARITY_TOL * max(1.0, peak)
-        if res > tol:
+        if not res <= tol:  # "not within", so that NaN is refused too
             raise ValidationError(f"unitarity residual {res:.3e} exceeds {tol:.3e}")
         a0 = self.a_at_zero()
         if not (a0.real > 0.0 and abs(a0.imag) <= 1e-9 * a0.real):

@@ -10,12 +10,15 @@ certifies the two error sources: window truncation (localization) and
 multiplier truncation.  It bounds the error of the exact-arithmetic
 pipeline; float64 roundoff is not part of it.
 
-The solvers differ only in how they size N: solve_point from the datum's
-support (select_params), solve_window from the worst entry of its window
-(_window_params), which also picks the localization radius.  The
-localization bound holds in L2(rT) for every radius r in (0, 1); the window
-solver evaluates it at the r that minimizes it (best_radius) and records
-that r in its parameters.
+Both solvers size N by one rule (_least_half_width): N is the least
+admissible half-width M, at most select_params' closed form, whose pass
+has its right-edge budget within eps, by the terms that certify it.  Only
+the entry policy differs.  A point pass (W = M, r = 1/2) starts at the
+radius of the datum's support, so its window covers the datum and its
+localization term is 0; a window pass (W = M + floor(M/2), right edge
+s = floor(M/2)) evaluates the localization bound, which holds in L2(rT)
+for every radius r in (0, 1), at the r that minimizes it (best_radius),
+and records that r in its parameters.
 
 All bound formulas are evaluated in log space; the stability constant can
 exceed 1e27 at moderate eta, so certified budgets are often astronomically
@@ -33,7 +36,7 @@ import numpy as np
 
 from .errors import InfeasibleParamsError, NumericalGuardError, ValidationError
 from .laurent import lp_conj_flip, lp_mul
-from .multiplier import g_bundle, order_admissible
+from .multiplier import _least, g_bundle, order_admissible
 from .nlft import nlft_forward
 from .schur import RationalSchur, exp_or_inf, schur_coeffs, stability_constant
 from .sequence import Sequence
@@ -123,14 +126,14 @@ def select_params(
 ) -> SolveParams:
     """N = 5 + floor(4 e |t| + log2(C(eta, 1/2) / eps)), n = 2N.
 
-    With the datum's inclusive support (lo, hi), N is instead the smaller
-    of that closed form and the least M >= max(5, radius of the support
-    about n0) with t3_bound(eta, |t|, 2M, M) <= eps: the window then covers
-    the support, the windowed datum is the datum, and the localization term
-    of the point budget is exactly 0.  Either way the point budget is at
-    most eps in exact arithmetic; it does not cover float64 roundoff.
-    The recorded radius is r = 1/2.  The window solver starts from the
-    closed form and shrinks it (see solve_window_detailed).
+    With the datum's inclusive support (lo, hi), N is instead the point
+    pass's least half-width (_least_half_width) from max(5, radius of the
+    support about n0) up to that closed form: the window then covers the
+    support, the windowed datum is the datum, and the localization term of
+    the point budget is exactly 0.  Either way the point budget is at most
+    eps in exact arithmetic; it does not cover float64 roundoff.  The
+    recorded radius is r = 1/2.  The window solver starts from the closed
+    form and shrinks it (see solve_window_detailed).
 
     Negative t is recorded via the reflect flag: the solver runs forward
     at |t| from the conjugated datum and conjugates the output.  A |t|
@@ -140,18 +143,17 @@ def select_params(
         raise ValidationError("eps must lie in (0, 1)")
     if not (0.0 < eta <= 1.0):
         raise ValidationError("eta must lie in (0, 1]")
-    sc = stability_constant(eta, 0.5)
     abs_t = abs(t)
-    closed = 4.0 * math.e * abs_t + (sc.log - math.log(eps)) / LOG2
+    closed = 4.0 * math.e * abs_t + (stability_constant(eta, 0.5).log - math.log(eps)) / LOG2
     if not math.isfinite(closed):
         # Above about 1.6e307, 4 e |t| overflows and floor() would raise.
         raise InfeasibleParamsError(f"t = {t:.17g} has no finite certified window")
     N = 5 + math.floor(closed)
     if support is not None:
         radius = max(n0 - support[0], support[1] - n0)
-        covering = _covering_half_width(sc.log, abs_t, eps, max(5, radius), min(N, N_HARD_CAP))
-        if covering is not None:
-            N = covering
+        sized = _least_half_width(eta, abs_t, eps, max(5, radius), min(N, N_HARD_CAP), point=True)
+        if sized is not None:
+            N = sized[0]
     if N > N_HARD_CAP:
         raise InfeasibleParamsError(
             f"certified window N={N} exceeds the hard cap {N_HARD_CAP}; "
@@ -160,34 +162,36 @@ def select_params(
     return SolveParams(N=N, eps=eps, eta=eta, t=abs_t, n0=n0, reflect=t < 0, support=support)
 
 
-def _covering_half_width(log_c: float, t: float, eps: float, lo: int, hi: int) -> int | None:
-    """Least M in [lo, hi] with 2M > t, delta_{2M,t} < 1 and
-    t3_bound(eta, t, 2M, M) <= eps, or None; log_c is log C(eta, 1/2).
+def _least_half_width(
+    eta: float, t: float, eps: float, lo: int, hi: int, point: bool
+) -> tuple[int, float] | None:
+    """(M, r): the least M in [max(lo, ceil(e t)), hi] with 2M admissible
+    whose pass has its right edge within eps, by the terms _solve certifies
+    with (_budget_terms), and that edge's radius; None if M = hi misses:
 
-    For M < e t the bound exceeds 1 > eps: M log 2, log C and
-    2M log(e t / M) are then nonnegative, and log 12 + 5t - log(4 pi M)/2
-    is positive.  For M >= e t, log t3 falls by at least 2 - log 2 per unit
-    of M.  So the test fails, then holds, as M grows, and bisection from
-    max(lo, ceil(e t)) finds the least M.
+    - point: W = M, s = 0, r = 1/2, localization 0 (lo covers the support);
+    - window: W = M + floor(M/2), s = floor(M/2), r = best_radius(eta, t, M).
+
+    Below M = e t the edge misses: a point edge's t3 term exceeds 1 > eps
+    (M log 2, log C and 2M log(e t / M) are nonnegative, and
+    log 12 + 5t - log(4 pi M)/2 is positive), a window edge's localization
+    term exceeds 4 > eps at every r.  Above it both terms fall as M grows,
+    so _least bisects.  log C(eta, 1/2) is formed once, and each probe's
+    radius is kept for the answer.
     """
+    log_c = stability_constant(eta, 0.5).log
+    radii = {}
+
     def fits(M: int) -> bool:
-        return order_admissible(2 * M, t) and exp_or_inf(_log_t3(log_c, t, 2 * M, [M])[0]) <= eps
+        if not order_admissible(2 * M, t):
+            return False
+        s = 0 if point else M // 2
+        radii[M] = 0.5 if point else best_radius(eta, t, M)
+        (loc,), (trunc,) = _budget_terms(log_c, eta, radii[M], t, M + s, range(s, s + 1), point)
+        return loc + trunc <= eps
 
-    return _least(fits, max(lo, math.ceil(math.e * t)), hi)
-
-
-def _least(fits, lo: int, hi: int) -> int | None:
-    """Least M in [lo, hi] with fits(M), or None; fits must be False, then
-    True, as M grows."""
-    if lo > hi or not fits(hi):
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    M = _least(fits, max(lo, math.ceil(math.e * t)), hi)
+    return None if M is None else (M, radii[M])
 
 
 def best_radius(eta: float, t: float, margin: int) -> float:
@@ -332,33 +336,39 @@ def window_entry_budget(params: SolveParams, W: int, s: int) -> ErrorBudget:
     localization term is exactly 0 when the window [n0 - N, n0 + N], and so
     the pass's, covers the recorded support: the windowed datum is then the
     datum."""
-    return _window_budgets(params, W, range(s, s + 1))[0]
-
-
-def _window_budgets(params: SolveParams, W: int, offsets: range) -> list[ErrorBudget]:
-    """window_entry_budget at each offset in offsets.  The stability
-    constants and the other terms that do not depend on the offset are
-    formed once, and each sum keeps the order of localization_bound and
-    t3_bound, so every budget is theirs bit for bit."""
-    if max(map(abs, offsets)) > W or not 2 * W > params.t:
+    if abs(s) > W or not 2 * W > params.t:
         raise ValidationError("window entry budget requires |s| <= W and 2W > t")
-    if params.covers_support:
+    (loc,), (trunc,) = _window_budgets(params, W, range(s, s + 1))
+    return ErrorBudget(loc, trunc)
+
+
+def _window_budgets(params: SolveParams, W: int, offsets: range) -> tuple[list[float], list[float]]:
+    """_budget_terms for a pass with these parameters."""
+    log_c = stability_constant(params.eta, 0.5).log
+    return _budget_terms(log_c, params.eta, params.r, params.t, W, offsets, params.covers_support)
+
+
+def _budget_terms(
+    log_c: float, eta: float, r: float, t: float, W: int, offsets: range, covered: bool
+) -> tuple[list[float], list[float]]:
+    """The localization and truncation terms of window_entry_budget at each
+    offset, for a pass over half-width W at radius r; log_c is
+    log C(eta, 1/2), and covered says the window covers the support.  The
+    terms that do not depend on the offset are formed once, and each sum
+    keeps the order of localization_bound and t3_bound, so every term is
+    theirs bit for bit; at t = 0 the t3 log is -inf, and its term 0."""
+    if covered:
         locs = [0.0] * len(offsets)
     else:
-        logs = _log_localization(params.eta, params.r, params.t, W, offsets)
-        locs = [exp_or_inf(x) for x in logs]
-    if params.t == 0.0:
-        truncs = [0.0] * len(offsets)
-    else:
-        log_c = stability_constant(params.eta, 0.5).log
-        logs = _log_t3(log_c, params.t, 2 * W, [W + s for s in offsets])
-        truncs = [exp_or_inf(x) for x in logs]
-    return [ErrorBudget(loc, trunc) for loc, trunc in zip(locs, truncs)]
+        locs = [exp_or_inf(x) for x in _log_localization(eta, r, t, W, offsets)]
+    truncs = [exp_or_inf(x) for x in _log_t3(log_c, t, 2 * W, [W + s for s in offsets])]
+    return locs, truncs
 
 
-def _solve(q0: Sequence, params: SolveParams, half: int) -> tuple[Sequence, list[ErrorBudget]]:
+def _solve(q0: Sequence, params: SolveParams, half: int) -> tuple[Sequence, list[float], list[float]]:
     """Sites n0 - half .. n0 + half of the trimmed datum q0 at time t, with
-    their budgets, from one Schur pass.
+    the localization and truncation terms of their budgets, from one Schur
+    pass.
 
     The window is widened to W = N + half (multiplier order 2W), so every
     site keeps localization margin at least N; site n0 + s is the
@@ -371,13 +381,13 @@ def _solve(q0: Sequence, params: SolveParams, half: int) -> tuple[Sequence, list
     n0, W = params.n0, params.N + half
     if q0.is_zero:
         window = Sequence(n0 - half, np.zeros(2 * half + 1, dtype=np.complex128))
-        budgets = [ErrorBudget(0.0, 0.0)] * (2 * half + 1)
+        locs = truncs = [0.0] * (2 * half + 1)
     else:
         datum = q0.conjugated() if params.reflect else q0
         gammas = _schur_pass(datum, params.t, n0, W, 2 * W, 3 * W + half + 1)
         window = Sequence(n0 - half, gammas[3 * W - half :])
-        budgets = _window_budgets(params, W, range(-half, half + 1))
-    return (window.conjugated() if params.reflect else window), budgets
+        locs, truncs = _window_budgets(params, W, range(-half, half + 1))
+    return (window.conjugated() if params.reflect else window), locs, truncs
 
 
 def solve_point(q0: Sequence, t: float, n0: int, eps: float) -> tuple[complex, ErrorBudget]:
@@ -391,31 +401,8 @@ def solve_point(q0: Sequence, t: float, n0: int, eps: float) -> tuple[complex, E
     q0 = q0.trimmed()
     support = None if q0.is_zero else (q0.offset, q0.offset + len(q0.values) - 1)
     params = select_params(t, eps, q0.szego_product(), n0, support=support)
-    window, budgets = _solve(q0, params, 0)
-    return complex(window.values[0]), budgets[0]
-
-
-def _window_params(closed: SolveParams) -> SolveParams:
-    """The least window half-width M <= closed.N whose worst entry bound is
-    within eps, with the minimizing radius at margin M recorded; closed
-    itself (r = 1/2) if even M = closed.N misses.
-
-    Below M = e t the localization bound exceeds 4 > eps at every r; above
-    it both terms fall as M grows, so bisection finds the least M.
-    """
-    eta, t, eps = closed.eta, closed.t, closed.eps
-
-    def fits(M: int) -> bool:
-        if not order_admissible(2 * M, t):
-            return False
-        W = M + M // 2
-        loc = localization_bound(eta, best_radius(eta, t, M), t, M, 0)
-        return loc + t3_bound(eta, t, 2 * W, W + M // 2) <= eps
-
-    M = _least(fits, max(5, math.ceil(math.e * t)), closed.N)
-    if M is None:
-        return closed
-    return replace(closed, N=M, r=best_radius(eta, t, M))
+    window, (loc,), (trunc,) = _solve(q0, params, 0)
+    return complex(window.values[0]), ErrorBudget(loc, trunc)
 
 
 def solve_window_detailed(
@@ -425,17 +412,19 @@ def solve_window_detailed(
 
     One pass at half-width floor(N/2) (see _solve) gives all 2 floor(N/2) + 1
     entries; the right edge s = floor(N/2) carries the worst budget, <= eps.
-    N is the least M, at most the closed form of select_params, at which
-    that worst bound is within eps: the localization bound at margin M and
-    radius best_radius(eta, t, M), plus t3_bound(eta, t, 2W, W + floor(M/2))
-    with W = M + floor(M/2).
-    eta is the datum's own Szego product, 1 for the zero datum.
+    N is the window pass's least half-width (_least_half_width) from 5 up
+    to the closed form of select_params, and r the radius at which that
+    search accepted it; the closed form itself, at r = 1/2, if even it
+    misses.  eta is the datum's own Szego product, 1 for the zero datum.
     A pass above SCHUR_UPDATE_CAP is refused before it starts.
     """
     q0 = q0.trimmed()
-    params = _window_params(select_params(t, eps, q0.szego_product(), n0))
-    window, budgets = _solve(q0, params, params.N // 2)
-    return window, np.array([b.total for b in budgets]), params
+    params = select_params(t, eps, q0.szego_product(), n0)
+    sized = _least_half_width(params.eta, params.t, eps, 5, params.N, point=False)
+    if sized is not None:
+        params = replace(params, N=sized[0], r=sized[1])
+    window, locs, truncs = _solve(q0, params, params.N // 2)
+    return window, np.add(locs, truncs), params
 
 
 def solve_window(q0: Sequence, t: float, n0: int, eps: float) -> Sequence:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -570,6 +571,29 @@ class TestNlftCommand:
         assert main(["--cmd", "nlft", "--in", path, "--grid", "256"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["grid"] == 256
+
+    @pytest.mark.parametrize(
+        "sites, modulus, breakdown",
+        [
+            # a(0) stays finite but comes out as -1.7e184i: |a|^2 overflows.
+            (64, 0.999999, "unitarity residual nan"),
+            # The tree itself overflows, and a and b are NaN.
+            (600, 0.9999, "unitarity residual nan"),
+            # The witness passes, but b/a leaves the unit disk on the grid.
+            (20, 0.999999, "reflection coefficient"),
+        ],
+    )
+    def test_float64_breakdown_of_a_valid_datum_trips_a_guard(
+        self, datum_file, tmp_path, capsys, sites, modulus, breakdown
+    ):
+        path = datum_file(seq(0, modulus * np.exp(1j * np.arange(sites))))
+        out = tmp_path / "ab.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--cmd", "nlft", "--in", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical guard tripped: float64 ") and breakdown in err
+        assert not out.exists()
 
 
 class TestGridCap:

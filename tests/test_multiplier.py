@@ -12,8 +12,10 @@ from al_ist.errors import ValidationError
 from al_ist.laurent import CircleGrid, LaurentPoly, lp_eval_grid, monomial
 from al_ist.solver import SolveParams
 from al_ist.multiplier import (
+    _LOG_NEGLIGIBLE,
     MultiplierBundle,
     _bessel_start,
+    _log_bessel_bound,
     _bessel_table,
     bessel_j,
     bundle_grid_size,
@@ -69,6 +71,52 @@ class TestBesselJ:
 # (t, n) of multiplier tables: desk-scale orders, the t 8 benchmark job, and
 # the orders long solves ask for, up to t 1 200.
 TABLE_CASES = [(0.5, 12), (6.0, 60), (8.0, 1200), (50.0, 460), (400.0, 3440), (1200.0, 15366)]
+
+
+def doubling_least(holds, lo):
+    """The unbounded search that the bounded brackets replaced: double a
+    step from lo until holds, then bisect."""
+    if holds(lo):
+        return lo
+    step = 1
+    while not holds(lo + step):
+        step *= 2
+    bad, good = lo + step // 2, lo + step
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        if holds(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+class TestSearchBrackets:
+    """_bessel_start and smallest_admissible_order bisect inside brackets
+    derived in their docstrings: the right end holds, and the answer is the
+    one the unbounded doubling search finds."""
+
+    def test_bessel_start(self):
+        xs = [*np.geomspace(1e-25, 1e5, 700).tolist(), *range(1, 120),
+              *(k + 1e-9 for k in (1, 49, 50, 98, 99, 1000)), 5e-324, 1e-320, 2.0**-1060]
+        for x in xs:
+            def holds(k):
+                return _log_bessel_bound(k, x) < _LOG_NEGLIGIBLE
+
+            lo = max(1, math.ceil(x))
+            assert holds(max(lo, 2 * math.ceil(x), 99)), x
+            assert _bessel_start(x) == doubling_least(holds, lo) - 1, x
+
+    def test_smallest_admissible_order(self):
+        ts = [0.0, 5e-324, *np.geomspace(1e-12, 1e9, 700).tolist(), *range(1, 120),
+              *(k + 0.5 for k in range(60))]
+        for t in ts:
+            def holds(n):
+                return order_admissible(n, t)
+
+            lo = max(1, math.floor(t) + 1)
+            assert holds(max(lo, math.ceil(math.e**2 * t))), t
+            assert smallest_admissible_order(t) == doubling_least(holds, lo), t
 
 
 class TestBesselTable:
@@ -253,6 +301,12 @@ class TestGBundle:
     def test_bundle_invariant_rejects_large_peak(self):
         with pytest.raises(ValidationError):
             MultiplierBundle(1, 1.0, monomial(2.0, 1), 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_bundle_invariant_rejects_a_non_finite_coefficient(self, bad):
+        # Neither has a peak on the circle to compare.
+        with pytest.raises(ValidationError, match="requires finite coefficients"):
+            MultiplierBundle(4, 0.5, LaurentPoly(0, [0.5, bad]), 0.01)
 
     def test_schur_class_margin(self):
         for n, t in ((10, 1.0), (16, 2.0)):

@@ -240,6 +240,12 @@ def test_validate_refuses_scaled_b_on_small_product():
         Transfer2x2(m.a, 1.01 * m.b).validate()
 
 
+def test_validate_refuses_a_nan_coefficient():
+    # NaN compares false, so only a "not within" test refuses its residual.
+    with pytest.raises(ValidationError, match="unitarity residual nan"):
+        Transfer2x2(LaurentPoly(0, [1.0, math.nan]), LaurentPoly(0, [0.0])).validate()
+
+
 def test_unitarity_witness_grid_follows_the_span(wide_product):
     g = witness_grid(wide_product.a, wide_product.b)
     span = wide_product.a.max_deg - wide_product.a.min_deg

@@ -1,0 +1,99 @@
+"""One sizing rule for both solvers.
+
+solve_point and solve_window size N by one bisection (_least_half_width)
+over the right-edge budget of their own pass, formed by the terms the pass
+certifies with.  The pins fix the sizes, radii and budgets of point and
+window solves on benchmark-shaped data bit for bit.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+import al_ist.solver as solver
+from al_ist.sequence import Sequence
+from al_ist.solver import select_params, solve_point, solve_window_detailed
+
+
+def bench_datum(eta):
+    """Seven sites of equal modulus on [-6, 6], every other site, with
+    Szego product eta: the shape of the benchmark's point and compare data."""
+    values = np.zeros(13, dtype=np.complex128)
+    values[::2] = math.sqrt(1.0 - eta ** (1.0 / 7)) * np.exp(2j * np.arange(7))
+    return Sequence(-6, values)
+
+
+@pytest.mark.parametrize(
+    "eta, t, eps, N, r, edge, digest",
+    [
+        (0.6, 0.5, 1e-6, 13, "0x1.2870c7302c632p-5", "0x1.25a0b5f39c17ep-22",
+         "1970148b2423905b64e406fd1fdc472538c74e9ef3cd40d70a1553f168ca2023"),
+        (0.22, 2.0, 1e-10, 50, "0x1.28bd7d1eac88fp-5", "0x1.b2e757e47a4d0p-36",
+         "3e3b5cfc290e34f9d173222804171386c1b20a4572f5adef39a3be21a128817f"),
+        (0.11, -6.0, 1e-6, 130, "0x1.502ffa597a338p-5", "0x1.cf19cefe24cc0p-31",
+         "15c9944a351ae453787c56bd125e4bf2a4aec7b08ee2f9e956ae1b7683044807"),
+    ],
+)
+def test_window_sizes_radii_and_budgets_are_pinned(eta, t, eps, N, r, edge, digest):
+    _, budgets, params = solve_window_detailed(bench_datum(eta), t, 0, eps)
+    assert (params.N, params.r.hex()) == (N, r)
+    assert len(budgets) == 2 * (N // 2) + 1
+    assert float(budgets[-1]).hex() == edge
+    hexes = " ".join(float(b).hex() for b in budgets)
+    assert hashlib.sha256(hexes.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "eta, t, eps, n0, N, truncation",
+    [(0.05, 6.0, 1e-10, 12, 385, "0x1.4d5d8489cc190p-38"),
+     (0.22, -2.0, 1e-6, 0, 68, "0x1.8373cd62e2c2fp-23")],
+)
+def test_point_sizes_and_budgets_are_pinned(eta, t, eps, n0, N, truncation):
+    datum = bench_datum(eta)
+    params = select_params(t, eps, datum.szego_product(), n0, support=datum.support())
+    assert (params.N, params.r) == (N, 0.5) and params.covers_support
+    _, budget = solve_point(datum, t, n0, eps)
+    assert budget.localization == 0.0 and budget.truncation.hex() == truncation
+
+
+def test_window_search_runs_best_radius_once_per_probe(monkeypatch):
+    events = []
+    least, radius = solver._least, solver.best_radius
+
+    def spied_least(holds, lo, hi):
+        def probe(M):
+            events.append(("probe", M))
+            return holds(M)
+
+        found = least(probe, lo, hi)
+        events.append(("found", found))
+        return found
+
+    def spied_radius(eta, t, margin):
+        events.append(("radius", margin))
+        return radius(eta, t, margin)
+
+    monkeypatch.setattr(solver, "_least", spied_least)
+    monkeypatch.setattr(solver, "best_radius", spied_radius)
+    datum = bench_datum(0.22)
+    _, _, params = solve_window_detailed(datum, 2.0, 0, 1e-10)
+    # One search, and no radius after it: the accepted probe's radius is kept.
+    assert [e for e in events if e[0] == "found"] == [("found", params.N)]
+    assert events[-1] == ("found", params.N)
+    probes = [i for i, e in enumerate(events) if e[0] == "probe"]
+    assert len(probes) > 1
+    for i in probes:  # every probe here has 2M admissible
+        assert events[i + 1] == ("radius", events[i][1])
+    assert sum(e[0] == "radius" for e in events) == len(probes)
+    assert params.r == radius(datum.szego_product(), 2.0, params.N)
+
+
+def test_point_search_runs_no_radius(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a point search evaluates localization at r = 1/2 only")
+
+    monkeypatch.setattr(solver, "best_radius", refuse)
+    _, budget = solve_point(bench_datum(0.11), 6.0, 0, 1e-10)
+    assert budget.localization == 0.0
