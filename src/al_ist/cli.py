@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalGuardError, ValidationError
 from .laurent import CircleGrid, lp_eval_grid
-from .nlft import identity_grid, nlft_forward, szego_identity_check
+from .nlft import grid_identities, identity_grid, nlft_forward
 from .reference import default_radius, rk4_integrate, rk8_pair
 from .sequence import Sequence
 from .seqio import csv_table, json_text, laurent_to_doc, read_sequence, sequence_to_text
@@ -180,8 +180,7 @@ def _run_nlft(job: JobSpec) -> int:
             m.validate()
         except ValidationError as exc:
             raise NumericalGuardError(f"float64 transfer product fails its witness: {exc}") from exc
-        szego_lhs, szego_rhs, _ = szego_identity_check(datum, grid, m)
-        residual = m.unitarity_residual(grid)
+        szego_lhs, szego_rhs, residual = grid_identities(datum, grid, m)
     if not (math.isfinite(szego_lhs) and math.isfinite(residual)):
         raise NumericalGuardError(
             "float64 reflection coefficient is not inside the unit disk on the grid; "

@@ -198,13 +198,20 @@ def order_admissible(n: int, t: float) -> bool:
     return n > t and delta_nt(n, t) < 1.0
 
 
-def smallest_admissible_order(t: float) -> int:
+def smallest_admissible_order(t: float) -> int | None:
     """Least admissible n (see order_admissible).  delta_{n+1,t} / delta_{n,t}
     = t / (n + 1) < 1 above t, so the search bisects.  It ends at
     hi = max(lo, ceil(e^2 t)): n! >= (n/e)^n gives
-    delta_{n,t} <= e^t (e t / n)^n <= e^{t - n} < 1 there."""
+    delta_{n,t} <= e^t (e t / n)^n <= e^{t - n} < 1 there.
+
+    None where the search cannot evaluate delta_{n,t}: lgamma(n + 1)
+    overflows a double for n above about 2.5e305, so for t above about
+    3.5e304 (and e^2 t itself overflows above about 2.4e307)."""
     lo = max(1, math.floor(t) + 1)
-    return _least(lambda n: order_admissible(n, t), lo, max(lo, math.ceil(math.e**2 * t)))
+    try:
+        return _least(lambda n: order_admissible(n, t), lo, max(lo, math.ceil(math.e**2 * t)))
+    except OverflowError:
+        return None
 
 
 def g_bundle(n: int, t: float) -> MultiplierBundle:
@@ -214,10 +221,12 @@ def g_bundle(n: int, t: float) -> MultiplierBundle:
     if not 0.0 <= t < math.inf:
         raise ValidationError("g_bundle requires a finite t >= 0")
     if not order_admissible(n, t):
-        raise ValidationError(
-            f"order n={n} inadmissible at t={t:.17g}; "
-            f"smallest admissible n is {smallest_admissible_order(t)}"
+        least = smallest_admissible_order(t)
+        named = (
+            f"smallest admissible n is {least}" if least is not None
+            else "the smallest admissible n is too large for delta_{n,t} to be evaluated"
         )
+        raise ValidationError(f"order n={n} inadmissible at t={t:.17g}; {named}")
     delta = delta_nt(n, t)
     band = _band(n, t)  # z^n P_{n,t} at z^(n - m) .. z^(n + m)
     g = LaurentPoly(n - len(band) // 2, band * (1.0 - delta))

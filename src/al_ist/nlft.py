@@ -77,29 +77,53 @@ class Transfer2x2:
     def a_at_zero(self) -> complex:
         return self.a.coefficient(0)
 
-    def _unitarity(self, g: CircleGrid) -> tuple[float, float]:
-        """(max | |a|^2 - |b|^2 - 1 |, max |a|^2) over the grid nodes."""
-        av = np.abs(lp_eval_grid(self.a, g)) ** 2
-        bv = np.abs(lp_eval_grid(self.b, g)) ** 2
-        return float(np.max(np.abs(av - bv - 1.0))), float(np.max(av))
+    def grid_values(self, g: CircleGrid) -> tuple[np.ndarray, np.ndarray]:
+        """a and b at the nodes of g."""
+        return lp_eval_grid(self.a, g), lp_eval_grid(self.b, g)
 
     def unitarity_residual(self, g: CircleGrid | None = None) -> float:
         """max over grid nodes of | |a|^2 - |b|^2 - 1 |; the default grid
         is witness_grid(a, b)."""
-        return self._unitarity(g if g is not None else witness_grid(self.a, self.b))[0]
+        g = g if g is not None else witness_grid(self.a, self.b)
+        return _residual(*_squared_moduli(*self.grid_values(g)))
 
     def validate(self) -> "Transfer2x2":
         """Unitarity witness on witness_grid(a, b), relative to the size of
         |a|^2, whose roundoff grows with it: residual at most
-        UNITARITY_TOL * max(1, max |a|^2)."""
-        res, peak = self._unitarity(witness_grid(self.a, self.b))
-        tol = UNITARITY_TOL * max(1.0, peak)
+        UNITARITY_TOL * max(1, max |a|^2).  On the same nodes |b| < |a|,
+        that is |b/a| < 1, must hold everywhere: a product whose a has
+        cancelled to noise can pass the relative residual while its
+        reflection coefficient leaves the unit disk."""
+        g = witness_grid(self.a, self.b)
+        a2, b2 = _squared_moduli(*self.grid_values(g))
+        tol = UNITARITY_TOL * max(1.0, float(np.max(a2)))
+        outside = np.count_nonzero(~(b2 < a2))  # NaN counts as outside
+        res = _residual(a2, b2)
         if not res <= tol:  # "not within", so that NaN is refused too
             raise ValidationError(f"unitarity residual {res:.3e} exceeds {tol:.3e}")
+        if outside:
+            raise ValidationError(
+                f"|b| >= |a| at {outside} of {g.size} witness nodes: "
+                "the reflection coefficient leaves the unit disk"
+            )
         a0 = self.a_at_zero()
         if not (a0.real > 0.0 and abs(a0.imag) <= 1e-9 * a0.real):
             raise ValidationError("a(0) must be real and positive")
         return self
+
+
+def _squared_moduli(av: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|a|^2 and |b|^2 from values of a and b."""
+    a2, b2 = np.abs(av), np.abs(bv)
+    return np.square(a2, out=a2), np.square(b2, out=b2)
+
+
+def _residual(a2: np.ndarray, b2: np.ndarray) -> float:
+    """max | |a|^2 - |b|^2 - 1 | from |a|^2 and |b|^2, formed in b2's
+    buffer, which it overwrites, so that no further grid array is live."""
+    d = np.subtract(a2, b2, out=b2)
+    d -= 1.0
+    return float(np.max(np.abs(d, out=d)))
 
 
 def transfer_factor(qk: complex, k: int) -> Transfer2x2:
@@ -262,9 +286,19 @@ def reflection_grid(q: Sequence, g: CircleGrid) -> np.ndarray:
 
 
 def _reflection(m: Transfer2x2, g: CircleGrid) -> np.ndarray:
+    av, bv = _circle_values(m, g)
+    return bv / av
+
+
+def _circle_values(m: Transfer2x2, g: CircleGrid) -> tuple[np.ndarray, np.ndarray]:
     if g.radius != 1.0:
         raise ValidationError("reflection coefficient is defined on the unit circle")
-    return lp_eval_grid(m.b, g) / lp_eval_grid(m.a, g)
+    return m.grid_values(g)
+
+
+def _szego_mean(refl: np.ndarray) -> float:
+    """Grid mean of log(1 - |r|^2) from values of r."""
+    return float(np.mean(np.log1p(-np.abs(refl) ** 2)))
 
 
 def identity_grid(q: Sequence, minimum: int = 64) -> CircleGrid:
@@ -284,9 +318,21 @@ def szego_identity_check(
     unless the caller already has it."""
     if m is None:
         m = nlft_forward(q)
-    refl = _reflection(m, g)
-    lhs = float(np.mean(np.log1p(-np.abs(refl) ** 2)))
+    lhs = _szego_mean(_reflection(m, g))
     return lhs, q.log_szego_product(), float(-2.0 * math.log(abs(m.a_at_zero())))
+
+
+def grid_identities(q: Sequence, g: CircleGrid, m: Transfer2x2) -> tuple[float, float, float]:
+    """(Szego lhs, Szego rhs, unitarity residual) of q and its transfer
+    product m on the unit-circle grid g, from one evaluation of a and b at
+    g's nodes: the first two are szego_identity_check(q, g, m)'s, the last
+    is m.unitarity_residual(g), bit for bit.  Its peak memory is that of
+    either check alone: a and b with their squared moduli, then b/a."""
+    av, bv = _circle_values(m, g)
+    residual = _residual(*_squared_moduli(av, bv))
+    refl = bv / av
+    del av, bv
+    return _szego_mean(refl), q.log_szego_product(), residual
 
 
 def shift_check(q: Sequence, n: int, g: CircleGrid) -> float:

@@ -305,8 +305,9 @@ def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: 
     support and the band too: a support of at most nlft.DIRECT_RUN sites
     is multiplied out site by site, G is stored on its band of
     2 min(order, M) + 1 coefficients, and their product is a direct
-    convolution.  What still grows with N is the dense window of 2W + 1
-    sites and g_bundle's check on a grid of about 4 order nodes.  A pass
+    convolution, and g_bundle checks G on bundle_grid_size(2 min(order, M)
+    + 1) nodes, a grid sized from that stored band, not from the order.
+    What still grows with N is the dense window of 2W + 1 sites.  A pass
     of more than SCHUR_UPDATE_CAP counted updates, over all of its steps,
     is refused first."""
     updates = steps * (steps + 1) // 2

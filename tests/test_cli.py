@@ -1,6 +1,7 @@
 """CLI front door: job validation, file formats, exit codes, determinism."""
 
 import dataclasses
+import decimal
 import hashlib
 import json
 import math
@@ -21,7 +22,9 @@ from al_ist.laurent import LaurentPoly
 from al_ist.multiplier import delta_nt, smallest_admissible_order
 from al_ist.reference import default_radius, rk4_integrate, rk8_pair
 from al_ist.sequence import Sequence
+from al_ist.floatrows import _CHUNK
 from al_ist.seqio import (
+    FAST_FLOATS,
     fmt,
     json_text,
     laurent_to_doc,
@@ -94,6 +97,39 @@ def values_lists(draw):
     for _ in range(draw(st.integers(0, 2)) if values else 0):
         values[draw(st.integers(0, len(values) - 1))] = draw(bad_entry)
     return values
+
+
+def exact_ties() -> list[float]:
+    """Doubles whose exact decimal expansion has 18 significant digits, so
+    that their 17-digit rounding is an exact tie: dyadic fractions m 2^-e
+    near 1e-5 to 1e-8 and near 2^52 2^-e."""
+    candidates = [math.ldexp(m, -e) for e in range(20, 60) for m in range(1, 100, 2)]
+    candidates += [
+        math.ldexp(m, -e) for e in range(1, 60) for m in range(2**52 + 1, 2**52 + 80, 2)
+    ]
+    return [x for x in candidates if len(decimal.Decimal(x).as_tuple().digits) == 18]
+
+
+def sweep_doubles() -> np.ndarray:
+    """An even count of deterministic doubles, at least 10^5, for the
+    JSON writer: random bit patterns of both signs; +-0, subnormals, the
+    smallest and largest normals; 10^k and its neighbours one ulp away for
+    every k of the double range, which takes in the edges of the
+    vectorized path's range (1e-99, 1e33) and of its 17-digit scaling
+    (1e16, 1e17, and the fixed/e-form switch at 1e-5); and exact 17-digit
+    ties."""
+    rng = np.random.default_rng(20240)
+    parts = [rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)]
+    special = [0.0, 5e-324, 2 * 5e-324, 1e-310, 2.2250738585072009e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308,
+               2.0**53, 2.0**56, 2.0**57, 9.9999999999999995e-5]
+    special += [float(f"1e{k}") for k in range(-323, 309)]
+    special = np.array(special)
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        near = np.concatenate([special, np.nextafter(special, 0.0), np.nextafter(special, np.inf)])
+    parts += [near, -near, np.array(exact_ties())]
+    floats = np.concatenate(parts)
+    return floats if len(floats) % 2 == 0 else np.append(floats, 1.0)
 
 
 @pytest.fixture
@@ -201,6 +237,40 @@ class TestJsonText:
         doc = {"p": {"coeffs": values}}
         want = '{\n  "p": {\n    "coeffs": ' + rows_oracle(values, "    ") + "\n  }\n}\n"
         assert json_text(doc) == want
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Both sides of the break-even (counted in floats, two a row),
+            # two passes, and five.
+            FAST_FLOATS // 2 - 1,
+            FAST_FLOATS // 2,
+            _CHUNK // 2 + 3,
+            2 * _CHUNK + 1,
+        ],
+    )
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_long_rows_match_one_fmt_per_float(self, rows, strided):
+        rng = np.random.default_rng(rows)
+        parts = rng.standard_normal(4 * rows) * 10.0 ** rng.integers(-8, 20, 4 * rows)
+        parts[5::89] = np.round(parts[5::89], 3)  # trailing zeros to strip
+        parts[::97] = rng.choice(EDGE_FLOATS, len(parts[::97]))
+        values = parts.view(np.complex128)
+        values = values[::2] if strided else values[:rows]
+        for doc, pad in (({"v": values}, "  "), ({"p": {"coeffs": values}}, "    ")):
+            text = json_text(doc)
+            assert text[text.index("["):text.rindex("]") + 1] == rows_oracle(values, pad)
+
+    @pytest.mark.parametrize("rows", [FAST_FLOATS // 2 - 1, FAST_FLOATS // 2])
+    def test_single_precision_rows_print_their_values(self, rows):
+        values = (np.arange(rows) * (0.1 - 0.3j)).astype(np.complex64)
+        assert json_text({"v": values}) == '{\n  "v": ' + rows_oracle(values, "  ") + "\n}\n"
+
+    def test_sweep_of_doubles_matches_fmt(self):
+        floats = sweep_doubles()
+        assert len(floats) >= 100_000
+        values = floats.view(np.complex128)
+        assert json_text({"v": values}) == '{\n  "v": ' + rows_oracle(values, "  ") + "\n}\n"
 
     @pytest.mark.parametrize(
         "node", [[1.0], "x", None, np.zeros(2), np.zeros((1, 1), dtype=np.complex128), np.int64(1)]
@@ -658,6 +728,17 @@ class TestMultiplierCommand:
         assert time.perf_counter() - start < 1.0
         least = smallest_admissible_order(float(t))
         assert f"smallest admissible n is {least}" in capsys.readouterr().err
+
+    def test_inadmissible_order_past_the_lgamma_range(self, capsys):
+        # The least admissible order at t 2e307 is about 5e307, whose
+        # lgamma(n + 1) overflows a double: refused without naming an order.
+        assert smallest_admissible_order(2e307) is None
+        assert main(["--cmd", "multiplier", "--t", "2e307", "--n0", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: order n=10 inadmissible")
+        reason = err.split("; ", 1)[1]
+        assert reason.startswith("the smallest admissible n is too large")
+        assert not any(ch.isdigit() for ch in reason)
 
 
 class TestLongTimes:

@@ -1,5 +1,6 @@
 """scipy is not a runtime dependency: every CLI command, and the library's
-Picard integrator, runs in a fresh interpreter where importing scipy fails."""
+Picard integrator, runs in a fresh interpreter where importing scipy fails.
+Importing the CLI does not load the vectorized array writer either."""
 
 import json
 import os
@@ -57,3 +58,15 @@ def test_every_command_and_picard_run_without_scipy(tmp_path):
     assert json.loads(proc.stdout) == []
     for name in ("solve.csv", "ref.json", "compare.csv", "nlft.json", "g.json"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_importing_the_cli_does_not_load_the_array_writer():
+    # seqio.json_text imports al_ist.floatrows at its first long array, so a
+    # CLI process that writes none does not compile it.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, al_ist.cli; print('al_ist.floatrows' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(Path(al_ist.__file__).resolve().parents[1])),
+        capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

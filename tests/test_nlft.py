@@ -13,8 +13,10 @@ import al_ist.nlft
 from al_ist.nlft import (
     DIRECT_RUN,
     RUN_GAP,
+    UNITARITY_TOL,
     Transfer2x2,
     fc_plus,
+    grid_identities,
     identity_grid,
     nlft_forward,
     nlft_forward_naive,
@@ -246,6 +248,18 @@ def test_validate_refuses_a_nan_coefficient():
         Transfer2x2(LaurentPoly(0, [1.0, math.nan]), LaurentPoly(0, [0.0])).validate()
 
 
+def test_validate_refuses_a_reflection_coefficient_outside_the_disk():
+    # 20 sites of modulus 0.999999: the float64 a cancels to exactly 0 at
+    # some nodes, which the residual relative to max |a|^2 lets through,
+    # but |b| >= |a| there.
+    m = nlft_forward(seq(0, 0.999999 * np.exp(1j * np.arange(20))))
+    av, _ = m.grid_values(witness_grid(m.a, m.b))
+    assert m.unitarity_residual() <= UNITARITY_TOL * float(np.max(np.abs(av) ** 2))
+    assert np.min(np.abs(av)) == 0.0
+    with pytest.raises(ValidationError, match="at 595 of 1024 witness nodes: the reflection"):
+        m.validate()
+
+
 def test_unitarity_witness_grid_follows_the_span(wide_product):
     g = witness_grid(wide_product.a, wide_product.b)
     span = wide_product.a.max_deg - wide_product.a.min_deg
@@ -318,6 +332,24 @@ def test_three_sites_over_a_wide_span():
     q = seq(-(2**15), values)
     assert_matches_naive(q)
     nlft_forward(q).validate()
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        random_sequence(seed=71, count=8, lo=-6, hi=7, max_modulus=0.7),
+        dense_random_sequence(23, -300, 1024, 0.04, 0.01),  # the FFT tree
+        seq(5, [0.5]),
+    ],
+)
+def test_grid_identities_are_the_separate_checks_bit_for_bit(q):
+    g = identity_grid(q)
+    m = nlft_forward(q)
+    lhs, rhs, residual = grid_identities(q, g, m)
+    s_lhs, s_rhs, _ = szego_identity_check(q, g, m)
+    assert [v.hex() for v in (lhs, rhs, residual)] == [
+        v.hex() for v in (s_lhs, s_rhs, m.unitarity_residual(g))
+    ]
 
 
 def test_szego_check_reuses_a_given_product():
