@@ -11,6 +11,7 @@ circle is at most delta_{n,t}, and the (1 - delta) factor absorbs it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +56,7 @@ def _log_bessel_bound(k: int, x: float) -> float:
     return k * (math.log(z) + s - math.log1p(s))
 
 
+@functools.lru_cache(maxsize=64)
 def _bessel_start(x: float) -> int:
     """Order M from which Miller's recurrence for J_k(x) starts, x > 0:
     the least M >= x - 1 at which Siegel's bound on J_{M+1}(x) is below
@@ -68,7 +70,8 @@ def _bessel_start(x: float) -> int:
 
     The search ends at hi = max(lo, 2 ceil(x), 99): there z <= 1/2, so the
     bound's log per unit of k, log z + s - log(1 + s), which rises with z,
-    is at most -0.4509, and 99 (-0.4509) = -44.64 < -64 log 2.
+    is at most -0.4509, and 99 (-0.4509) = -44.64 < -64 log 2.  Cached,
+    since a Schur pass asks twice: for its PassPlan and its Bessel table.
     """
     lo = max(1, math.ceil(x))
     hi = max(lo, 2 * math.ceil(x), 99)
@@ -129,12 +132,38 @@ def delta_nt(n: int, t: float) -> float:
 
 def _log_delta_nt(n: int, t: float) -> float:
     """n log t + t - lgamma(n + 1), the log of delta_{n,t}; at t = 0 it is
-    0 for n = 0 and -inf above."""
+    0 for n = 0 and -inf above.  Past lgamma's range it is the upper bound
+    _log_delta_stirling(n, t, 0.0)."""
     if t < 0:
         raise ValidationError("delta_nt requires t >= 0")
     if t == 0.0:
         return 0.0 if n == 0 else -math.inf
-    return n * math.log(t) + t - math.lgamma(n + 1)
+    try:
+        return n * math.log(t) + t - math.lgamma(n + 1)
+    except OverflowError:  # past lgamma's range (_past_lgamma)
+        return _log_delta_stirling(n, t, 0.0)
+
+
+def _past_lgamma(n: int) -> bool:
+    """lgamma(n + 1) overflows a double: n above about 2.5e305."""
+    try:
+        math.lgamma(n + 1)
+    except OverflowError:
+        return True
+    return False
+
+
+def _log_delta_stirling(n: int, t: float, log_r: float) -> float:
+    """Upper bound on log(delta_{n,t} r^-n), log_r = log r, for t > 0 and
+    any int n >= 1, from n! >= sqrt(2 pi n) (n/e)^n (Stirling):
+    t + n log(e t / (n r)) - log(2 pi n) / 2, +inf where log(e t / (n r))
+    is not negative.  math.log takes any int, and an n past 2^1023 counts
+    as 2^1023 against the negative rate, which only raises the bound."""
+    log_n = math.log(n)
+    rate = 1.0 + math.log(t) - log_n - log_r
+    if not rate < 0.0:
+        return math.inf
+    return t - 0.5 * (math.log(2.0 * math.pi) + log_n) + min(n, 2**1023) * rate
 
 
 def _band(n: int, t: float) -> np.ndarray:
@@ -204,14 +233,12 @@ def smallest_admissible_order(t: float) -> int | None:
     hi = max(lo, ceil(e^2 t)): n! >= (n/e)^n gives
     delta_{n,t} <= e^t (e t / n)^n <= e^{t - n} < 1 there.
 
-    None where the search cannot evaluate delta_{n,t}: lgamma(n + 1)
-    overflows a double for n above about 2.5e305, so for t above about
-    3.5e304 (and e^2 t itself overflows above about 2.4e307)."""
+    None where that bracket reaches past lgamma's range (_past_lgamma),
+    where delta_nt is only an upper bound: for t above about 3.5e304.  The
+    min keeps hi finite where e^2 t overflows; 1e306 is past that range."""
     lo = max(1, math.floor(t) + 1)
-    try:
-        return _least(lambda n: order_admissible(n, t), lo, max(lo, math.ceil(math.e**2 * t)))
-    except OverflowError:
-        return None
+    hi = max(lo, math.ceil(min(math.e**2 * t, 1e306)))
+    return None if _past_lgamma(hi) else _least(lambda n: order_admissible(n, t), lo, hi)
 
 
 def g_bundle(n: int, t: float) -> MultiplierBundle:
@@ -249,4 +276,6 @@ def tail_bound(n: int, t: float, r: float) -> float:
         raise ValidationError("tail_bound requires 0 < r < 1")
     if not (n > t > 0.0):
         raise ValidationError("tail_bound requires n > t > 0")
+    if _past_lgamma(n):
+        return exp_or_inf(math.log(6.0) + 2.0 * t / r + _log_delta_stirling(n, t, math.log(r)))
     return exp_or_inf(math.log(6.0) + _log_delta_nt(n, t) + 2.0 * t / r - n * math.log(r))

@@ -238,15 +238,18 @@ def schur_coeffs(f: RationalSchur, m: int) -> SchurCoeffs:
     steps from g and den.  When num and den pass _shifts_exactly, a zero
     step only shifts p and leaves q, and with it q(0)'s one power-of-two
     rescale, bit for bit as they were, so the result is bit for bit that
-    of running all m steps.  Otherwise lead is 0 and all m steps run.
-    The solvers' numerator G_{n,t} conj-flip(b) has no coefficient below
-    z^(n - M), where the multiplier's Bessel table ends (see
-    solver._schur_pass), so most of their steps are skipped this way.
+    of running all m steps; a zero numerator, whose min_deg is 0, then has
+    lead m.  Otherwise lead is 0 and all m steps run.  The solvers'
+    numerator G_{n,t} conj-flip(b) has no coefficient below z^(n - M), where
+    the multiplier's Bessel table ends (see solver.PassPlan), so most of
+    their steps are skipped this way.
     """
     if m < 0:
         raise ValidationError("coefficient count must be nonnegative")
     gammas = np.zeros(m, dtype=np.complex128)
-    lead = min(f.num.min_deg, m) if _shifts_exactly(f.num) and _shifts_exactly(f.den) else 0
+    lead = 0
+    if _shifts_exactly(f.num) and _shifts_exactly(f.den):
+        lead = m if f.num.is_zero else min(f.num.min_deg, m)
     if lead:
         gammas[:lead] = 0j / complex(f.den.coeffs[0])
     width = m - lead

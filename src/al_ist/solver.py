@@ -1,14 +1,14 @@
 """Fast point and window solver for the defocusing Ablowitz-Ladik equation.
 
 Both solvers run one pass (_solve).  For the sites n0 - half .. n0 + half
-it truncates the datum to the window of half-width W = N + half centered
-at n0, shifts it onto [0, 2W], multiplies its one-sided Schur function by
-the Schur-class multiplier G_{2W,t}, and runs Schur's algorithm; the
-recurrence coefficient at index 3W + s approximates q(t, n0 + s).  A point
-value is the window at half = 0.  Each entry's budget (window_entry_budget)
-certifies the two error sources: window truncation (localization) and
-multiplier truncation.  It bounds the error of the exact-arithmetic
-pipeline; float64 roundoff is not part of it.
+it truncates the datum to a window about n0, multiplies its one-sided
+Schur function by the Schur-class multiplier G, and runs Schur's
+algorithm; PassPlan fixes the window, the order of G, the steps and the
+index of each site.  A point value is the window at half = 0.  Each
+entry's budget (window_entry_budget) certifies the two error sources:
+window truncation (localization) and multiplier truncation.  It bounds
+the error of the exact-arithmetic pipeline; float64 roundoff is not part
+of it.
 
 Both solvers size N by one rule (_least_half_width): N is the least
 admissible half-width M, at most select_params' closed form, whose pass
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InfeasibleParamsError, NumericalGuardError, ValidationError
 from .laurent import lp_conj_flip, lp_mul
-from .multiplier import _least, g_bundle, order_admissible
+from .multiplier import _bessel_start, _least, g_bundle, order_admissible
 from .nlft import nlft_forward
 from .schur import RationalSchur, exp_or_inf, schur_coeffs, stability_constant
 from .sequence import Sequence
@@ -49,22 +49,23 @@ N_HARD_CAP = 10**6
 
 # Cap on the size of a whole point or window solve, which is one Schur
 # pass, counted as steps (steps + 1) / 2 coefficient updates over all of
-# its steps (schur_coeffs drops one coefficient per step).  The kernel runs
-# only the steps past f0's leading zeros (see _schur_pass), so the cap
-# bounds the size of a pass, not its arithmetic: a window pass just under
-# it, W = 12 198 with 40 661 counted steps of which 4 084 run, takes about
-# 0.08 s on a 2-core x86 host, where running every step took 3.5 s.  The
-# count is unchanged, so every refusal is too.  Deriving the cap from the
-# steps that run waits until the rest of a pass stops growing with N; the
-# multiplier is built and checked on its Bessel band alone, which leaves
-# the dense window of 2W + 1 sites.
+# its steps (schur_coeffs drops one coefficient per step).  PassPlan.build
+# takes the steps from the plan and refuses before any array is built.  The
+# kernel runs only the plan's run_steps, so the cap bounds the size of a
+# pass, not its arithmetic: a window pass just under it, W = 12 198 with
+# 40 661 counted steps of which 4 084 run, takes about 0.08 s on a 2-core
+# x86 host, where running every step took 3.5 s.  The count is unchanged,
+# so every refusal is too.  Capping run_steps instead waits until the rest
+# of a pass stops growing with N: the dense window of 2W + 1 sites.
 SCHUR_UPDATE_CAP = 10**9
 
 
 @dataclass(frozen=True)
 class SolveParams:
-    """Certified run parameters: window half-width N; the multiplier order
-    n = 2N is derived from it.
+    """Certified run parameters: window half-width N, and n = 2N derived
+    from it.  n must be an admissible multiplier order; it is the order of
+    a point pass, while a window pass runs at order 2(N + floor(N/2))
+    (PassPlan.order).
 
     eta is the Szego product the budgets use; the solvers take the datum's
     own.  support is the datum's inclusive support (lo, hi) when the caller
@@ -291,37 +292,76 @@ def _log_t3(log_c: float, t: float, n: int, js) -> list[float]:
     return [j * LOG2 + log_c + log_12 + five_t - root + power for j in js]
 
 
-def _schur_pass(q0: Sequence, t: float, center: int, W: int, order: int, steps: int) -> np.ndarray:
-    """Window [center-W, center+W], shift onto [0, 2W], multiply by G and
-    run the Schur recursion; returns the first `steps` coefficients.
+@dataclass(frozen=True)
+class PassPlan:
+    """The shape of one Schur pass, fixed before any array is built.
 
-    G = (1 - delta) z^order P has no coefficient below z^(order - M), with
-    M = multiplier._bessel_start(2t) the last order of the Bessel table,
-    and the datum's first site lo in the window adds W + lo - center.  The
-    numerator of f0 starts there, and schur_coeffs writes the zero gammas
-    below it without running the kernel.  So the pass of _solve at
-    half-width half runs at most half + 1 + M + (center - lo) of its
-    3W + half + 1 steps, whatever N is.  The stages before it pay for the
-    support and the band too: a support of at most nlft.DIRECT_RUN sites
-    is multiplied out site by site, G is stored on its band of
-    2 min(order, M) + 1 coefficients, and their product is a direct
-    convolution, and g_bundle checks G on bundle_grid_size(2 min(order, M)
-    + 1) nodes, a grid sized from that stored band, not from the order.
-    What still grows with N is the dense window of 2W + 1 sites.  A pass
-    of more than SCHUR_UPDATE_CAP counted updates, over all of its steps,
-    is refused first."""
-    updates = steps * (steps + 1) // 2
-    if updates > SCHUR_UPDATE_CAP:
-        raise InfeasibleParamsError(
-            f"Schur pass with half-width W={W} needs {steps} steps, about "
-            f"{updates:.3g} coefficient updates, above the cap {SCHUR_UPDATE_CAP:.3g}"
-        )
-    windowed = q0.windowed(center - W, center + W).shifted(-(center - W))
+    The pass for the sites center - half .. center + half truncates the
+    datum to the window of half-width W = N + half about center, shifts it
+    onto [0, 2W], multiplies its one-sided Schur function by G_{order,t},
+    order = 2W, and runs `steps` = 3W + half + 1 steps of Schur's
+    algorithm.  Site center + s is the coefficient at index 3W + s, so the
+    first emitted site is at index `first` = 3W - half.
+
+    The kernel runs only run_steps = steps - lead of them.
+    G = (1 - delta) z^order P has no coefficient below z^(order - m),
+    m = min(order, M), where M = multiplier._bessel_start(2t) ends its
+    Bessel band (M = 0 at t = 0).  The datum's first site lo in the window
+    sits at max(lo, center - W) - (center - W) after the shift.  f0's
+    numerator starts at the sum of the two, and schur_coeffs writes the
+    zero gammas below it without running the kernel; `lead` is that sum, at
+    most steps, and steps for a window that misses the datum, whose
+    numerator is 0.  So the kernel runs at most half + 1 + M + (center - lo)
+    steps, whatever N is.  Of the stages before it, only the dense window
+    of 2W + 1 sites still grows with N: the transform of a short support is
+    multiplied out site by site, and G is stored and checked on its band of
+    2m + 1 coefficients.
+    """
+
+    center: int
+    W: int
+    half: int
+    order: int
+    steps: int
+    first: int
+    lead: int
+
+    @property
+    def run_steps(self) -> int:
+        return self.steps - self.lead
+
+    @classmethod
+    def build(cls, support: tuple[int, int], center: int, N: int, half: int, t: float) -> "PassPlan":
+        """The plan of _solve's pass for a datum on the inclusive support
+        (lo, hi) at time t >= 0.  A pass of more than SCHUR_UPDATE_CAP
+        counted updates, over all of its steps, is refused here."""
+        W = N + half
+        order, steps = 2 * W, 3 * W + half + 1
+        updates = steps * (steps + 1) // 2
+        if updates > SCHUR_UPDATE_CAP:
+            raise InfeasibleParamsError(
+                f"Schur pass with half-width W={W} needs {steps} steps, about "
+                f"{updates:.3g} coefficient updates, above the cap {SCHUR_UPDATE_CAP:.3g}"
+            )
+        lo, hi = support
+        if hi < center - W or center + W < lo:
+            lead = steps
+        else:
+            band = min(order, _bessel_start(2.0 * t) if t else 0)
+            lead = min(steps, order - band + max(lo, center - W) - (center - W))
+        return cls(center, W, half, order, steps, 3 * W - half, lead)
+
+
+def _schur_pass(q0: Sequence, t: float, plan: PassPlan) -> np.ndarray:
+    """The first plan.steps Schur coefficients of q0's pass (see PassPlan):
+    window, shift, transform, multiply by G and recur."""
+    left = plan.center - plan.W
+    windowed = q0.windowed(left, plan.center + plan.W).shifted(-left)
     m = nlft_forward(windowed)
-    bundle = g_bundle(order, t)
+    bundle = g_bundle(plan.order, t)
     f0 = RationalSchur(lp_mul(bundle.g, lp_conj_flip(m.b)), m.a).validate()
-    coeffs = schur_coeffs(f0, steps)
-    if len(coeffs.gammas) < steps:
+    coeffs = schur_coeffs(f0, plan.steps)
+    if len(coeffs.gammas) < plan.steps:
         raise NumericalGuardError(
             "Schur recursion terminated at a unimodular constant before the "
             "requested index; input is at the Schur-class boundary"
@@ -371,23 +411,22 @@ def _solve(q0: Sequence, params: SolveParams, half: int) -> tuple[Sequence, list
     the localization and truncation terms of their budgets, from one Schur
     pass.
 
-    The window is widened to W = N + half (multiplier order 2W), so every
-    site keeps localization margin at least N; site n0 + s is the
-    coefficient at index 3W + s of a 3W + half + 1 step pass.  The zero
-    datum stays zero, with zero budgets.  A negative t (params.reflect)
-    runs forward at |t| from the conjugated datum and conjugates the
-    output: conj(q)(t) solves the equation with datum conj(q0) iff q(-t)
-    does with datum q0.
+    The window is widened to W = N + half (see PassPlan), so every site
+    keeps localization margin at least N.  The zero datum stays zero, with
+    zero budgets.  A negative t (params.reflect) runs forward at |t| from
+    the conjugated datum and conjugates the output: conj(q)(t) solves the
+    equation with datum conj(q0) iff q(-t) does with datum q0.
     """
-    n0, W = params.n0, params.N + half
+    n0 = params.n0
     if q0.is_zero:
         window = Sequence(n0 - half, np.zeros(2 * half + 1, dtype=np.complex128))
         locs = truncs = [0.0] * (2 * half + 1)
     else:
+        support = (q0.offset, q0.offset + len(q0.values) - 1)
+        plan = PassPlan.build(support, n0, params.N, half, params.t)
         datum = q0.conjugated() if params.reflect else q0
-        gammas = _schur_pass(datum, params.t, n0, W, 2 * W, 3 * W + half + 1)
-        window = Sequence(n0 - half, gammas[3 * W - half :])
-        locs, truncs = _window_budgets(params, W, range(-half, half + 1))
+        window = Sequence(n0 - half, _schur_pass(datum, params.t, plan)[plan.first :])
+        locs, truncs = _window_budgets(params, plan.W, range(-half, half + 1))
     return (window.conjugated() if params.reflect else window), locs, truncs
 
 

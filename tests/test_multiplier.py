@@ -17,6 +17,8 @@ from al_ist.multiplier import (
     _bessel_start,
     _log_bessel_bound,
     _bessel_table,
+    _log_delta_nt,
+    _log_delta_stirling,
     bessel_j,
     bundle_grid_size,
     delta_nt,
@@ -181,6 +183,28 @@ class TestDelta:
         # e^700 t^8 / 8! is about 1e341.
         assert delta_nt(8, 700.0) == math.inf
         assert delta_nt(2000, 700.0) > 1.0
+
+    @pytest.mark.parametrize("n", [3 * 10**305, 10**400])
+    def test_past_the_lgamma_range(self, n):
+        # lgamma(n + 1) overflows at 3e305, and 10**400 is beyond a double;
+        # both raised OverflowError.  delta_{n,1} underflows at both.
+        assert delta_nt(n, 1.0) == 0.0
+        assert order_admissible(n, 1.0)
+        assert s_bound(n, 1.0, 0.5) == 0.0
+        assert tail_bound(n, 1.0, 0.5) == 0.0
+        assert SolveParams(N=n // 2, eps=1e-6, eta=0.5, t=1.0).n == n // 2 * 2
+
+    def test_stirling_bounds_delta_from_above(self):
+        # Where lgamma is in range the bound is above the log of delta, by
+        # at most Stirling's 1/(12 n) plus the rounding of sums of terms of
+        # size n log n; where e t / (n r) is not below 1 it is +inf.
+        for n, t in ((10, 1.0), (4000, 800.0), (10**6, 3.0), (2 * 10**305, 1e300)):
+            exact = _log_delta_nt(n, t)
+            bound = _log_delta_stirling(n, t, 0.0)
+            rounding = 1e-15 * n * math.log(n)
+            assert exact - rounding <= bound <= exact + 1.0 / (12 * n) + rounding
+        assert _log_delta_stirling(10**308, 5e307, 0.0) == math.inf
+        assert tail_bound(10**308, 5e307, 0.9) == math.inf
 
     @settings(max_examples=50)
     @given(st.integers(1, 60), st.floats(0.01, 8.0))

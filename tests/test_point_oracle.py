@@ -16,7 +16,7 @@ import mpmath
 import pytest
 
 from al_ist.multiplier import _bessel_start, delta_nt
-from al_ist.solver import select_params, solve_point
+from al_ist.solver import PassPlan, select_params, solve_point
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DPS = 50
@@ -40,8 +40,9 @@ def point_oracle(q0, t: float, n0: int, eps: float) -> complex:
     """q(t, n0) from the point pass of solve_point, for t > 0, in DPS digits."""
     q0 = q0.trimmed()
     lo, hi = q0.offset, q0.offset + len(q0.values) - 1
-    W = select_params(t, eps, q0.szego_product(), n0, support=(lo, hi)).N
-    n, steps = 2 * W, 3 * W + 1
+    N = select_params(t, eps, q0.szego_product(), n0, support=(lo, hi)).N
+    plan = PassPlan.build((lo, hi), n0, N, 0, t)
+    W, n, steps = plan.W, plan.order, plan.steps
     with mpmath.workdps(DPS):
         # Top row (a, b) of the ordered product of the shifted window's
         # factors, as exponent -> coefficient.
@@ -55,7 +56,7 @@ def point_oracle(q0, t: float, n0: int, eps: float) -> complex:
         g = {n + k: scale * I_POWERS[abs(k) % 4] * bessel(abs(k), 2.0 * t) for k in range(-m, m + 1)}
         num = poly_mul(g, {-e: mpmath.conj(x) for e, x in b.items()})
         lead = min(e for e, x in num.items() if x != 0)
-        assert lead < steps and min(a) == 0
+        assert lead == plan.lead < steps and min(a) == 0
         length = steps - lead
         p = [num.get(lead + j, 0) for j in range(length)]
         q = [a.get(j, 0) for j in range(length)]

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import al_ist.schur as schur
+import al_ist.solver as solver
 from al_ist.errors import InfeasibleParamsError
 from al_ist.multiplier import _bessel_start, delta_nt
 from al_ist.reference import rk4_integrate
@@ -190,18 +191,30 @@ def test_zero_band_skip_fires_on_every_benchmark_pass(monkeypatch):
     # running every step, correctly but without a word.  The multiplier's
     # powers of i carry -0 parts and np.convolve products of them could
     # too, so check that no point or compare pass of the benchmark data,
-    # at t and -t, and no pass over a real datum falls back.
+    # at t and -t, and no pass over a real datum falls back, and that the
+    # kernel runs exactly the steps its PassPlan names (run_steps).
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import jobs
 
-    results = []
-    shifts_exactly = schur._shifts_exactly
+    results, runs, planned = [], [], []
+    shifts_exactly, recur, schur_pass = schur._shifts_exactly, schur._recur, solver._schur_pass
 
     def spy(p):
         results.append(shifts_exactly(p))
         return results[-1]
 
+    def recording(p, q, count, gammas):
+        out = recur(p, q, count, gammas)
+        runs.append(out[0])
+        return out
+
+    def planning(q0, t, plan):
+        planned.append(plan.run_steps)
+        return schur_pass(q0, t, plan)
+
     monkeypatch.setattr(schur, "_shifts_exactly", spy)
+    monkeypatch.setattr(schur, "_recur", recording)
+    monkeypatch.setattr(solver, "_schur_pass", planning)
     for seed in range(1, 21):
         for workload, solve in (("point", solve_point), ("compare", solve_window_detailed)):
             data, round_ = jobs.build(workload, seed)
@@ -214,6 +227,31 @@ def test_zero_band_skip_fires_on_every_benchmark_pass(monkeypatch):
         solve_point(real, t, 0, 1e-10)
         solve_window_detailed(real, t, 1, 1e-8)
     assert len(results) == 2 * 886 and all(results)
+    # The seed-1 point datum at eta 0.002, t 6: N = 8 890, 26 671 counted
+    # steps, of which the kernel runs 50.
+    low_eta = jobs.scaled_to_eta(jobs.build("point", 1)[0][0], 0.002)
+    solve_point(low_eta, 6.0, 0, 1e-10)
+    assert runs[-1] == 50
+    # A window that misses the datum: a zero numerator, and no step runs.
+    far = Sequence(0, np.array([math.sqrt(0.998)]))
+    window, _, _ = solve_window_detailed(far, 2.0, 10_000, 1e-10)
+    assert runs[-1] == 0 and not np.any(window.values)
+    assert len(results) == 2 * 888 and all(results)
+    assert runs == planned and len(runs) == 888
+
+
+def test_over_cap_solve_builds_no_window(monkeypatch):
+    # The cap is refused from the PassPlan, before the datum is conjugated,
+    # windowed or transformed.
+    def refuse(*args):
+        raise AssertionError("the pass started before the cap refused it")
+
+    for owner, attr in ((Sequence, "conjugated"), (Sequence, "windowed"), (solver, "nlft_forward")):
+        monkeypatch.setattr(owner, attr, refuse)
+    with pytest.raises(InfeasibleParamsError, match="W=69033 needs 207100 steps"):
+        solve_point(uniform_datum(-1, 1, 2e-4), -0.5, 0, 1e-10)
+    with pytest.raises(InfeasibleParamsError, match="half-width W=13452 needs 44841 steps"):
+        solve_window_detailed(Sequence(0, np.array([math.sqrt(0.999)])), -0.5, 0, 1e-10)
 
 
 def test_refuses_a_schur_pass_above_the_work_cap():

@@ -13,7 +13,7 @@ from al_ist.multiplier import g_bundle, smallest_admissible_order
 from al_ist.nlft import fc_plus, nlft_forward
 from al_ist.datagen import random_sequence
 from al_ist.sequence import Sequence
-from al_ist.solver import select_params
+from al_ist.solver import PassPlan, select_params
 from al_ist.schur import (
     STOP_THRESHOLD,
     RationalSchur,
@@ -21,6 +21,7 @@ from al_ist.schur import (
     SchurStop,
     _dense,
     _recur,
+    _shifts_exactly,
     eta,
     iterate_energy_bound_check,
     l2_norm_circle,
@@ -474,18 +475,48 @@ def schur_coeffs_mpmath(f: RationalSchur, m: int, dps: int = 40) -> np.ndarray:
 
 @pytest.mark.parametrize("seed, t, n0, steps", [(3, 2.0, 0, 307), (5, 1.0, 8, 202)])
 def test_coeffs_match_a_40_digit_recursion(seed, t, n0, steps):
-    # The f0 of a point solve at eps 1e-10, built as solver._schur_pass
-    # builds it.  Float64 drift from the 40-digit gammas was 7.5e-16 and
-    # 6.2e-16 here, and at most 6.2e-15 on a 436-step pass (t 6, eps 1e-6).
+    # The f0 of a point solve at eps 1e-10, on the shape of its PassPlan.
+    # Float64 drift from the 40-digit gammas was 7.5e-16 and 6.2e-16 here,
+    # and at most 6.2e-15 on a 436-step pass (t 6, eps 1e-6).
     q0 = random_sequence(seed, 7, -6, 6, 0.6, 0.3)
     params = select_params(t, 1e-10, q0.szego_product(), n0, support=q0.support())
-    W = params.N
-    assert params.n + W + 1 == steps
-    m = nlft_forward(q0.windowed(n0 - W, n0 + W).shifted(W - n0))
-    f0 = RationalSchur(lp_mul(g_bundle(params.n, t).g, lp_conj_flip(m.b)), m.a)
+    plan = PassPlan.build(q0.support(), n0, params.N, 0, t)
+    assert plan.steps == steps
+    left = plan.center - plan.W
+    m = nlft_forward(q0.windowed(left, plan.center + plan.W).shifted(-left))
+    f0 = RationalSchur(lp_mul(g_bundle(plan.order, t).g, lp_conj_flip(m.b)), m.a)
     c = schur_coeffs(f0, steps)
     assert c.terminal is None
     assert np.max(np.abs(c.gammas - schur_coeffs_mpmath(f0, steps))) <= 1e-14
+
+
+def test_zero_numerator_gammas_are_the_kernels(monkeypatch):
+    # A zero numerator runs no kernel step, where its den passes
+    # _shifts_exactly, and its gammas are those of the kernel run over
+    # every step, bit for bit; a den with -0 parts runs the kernel.
+    rng = np.random.default_rng(7)
+    parts = np.array([0.0, -0.0, 0.5, -0.25, 1.5, 3.0])
+    heads = [0.7, complex(0.7, -0.0), complex(-0.0, 0.6), complex(-0.8, -0.0), complex(0.0, -0.9)]
+    counts = []
+    recur = _recur
+
+    def recording(p, q, count, gammas):
+        counts.append(count)
+        return recur(p, q, count, gammas)
+
+    for _ in range(200):
+        length, m = int(rng.integers(1, 5)), int(rng.integers(0, 150))
+        coeffs = rng.choice(parts, length) + 1j * rng.choice(parts, length)
+        coeffs += rng.normal(size=length) * (rng.random(length) < 0.5)
+        coeffs[0] = heads[rng.integers(len(heads))]
+        f = RationalSchur(LaurentPoly(0, [0.0]), LaurentPoly(0, coeffs))
+        want = np.zeros(m, dtype=np.complex128)
+        assert _recur(_dense(f.num, m), _dense(f.den, m), m, want)[0::2] == (m, None)
+        monkeypatch.setattr("al_ist.schur._recur", recording)
+        got = schur_coeffs(f, m)
+        monkeypatch.undo()
+        assert got.gammas.tobytes() == want.tobytes() and got.terminal is None
+        assert counts.pop() == (0 if _shifts_exactly(f.den) else m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -534,18 +565,16 @@ def test_coeffs_match_dividing_step(f, m):
 
 
 def test_coeffs_match_dividing_step_on_a_long_window_pass():
-    # The f0 of a window pass at eta 0.11, t = 6 (5,194 steps), built as
-    # solver._schur_pass builds it, from three sites of equal modulus a
-    # with (1 - a^2)^3 = 0.11.
+    # The f0 of a window pass at eta 0.11, t = 6, on the shape of its
+    # PassPlan, from three sites of equal modulus a with (1 - a^2)^3 = 0.11.
     a = math.sqrt(1.0 - 0.11 ** (1.0 / 3.0))
     q0 = Sequence(-2, a * np.array([1.0, 0.0, np.exp(1.1j), 0.0, np.exp(-2.3j)]))
     params = select_params(6.0, 1e-6, q0.szego_product())
-    W = params.N + params.N // 2
-    order, steps = 2 * W, 2 * W + W + 1
-    m = nlft_forward(q0.windowed(-W, W).shifted(W))
-    f0 = RationalSchur(lp_mul(g_bundle(order, 6.0).g, lp_conj_flip(m.b)), m.a)
-    assert steps > 5000
-    assert_close_to_dividing_step(f0, steps)
+    plan = PassPlan.build(q0.support(), 0, params.N, params.N // 2, 6.0)
+    m = nlft_forward(q0.windowed(-plan.W, plan.W).shifted(plan.W))
+    f0 = RationalSchur(lp_mul(g_bundle(plan.order, 6.0).g, lp_conj_flip(m.b)), m.a)
+    assert plan.steps > 5000
+    assert_close_to_dividing_step(f0, plan.steps)
 
 
 def schur_iterates(f: RationalSchur, count: int) -> list[RationalSchur]:

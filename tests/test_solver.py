@@ -13,6 +13,7 @@ from al_ist.reference import rk4_integrate
 from al_ist.schur import stability_constant
 from al_ist.sequence import Sequence
 from al_ist.solver import (
+    PassPlan,
     SolveParams,
     _schur_pass,
     localization_bound,
@@ -261,7 +262,10 @@ class TestQueryIndex:
         t = 1.0
         params = select_params(t, 1e-6, q0.szego_product())
         N, n = params.N, params.n
-        gammas = _schur_pass(q0, t, 0, N, n, n + N + 2)
+        # The pass at half-width 1 over W = N: order n, sites -1 .. 1.
+        plan = PassPlan.build((0, 0), 0, N - 1, 1, t)
+        assert (plan.W, plan.order, plan.steps, plan.first) == (N, n, n + N + 2, n + N - 1)
+        gammas = _schur_pass(q0, t, plan)
         ref = rk4_integrate(q0, t, 1e-3, radius=60)
         dev_center = abs(gammas[n + N] - ref.q.at(0))
         dev_next_as_center = abs(gammas[n + N + 1] - ref.q.at(0))
@@ -370,7 +374,8 @@ def test_convergence_in_multiplier_order():
     j = W  # the window shift places the original site 0 at index W
     prev = None
     for n in range(12, 16):
-        gammas = _schur_pass(q0, t, 0, W, n, n + W + 1)
+        plan = PassPlan(center=0, W=W, half=0, order=n, steps=n + W + 1, first=n + W, lead=0)
+        gammas = _schur_pass(q0, t, plan)
         value = complex(gammas[n + j])
         if prev is not None:
             bound = 6.0 * c * delta_nt(n - 1, t) * math.exp(4.0 * t) * 2.0 ** (n - 1 + j + 1)
