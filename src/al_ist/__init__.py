@@ -4,8 +4,9 @@ The pipeline: compactly supported datum -> transfer-matrix product (a, b)
 -> reflection-side Schur function -> multiplication by a polynomial
 surrogate of the evolution multiplier -> Schur's algorithm, whose
 recurrence coefficients return the evolved datum with a certified
-absolute-error budget.  A direct RK4/Picard lattice integrator provides
-an independent cross-check.
+absolute-error budget.  The `compare` command checks the solver against
+a direct integration of the lattice by the order-8 Runge-Kutta pair
+(reference.rk8_pair), whose step-halving difference estimates its error.
 """
 
 from .errors import (

@@ -96,7 +96,7 @@ class LaurentPoly:
         return self.min_deg == other.min_deg and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash((self.min_deg, self.coeffs.tobytes()))
+        return hash((self.min_deg, (self.coeffs + 0.0).tobytes()))  # + 0.0 turns -0 into +0
 
 
 ZERO = LaurentPoly(0, [0.0])

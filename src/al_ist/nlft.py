@@ -7,18 +7,19 @@ The transform is the ordered product over increasing lattice index of
 Only the top row (a, b) is stored; the bottom row is the conj-flip of the
 top by the symmetry of the factors.
 
-A run of at most DIRECT_RUN sites is multiplied out site by site, in
-O(sites^2) with two numpy calls per nonzero site.  Longer runs go through
-the product tree, level by level on arrays.  For a block of sites [s, e],
-a has exponents [0, e - s] and conj-flip(b) has exponents [s, e], so every
-block of one tree level is a pair of rows of one fixed width w.  Pairing
-adjacent blocks takes one batched FFT of length 2w for all of them and
-gives blocks of width 2w, in O(n log^2 n) for n sites: per level, one
-forward and one inverse FFT around five ufunc calls.  Zero sites inside a
-block are identity factors.  A long zero gap would still cost work at every
-level, so the support is first cut into runs at gaps of more than RUN_GAP
-zero sites; each run is multiplied out and the run products are joined pairwise with Transfer2x2.matmul, whose
-LaurentPoly products store no coefficients outside a polynomial's span.
+nlft_forward trims the datum to its first and last nonzero site and
+multiplies that one block out.  A block of at most DIRECT_RUN sites is
+multiplied out site by site, in O(sites^2) with two numpy calls per nonzero
+site.  A longer block goes through the product tree, level by level on
+arrays.  For a block of sites [s, e], a has exponents [0, e - s] and
+conj-flip(b) has exponents [s, e], so every block of one tree level is a
+pair of rows of one fixed width w.  Pairing adjacent blocks takes one
+batched FFT of length 2w for all of them and gives blocks of width 2w, in
+O(n log^2 n) for a span of n sites: per level, one forward and one inverse
+FFT around five ufunc calls.  Zero sites inside the span, long gaps
+included, are identity factors: the tree carries them through every level,
+and its FFTs leave roundoff-level values, not exact zeros, at the exponents
+of a and b that a gap leaves empty.
 """
 
 from __future__ import annotations
@@ -47,14 +48,10 @@ _IDENTITY_B = LaurentPoly(0, [0.0])
 
 UNITARITY_TOL = 1e-9
 
-# Zero gaps longer than this split the support into separately batched runs
-# (measured break-even between padding the gap and joining two products).
-RUN_GAP = 32
-
-# Runs of at most this many sites are multiplied out site by site; longer
-# ones go through the FFT tree.  Measured break-even for a run with no zero
-# sites, where the two cost the same at about 44 sites on a 2-core x86 host
-# (a run with zeros favours the site-by-site product further).
+# Supports of at most this many sites are multiplied out site by site;
+# longer ones go through the FFT tree.  Measured break-even for a support
+# with no zero sites, where the two cost the same at about 44 sites on a
+# 2-core x86 host (one with zeros favours the site-by-site product further).
 DIRECT_RUN = 40
 
 
@@ -145,17 +142,8 @@ def _leaf_factors(q: Sequence) -> list[Transfer2x2]:
     return out
 
 
-def _run_product(values: np.ndarray, start: int) -> Transfer2x2:
-    """Product of the factors of sites start, start + 1, ... with the given
-    values (nonzero at both ends, zeros inside): _direct_product for at
-    most DIRECT_RUN sites, else _tree_product."""
-    if len(values) <= DIRECT_RUN:
-        return _direct_product(values, start)
-    return _tree_product(values, start)
-
-
 def _direct_product(values: np.ndarray, start: int) -> Transfer2x2:
-    """The run product accumulated site by site, left to right.
+    """The block product accumulated site by site, left to right.
 
     Without the factors (1 - |q|^2)^(-1/2), which are applied once at the
     end, appending site start + k with value v to the block of sites
@@ -182,7 +170,7 @@ def _direct_product(values: np.ndarray, start: int) -> Transfer2x2:
 
 
 def _tree_product(values: np.ndarray, start: int) -> Transfer2x2:
-    """The run product by the level-batched tree.
+    """The block product by the level-batched tree.
 
     At a level of block width w, rows[0, p] holds block p's a at exponents
     0..w-1 and rows[1, p] its bf = conj-flip(b) at exponents s_p..s_p + w - 1.
@@ -222,41 +210,21 @@ def _tree_product(values: np.ndarray, start: int) -> Transfer2x2:
     return Transfer2x2(LaurentPoly(0, a), LaurentPoly(-(start + n - 1), np.conj(bf[::-1])))
 
 
-def _runs(q: Sequence) -> list[tuple[np.ndarray, int]]:
-    """(values, start) of the runs of q's support between zero gaps longer
-    than RUN_GAP."""
-    nz = np.flatnonzero(q.values)
-    if nz.size == 0:
-        return []
-    cuts = np.flatnonzero(np.diff(nz) > RUN_GAP + 1)
-    firsts = np.concatenate(([nz[0]], nz[cuts + 1]))
-    lasts = np.concatenate((nz[cuts], [nz[-1]]))
-    return [(q.values[i : j + 1], q.offset + int(i)) for i, j in zip(firsts, lasts)]
-
-
 def nlft_forward(q: Sequence) -> Transfer2x2:
     """Ordered transfer-matrix product over increasing site index.
 
-    Each run of the support is multiplied out by _run_product: site by site
-    up to DIRECT_RUN sites, else by the level-batched array tree, where per
-    level the blocks are rows of two arrays (a and conj-flip(b)) of one
-    width, paired by one batched FFT.  Runs end at zero gaps longer than
-    RUN_GAP, because inside a run a gap is carried as identity factors
-    through every level, while across runs it costs nothing until the
-    join.  The run products are then paired adjacently (balanced binary
-    tree over Transfer2x2.matmul).
+    The support, from the first to the last nonzero site, is one block:
+    multiplied out site by site up to DIRECT_RUN sites, else by the
+    level-batched array tree, where per level the blocks are rows of two
+    arrays (a and conj-flip(b)) of one width, paired by one batched FFT.
     """
-    level = [_run_product(values, start) for values, start in _runs(q)]
-    if not level:
+    nz = np.flatnonzero(q.values)
+    if nz.size == 0:
         return Transfer2x2(_IDENTITY_A, _IDENTITY_B)
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(level[i].matmul(level[i + 1]))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
+    values, start = q.values[nz[0] : nz[-1] + 1], q.offset + int(nz[0])
+    if len(values) <= DIRECT_RUN:
+        return _direct_product(values, start)
+    return _tree_product(values, start)
 
 
 def nlft_forward_naive(q: Sequence) -> Transfer2x2:
@@ -301,12 +269,13 @@ def _szego_mean(refl: np.ndarray) -> float:
     return float(np.mean(np.log1p(-np.abs(refl) ** 2)))
 
 
-def identity_grid(q: Sequence, minimum: int = 64) -> CircleGrid:
+def identity_grid(q: Sequence) -> CircleGrid:
     """Unit-circle grid with 4x the total polynomial span, rounded up to a
-    power of two; wide enough that trigonometric means do not alias."""
+    power of two and at least 64 nodes; wide enough that trigonometric means
+    do not alias."""
     sup = q.support()
     span = 1 if sup is None else max(1, sup[1] - sup[0] + 1 + max(abs(sup[0]), abs(sup[1])))
-    return CircleGrid(next_pow2(4 * span, minimum))
+    return CircleGrid(next_pow2(4 * span, 64))
 
 
 def szego_identity_check(

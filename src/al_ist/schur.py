@@ -108,6 +108,14 @@ class SchurCoeffs:
     def __len__(self) -> int:
         return len(self.gammas)
 
+    def __eq__(self, other):
+        if not isinstance(other, SchurCoeffs):
+            return NotImplemented
+        return np.array_equal(self.gammas, other.gammas) and self.terminal == other.terminal
+
+    def __hash__(self):
+        return hash(((self.gammas + 0.0).tobytes(), self.terminal))  # + 0.0 turns -0 into +0
+
 
 def _dense(p: LaurentPoly, width: int, start: int = 0) -> np.ndarray:
     """Coefficients of z^start .. z^(start+width-1) of p (min_deg >= start),
@@ -273,17 +281,18 @@ def stability_constant(eta_value: float, r: float) -> StabilityConstant:
     """C(eta, r) = exp(log(1/eta) (2 + 1/(1 - sqrt(1 - eta))) (4/(1-r)^2 + 1)).
 
     Returned together with its natural log, since the value itself overflows
-    to inf for small eta.
+    to inf for small eta.  Below about 1e-16, where 1 - eta rounds to 1,
+    1 - sqrt(1 - eta) rounds to 0 and the log has no float64 value; such an
+    eta is refused.
     """
     if not (0.0 < eta_value <= 1.0):
         raise ValidationError("eta must lie in (0, 1]")
     if not (0.0 < r < 1.0):
         raise ValidationError("r must lie in (0, 1)")
-    log_c = (
-        math.log(1.0 / eta_value)
-        * (2.0 + 1.0 / (1.0 - math.sqrt(1.0 - eta_value)))
-        * (4.0 / (1.0 - r) ** 2 + 1.0)
-    )
+    gap = 1.0 - math.sqrt(1.0 - eta_value)
+    if gap == 0.0:
+        raise ValidationError(f"eta={eta_value:.3g} is too small: 1 - sqrt(1 - eta) rounds to 0")
+    log_c = math.log(1.0 / eta_value) * (2.0 + 1.0 / gap) * (4.0 / (1.0 - r) ** 2 + 1.0)
     return StabilityConstant(exp_or_inf(log_c), log_c)
 
 

@@ -36,6 +36,18 @@ class Sequence:
     def __len__(self) -> int:
         return len(self.values)
 
+    def __eq__(self, other):
+        """Equal when both are the same map on Z: zero padding and the sign
+        of a zero do not count."""
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        a, b = self.trimmed(), other.trimmed()
+        return a.offset == b.offset and np.array_equal(a.values, b.values)
+
+    def __hash__(self):
+        t = self.trimmed()
+        return hash((t.offset, (t.values + 0.0).tobytes()))  # + 0.0 turns -0 into +0
+
     def at(self, n: int) -> complex:
         j = n - self.offset
         if 0 <= j < len(self.values):

@@ -138,12 +138,18 @@ def select_params(
 
     Negative t is recorded via the reflect flag: the solver runs forward
     at |t| from the conjugated datum and conjugates the output.  A |t|
-    whose closed form overflows (above about 1.6e307) is refused.
+    whose closed form overflows (above about 1.6e307) is refused, and so
+    is an eta at which stability_constant refuses, before any pass.
     """
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
-    if not (0.0 < eta <= 1.0):
+    if not (0.0 <= eta <= 1.0):
         raise ValidationError("eta must lie in (0, 1]")
+    if 1.0 - eta == 1.0:  # 0 included: the product of a long datum underflows
+        raise InfeasibleParamsError(
+            f"the datum's Szego product eta={eta:.3g} is too small: below about 1e-16, "
+            "log C(eta, 1/2) has no float64 value"
+        )
     abs_t = abs(t)
     closed = 4.0 * math.e * abs_t + (stability_constant(eta, 0.5).log - math.log(eps)) / LOG2
     if not math.isfinite(closed):

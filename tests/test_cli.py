@@ -562,6 +562,18 @@ class TestCompareCommand:
         assert main(["--cmd", command, "--in", path, "--t", "1e308", "--eps", "1e-6"]) == 2
         assert "has no finite certified window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sites", [60, 1100])
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_refuses_a_datum_whose_szego_product_is_too_small(
+        self, datum_file, capsys, command, sites
+    ):
+        # eta 2^-60 at 60 sites of |q|^2 = 0.5, and 0.0 (underflow) at 1 100:
+        # exit 2 with the datum named, not a traceback or the old option.
+        path = datum_file(seq(0, math.sqrt(0.5) * np.exp(1j * np.arange(sites))))
+        assert main(["--cmd", command, "--in", path, "--t", "1", "--eps", "1e-6"]) == 2
+        err = capsys.readouterr().err
+        assert "the datum's Szego product" in err and "is too small" in err
+
     def test_refuses_reference_work_above_the_cap(self, datum_file, capsys):
         path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
         start = time.perf_counter()

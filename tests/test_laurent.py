@@ -53,6 +53,12 @@ class TestConstruction:
         p = LaurentPoly(-3, [1.0, 0.0, 2.0])
         assert p.max_deg - p.min_deg == len(p.coeffs) - 1
 
+    def test_negative_zero_twin_is_equal_and_hashes_alike(self):
+        p = LaurentPoly(-3, [1.0, complex(-0.0, -0.0), 2.0])
+        twin = LaurentPoly(-3, [1.0, 0.0, 2.0])
+        assert p == twin and hash(p) == hash(twin)
+        assert len({p, twin}) == 1
+
 
 class TestAdd:
     def test_cancellation(self):

@@ -13,9 +13,12 @@ from functools import lru_cache
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
+import al_ist.nlft
 from al_ist.multiplier import _bessel_start, delta_nt
+from al_ist.sequence import Sequence
 from al_ist.solver import PassPlan, select_params, solve_point
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -91,3 +94,26 @@ def test_point_values_match_a_50_digit_oracle(seed, monkeypatch):
         args = (data[job["datum"]], job["t"], job["n0"], job["eps"])
         value, _ = solve_point(*args)
         assert abs(value - point_oracle(*args)) <= 1e-14, job
+
+
+@pytest.mark.parametrize("t", [2.0, 6.0])
+def test_gapped_datum_matches_the_oracle(t, monkeypatch):
+    # Two clusters of 6 sites, 44 zero sites apart: the pass multiplies one
+    # product tree over the 56-site span, gap included.
+    trees = []
+    tree = al_ist.nlft._tree_product
+
+    def recording(values, start):
+        trees.append(len(values))
+        return tree(values, start)
+
+    monkeypatch.setattr(al_ist.nlft, "_tree_product", recording)
+    rng = np.random.default_rng(27)
+    values = np.zeros(56, dtype=np.complex128)
+    for cluster in (slice(0, 6), slice(50, 56)):
+        values[cluster] = rng.uniform(0.1, 0.5, 6) * np.exp(2j * np.pi * rng.uniform(size=6))
+    q0 = Sequence(-28, values)
+    for n0 in (-26, 0, 25):
+        value, _ = solve_point(q0, t, n0, 1e-10)
+        assert abs(value - point_oracle(q0, t, n0, 1e-10)) <= 1e-14, n0
+    assert trees == [56] * 3

@@ -70,6 +70,15 @@ class TestSchurStep:
 
 
 class TestSchurCoeffs:
+    def test_equality_is_by_value(self):
+        # Two or more gammas made the generated __eq__ raise ValueError.
+        c = SchurCoeffs(np.array([0.5, 0.25j, 0.0]))
+        twin = SchurCoeffs(np.array([0.5, 0.25j, complex(-0.0, -0.0)]))
+        assert c == twin and hash(c) == hash(twin)
+        assert c != SchurCoeffs(np.array([0.5, 0.25j, 0.1]))
+        assert c != SchurCoeffs(np.array([0.5, 0.25j]))
+        assert c != SchurCoeffs(c.gammas, terminal=1.0 + 0j)
+
     def test_delta_z_squared(self):
         c = schur_coeffs(RationalSchur(monomial(0.3, 2)), 5)
         assert np.allclose(c.gammas, [0, 0, 0.3, 0, 0], rtol=0, atol=1e-15)
@@ -163,6 +172,22 @@ class TestStabilityConstant:
             stability_constant(0.0, 0.5)
         with pytest.raises(ValidationError):
             stability_constant(0.5, 1.0)
+
+    @pytest.mark.parametrize("eta_value", [2.0**-54, 2.0**-60, 5e-324])
+    def test_rejects_an_eta_whose_log_has_no_float64_value(self, eta_value):
+        # 1 - eta rounds to 1, so 1 - sqrt(1 - eta) is 0.0: refused, not
+        # a ZeroDivisionError.
+        with pytest.raises(ValidationError, match="too small"):
+            stability_constant(eta_value, 0.5)
+
+    @pytest.mark.parametrize("eta_value", [2.0**-53, 1e-8, 0.37, 1.0 - 2.0**-53])
+    def test_accepted_eta_keeps_its_bits(self, eta_value):
+        log_c = (
+            math.log(1.0 / eta_value)
+            * (2.0 + 1.0 / (1.0 - math.sqrt(1.0 - eta_value)))
+            * (4.0 / (1.0 - 0.5) ** 2 + 1.0)
+        )
+        assert stability_constant(eta_value, 0.5).log.hex() == log_c.hex()
 
 
 class TestL2Norm:

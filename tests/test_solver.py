@@ -61,6 +61,17 @@ class TestSelectParams:
         with pytest.raises(InfeasibleParamsError):
             select_params(1.0, 1e-6, 1e-8)
 
+    @pytest.mark.parametrize("sites", [60, 1100])
+    def test_refuses_a_datum_whose_szego_product_is_too_small(self, sites, monkeypatch):
+        # |q|^2 = 0.5 at every site: eta 2^-60 makes 1 - sqrt(1 - eta) 0.0,
+        # and at 1 100 sites eta underflows to 0.0.  Refused before any pass.
+        monkeypatch.setattr(solver, "_schur_pass", None)
+        datum = seq(0, math.sqrt(0.5) * np.exp(1j * np.arange(sites)))
+        assert (datum.szego_product() == 0.0) == (sites == 1100)
+        for solve in (solve_point, solve_window):
+            with pytest.raises(InfeasibleParamsError, match="Szego product .* is too small"):
+                solve(datum, 1.0, 0, 1e-6)
+
     def test_refuses_a_time_without_a_finite_window(self):
         # 4 e |t| overflows above about 1.6e307; floor(inf) raised OverflowError.
         for t in (1e308, -1e308):
