@@ -8,18 +8,20 @@ Only the top row (a, b) is stored; the bottom row is the conj-flip of the
 top by the symmetry of the factors.
 
 nlft_forward trims the datum to its first and last nonzero site and
-multiplies that one block out.  A block of at most DIRECT_RUN sites is
-multiplied out site by site, in O(sites^2) with two numpy calls per nonzero
-site.  A longer block goes through the product tree, level by level on
-arrays.  For a block of sites [s, e], a has exponents [0, e - s] and
-conj-flip(b) has exponents [s, e], so every block of one tree level is a
-pair of rows of one fixed width w.  Pairing adjacent blocks takes one
-batched FFT of length 2w for all of them and gives blocks of width 2w, in
-O(n log^2 n) for a span of n sites: per level, one forward and one inverse
-FFT around five ufunc calls.  Zero sites inside the span, long gaps
-included, are identity factors: the tree carries them through every level,
-and its FFTs leave roundoff-level values, not exact zeros, at the exponents
-of a and b that a gap leaves empty.
+multiplies that one block out.  A block of at most DIRECT_RUN sites, or with
+at most DIRECT_SITES nonzero sites, is multiplied out site by site, in
+O(sites * span) with two numpy calls per nonzero site.  Any other block goes
+through the product tree, level by level on arrays.  For a block of sites
+[s, e], a has exponents [0, e - s] and conj-flip(b) has exponents [s, e], so
+every block of one tree level is a pair of rows of one fixed width w.
+Pairing adjacent blocks takes one batched FFT of length 2w for all of them
+and gives blocks of width 2w, in O(n log^2 n) for a span of n sites: per
+level, one forward and one inverse FFT around five ufunc calls.  A block of
+zero sites only is the identity: the tree keeps no row for it and copies
+its sibling into the next level unmultiplied.  Zero sites among nonzero
+ones in a block still ride through its FFTs, which leave roundoff-level
+values, not exact zeros, at the exponents of a and b that a gap leaves
+empty.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ UNITARITY_TOL = 1e-9
 # with no zero sites, where the two cost the same at about 44 sites on a
 # 2-core x86 host (one with zeros favours the site-by-site product further).
 DIRECT_RUN = 40
+# A support with at most this many nonzero sites is multiplied out site by
+# site at any span: each site costs O(span), against the tree's
+# O(span log^2 span) FFTs.  Measured on a 2-core x86 host, with 8 sites
+# spread over 2^8, 2^11 and 2^16 sites, the site-by-site product took
+# 0.10, 0.19 and 4.3 ms against the tree's 0.88, 1.5 and 26.
+DIRECT_SITES = 8
 
 
 @dataclass(frozen=True)
@@ -172,9 +180,10 @@ def _direct_product(values: np.ndarray, start: int) -> Transfer2x2:
 def _tree_product(values: np.ndarray, start: int) -> Transfer2x2:
     """The block product by the level-batched tree.
 
-    At a level of block width w, rows[0, p] holds block p's a at exponents
-    0..w-1 and rows[1, p] its bf = conj-flip(b) at exponents s_p..s_p + w - 1.
-    Merging blocks 1 and 2 into one of width 2w:
+    At a level of block width w, rows[0, i] holds block blocks[i]'s a at
+    exponents 0..w-1 and rows[1, i] its bf = conj-flip(b) at exponents
+    s..s + w - 1 (s the block's first site).  Merging blocks 1 and 2 into
+    one of width 2w:
 
         a  = a1 a2 + z conj_rev(bf1) bf2
         bf = bf1 a2 + z conj_rev(a1) bf2
@@ -185,18 +194,36 @@ def _tree_product(values: np.ndarray, start: int) -> Transfer2x2:
     forward FFT, five ufunc calls and one inverse FFT per level.  Each of a
     level's arrays (rows, spectrum, merged spectrum; 2 * size complex values
     and up) is released as soon as the next one exists.
+
+    A block of zero sites only is the identity, a = 1 and bf = 0.  In a
+    datum with a zero site, padding and zero leaves have no row, and
+    _copy_singles copies a block whose sibling is the identity instead of
+    multiplying it.  Without a zero site every leaf has a row, identity
+    padding included, and every level multiplies all its pairs.
     """
     n = len(values)
     size = next_pow2(n)
     c = 1.0 / np.sqrt(1.0 - np.abs(values) ** 2)
-    rows = np.zeros((2, size, 1), dtype=np.complex128)
-    rows[0, :, 0] = 1.0  # identity leaves pad the count to a power of two
-    rows[0, :n, 0] = c
-    rows[1, :n, 0] = values * c
+    if np.any(values == 0):
+        blocks = np.flatnonzero(values)  # the blocks that have a row
+        rows = np.empty((2, len(blocks), 1), dtype=np.complex128)
+        rows[0, :, 0] = c[blocks]
+        rows[1, :, 0] = values[blocks] * c[blocks]
+    else:
+        blocks = None  # every block has a row
+        rows = np.zeros((2, size, 1), dtype=np.complex128)
+        rows[0, :, 0] = 1.0  # identity leaves pad the count to a power of two
+        rows[0, :n, 0] = c
+        rows[1, :n, 0] = values * c
     w = 1
-    while rows.shape[1] > 1:
-        spec = np.fft.fft(rows, n=2 * w, axis=2)
+    while w < size:
+        if blocks is None:
+            pairs, level = rows, None
+        else:
+            blocks, level, slots, pairs = _copy_singles(rows, blocks, w)
         del rows
+        spec = np.fft.fft(pairs, n=2 * w, axis=2)
+        del pairs
         left, a2, f2 = spec[:, 0::2], spec[0, 1::2], spec[1, 1::2]
         sign = np.ones(2 * w)
         sign[1::2] = -1.0
@@ -204,25 +231,54 @@ def _tree_product(values: np.ndarray, start: int) -> Transfer2x2:
         del spec, left, a2, f2
         rows = np.fft.ifft(merged, axis=2)
         del merged
+        if level is not None:
+            level[:, slots] = rows
+            rows = level
         w *= 2
     # Beyond the true span the padding leaves FFT noise, not exact zeros.
     a, bf = rows[0, 0, :n], rows[1, 0, :n]
     return Transfer2x2(LaurentPoly(0, a), LaurentPoly(-(start + n - 1), np.conj(bf[::-1])))
 
 
+def _copy_singles(rows: np.ndarray, blocks: np.ndarray, w: int):
+    """A tree level where some blocks of width w are the identity and have
+    no row: the next level's block numbers, its rows with every block whose
+    sibling is the identity copied in, the next-level slots of the sibling
+    pairs left to multiply, and those pairs' rows.  A block beside an
+    identity sibling needs no product:
+
+        right sibling the identity:  a = a1,  bf = bf1
+        left sibling the identity:   a = a2,  bf = z^w bf2
+    """
+    parents, slot = np.unique(blocks // 2, return_inverse=True)
+    first = np.flatnonzero(slot[1:] == slot[:-1])  # blocks i and i + 1 are siblings
+    alone = np.ones(len(blocks), dtype=bool)
+    alone[first] = alone[first + 1] = False
+    alone = np.flatnonzero(alone)
+    level = np.zeros((2, len(parents), 2 * w), dtype=np.complex128)
+    level[0, slot[alone], :w] = rows[0, alone]
+    left = alone[blocks[alone] % 2 == 0]
+    right = alone[blocks[alone] % 2 == 1]
+    level[1, slot[left], :w] = rows[1, left]
+    level[1, slot[right], w:] = rows[1, right]
+    pairs = rows[:, np.stack([first, first + 1], axis=1).ravel()]
+    return parents, level, slot[first], pairs
+
+
 def nlft_forward(q: Sequence) -> Transfer2x2:
     """Ordered transfer-matrix product over increasing site index.
 
     The support, from the first to the last nonzero site, is one block:
-    multiplied out site by site up to DIRECT_RUN sites, else by the
-    level-batched array tree, where per level the blocks are rows of two
-    arrays (a and conj-flip(b)) of one width, paired by one batched FFT.
+    multiplied out site by site up to DIRECT_RUN sites or DIRECT_SITES
+    nonzero sites, else by the level-batched array tree, where per level the
+    blocks are rows of two arrays (a and conj-flip(b)) of one width, paired
+    by one batched FFT.
     """
     nz = np.flatnonzero(q.values)
     if nz.size == 0:
         return Transfer2x2(_IDENTITY_A, _IDENTITY_B)
     values, start = q.values[nz[0] : nz[-1] + 1], q.offset + int(nz[0])
-    if len(values) <= DIRECT_RUN:
+    if len(values) <= DIRECT_RUN or nz.size <= DIRECT_SITES:
         return _direct_product(values, start)
     return _tree_product(values, start)
 

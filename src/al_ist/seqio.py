@@ -12,6 +12,18 @@ writes their rows, byte for byte those of fmt, from one vectorized decimal
 pass, with fmt as its fallback near rounding ties and outside
 [1e-99, 1e33).  It is imported at its first use, so importing al_ist.cli
 does not load it.
+
+Reading is the same split the other way.  A text of FAST_READ_CHARS
+characters or more goes first to readrows.parse_sequence, imported at its
+first use, which takes only json_text's layout of a Sequence, one
+"[re, im]" row per line, with numbers in the forms fmt prints for moduli
+below 1.  It reads each number's digits as an exact integer and scales it
+by a double-double power of ten; a number within a proven tolerance of a
+rounding tie, with more than 17 significant digits or too small for its
+table of powers (about 1e-99) goes through json.loads alone.  Any other
+text, short ones included, takes the json.loads path below, so every text
+gives the same Sequence bit for bit, or the same refusal and message, on
+either path.
 """
 
 from __future__ import annotations
@@ -31,6 +43,12 @@ from .sequence import Sequence
 # row (measured break-even 110-130 floats on a 2-core x86 host).
 FAST_FLOATS = 128
 
+# Sequence texts of at least this many characters (about 200 rows) go to
+# readrows.parse_sequence first: below it, the reader's fixed cost of about
+# 150 numpy calls (near 150 us) is dearer than json.loads at about 1 us a
+# row (measured break-even 180-220 rows on a 2-core x86 host).
+FAST_READ_CHARS = 10_000
+
 
 def fmt(x: float) -> str:
     """17-significant-digit decimal form of a double.
@@ -47,6 +65,12 @@ def sequence_to_text(seq: Sequence) -> str:
 
 
 def sequence_from_text(text: str) -> Sequence:
+    if len(text) >= FAST_READ_CHARS:
+        from .readrows import parse_sequence
+
+        parsed = parse_sequence(text)
+        if parsed is not None:
+            return Sequence(parsed[0], parsed[1].view(np.complex128))
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -84,9 +108,12 @@ def sequence_from_text(text: str) -> Sequence:
 def read_sequence(path: str) -> Sequence:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return sequence_from_text(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read sequence file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"sequence file {path} is not UTF-8 text: {exc}") from exc
+    return sequence_from_text(text)
 
 
 def write_sequence(seq: Sequence, path: str):

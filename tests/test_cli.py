@@ -7,6 +7,7 @@ import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import al_ist.cli
 import al_ist.nlft
+import al_ist.readrows
+import al_ist.seqio
 import al_ist.solver
 from al_ist.cli import GRID_NODE_CAP, JobSpec, build_parser, main
 from al_ist.datagen import dense_random_sequence, random_sequence
@@ -23,8 +26,10 @@ from al_ist.multiplier import delta_nt, smallest_admissible_order
 from al_ist.reference import default_radius, rk4_integrate, rk8_pair
 from al_ist.sequence import Sequence
 from al_ist.floatrows import _CHUNK
+from al_ist.readrows import parse_sequence
 from al_ist.seqio import (
     FAST_FLOATS,
+    FAST_READ_CHARS,
     fmt,
     json_text,
     laurent_to_doc,
@@ -205,10 +210,196 @@ class TestSequenceFiles:
             with pytest.raises(ValidationError, match="int64 range"):
                 sequence_from_text(f'{{"offset": {offset}, "values": {values}}}')
 
+    @pytest.mark.parametrize("command", ["nlft", "compare"])
+    def test_refuses_a_file_that_is_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"offset": 0, "values": [[0.1, 0.2]]}\xff')
+        out = tmp_path / "out"
+        argv = ["--cmd", command, "--in", str(path), "--out", str(out)]
+        if command == "compare":
+            argv += ["--t", "0.5", "--eps", "1e-6"]
+        assert main(argv) == 2
+        assert f"validation error: sequence file {path} is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)])
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValidationError, match="finite"):
             Sequence(0, np.array([0.3, bad], dtype=np.complex128))
+
+
+def read_outcome(text: str, fast: bool):
+    """sequence_from_text's result, offset and values' bytes or the error's
+    type and message, with the fast reader tried first on every text (fast)
+    or on none, today's json.loads path (the oracle)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(al_ist.seqio, "FAST_READ_CHARS", 0 if fast else math.inf)
+        try:
+            q = sequence_from_text(text)
+        except ValidationError as exc:
+            return ValidationError, str(exc)
+    return q.offset, q.values.tobytes()
+
+
+def layout_text(offset, rows) -> str:
+    """A sequence file in json_text's layout with the given number tokens."""
+    body = ",\n".join(f"    [{re}, {im}]" for re, im in rows)
+    return f'{{\n  "offset": {offset},\n  "values": [\n{body}\n  ]\n}}\n'
+
+
+def tie_tokens(x: float) -> tuple[list[str], list[str]]:
+    """Decimals at and next to the midpoint between x > 0 and its upper
+    neighbour, in the e form and in the fixed form: its 17-digit roundings
+    down and up, those one unit in the 17th digit further out, and its
+    18-digit rounding."""
+    mid = (decimal.Decimal(x) + decimal.Decimal(float(np.nextafter(x, 1.0)))) / 2
+    with decimal.localcontext() as ctx:
+        ctx.prec = 17
+        ctx.rounding = decimal.ROUND_FLOOR
+        down = +mid
+        ctx.rounding = decimal.ROUND_CEILING
+        up = +mid
+        unit = decimal.Decimal(1).scaleb(down.adjusted() - 16)
+        near = [down, up, down - unit, up + unit]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 18
+        longer = +mid
+    e_forms = [f"{d:.16e}" for d in near] + [f"{longer:.17e}"]
+    e_forms = [f"{m}e{int(k):+03d}" for m, k in (t.split("e") for t in e_forms)]  # as %g
+    return e_forms, [f"{d:f}" for d in (*near, longer)]
+
+
+# Doubles at the edges that the reader and the writer treat apart: +-0,
+# subnormals, the %g switches at 1e-4 and 1e17, the table edges 1e-99 and
+# 1e33, 1 (the modulus a Sequence allows) and their neighbours.
+READ_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.5, -0.25]
+READ_EDGES += [float(v) for x in (1e-4, 1e17, 1e-99, 1e33, 1.0, 1e-5, 1e16)
+               for v in (x, np.nextafter(x, 0.0), np.nextafter(x, np.inf), -x)]
+read_float = st.floats(-1.0, 1.0) | st.sampled_from(READ_EDGES) | any_float
+
+# Number tokens in and out of JSON's grammar: the forms fmt prints, and
+# integers, "-0", "E", "+", 3- and 4-digit exponents, more than 17 digits,
+# leading zeros, "1." and ".5".
+ODD_TOKENS = [
+    "0", "-0", "-0.0", "0.0", "5", "-7", "12", "00", "01", "-01", "0.", "1.", ".5", "-.5",
+    "+1", "+0.5", "--1", "-", "", "1e", "1e-", "1e+", "1.e-05", "1e-05", "1E-05", "1e+05",
+    "1e05", "1.5e-5", "1.5e-005", "1.5e-0005", "2.5e-100", "2.5e-400", "0e-999", "1.5E+3",
+    "0.1000000000000000055511151231257827", "0.12345678901234567890", "0.00012345678901234567",
+    "0.000000000000000000001", "123456789012345678901234", "1" * 400, "9" * 30 + ".5",
+    "0x1", "1_0", "inf", "nan", "NaN", "Infinity", "-Infinity", "1.5.2", "1e5e5", "0.5 ",
+    " 0.5", "0,5", "true", "null", '"0.5"', "[0.5]", "1.7976931348623157e+308", "1e309",
+]
+token = (
+    st.sampled_from(ODD_TOKENS)
+    | st.from_regex(r"-?(0|[1-9][0-9]{0,19})(\.[0-9]{1,21})?([eE][+-]?[0-9]{1,4})?", fullmatch=True)
+    | st.floats(1e-300, 0.99).map(lambda x: fmt(x))
+)
+
+
+class TestFastReader:
+    """readrows.parse_sequence, tried first by sequence_from_text on long
+    texts, gives exactly what today's json.loads path gives: the same
+    Sequence bit for bit, or the same refusal and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(read_float, read_float), min_size=1, max_size=40),
+           st.sampled_from([0, -3, 7, 2**62, -(2**62), 2**62 - 5]))
+    def test_json_text_rows_read_as_the_json_path(self, pairs, offset):
+        values = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+        text = json_text({"offset": offset, "values": values})
+        assert read_outcome(text, fast=True) == read_outcome(text, fast=False)
+        parts = values.view(np.float64)
+        if np.all(np.abs(parts) < 1.0) and offset + len(values) - 1 <= 2**62:
+            got = parse_sequence(text)
+            assert got is not None and got[1].tobytes() == parts.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(token, token), min_size=1, max_size=12))
+    def test_fuzzed_tokens_read_as_the_json_path(self, rows):
+        text = layout_text(0, rows)
+        assert read_outcome(text, fast=True) == read_outcome(text, fast=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-300, 0.99), st.booleans())
+    def test_decimals_at_rounding_ties_read_as_the_json_path(self, x, negative):
+        sign = "-" if negative else ""
+        e_forms, fixed_forms = tie_tokens(x)
+        for tokens in (e_forms, fixed_forms):
+            text = layout_text(5, [(sign + t, "-0.0") for t in tokens])
+            fast = read_outcome(text, fast=True)
+            assert fast == read_outcome(text, fast=False)
+            assert fast[1] == parse_oracle(text)
+            if tokens is e_forms and x >= 1e-99:  # e forms fit the reader's slots
+                assert parse_sequence(text) is not None
+
+    def test_decimals_nearest_a_tie_go_to_json(self, monkeypatch):
+        # D 10^-20 with D 2^46 = (2N + 1) 5^20 +- 1 lies 2^19 / 10^20, about
+        # 2^-47.4 of a gap, from the midpoint (2N + 1) 2^-66 of two doubles
+        # in [2^-13, 2^-12): as near as 20-digit decimals come to a tie, and
+        # inside the reader's 2^-40 tolerance.
+        tokens = []
+        for side in (1, -1):
+            d = side * pow(2**46, -1, 5**20) % 5**20
+            while d < 2**-12 * 10**20:
+                odd, rest = divmod(d * 2**46 - side, 5**20)
+                if d >= 2**-13 * 10**20 and rest == 0 and odd % 2:
+                    tokens.append(f"0.000{d}")
+                d += 5**20
+        assert len(tokens) == 256
+        loads, calls = json.loads, []
+        monkeypatch.setattr(json, "loads", lambda s: calls.append(s) or loads(s))
+        text = layout_text(0, [(t, "0") for t in tokens])
+        offset, parts = parse_sequence(text)
+        assert sorted(calls) == sorted(t.encode() for t in tokens)
+        monkeypatch.undo()
+        assert read_outcome(text, fast=False) == (0, parts.tobytes())
+
+    @pytest.mark.parametrize("tol", [al_ist.readrows._TIE_TOL, 0.5])
+    def test_fallback_near_ties_reads_the_same(self, tol, monkeypatch):
+        # With the tolerance at 1/2 every nonzero number goes to json.loads.
+        monkeypatch.setattr(al_ist.readrows, "_TIE_TOL", tol)
+        rng = np.random.default_rng(5)
+        parts = rng.uniform(-1, 1, 600) * 10.0 ** rng.integers(-120, 0, 600)
+        parts[::7] = 0.0
+        text = json_text({"offset": 1, "values": parts.view(np.complex128)})
+        offset, got = parse_sequence(text)
+        assert offset == 1 and got.tobytes() == parts.tobytes()
+
+    def test_every_benchmark_nlft_datum(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import jobs
+
+        for seed in range(1, 16):
+            data, _ = jobs.build("nlft", seed)
+            for datum in data:
+                text = sequence_to_text(datum)
+                assert len(text) >= FAST_READ_CHARS
+                offset, parts = parse_sequence(text)
+                assert offset == datum.offset
+                assert parts.tobytes() == datum.values.tobytes()
+                assert read_outcome(text, fast=False) == (offset, parts.tobytes())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"offset": 0, "values": [[0.5, 0.25]] * 400}),
+            layout_text(0, [("0.5", "0.25")] * 400).replace("\n", "\r\n"),
+            layout_text(0, [("0.5", "0.25")] * 400)[:-1],
+            layout_text(0, [("0.5", "0.25")] * 400).replace("0.25]", "0.25 ]", 1),
+            layout_text("01", [("0.5", "0.25")] * 400),
+            layout_text(10**19, [("0.5", "0.25")] * 400),
+            layout_text(0, [("0.5", "0.25")] * 400).replace('"offset"', '"offsets"'),
+            layout_text(0, [("0.5", "0.25")] * 400).replace("[0.5, 0.25]", "[0.5,0.25]", 1),
+            layout_text(0, [("0.5", "0.25")] * 400).replace("[0.5, 0.25]", "[0.5,x0.25]", 1),
+            layout_text(0, [("0.5", "0.25")] * 400).replace("],\n    [", "],\n  x [", 1),
+            layout_text(0, [("0.5", "0.25")] * 400).replace("0.25],", "0.25},", 1),
+            layout_text(0, [("0.5", "0.25")] * 400).replace("[0.5, 0.25]", "[0.5, 0.25, 0]", 1),
+            layout_text(0, [("0.5", "0.25")] * 400).replace("0.5", "0.5\u00e9", 1),
+        ],
+    )
+    def test_other_layouts_are_left_to_json(self, text):
+        assert parse_sequence(text) is None
+        assert read_outcome(text, fast=True) == read_outcome(text, fast=False)
 
 
 class TestJsonText:

@@ -1,6 +1,7 @@
 """scipy is not a runtime dependency: every CLI command, and the library's
 Picard integrator, runs in a fresh interpreter where importing scipy fails.
-Importing the CLI does not load the vectorized array writer either."""
+Importing the CLI loads neither the vectorized array writer nor the
+vectorized sequence reader."""
 
 import json
 import os
@@ -61,12 +62,32 @@ def test_every_command_and_picard_run_without_scipy(tmp_path):
 
 
 def test_importing_the_cli_does_not_load_the_array_writer():
-    # seqio.json_text imports al_ist.floatrows at its first long array, so a
-    # CLI process that writes none does not compile it.
+    # seqio.json_text imports al_ist.floatrows at its first long array, and
+    # seqio.sequence_from_text imports al_ist.readrows at its first long
+    # text, so a CLI process that writes or reads none compiles neither.
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, al_ist.cli; print('al_ist.floatrows' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, al_ist.cli; print([m in sys.modules for m in ('al_ist.floatrows', 'al_ist.readrows')])"],
         env=dict(os.environ, PYTHONPATH=str(Path(al_ist.__file__).resolve().parents[1])),
         capture_output=True, text=True, timeout=60, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"
+
+
+def test_a_compare_job_on_a_small_datum_does_not_load_the_reader(tmp_path):
+    # The benchmark's compare data have 13 sites: their files stay on the
+    # json.loads path.
+    path = tmp_path / "q.json"
+    write_sequence(random_sequence(seed=3, count=13, lo=-6, hi=6, max_modulus=0.5), str(path))
+    argv = ["--cmd", "compare", "--in", str(path), "--t", "0.5", "--eps", "1e-6",
+            "--out", str(tmp_path / "compare.csv")]
+    script = ("import json, sys, al_ist.cli; code = al_ist.cli.main(json.loads(sys.argv[1])); "
+              "print(code, 'al_ist.readrows' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=str(Path(al_ist.__file__).resolve().parents[1])),
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"

@@ -334,6 +334,45 @@ def test_three_sites_over_a_wide_span():
     nlft_forward(q).validate()
 
 
+def fft_points(q, monkeypatch) -> int:
+    """The points np.fft.fft transforms while nlft_forward(q) runs: the
+    tree's work, counted instead of timed."""
+    points = []
+    fft = np.fft.fft
+
+    def counting(x, n=None, axis=-1, **kwargs):
+        points.append(x.size // x.shape[axis] * (n or x.shape[axis]))
+        return fft(x, n=n, axis=axis, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.fft, "fft", counting)
+        nlft_forward(q)
+    return sum(points)
+
+
+def test_few_sites_over_a_wide_span_take_no_fft(monkeypatch):
+    # DIRECT_SITES nonzero sites or fewer are multiplied site by site at any
+    # span: the three sites over 2^16 of the test above take no FFT.
+    values = np.zeros(2**16, dtype=np.complex128)
+    values[[0, 2**15, 2**16 - 1]] = [0.3, 0.4j, -0.2 + 0.1j]
+    assert fft_points(seq(-(2**15), values), monkeypatch) == 0
+
+
+def test_identity_blocks_are_not_multiplied(monkeypatch):
+    # Two 48-site clusters 4 000 zero sites apart, against the same span
+    # with no zero site: the tree multiplies the clusters' blocks and the
+    # one pair that joins them, and copies every block beside an identity.
+    rng = np.random.default_rng(9)
+    dense = rng.uniform(0.05, 0.3, 4096) * np.exp(2j * np.pi * rng.uniform(size=4096))
+    gapped = dense.copy()
+    gapped[48:-48] = 0.0
+    full = fft_points(seq(-100, dense), monkeypatch)
+    assert full == 12 * 4 * 4096  # 12 levels, each 4 rows of 2w points per pair of width w
+    sparse = fft_points(seq(-100, gapped), monkeypatch)
+    assert sparse <= full // 8
+    assert_matches_naive(seq(-100, gapped))
+
+
 @pytest.mark.parametrize(
     "q",
     [
