@@ -21,16 +21,35 @@ from .sequence import Sequence
 
 MODULUS_GUARD = 1.0 - 1e-12
 
+# The C function np.einsum calls when optimize is off, as it is for the
+# RK8 stage sums: the same contraction and the same bits, without the
+# array-function dispatch and the wrapper body.  On a 2-row, 153-site
+# buffer a sum of 2 to 13 terms takes 3.2-5.9 us this way and 1.7-1.9 us
+# more through np.einsum (2-core x86 host).  numpy 1.x keeps it in
+# numpy.core; where neither name exists the kernel calls np.einsum.
+try:
+    from numpy._core.multiarray import c_einsum as _contract
+except ImportError:
+    try:
+        from numpy.core.multiarray import c_einsum as _contract
+    except ImportError:
+        _contract = np.einsum
+
 # Cap on the work of one Runge-Kutta run (rk4_integrate, rk8_pair) in
 # site-steps: ceil(|t| / h) steps per step size, summed over the step
 # sizes, times the lattice sites.  A step of one RK4 row costs 18-21 us up
 # to about 200 sites, where numpy call overhead dominates, 51 us at 1 001
-# sites and 111 us at 4 001; a step of one RK8 row (12 stages, one einsum
-# per stage sum) costs 64 us at 3 sites, 87 us at 193, 234 us at 1 001
-# and 597 us at 4 001 (2-core x86 host, best of 5 runs of 200 steps).  So
-# the cap stands for about 3 s at 4 001 sites, 11 s at 193 and 10 min at 3
-# for RK4, and about 15 s, 45 s and 35 min for RK8.  The largest pair of
-# the benchmark's compare jobs (t 8, 193 sites) needs 4.6e4.
+# sites and 111 us at 4 001 (2-core x86 host, best of 5 runs of 200
+# steps).  A step of one RK8 row (12 stages, one contraction per stage
+# sum) costs 45-47 us at 3 sites, 59-60 us at 193, about 205 us at 1 001
+# and 510-600 us at 4 001, against 67-72, 84-90, 233-259 and 566-587 us
+# through np.einsum and a right-hand-side function (the same host, the two
+# kernels interleaved in one process, best of 2 runs of 200 steps in each
+# of 5 rounds); from about 1 000 sites on the contraction's own arithmetic
+# dominates.  So the cap stands for about 3 s at 4 001 sites, 11 s at 193
+# and 10 min at 3 for RK4, and about 14 s, 30 s and 25 min for RK8.  The
+# largest pair of the benchmark's compare jobs (t 8, 193 sites) needs
+# 4.6e4.
 RK4_SITE_STEP_CAP = 10**8
 
 # Sub-interval length for the Picard composition; the integral operator is
@@ -254,18 +273,20 @@ def _rk_rows(
         # b.  The state comes last so that each sum rounds once at its
         # scale.  Each lattice row has its own coefficients (its own step),
         # which act on the sites of the float view of z, so no pad cell is
-        # written.  One einsum forms a sum: it adds the products one at a
-        # time in the order of j, as a loop over fresh arrays would, in one
-        # pass over the terms.  The zero coefficients (a[i, 1] from stage 3
+        # written.  One contraction forms a sum: it adds the products one at
+        # a time in the order of j, as a loop over fresh arrays would, in one
+        # pass over the terms.  It is a call of _contract, np.einsum's C
+        # function (or np.einsum where numpy lacks it), with np.einsum's
+        # arguments.  The zero coefficients (a[i, 1] from stage 3
         # on, a[i, 2] from stage 5 on, b[1:5]) stay in: with the order
         # fixed, no one row order keeps them out of every stage's block,
         # and at a few hundred sites two fewer terms save less than one
         # more call costs.  The result reads y, so it is formed in the
         # stage buffer, which is free by then, and copied into y.
-        weights = [np.r_[tableau.a[i, :i][::-1], 1.0] for i in range(1, stages)]
-        weights.append(np.r_[tableau.b[::-1], 1.0])
-        base = np.cumsum([0] + [len(w) for w in weights])
-        weights = np.concatenate(weights)
+        blocks = [(*tableau.a[i, :i][::-1].tolist(), 1.0) for i in range(1, stages)]
+        blocks.append((*tableau.b[::-1].tolist(), 1.0))
+        base = np.cumsum([0] + [len(w) for w in blocks])
+        weights = np.array([w for block in blocks for w in block])
         coef = np.zeros((len(weights), rows))
         z_sites = z.view(np.float64).reshape(stages + 1, rows, 2 * stride)[:, :, 2:-2]
         stage_sites = stage_buf.view(np.float64).reshape(rows, 2 * stride)[:, 2:-2]
@@ -309,16 +330,43 @@ def _rk_rows(
         np.add(y, acc, y)
         np.abs(y, m_y)
 
+    # The tableau steps' calls, looked up once per run.
+    contract = _contract
+    add, square, subtract, multiply = np.add, np.square, np.subtract, np.multiply
+    absolute, copyto = np.abs, np.copyto
+    # 1 as a 0-d array: a ufunc converts a Python float operand anew on
+    # every call.
+    one = np.ones(())
+
     def tableau_step():
         rhs(rings[0], y_left, y_right, m_y, ks[0])
         for c, terms, out, m, k in stage_ops:
-            np.einsum("jr,jrk->rk", c, terms, out=out)
-            np.abs(stage, m)
+            contract("jr,jrk->rk", c, terms, out=out)
+            absolute(stage, m)
             rhs(rings[1], s_left, s_right, m, k)
         c, terms, out, y_sites = result_op
-        np.einsum("jr,jrk->rk", c, terms, out=out)
-        np.copyto(y_sites, out)
-        np.abs(y, m_y)
+        contract("jr,jrk->rk", c, terms, out=out)
+        copyto(y_sites, out)
+        absolute(y, m_y)
+
+    def zero_tableau_step():
+        # tableau_step with rhs written out: the zero boundary copies no
+        # pads, so a right-hand side is its four ufunc calls.
+        add(y_left, y_right, acc)
+        square(m_y, sq)
+        subtract(one, sq, gain_im)
+        multiply(gain, acc, k0)
+        for c, terms, out, m, k in stage_ops:
+            contract("jr,jrk->rk", c, terms, out=out)
+            absolute(stage, m)
+            add(s_left, s_right, acc)
+            square(m, sq)
+            subtract(one, sq, gain_im)
+            multiply(gain, acc, k)
+        c, terms, out, y_sites = result_op
+        contract("jr,jrk->rk", c, terms, out=out)
+        copyto(y_sites, out)
+        absolute(y, m_y)
 
     y = z[stages, 1:-1]
     np.abs(y, mods_all[0])
@@ -363,7 +411,8 @@ def _rk_rows(
                     for i in range(1, stages)
                 ]
                 result_op = (parts[-1], terms, stage_sites[first:], terms[stages])
-                step_once = tableau_step
+                k0 = ks[0]
+                step_once = tableau_step if periodic else zero_tableau_step
             for _ in range(lo, hi):
                 step_once()
                 # The step's one guard test; "not <" trips on NaN too.
@@ -397,8 +446,15 @@ def rk4_integrate(
     never zeroed.  Every update runs in place.  RK4 keeps its own update
     path, in the operation order of the textbook step, so each row matches
     a loop with fresh arrays bit for bit; another tableau forms each stage,
-    and the step's result, as one einsum of its coefficients with the k_j
-    and the state, which adds the products in the order of that loop.
+    and the step's result, as one einsum contraction of its coefficients
+    with the k_j and the state, which adds the products in the order of
+    that loop.  The contraction is numpy's C function c_einsum, bound at
+    import (numpy._core.multiarray, or numpy.core.multiarray on numpy 1.x),
+    which np.einsum calls with the same arguments, so the bits are
+    np.einsum's, without its Python wrapper; where neither name exists the
+    kernel calls np.einsum.  On the zero boundary the tableau step writes
+    the right-hand side's four ufunc calls out in its stage loop instead of
+    calling a Python function for it.
 
     The guard is checked once per step: |q| of every stage and of the
     step's result are kept in one buffer and tested by one max.  On a trip

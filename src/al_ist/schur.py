@@ -184,6 +184,11 @@ def _recur(p: np.ndarray, q: np.ndarray, steps: int, gammas: np.ndarray):
     # gamma and conj(gamma) as 0-d arrays: a ufunc converts a Python complex
     # operand anew on every call.
     g, g_conj = np.empty((), dtype=np.complex128), np.empty((), dtype=np.complex128)
+    # The step's calls, looked up once per run; the gammas are collected in
+    # a list and written to the array once, when the run ends or stops.
+    multiply, subtract, q_item = np.multiply, np.subtract, q.item
+    p_items = (bufs[0].item, bufs[1].item)
+    found = []
     for start in range(0, steps, BLOCK):
         w = length - start
         qw, q1, sw, s1 = q[:w], q[1:w], scratch[:w], scratch[: w - 1]
@@ -191,24 +196,27 @@ def _recur(p: np.ndarray, q: np.ndarray, steps: int, gammas: np.ndarray):
                  (bufs[1][:w], bufs[1][1:w], bufs[0][: w - 1]))
         for k in range(start, min(start + BLOCK, steps)):
             pw, p1, nxt = views[k % 2]
-            q0 = qw.item(0)
+            q0 = q_item(0)
             if not 0.5 <= abs(q0) < 1.0:
                 # 2^1023 is the largest finite power, for a subnormal den(0).
                 scale = math.ldexp(1.0, min(-math.frexp(abs(q0))[1], 1023))
                 # On the float64 view, so that signed zeros keep their sign.
                 for a in (pw, qw):
                     re_im = a.view(np.float64)
-                    np.multiply(re_im, scale, out=re_im)
-                q0 = qw.item(0)
-            gamma = (pw.item(0) or 0j) / q0
+                    multiply(re_im, scale, re_im)
+                q0 = q_item(0)
+            gamma = (p_items[k % 2](0) or 0j) / q0
             if abs(gamma) >= STOP_THRESHOLD:
+                gammas[:k] = found
                 return k, bufs[k % 2], gamma
-            gammas[k] = g[()] = gamma
+            found.append(gamma)
+            g[()] = gamma
             g_conj[()] = gamma.conjugate()
-            np.multiply(g, q1, out=s1)
-            np.subtract(p1, s1, out=nxt)
-            np.multiply(g_conj, pw, out=sw)
-            np.subtract(qw, sw, out=qw)
+            multiply(g, q1, s1)
+            subtract(p1, s1, nxt)
+            multiply(g_conj, pw, sw)
+            subtract(qw, sw, qw)
+    gammas[:steps] = found
     return steps, bufs[steps % 2], None
 
 

@@ -75,6 +75,8 @@ def sequence_from_text(text: str) -> Sequence:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed sequence file: {exc}") from exc
+    except ValueError as exc:  # an integer token past Python's digit limit
+        raise ValidationError(f"sequence file holds an integer too long to read: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"offset", "values"}:
         raise ValidationError('sequence file must have exactly the fields "offset" and "values"')
     offset = doc["offset"]

@@ -1001,6 +1001,23 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["nlft"], ["compare", "--t", "0.5", "--eps", "1e-6"]])
+    @pytest.mark.parametrize(
+        "text",
+        ['{"offset": 0, "values": [[0, 1' + "0" * 4999 + "]]}",
+         '{"offset": 1' + "0" * 4999 + ', "values": [[0.5, 0]]}'],
+        ids=["value", "offset"],
+    )
+    def test_integers_past_the_digit_limit(self, tmp_path, capsys, command, text):
+        # json.loads refuses an integer token of more than 4 300 digits with
+        # a ValueError, which is not a JSONDecodeError.
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["--cmd", *command, "--in", str(path), "--out", str(out)]) == 2
+        assert "integer too long to read" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eta_is_not_an_option(self, datum_file):
         path = datum_file(seq(0, [0.1]))
         with pytest.raises(SystemExit) as info:

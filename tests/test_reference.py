@@ -25,6 +25,7 @@ from al_ist.reference import (
     _initial_array,
     _rhs,
     _rk_rows,
+    _step_plan,
     al_rhs,
     conserved_product,
     default_radius,
@@ -415,6 +416,34 @@ class TestRk8:
         for got, run in zip(rk8_pair(q0, t, radius), want):
             assert got.q.offset == run.q.offset and got.t == run.t
             assert np.array_equal(got.q.values, run.q.values)
+
+    @pytest.mark.parametrize("t, radius", [(6.0, 76), (-8.0, 96)])
+    def test_bound_contraction_gives_einsums_bits(self, monkeypatch, t, radius):
+        # The kernel's contraction is the C function np.einsum calls; with
+        # np.einsum itself in its place the pair keeps every bit.
+        want = rk8_pair(BENCH_DATUM, t, radius)
+        monkeypatch.setattr(al_ist.reference, "_contract", np.einsum)
+        for got, row in zip(rk8_pair(BENCH_DATUM, t, radius), want):
+            assert got.q.values.tobytes() == row.q.values.tobytes()
+
+    @pytest.mark.parametrize("t, radius", [(6.0, 76), (-8.0, 96)])
+    def test_stage_sums_bypass_np_einsum(self, monkeypatch, t, radius):
+        # 11 stage sums and the step's result: 12 contractions a buffer
+        # step, one step of both rows while the coarse row still runs.
+        contract, calls = al_ist.reference._contract, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return contract(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        monkeypatch.setattr(al_ist.reference, "_contract", counted)
+        monkeypatch.setattr(np, "einsum", refused)
+        rk8_pair(BENCH_DATUM, t, radius)
+        steps = max(_step_plan(abs(t), h)[0] for h in (RK8_STEP, RK8_STEP / 2.0))
+        assert len(calls) == 12 * steps
 
     @pytest.mark.parametrize("margin, context", [(0.0, "initialization"), (1e-6, "rk8 stage")])
     def test_lowered_guard_trips(self, monkeypatch, margin, context):
