@@ -296,9 +296,11 @@ def _rk_rows(
         (b[0::stride], b[size::stride], b[stride - 1 :: stride], b[1::stride])
         for b in (z[stages], stage_buf)
     ]
+    y_ring, s_ring = rings
 
     def rhs(ring, left: np.ndarray, right: np.ndarray, m: np.ndarray, out: np.ndarray):
-        # i (1 - |q|^2) * (left + right), with |q| already in m
+        # RK4's right-hand side i (1 - |q|^2) * (left + right), with |q|
+        # already in m
         if periodic:
             np.copyto(ring[0], ring[1])
             np.copyto(ring[2], ring[3])
@@ -313,13 +315,13 @@ def _rk_rows(
         np.abs(stage, m)
 
     def rk4_step():
-        rhs(rings[0], y_left, y_right, m_y, k1)
+        rhs(y_ring, y_left, y_right, m_y, k1)
         stage_from(c_half, k1, m1)
-        rhs(rings[1], s_left, s_right, m1, k2)
+        rhs(s_ring, s_left, s_right, m1, k2)
         stage_from(c_half, k2, m2)
-        rhs(rings[1], s_left, s_right, m2, k3)
+        rhs(s_ring, s_left, s_right, m2, k3)
         stage_from(c_full, k3, m3)
-        rhs(rings[1], s_left, s_right, m3, k4)
+        rhs(s_ring, s_left, s_right, m3, k4)
         # y + (step / 6) * (((k1 + 2 k2) + 2 k3) + k4)
         np.multiply(2.0, k2, k2)
         np.add(k1, k2, acc)
@@ -330,7 +332,7 @@ def _rk_rows(
         np.add(y, acc, y)
         np.abs(y, m_y)
 
-    # The tableau steps' calls, looked up once per run.
+    # The tableau step's calls, looked up once per run.
     contract = _contract
     add, square, subtract, multiply = np.add, np.square, np.subtract, np.multiply
     absolute, copyto = np.abs, np.copyto
@@ -339,19 +341,11 @@ def _rk_rows(
     one = np.ones(())
 
     def tableau_step():
-        rhs(rings[0], y_left, y_right, m_y, ks[0])
-        for c, terms, out, m, k in stage_ops:
-            contract("jr,jrk->rk", c, terms, out=out)
-            absolute(stage, m)
-            rhs(rings[1], s_left, s_right, m, k)
-        c, terms, out, y_sites = result_op
-        contract("jr,jrk->rk", c, terms, out=out)
-        copyto(y_sites, out)
-        absolute(y, m_y)
-
-    def zero_tableau_step():
-        # tableau_step with rhs written out: the zero boundary copies no
-        # pads, so a right-hand side is its four ufunc calls.
+        # The right-hand side i (1 - |q|^2) (left + right) is written out:
+        # the periodic boundary's pad copies, then four ufunc calls.
+        if periodic:
+            copyto(y_ring[0], y_ring[1])
+            copyto(y_ring[2], y_ring[3])
         add(y_left, y_right, acc)
         square(m_y, sq)
         subtract(one, sq, gain_im)
@@ -359,6 +353,9 @@ def _rk_rows(
         for c, terms, out, m, k in stage_ops:
             contract("jr,jrk->rk", c, terms, out=out)
             absolute(stage, m)
+            if periodic:
+                copyto(s_ring[0], s_ring[1])
+                copyto(s_ring[2], s_ring[3])
             add(s_left, s_right, acc)
             square(m, sq)
             subtract(one, sq, gain_im)
@@ -412,7 +409,7 @@ def _rk_rows(
                 ]
                 result_op = (parts[-1], terms, stage_sites[first:], terms[stages])
                 k0 = ks[0]
-                step_once = tableau_step if periodic else zero_tableau_step
+                step_once = tableau_step
             for _ in range(lo, hi):
                 step_once()
                 # The step's one guard test; "not <" trips on NaN too.
@@ -452,8 +449,8 @@ def rk4_integrate(
     import (numpy._core.multiarray, or numpy.core.multiarray on numpy 1.x),
     which np.einsum calls with the same arguments, so the bits are
     np.einsum's, without its Python wrapper; where neither name exists the
-    kernel calls np.einsum.  On the zero boundary the tableau step writes
-    the right-hand side's four ufunc calls out in its stage loop instead of
+    kernel calls np.einsum.  The tableau step writes the right-hand side's
+    pad copies and four ufunc calls out in its stage loop instead of
     calling a Python function for it.
 
     The guard is checked once per step: |q| of every stage and of the
