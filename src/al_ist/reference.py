@@ -3,10 +3,11 @@
     d/dt q(t,n) = i (1 - |q(t,n)|^2) (q(t,n-1) + q(t,n+1)),
 
 on a truncated lattice.  Serves as the independent oracle for the fast
-solver: an explicit Runge-Kutta kernel that runs classical RK4 (the
-reference command) and an order-8 pair (compare), a Picard fixed-point
-iteration as a second scheme of entirely different character, and the
-conserved log-product sum log(1 - |q(n)|^2) as a drift monitor.
+solver: an explicit Runge-Kutta kernel, one step for every tableau, that
+runs classical RK4 (the reference command) and an order-8 pair (compare),
+a Picard fixed-point iteration as a second scheme of entirely different
+character, and the conserved log-product sum log(1 - |q(n)|^2) as a drift
+monitor.
 """
 
 from __future__ import annotations
@@ -37,19 +38,16 @@ except ImportError:
 
 # Cap on the work of one Runge-Kutta run (rk4_integrate, rk8_pair) in
 # site-steps: ceil(|t| / h) steps per step size, summed over the step
-# sizes, times the lattice sites.  A step of one RK4 row costs 18-21 us up
-# to about 200 sites, where numpy call overhead dominates, 51 us at 1 001
-# sites and 111 us at 4 001 (2-core x86 host, best of 5 runs of 200
-# steps).  A step of one RK8 row (12 stages, one contraction per stage
-# sum) costs 45-47 us at 3 sites, 59-60 us at 193, about 205 us at 1 001
-# and 510-600 us at 4 001, against 67-72, 84-90, 233-259 and 566-587 us
-# through np.einsum and a right-hand-side function (the same host, the two
-# kernels interleaved in one process, best of 2 runs of 200 steps in each
-# of 5 rounds); from about 1 000 sites on the contraction's own arithmetic
-# dominates.  So the cap stands for about 3 s at 4 001 sites, 11 s at 193
-# and 10 min at 3 for RK4, and about 14 s, 30 s and 25 min for RK8.  The
-# largest pair of the benchmark's compare jobs (t 8, 193 sites) needs
-# 4.6e4.
+# sizes, times the lattice sites.  A step of one RK4 row costs 14-15 us at
+# 3 sites and 19-20 us at 193, where numpy call overhead dominates, 50-51
+# us at 1 001 sites and about 133 us at 4 001.  A step of one RK8 row (12
+# stages, one contraction per stage sum) costs 37-38, 60-61, 188-192 and
+# 516-521 us at those sizes; from about 1 000 sites on the contraction's
+# own arithmetic dominates (2-core x86 host, numpy 2.4.6, best of 15 runs
+# of 200 steps in each of two sessions).  So the cap stands for about 3 s
+# at 4 001 sites, 10 s at 193 and 8 min at 3 for RK4, and about 13 s, 31 s
+# and 21 min for RK8.  The largest pair of the benchmark's compare jobs (t
+# 8, 193 sites) needs 4.6e4.
 RK4_SITE_STEP_CAP = 10**8
 
 # Sub-interval length for the Picard composition; the integral operator is
@@ -219,7 +217,32 @@ def _rk_rows(
     boundary: str,
 ) -> list[LatticeState]:
     """Runs of one datum to time t under `tableau`, one row per step size in
-    hs, all stepped by the same numpy calls; the layout is in rk4_integrate."""
+    hs, all stepped by the same numpy calls.
+
+    A row is the lattice laid out as [pad | sites | pad]; rows sit back to
+    back in one buffer, and every numpy call acts once on the flat interior
+    of the buffer, so the neighbour sum is buffer[:-2] + buffer[2:].  Pad
+    rule: for the periodic boundary every pad cell takes its row's ring end
+    before every right-hand side.  Stage and step updates never change the
+    inner pad cells (between two rows) of the zero boundary, which stay +0
+    and are never zeroed.  Every update runs in place.  Every tableau takes
+    the same step: each stage, and the step's result, is one einsum
+    contraction of its coefficients with the k_j and the state, which adds
+    the products in the order of a loop over fresh arrays.  The
+    contraction is numpy's C function c_einsum, bound at import
+    (numpy._core.multiarray, or numpy.core.multiarray on numpy 1.x), which
+    np.einsum calls with the same arguments, so the bits are np.einsum's,
+    without its Python wrapper; where neither name exists the kernel calls
+    np.einsum.  The step writes the right-hand side's pad copies and four
+    ufunc calls out in its stage loop instead of calling a Python function
+    for it.
+
+    The guard is checked once per step: |q| of every stage and of the
+    step's result are kept in one buffer and tested by one max.  On a trip
+    the error names the first of them in that order that reached the
+    guard, "<name> stage" or "<name> step" (tableau.name), as a check after
+    each would; the stages computed after it are thrown away.
+    """
     if not all(h > 0 for h in hs):
         raise ValidationError("step size must be positive")
     if not math.isfinite(t):
@@ -259,80 +282,38 @@ def _rk_rows(
     # Rows 0..s-1: |q| of the state and of the step's s - 1 stages, kept
     # for the step's one guard test; row s: |q|^2.
     mods_all = np.zeros((stages + 1, width))
-    rk4 = tableau is RK4
-    if rk4:
-        # 0.5 step, step and step / 6, complex as in the textbook loop, per
-        # interior cell.  They are 0 at every pad cell, so the inner pads of
-        # the zero boundary stay +0.
-        coef = np.zeros((3, width), dtype=np.complex128)
-    else:
-        # Stage i is the sum, in order, of step a[i, j] k_j for j = i - 1
-        # down to 0 and then of the state: z[s - i:] contracted with the
-        # block coef[base[i - 1] : base[i]], whose last entry, the state's,
-        # is 1.  The step's result is z contracted with the last block, with
-        # b.  The state comes last so that each sum rounds once at its
-        # scale.  Each lattice row has its own coefficients (its own step),
-        # which act on the sites of the float view of z, so no pad cell is
-        # written.  One contraction forms a sum: it adds the products one at
-        # a time in the order of j, as a loop over fresh arrays would, in one
-        # pass over the terms.  It is a call of _contract, np.einsum's C
-        # function (or np.einsum where numpy lacks it), with np.einsum's
-        # arguments.  The zero coefficients (a[i, 1] from stage 3
-        # on, a[i, 2] from stage 5 on, b[1:5]) stay in: with the order
-        # fixed, no one row order keeps them out of every stage's block,
-        # and at a few hundred sites two fewer terms save less than one
-        # more call costs.  The result reads y, so it is formed in the
-        # stage buffer, which is free by then, and copied into y.
-        blocks = [(*tableau.a[i, :i][::-1].tolist(), 1.0) for i in range(1, stages)]
-        blocks.append((*tableau.b[::-1].tolist(), 1.0))
-        base = np.cumsum([0] + [len(w) for w in blocks])
-        weights = np.array([w for block in blocks for w in block])
-        coef = np.zeros((len(weights), rows))
-        z_sites = z.view(np.float64).reshape(stages + 1, rows, 2 * stride)[:, :, 2:-2]
-        stage_sites = stage_buf.view(np.float64).reshape(rows, 2 * stride)[:, 2:-2]
+    # Stage i is the sum, in order, of step a[i, j] k_j for j = i - 1 down
+    # to 0 and then of the state: z[s - i:] contracted with the block
+    # coef[base[i - 1] : base[i]], whose last entry, the state's, is 1.  The
+    # step's result is z contracted with the last block, with b.  The state
+    # comes last so that each sum rounds once at its scale.  Each lattice
+    # row has its own coefficients (its own step), which act on the sites
+    # of the float view of z, so no pad cell is written.  One contraction
+    # forms a sum: it adds the products one at a time in the order of j, as
+    # a loop over fresh arrays would, in one pass over the terms.  It is a
+    # call of _contract, np.einsum's C function (or np.einsum where numpy
+    # lacks it), with np.einsum's arguments.  The zero coefficients (for
+    # RK8 a[i, 1] from stage 3 on, a[i, 2] from stage 5 on, b[1:5]; for RK4
+    # a[2, 0], a[3, :2]) stay in: with the order fixed, no one row order
+    # keeps them out of every stage's block, and at a few hundred sites two
+    # fewer terms save less than one more call costs.  The result reads y,
+    # so it is formed in the stage buffer, which is free by then, and
+    # copied into y.
+    blocks = [(*tableau.a[i, :i][::-1].tolist(), 1.0) for i in range(1, stages)]
+    blocks.append((*tableau.b[::-1].tolist(), 1.0))
+    base = np.cumsum([0] + [len(w) for w in blocks])
+    weights = np.array([w for block in blocks for w in block])
+    coef = np.zeros((len(weights), rows))
+    z_sites = z.view(np.float64).reshape(stages + 1, rows, 2 * stride)[:, :, 2:-2]
+    stage_sites = stage_buf.view(np.float64).reshape(rows, 2 * stride)[:, 2:-2]
     periodic = boundary == "periodic"
     # Per buffer: left pads, last sites, right pads, first sites.
-    rings = [
+    y_ring, s_ring = [
         (b[0::stride], b[size::stride], b[stride - 1 :: stride], b[1::stride])
         for b in (z[stages], stage_buf)
     ]
-    y_ring, s_ring = rings
 
-    def rhs(ring, left: np.ndarray, right: np.ndarray, m: np.ndarray, out: np.ndarray):
-        # RK4's right-hand side i (1 - |q|^2) * (left + right), with |q|
-        # already in m
-        if periodic:
-            np.copyto(ring[0], ring[1])
-            np.copyto(ring[2], ring[3])
-        np.add(left, right, acc)
-        np.square(m, sq)
-        np.subtract(1.0, sq, gain_im)
-        np.multiply(gain, acc, out)
-
-    def stage_from(c: np.ndarray, k: np.ndarray, m: np.ndarray):
-        np.multiply(c, k, stage)
-        np.add(y, stage, stage)
-        np.abs(stage, m)
-
-    def rk4_step():
-        rhs(y_ring, y_left, y_right, m_y, k1)
-        stage_from(c_half, k1, m1)
-        rhs(s_ring, s_left, s_right, m1, k2)
-        stage_from(c_half, k2, m2)
-        rhs(s_ring, s_left, s_right, m2, k3)
-        stage_from(c_full, k3, m3)
-        rhs(s_ring, s_left, s_right, m3, k4)
-        # y + (step / 6) * (((k1 + 2 k2) + 2 k3) + k4)
-        np.multiply(2.0, k2, k2)
-        np.add(k1, k2, acc)
-        np.multiply(2.0, k3, k3)
-        np.add(acc, k3, acc)
-        np.add(acc, k4, acc)
-        np.multiply(c_sixth, acc, acc)
-        np.add(y, acc, y)
-        np.abs(y, m_y)
-
-    # The tableau step's calls, looked up once per run.
+    # The step's calls, looked up once per run.
     contract = _contract
     add, square, subtract, multiply = np.add, np.square, np.subtract, np.multiply
     absolute, copyto = np.abs, np.copyto
@@ -341,27 +322,22 @@ def _rk_rows(
     one = np.ones(())
 
     def tableau_step():
-        # The right-hand side i (1 - |q|^2) (left + right) is written out:
-        # the periodic boundary's pad copies, then four ufunc calls.
-        if periodic:
-            copyto(y_ring[0], y_ring[1])
-            copyto(y_ring[2], y_ring[3])
-        add(y_left, y_right, acc)
-        square(m_y, sq)
-        subtract(one, sq, gain_im)
-        multiply(gain, acc, k0)
-        for c, terms, out, m, k in stage_ops:
-            contract("jr,jrk->rk", c, terms, out=out)
-            absolute(stage, m)
+        # Stage 0 is the state; every later stage is first formed by its
+        # contraction.  The right-hand side i (1 - |q|^2) (left + right) is
+        # written out: the periodic boundary's pad copies, then four ufunc
+        # calls.
+        for c, stage_terms, ring, left, right, m, k in stage_ops:
+            if c is not None:
+                contract("jr,jrk->rk", c, stage_terms, out=out)
+                absolute(stage, m)
             if periodic:
-                copyto(s_ring[0], s_ring[1])
-                copyto(s_ring[2], s_ring[3])
-            add(s_left, s_right, acc)
+                copyto(ring[0], ring[1])
+                copyto(ring[2], ring[3])
+            add(left, right, acc)
             square(m, sq)
             subtract(one, sq, gain_im)
             multiply(gain, acc, k)
-        c, terms, out, y_sites = result_op
-        contract("jr,jrk->rk", c, terms, out=out)
+        contract("jr,jrk->rk", parts[-1], terms, out=out)
         copyto(y_sites, out)
         absolute(y, m_y)
 
@@ -380,38 +356,25 @@ def _rk_rows(
             for p in range(first, rows):
                 count, last = plans[order[p]]
                 step = sign * (hs[order[p]] if lo < count - 1 else last)
-                if rk4:
-                    cells = slice(p * stride, p * stride + size)
-                    coef[:, cells] = np.array([[0.5 * step], [step], [step / 6.0]])
-                else:
-                    coef[:, p] = weights * step
-                    coef[base[1:] - 1, p] = 1.0
+                coef[:, p] = weights * step
+                coef[base[1:] - 1, p] = 1.0
             b = first * stride
             ypad, spad = z[stages, b:], stage_buf[b:]
             y, stage = ypad[1:-1], spad[1:-1]
-            y_left, y_right, s_left, s_right = ypad[:-2], ypad[2:], spad[:-2], spad[2:]
             ks = z[stages - 1 :: -1, b + 1 : -1]
             acc, gain = work[:, b:]
             gain_im = gain.imag
             mods, sq = mods_all[:stages, b:], mods_all[stages, b:]
             m_y = mods[0]
-            if rk4:
-                k1, k2, k3, k4 = ks
-                m1, m2, m3 = mods[1:]
-                c_half, c_full, c_sixth = coef[:, b:]
-                step_once = rk4_step
-            else:
-                terms = z_sites[:, first:]
-                parts = [coef[base[i] : base[i + 1], first:] for i in range(stages)]
-                stage_ops = [
-                    (parts[i - 1], terms[stages - i :], stage_sites[first:], mods[i], ks[i])
-                    for i in range(1, stages)
-                ]
-                result_op = (parts[-1], terms, stage_sites[first:], terms[stages])
-                k0 = ks[0]
-                step_once = tableau_step
+            terms, out = z_sites[:, first:], stage_sites[first:]
+            y_sites = terms[stages]
+            parts = [coef[base[i] : base[i + 1], first:] for i in range(stages)]
+            stage_ops = [(None, None, y_ring, ypad[:-2], ypad[2:], m_y, ks[0])] + [
+                (parts[i - 1], terms[stages - i :], s_ring, spad[:-2], spad[2:], mods[i], ks[i])
+                for i in range(1, stages)
+            ]
             for _ in range(lo, hi):
-                step_once()
+                tableau_step()
                 # The step's one guard test; "not <" trips on NaN too.
                 if not mods.max() < MODULUS_GUARD:
                     stage_tripped = any(not m.max() < MODULUS_GUARD for m in mods[1:])
@@ -431,33 +394,10 @@ def rk4_integrate(
     max|q| >= 1 - 1e-12 aborts with a blow-up error.  A run of more than
     RK4_SITE_STEP_CAP site-steps is refused before any work.
 
-    This is the one-row RK4 case of the explicit Runge-Kutta kernel, which
-    takes a tableau and steps one or more step sizes of a datum together
-    (rk8_pair runs two).  A row is the lattice laid out as
-    [pad | sites | pad]; rows sit back to back in one buffer, and every
-    numpy call acts once on the flat interior of the buffer, so the
-    neighbour sum is buffer[:-2] + buffer[2:].  Pad rule: for the periodic
-    boundary every pad cell takes its row's ring end before every
-    right-hand side.  Stage and step updates never change the inner pad
-    cells (between two rows) of the zero boundary, which stay +0 and are
-    never zeroed.  Every update runs in place.  RK4 keeps its own update
-    path, in the operation order of the textbook step, so each row matches
-    a loop with fresh arrays bit for bit; another tableau forms each stage,
-    and the step's result, as one einsum contraction of its coefficients
-    with the k_j and the state, which adds the products in the order of
-    that loop.  The contraction is numpy's C function c_einsum, bound at
-    import (numpy._core.multiarray, or numpy.core.multiarray on numpy 1.x),
-    which np.einsum calls with the same arguments, so the bits are
-    np.einsum's, without its Python wrapper; where neither name exists the
-    kernel calls np.einsum.  The tableau step writes the right-hand side's
-    pad copies and four ufunc calls out in its stage loop instead of
-    calling a Python function for it.
-
-    The guard is checked once per step: |q| of every stage and of the
-    step's result are kept in one buffer and tested by one max.  On a trip
-    the error names the first of them in that order that reached the
-    guard, "rk4 stage" or "rk4 step", as a check after each would; the
-    stages computed after it are thrown away.
+    This is the one-row RK4 case of the explicit Runge-Kutta kernel
+    _rk_rows, which takes a tableau and steps one or more step sizes of a
+    datum together (rk8_pair runs two); a trip names "rk4 stage" or
+    "rk4 step".
     """
     return _rk_rows(q0, t, (h,), RK4, radius, boundary)[0]
 
@@ -467,7 +407,7 @@ def rk8_pair(
 ) -> tuple[LatticeState, LatticeState]:
     """(coarse, fine): the order-8 tableau RK8 on the zero boundary at steps
     RK8_STEP and RK8_STEP / 2, as two rows of one kernel run (the layout
-    and the guard are in rk4_integrate; a trip names "rk8 stage" or
+    and the guard are in _rk_rows; a trip names "rk8 stage" or
     "rk8 step").  Their difference over 2^8 - 1 is the Richardson estimate
     of the fine row's error.  A run of more than RK4_SITE_STEP_CAP
     site-steps, over both step sizes, is refused before any work."""

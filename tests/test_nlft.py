@@ -251,11 +251,18 @@ def test_validate_refuses_a_reflection_coefficient_outside_the_disk():
     # 20 sites of modulus 0.999999: the float64 a cancels to exactly 0 at
     # some nodes, which the residual relative to max |a|^2 lets through,
     # but |b| >= |a| there.
+    # Roundoff decides how many nodes fail (595 of 1024 with numpy's AVX-512
+    # kernels, 461 with its baseline ones), so the count is taken from the
+    # same grid values.
     m = nlft_forward(seq(0, 0.999999 * np.exp(1j * np.arange(20))))
-    av, _ = m.grid_values(witness_grid(m.a, m.b))
+    grid = witness_grid(m.a, m.b)
+    av, bv = m.grid_values(grid)
     assert m.unitarity_residual() <= UNITARITY_TOL * float(np.max(np.abs(av) ** 2))
     assert np.min(np.abs(av)) == 0.0
-    with pytest.raises(ValidationError, match="at 595 of 1024 witness nodes: the reflection"):
+    outside = np.count_nonzero(~(np.abs(bv) ** 2 < np.abs(av) ** 2))
+    assert outside > 0
+    refusal = f"at {outside} of {grid.size} witness nodes: the reflection"
+    with pytest.raises(ValidationError, match=refusal):
         m.validate()
 
 

@@ -138,30 +138,35 @@ class TestRk4:
         assert diff > 1e-3
 
 
-def rk4_allocating(q0, t, h, radius=None, boundary="zero"):
-    """The textbook RK4 loop with fresh arrays at every stage: the oracle
-    for the in-place kernel of rk4_integrate."""
+def tableau_allocating(q0, t, h, radius, tableau, boundary):
+    """`tableau` with fresh arrays at every stage: the oracle for the kernel
+    of _rk_rows.  It takes the kernel's step plan, sums in the kernel's
+    order (k_{i-1} down to k_0, then y) and tests every stage and step
+    result."""
     if radius is None:
         radius = default_radius(q0, t)
     offset, y = _initial_array(q0, radius, boundary)
     _guard(y, "initialization")
-    remaining = abs(t)
+    a, b = tableau.a, tableau.b
+    count, last = _step_plan(abs(t), h)
     sign = 1.0 if t >= 0 else -1.0
-    while remaining > 0.0:
-        step = sign * min(h, remaining)
-        k1 = _rhs(y, boundary)
-        y2 = y + 0.5 * step * k1
-        _guard(y2, "rk4 stage")
-        k2 = _rhs(y2, boundary)
-        y3 = y + 0.5 * step * k2
-        _guard(y3, "rk4 stage")
-        k3 = _rhs(y3, boundary)
-        y4 = y + step * k3
-        _guard(y4, "rk4 stage")
-        k4 = _rhs(y4, boundary)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _guard(y, "rk4 step")
-        remaining -= abs(step)
+    for n in range(count):
+        step = sign * (h if n < count - 1 else last)
+        ks = []
+        for i in range(len(b)):
+            stage = y
+            if i:
+                acc = (a[i, i - 1] * step) * ks[i - 1]
+                for j in range(i - 2, -1, -1):
+                    acc = acc + (a[i, j] * step) * ks[j]
+                stage = acc + y
+                _guard(stage, f"{tableau.name} stage")
+            ks.append(_rhs(stage, boundary))
+        acc = (b[-1] * step) * ks[-1]
+        for j in range(len(b) - 2, -1, -1):
+            acc = acc + (b[j] * step) * ks[j]
+        y = acc + y
+        _guard(y, f"{tableau.name} step")
     return LatticeState(Sequence(offset, y), t, boundary)
 
 
@@ -198,7 +203,7 @@ class TestRk4Kernel:
         # A coarse step on a large datum may trip the modulus guard; then
         # both loops must raise the same error.
         try:
-            want = rk4_allocating(q0, t, h, radius, boundary)
+            want = tableau_allocating(q0, t, h, radius, RK4, boundary)
         except BlowUpError as exc:
             with pytest.raises(BlowUpError) as got_exc:
                 rk4_integrate(q0, t, h, radius, boundary)
@@ -217,7 +222,7 @@ class TestRk4Kernel:
         monkeypatch.setattr(al_ist.reference, "MODULUS_GUARD", 0.5 + margin)
         q0 = seq(0, [0.5, 0.5])
         with pytest.raises(BlowUpError) as want:
-            rk4_allocating(q0, 1.0, 0.1, 4, boundary)
+            tableau_allocating(q0, 1.0, 0.1, 4, RK4, boundary)
         with pytest.raises(BlowUpError) as got:
             rk4_integrate(q0, 1.0, 0.1, 4, boundary)
         assert str(got.value) == str(want.value)
@@ -227,7 +232,7 @@ class TestRk4Kernel:
     def test_lowered_guard_trips_at_step_end(self, monkeypatch):
         monkeypatch.setattr(al_ist.reference, "MODULUS_GUARD", STEP_TRIP_GUARD)
         with pytest.raises(BlowUpError) as want:
-            rk4_allocating(STEP_TRIP, 1.0, 0.1, 4)
+            tableau_allocating(STEP_TRIP, 1.0, 0.1, 4, RK4, "zero")
         with pytest.raises(BlowUpError) as got:
             rk4_integrate(STEP_TRIP, 1.0, 0.1, 4)
         assert str(got.value) == str(want.value)
@@ -239,7 +244,7 @@ class TestRk4Kernel:
         # of the step, after later stages have overflowed to inf and NaN.
         q0, h = seq(0, [0.3, 0.2j]), 1e60
         with pytest.raises(BlowUpError) as want:
-            rk4_allocating(q0, 2 * h, h, 3)
+            tableau_allocating(q0, 2 * h, h, 3, RK4, "zero")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(BlowUpError) as got:
@@ -280,7 +285,7 @@ class TestRk4Pair:
         want, tripped = [], False
         for step in (h, h / 2.0):
             try:
-                want.append(rk4_allocating(q0, t, step, radius, boundary))
+                want.append(tableau_allocating(q0, t, step, radius, RK4, boundary))
             except BlowUpError:
                 tripped = True
         # The pair trips if either run does; the stage it names is the
@@ -314,36 +319,6 @@ class TestRk4Pair:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValidationError):
             rk4_pair(seq(0, [0.1]), 1.0, -1e-3)
-
-
-def rk8_allocating(q0, t, h, radius):
-    """RK8 with fresh arrays at every stage: the oracle for the kernel's
-    tableau path.  It sums in the kernel's order (k_{i-1} down to k_0,
-    then y) and tests every stage and step result."""
-    offset, y = _initial_array(q0, radius, "zero")
-    _guard(y, "initialization")
-    a, b = RK8.a, RK8.b
-    remaining = abs(t)
-    sign = 1.0 if t >= 0 else -1.0
-    while remaining > 0.0:
-        step = sign * min(h, remaining)
-        ks = []
-        for i in range(len(b)):
-            stage = y
-            if i:
-                acc = (a[i, i - 1] * step) * ks[i - 1]
-                for j in range(i - 2, -1, -1):
-                    acc = acc + (a[i, j] * step) * ks[j]
-                stage = acc + y
-                _guard(stage, "rk8 stage")
-            ks.append(_rhs(stage, "zero"))
-        acc = (b[-1] * step) * ks[-1]
-        for j in range(len(b) - 2, -1, -1):
-            acc = acc + (b[j] * step) * ks[j]
-        y = acc + y
-        _guard(y, "rk8 step")
-        remaining -= abs(step)
-    return LatticeState(Sequence(offset, y), t)
 
 
 def plane_wave_ring(alpha: float, m: int, t: float):
@@ -406,7 +381,7 @@ class TestRk8:
         want, tripped = [], False
         for step in (RK8_STEP, RK8_STEP / 2.0):
             try:
-                want.append(rk8_allocating(q0, t, step, radius))
+                want.append(tableau_allocating(q0, t, step, radius, RK8, "zero"))
             except BlowUpError:
                 tripped = True
         if tripped:
@@ -416,6 +391,31 @@ class TestRk8:
         for got, run in zip(rk8_pair(q0, t, radius), want):
             assert got.q.offset == run.q.offset and got.t == run.t
             assert np.array_equal(got.q.values, run.q.values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        disk_sequences(max_len=8, max_modulus=0.9),
+        st.one_of(st.just(0.0), st.floats(-1.5, 1.5)),
+    )
+    @example(seq(0, [0.7]), 0.4)  # one-site ring
+    @example(seq(-1, [0.4, 0.2j, -0.3]), -0.77)  # negative t, partial steps
+    @example(plane_wave_ring(0.3, 16, 0.0)[0], 1.0)
+    @example(seq(0, [0.999, 0.5]), 1.0)  # guard trips
+    def test_periodic_rows_equal_two_allocating_loops(self, q0, t):
+        # The ring's pad copies before every right-hand side, at the pair's
+        # steps: the rows of one run must be the two loops bit for bit.
+        if len(q0) == 0:
+            return
+        hs = (RK8_STEP, RK8_STEP / 2.0)
+        try:
+            want = [tableau_allocating(q0, t, h, None, RK8, "periodic") for h in hs]
+        except BlowUpError:
+            with pytest.raises(BlowUpError, match="^modulus guard tripped during"):
+                _rk_rows(q0, t, hs, RK8, None, "periodic")
+            return
+        for got, run in zip(_rk_rows(q0, t, hs, RK8, None, "periodic"), want):
+            assert got.q.offset == run.q.offset and got.boundary == "periodic"
+            assert got.q.values.tobytes() == run.q.values.tobytes()
 
     @pytest.mark.parametrize("t, radius", [(6.0, 76), (-8.0, 96)])
     def test_bound_contraction_gives_einsums_bits(self, monkeypatch, t, radius):
