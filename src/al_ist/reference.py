@@ -128,14 +128,11 @@ def _guard(values: np.ndarray, context: str):
 
 
 def _step_plan(span: float, h: float) -> tuple[int, float]:
-    """(count, last) of the step loop over |t| = span: while time remains,
-    take min(h, remaining).  Every step but the last is exactly h."""
-    count, last, remaining = 0, h, span
-    while remaining > 0.0:
-        last = min(h, remaining)
-        remaining -= last
-        count += 1
-    return count, last
+    """(count, last) of the steps over |t| = span: the site-step cap's
+    count -(-span // h), every step but the last exactly h, and the last
+    the exact rest fmod(span, h), or h where that is 0, so in (0, h]."""
+    rest = math.fmod(span, h)
+    return int(-(-span // h)), rest if rest else h
 
 
 @dataclass(frozen=True, eq=False)

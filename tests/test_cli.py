@@ -631,21 +631,29 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize(
         "n0, digest",
-        [("0", "976050c8f01d9a0a8daaaa97741b7756a9bc3d1d03e238c2f6b4ab9bdfec9f51"),
-         ("-3", "5e53d9645c9b001e6320ae05c13b8e53c5e0ea63fe6af4801e806cd1df9c01c3")],
+        [pytest.param("0", "299c7bc44292d383e6bd47f25d763f8476318d4ffec98578564bff1e02281cd3",
+                      id="0"),
+         pytest.param("-3", "fea77816ff5248e8beb62de2ce5f9f1442bff60e6e75b8f1feadffc61a1c27b5",
+                      id="-3")],
     )
     def test_window_past_default_radius_is_pinned(self, datum_file, tmp_path, n0, digest):
         # The datum above: the window reaches |n0| + 46 > default_radius (16),
         # so the reference lattice is sized from the window.  The digests
-        # were taken while that radius was read off the window's parameters.
+        # are numpy 2.4.6's, as in TestPinnedArtifacts; beside them the
+        # reference columns are held to the allocating oracle on that
+        # lattice, and exit 0 says every verdict is a pass.
         q0 = seq(-1, [0.8, -0.7j, 0.75])
         out = tmp_path / "cmp.csv"
         code = main(["--cmd", "compare", "--in", datum_file(q0), "--out", str(out),
                      "--t", "0.5", "--eps", "1e-6", "--n0", n0])
         assert code == 0
-        sites = [int(line.split(",")[0]) for line in out.read_text().strip().splitlines()[1:]]
-        assert max(abs(min(sites)), max(sites)) == abs(int(n0)) + 46 > default_radius(q0, 0.5)
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        sites = [int(r[0]) for r in rows]
+        radius = abs(int(n0)) + 46
+        assert max(abs(min(sites)), max(sites)) == radius > default_radius(q0, 0.5)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        fine = tableau_allocating(q0, 0.5, RK8_STEP / 2.0, radius, RK8, "zero").q
+        assert [complex(float(r[3]), float(r[4])) for r in rows] == [fine.at(n) for n in sites]
 
     def test_long_time_passes_at_tight_eps(self, datum_file, tmp_path):
         path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
@@ -795,7 +803,7 @@ class TestPinnedArtifacts:
                 "--radius", "30", "--in", datum_file(self.DATUM), "--out", str(out)]
         assert main(argv) == 0
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
-                == "18e82bfe53f3f37c0231b8d1217243392f4f3c0425c0603012d73f4686f82479")
+                == "9ba6b9bed6b2a0083f6496438be2ae8f621607dfacf989578931e3def726fc21")
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [int(r[0]) for r in rows] == list(range(-7, 8))
         assert all(r[-1] == "pass" for r in rows)
@@ -808,10 +816,10 @@ class TestPinnedArtifacts:
         "t, radius, boundary, digest",
         [
             pytest.param(-0.75, 12, "zero",
-                         "a975c213d85154ef339bcfecee3edaf61c22e98128aea916d8e69e3da059ee35",
+                         "ba62ab5ad1cf1b8c403d48b70aa2fa19feff2e1d57a7d6fa652ce78cd13278c2",
                          id="zero"),
             pytest.param(0.75, None, "periodic",
-                         "5b32562241d1d481577ea310cdac75f046d5bd54b3e504d86db672b45be5fcb0",
+                         "d7bd209cfd5cfb688df35ed23f02e5ef34f6bf3b4bdeb61760e472e782b1128b",
                          id="periodic"),
         ],
     )

@@ -4,6 +4,7 @@ conservation checks."""
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -445,6 +446,21 @@ class TestRk8:
         steps = max(_step_plan(abs(t), h)[0] for h in (RK8_STEP, RK8_STEP / 2.0))
         assert len(calls) == 12 * steps
 
+    def test_pair_at_half_runs_five_and_ten_steps(self, monkeypatch):
+        # Each contraction steps the rows its coefficient block has
+        # columns for: 12 per step of the buffer, 10 steps of which carry
+        # the coarse row for 5.
+        contract, rows = al_ist.reference._contract, []
+
+        def counted(*args, **kwargs):
+            rows.append(args[1].shape[1])
+            return contract(*args, **kwargs)
+
+        monkeypatch.setattr(al_ist.reference, "_contract", counted)
+        rk8_pair(BENCH_DATUM, 0.5, 20)
+        assert len(rows) == 12 * 10
+        assert sum(rows) == 12 * (5 + 10)
+
     @pytest.mark.parametrize("margin, context", [(0.0, "initialization"), (1e-6, "rk8 stage")])
     def test_lowered_guard_trips(self, monkeypatch, margin, context):
         # The first stage raises |q(0)| of two neighbouring sites of
@@ -521,6 +537,37 @@ class TestPicard:
         )
         got = _cumulative_simpson(y, h)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+class TestStepPlan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1e-4, 10.0),
+        st.one_of(st.floats(0.0, 1e3), st.integers(0, 10**5), st.floats(0.0, 1e5)),
+    )
+    @example(0.1, 0.5)
+    @example(0.05, 0.5)
+    @example(0.1, 6.0)
+    @example(0.05, 8.0)
+    @example(0.1, 0.3)
+    @example(1e-3, 2.0)
+    def test_count_is_the_caps_and_the_steps_reach_the_span(self, h, scale):
+        # An integer scale is a span of whole steps, formed in float.
+        span = scale * h if isinstance(scale, int) else scale
+        count, last = _step_plan(span, h)
+        assert count == -(-span // h)
+        assert 0.0 < last <= h
+        if count:
+            # The steps reach span exactly: (count - 1) h + last == span.
+            assert (count - 1) * Fraction(h) + Fraction(last) == Fraction(span)
+
+    def test_no_sliver_step(self):
+        # The pair's steps at t 0.5 and compare's at t 6 and 8: the loop
+        # that took h off the remaining time ran one more step of about
+        # 1e-17 to 1e-13 on each.
+        assert [_step_plan(0.5, h)[0] for h in (0.1, 0.05)] == [5, 10]
+        assert [_step_plan(6.0, h)[0] for h in (0.1, 0.05)] == [60, 120]
+        assert [_step_plan(8.0, h)[0] for h in (0.1, 0.05)] == [80, 160]
 
 
 class TestHelpers:
