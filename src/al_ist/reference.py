@@ -366,8 +366,9 @@ def _rk_rows(
             terms, out = z_sites[:, first:], stage_sites[first:]
             y_sites = terms[stages]
             parts = [coef[base[i] : base[i + 1], first:] for i in range(stages)]
+            s_left, s_right = spad[:-2], spad[2:]
             stage_ops = [(None, None, y_ring, ypad[:-2], ypad[2:], m_y, ks[0])] + [
-                (parts[i - 1], terms[stages - i :], s_ring, spad[:-2], spad[2:], mods[i], ks[i])
+                (parts[i - 1], terms[stages - i :], s_ring, s_left, s_right, mods[i], ks[i])
                 for i in range(1, stages)
             ]
             for _ in range(lo, hi):
