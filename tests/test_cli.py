@@ -651,9 +651,9 @@ class TestCompareCommand:
         sites = [int(r[0]) for r in rows]
         radius = abs(int(n0)) + 46
         assert max(abs(min(sites)), max(sites)) == radius > default_radius(q0, 0.5)
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         fine = tableau_allocating(q0, 0.5, RK8_STEP / 2.0, radius, RK8, "zero").q
         assert [complex(float(r[3]), float(r[4])) for r in rows] == [fine.at(n) for n in sites]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_long_time_passes_at_tight_eps(self, datum_file, tmp_path):
         path = datum_file(random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5))
@@ -791,7 +791,7 @@ class TestPinnedArtifacts:
     product tree shows here.  The digests were derived on numpy 2.4.6 on
     x86-64 with numpy's AVX-512 kernels (baseline X86_V2; X86_V3, X86_V4,
     AVX512_ICL and AVX512_SPR found), the version the CI constraints file
-    pins; other kernels can move the last bits.  Beside each Runge-Kutta
+    pins; other kernels can move the last bits.  Before each Runge-Kutta
     digest a twin check holds the artifact to the allocating oracle, which
     still tests the kernel where the bits differ."""
 
@@ -802,8 +802,6 @@ class TestPinnedArtifacts:
         argv = ["--cmd", "compare", "--t", "1.0", "--eps", "1e-6", "--h", "0.01",
                 "--radius", "30", "--in", datum_file(self.DATUM), "--out", str(out)]
         assert main(argv) == 0
-        assert (hashlib.sha256(out.read_bytes()).hexdigest()
-                == "9ba6b9bed6b2a0083f6496438be2ae8f621607dfacf989578931e3def726fc21")
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [int(r[0]) for r in rows] == list(range(-7, 8))
         assert all(r[-1] == "pass" for r in rows)
@@ -811,6 +809,8 @@ class TestPinnedArtifacts:
         assert [complex(float(r[3]), float(r[4])) for r in rows] == [
             fine.at(int(r[0])) for r in rows
         ]
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "9ba6b9bed6b2a0083f6496438be2ae8f621607dfacf989578931e3def726fc21")
 
     @pytest.mark.parametrize(
         "t, radius, boundary, digest",
@@ -830,9 +830,9 @@ class TestPinnedArtifacts:
         if radius is not None:
             argv += ["--radius", str(radius)]
         assert main(argv) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         want = tableau_allocating(self.DATUM, t, 0.01, radius, RK4, boundary)
         assert out.read_text() == sequence_to_text(want.q)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_nlft_of_a_dense_run(self, datum_file, tmp_path):
         # 1 024 nonzero sites, one run past nlft.DIRECT_RUN: the FFT product
