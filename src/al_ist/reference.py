@@ -230,9 +230,7 @@ def _rk_rows(
     (numpy._core.multiarray, or numpy.core.multiarray on numpy 1.x), which
     np.einsum calls with the same arguments, so the bits are np.einsum's,
     without its Python wrapper; where neither name exists the kernel calls
-    np.einsum.  The step writes the right-hand side's pad copies and four
-    ufunc calls out in its stage loop instead of calling a Python function
-    for it.
+    np.einsum.
 
     The guard is checked once per step: |q| of every stage and of the
     step's result are kept in one buffer and tested by one max.  On a trip
@@ -285,17 +283,13 @@ def _rk_rows(
     # step's result is z contracted with the last block, with b.  The state
     # comes last so that each sum rounds once at its scale.  Each lattice
     # row has its own coefficients (its own step), which act on the sites
-    # of the float view of z, so no pad cell is written.  One contraction
-    # forms a sum: it adds the products one at a time in the order of j, as
-    # a loop over fresh arrays would, in one pass over the terms.  It is a
-    # call of _contract, np.einsum's C function (or np.einsum where numpy
-    # lacks it), with np.einsum's arguments.  The zero coefficients (for
-    # RK8 a[i, 1] from stage 3 on, a[i, 2] from stage 5 on, b[1:5]; for RK4
-    # a[2, 0], a[3, :2]) stay in: with the order fixed, no one row order
-    # keeps them out of every stage's block, and at a few hundred sites two
-    # fewer terms save less than one more call costs.  The result reads y,
-    # so it is formed in the stage buffer, which is free by then, and
-    # copied into y.
+    # of the float view of z, so no pad cell is written.  The zero
+    # coefficients (for RK8 a[i, 1] from stage 3 on, a[i, 2] from stage 5
+    # on, b[1:5]; for RK4 a[2, 0], a[3, :2]) stay in: with the order fixed,
+    # no one row order keeps them out of every stage's block, and at a few
+    # hundred sites two fewer terms save less than one more call costs.
+    # The result reads y, so it is formed in the stage buffer, which is
+    # free by then, and copied into y.
     blocks = [(*tableau.a[i, :i][::-1].tolist(), 1.0) for i in range(1, stages)]
     blocks.append((*tableau.b[::-1].tolist(), 1.0))
     base = np.cumsum([0] + [len(w) for w in blocks])
