@@ -1,6 +1,7 @@
 """JSON rows of complex arrays, byte for byte those of seqio.fmt, from
 one vectorized decimal pass (rows_text, used by seqio.json_text for arrays
-of at least seqio.FAST_FLOATS floats).
+of at least seqio.FAST_FLOATS floats), and the table of powers of ten and
+the exact product that readrows, its inverse, shares.
 
 Each |x| is scaled to a 17-digit integer by a double-double power of ten
 (Dekker's exact product, Numer. Math. 18, 1971), the digits are read from a
@@ -42,8 +43,11 @@ _SLOT_WORDS = 7
 # coefficients of a and b, which grow like prod (1 - |q|^2)^(-1/2): at most
 # 46 on the benchmark's 8192-site data.
 _K_MIN, _K_MAX = -99, 32
+# _pow10 tables 10^q from q = _Q_MIN, for readrows' 17-digit decimals
+# d0.d1...d16 10^k (q = k - 16) in [1e-99, 1), up to q = 16 - _K_MIN.
+_Q_MIN = -116
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
-# See _decimal_slots for the bound this tolerance covers.
+# Both codecs' tie tolerance; see _decimal_slots and readrows._values.
 _TIE_TOL = 2.0**-40
 
 # Floats per vectorized pass at most, so that its temporaries (about 15
@@ -54,16 +58,48 @@ _CHUNK = 4096
 
 
 @functools.cache
-def _decimal_tables():
-    """The tables of _decimal_slots, built at their first use (about
-    0.5 ms on a 2-core x86 host), not at import.
+def _pow10():
+    """Rows ph, pl, ph_hi, ph_lo of 10^q, column q - _Q_MIN, for q from
+    _Q_MIN to 16 - _K_MIN; built at their first use.
 
-    Powers: for j = 16 - k from 16 - _K_MIN down to 16 - _K_MAX,
-    n = floor(10^j 2^s) is exact, each from the last by one integer
-    division by 10, with s large enough that n keeps 120 bits at the last
-    j.  ph is n's top 120 bits rounded to a double and pl the rest rounded
-    once more, so |ph + pl - 10^j| <= 2^-106 10^j (1 + 2^-12).
+    From the top q down, n = floor(10^q 2^s) is exact, each from the last
+    by one integer division by 10, with s such that n keeps 120 bits at
+    _Q_MIN.  ph is n's top 120 bits rounded to a double and pl the rest
+    rounded once more, so |ph + pl - 10^q| <= 2^-106 10^q (1 + 2^-12).
     ph_hi + ph_lo is ph split by Dekker's rule.
+    """
+    shift = 120 + (10**-_Q_MIN).bit_length()
+    n = 10 ** (16 - _K_MIN) << shift
+    ph, pl = [], []
+    for _ in range(_Q_MIN, 17 - _K_MIN):
+        cut = n.bit_length() - 120
+        top = n >> cut
+        high = float(top)
+        ph.append(math.ldexp(high, cut - shift))
+        pl.append(math.ldexp(float(top - int(high)), cut - shift))
+        n //= 10
+    ph, pl = np.array(ph[::-1]), np.array(pl[::-1])
+    c = ph * _SPLIT
+    ph_hi = c - (c - ph)
+    table = np.stack([ph, pl, ph_hi, ph - ph_hi])
+    table.flags.writeable = False  # shared by every later call
+    return table
+
+
+def _times_pow10(a: np.ndarray, q: np.ndarray):
+    """p, e, ph, pl: ph + pl the tabled 10^q, and p + e = a ph exactly with
+    p = fl(a ph) (Dekker's TwoProduct; no product over- or underflows)."""
+    ph, pl, ph_hi, ph_lo = np.take(_pow10(), q - _Q_MIN, axis=1)
+    p = a * ph
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    return p, ((ah * ph_hi - p) + ah * ph_lo + al * ph_hi) + al * ph_lo, ph, pl
+
+
+@functools.cache
+def _decimal_tables():
+    """The tables of _decimal_slots, built at their first use, not at import.
 
     Digits: the 4 ASCII digits of every group 0000..9999 as one word, and
     the same word with the group's trailing zeros NUL.  Tails: masks that
@@ -71,22 +107,6 @@ def _decimal_tables():
     word for k in [_K_MIN, _K_MAX], 0 where %g prints no exponent
     (-4 <= k < 17).
     """
-    j_top, j_low = 16 - _K_MIN, 16 - _K_MAX
-    shift = 120 + (10**-j_low).bit_length()
-    n = 10**j_top << shift
-    ph, pl = [], []
-    for _ in range(j_top - j_low + 1):
-        cut = n.bit_length() - 120
-        top = n >> cut
-        high = float(top)
-        ph.append(math.ldexp(high, cut - shift))
-        pl.append(math.ldexp(float(top - int(high)), cut - shift))
-        n //= 10
-    ph, pl = np.array(ph), np.array(pl)
-    c = ph * _SPLIT
-    ph_hi = c - (c - ph)
-    powers = (ph, pl, ph_hi, ph - ph_hi)
-
     pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint8)
     pairs = pairs.reshape(100, 2)
     short = pairs.copy()  # trailing zeros NUL
@@ -105,9 +125,9 @@ def _decimal_tables():
     exp = bytearray(b"".join(b"e%+03d" % k for k in range(_K_MIN, _K_MAX + 1)))
     exp[4 * (-4 - _K_MIN) : 4 * (17 - _K_MIN)] = bytes(4 * 21)
     exp = np.frombuffer(exp, dtype=np.uint32)
-    for table in (*powers, digits, stripped, tails, exp):
+    for table in (digits, stripped, tails, exp):
         table.flags.writeable = False  # shared by every later call
-    return powers, digits, stripped, tails, exp
+    return digits, stripped, tails, exp
 
 
 def _fmt_words(x: np.ndarray) -> np.ndarray:
@@ -123,16 +143,17 @@ def _decimal_slots(x: np.ndarray, out: np.ndarray):
     Decimal stage.  With k = floor(log10 |x|) from the floating-point
     log10, y = |x| 10^(16 - k) is formed as the double-double yh + yl:
     TwoProduct(|x|, ph) = p + e exactly, and yl = e + |x| pl.  Its error is
-    the table's (2^-106 y) plus the roundings of |x| pl (at most
-    2^-53 2^-53 y) and of e + |x| pl (2^-53 2^-52 y), under 2^-104 y in all,
-    so under 2^-47 for y < 10^17 < 2^57.  p is an integer wherever
-    y >= 2^53, so floor(y) = p + floor(yl) exactly, and frac = yl - floor(yl)
-    is exact.  The range test 10^16 <= y < 10^17 is made on floor(y), that
-    is on yh + yl, not on yh alone.  Where it holds and frac is more than
-    _TIE_TOL = 2^-40 from 1/2, 2^7 times the error bound, D = round(y) is
-    the 17-digit integer of the correctly rounded %.17g, unless it is 10^17
-    (a y within 1/2 of 10^17, reached only where log10 errs by an ulp).
-    Every other value, and zeros, NaN and infinities, go through fmt.
+    the table's (2^-106 (1 + 2^-12) y, _pow10) plus the roundings of |x| pl
+    (at most 2^-53 2^-53 y) and of e + |x| pl (2^-53 2^-52 y), under
+    2^-104 y in all, so under 2^-47 for y < 10^17 < 2^57.  p is an integer
+    wherever y >= 2^53, so floor(y) = p + floor(yl) exactly, and
+    frac = yl - floor(yl) is exact.  The range test 10^16 <= y < 10^17 is
+    made on floor(y), that is on yh + yl, not on yh alone.  Where it holds
+    and frac is more than _TIE_TOL = 2^-40 from 1/2, 2^7 times the error
+    bound, D = round(y) is the 17-digit integer of the correctly rounded
+    %.17g, unless it is 10^17 (a y within 1/2 of 10^17, reached only where
+    log10 errs by an ulp).  Every other value, and zeros, NaN and
+    infinities, go through fmt.
 
     Layout stage.  %g prints D with exponent X = k as
     d0.d1...d16e+XX when X < -4 or X >= 17, else in fixed form, each with
@@ -140,20 +161,15 @@ def _decimal_slots(x: np.ndarray, out: np.ndarray):
     with X >= 1, whose point falls inside the digits, is its e-form slot
     with the bytes moved, one gather per value of X.
     """
-    (ph, pl, ph_hi, ph_lo), digits, stripped, tails, exp = _decimal_tables()
+    digits, stripped, tails, exp = _decimal_tables()
     ax = np.abs(x)
     fast = (ax >= 10.0**_K_MIN) & (ax < 10.0 ** (_K_MAX + 1))  # False for NaN
     ax = np.where(fast, ax, 1.0)
     k = np.floor(np.log10(ax))
     np.clip(k, _K_MIN, _K_MAX, out=k)
     k = k.astype(np.int64)
-    i = k - _K_MIN
-    ph, pl, ph_hi, ph_lo = ph[i], pl[i], ph_hi[i], ph_lo[i]
-    p = ax * ph
-    c = ax * _SPLIT
-    ah = c - (c - ax)
-    al = ax - ah
-    yl = (((ah * ph_hi - p) + ah * ph_lo + al * ph_hi) + al * ph_lo) + ax * pl
+    p, e, _, pl = _times_pow10(ax, 16 - k)
+    yl = e + ax * pl
     whole = np.floor(yl)
     frac = yl - whole
     below = p.astype(np.int64) + whole.astype(np.int64)  # floor(y)
@@ -185,7 +201,7 @@ def _decimal_slots(x: np.ndarray, out: np.ndarray):
     text[:, 2] = (later | small) * np.uint8(ord("."))
     text[:, 3] = 0
     out[:, 1] = digits[lead] & tails[np.where(small, -k, 0)]
-    out[:, 6] = exp[i]
+    out[:, 6] = exp[k - _K_MIN]
 
     wide = np.flatnonzero(fast & (k > 0) & (k < 17))
     for point in np.flatnonzero(np.bincount(k[wide], minlength=1)).tolist():

@@ -18,24 +18,24 @@ modulus below 1: an optional "-", one digit, an optional "." and digits,
 and an optional "e-" and 2 or 3 digits ("0", "-0.0", "0.000123",
 "1.5e-07").  The skeleton is checked on the bytes; each number is copied
 into a right-aligned slot of _SLOT bytes, checked for that form, and read
-as D 10^q, D its digits as an exact integer below 10^17.  D times a double-double power of ten (Dekker's
-exact product, Numer. Math. 18, 1971) rounds to D 10^q's double unless the
-product lies within a proven tolerance of a rounding tie.  Those numbers,
-and any with more than 17 significant digits or a q below the table, go
-through json.loads one at a time: the classical split into an
-error-bounded fast path and an exact fallback (Clinger, "How to read
-floating point numbers accurately", PLDI 1990).  Any other text is left to
-the caller's json.loads path.
+as D 10^q, D its digits as an exact integer below 10^17.  D times
+floatrows' double-double power of ten (Dekker's exact product, Numer.
+Math. 18, 1971) rounds to D 10^q's double unless the product lies within
+a proven tolerance of a rounding tie.  Those numbers, and any with more
+than 17 significant digits or a q below the table, go through json.loads
+one at a time: the classical split into an error-bounded fast path and an
+exact fallback (Clinger, "How to read floating point numbers accurately",
+PLDI 1990).  Any other text is left to the caller's json.loads path.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import math
 import re
 
 import numpy as np
+
+from .floatrows import _Q_MIN, _TIE_TOL, _times_pow10
 
 _HEAD = re.compile(rb'\{\n  "offset": (-?(?:0|[1-9][0-9]{0,18})),\n  "values": \[\n    \[')
 _TAIL = b"]\n  ]\n}\n"
@@ -58,14 +58,6 @@ _KEEP = np.array(
 _ONES = np.uint64(0x0101010101010101)
 _E_MINUS = int.from_bytes(b"e-", "little")
 
-# Powers 10^q are tabled for q in [_Q_MIN, 0]: a 17-digit decimal
-# d0.d1...d16 10^k has q = k - 16, so the table covers [1e-99, 1), below the
-# modulus 1 that a Sequence allows, down to the range floatrows writes
-# without fmt.  Every other q goes through json.loads.
-_Q_MIN = -116
-_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
-# See _values for the bound this tolerance covers.
-_TIE_TOL = 2.0**-40
 _TEN8, _TEN16 = np.uint64(10**8), np.uint64(10**16)
 # 10^f for the f <= 16 fraction digits that D = d 10^f + F < 10^17 allows
 # beside a nonzero d, 0 past them.
@@ -79,34 +71,6 @@ _LEAD_SCALE = np.array([10**f if f <= 16 else 0 for f in range(_SLOT + 1)], dtyp
 # fastest on a 2-core x86 host, with 66 and 149 page faults a read where
 # 2^17 took 258 and 398.
 _PASS_BYTES = 1 << 16
-
-
-@functools.cache
-def _powers():
-    """Rows ph, pl, ph_hi, ph_lo with ph + pl = 10^q for q from _Q_MIN to 0,
-    and ph split by Dekker's rule into ph_hi + ph_lo; built at their first
-    use.
-
-    n = floor(2^s / 10^-q) keeps 120 bits; ph is n rounded to a double and
-    pl the rest rounded once more, so |ph + pl - 10^q| <= 2^-106 10^q
-    (1 + 2^-12).
-    """
-    ph, pl = [], []
-    for q in range(_Q_MIN, 1):
-        den = 10**-q
-        shift = 120 + den.bit_length()
-        n = (1 << shift) // den
-        cut = n.bit_length() - 120
-        top = n >> cut
-        high = float(top)
-        ph.append(math.ldexp(high, cut - shift))
-        pl.append(math.ldexp(float(top - int(high)), cut - shift))
-    ph, pl = np.array(ph), np.array(pl)
-    c = ph * _SPLIT
-    ph_hi = c - (c - ph)
-    table = np.stack([ph, pl, ph_hi, ph - ph_hi], axis=1)
-    table.flags.writeable = False  # shared by every later call
-    return table
 
 
 def _byte_sums(slots: np.ndarray) -> np.ndarray:
@@ -202,15 +166,15 @@ def _values(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | No
 
     Value stage.  Such a number is D 10^q with D = d 10^f + F and
     q = -X - f.  When D < 10^17 and q is tabled, D = Dh + Dl (Dh = D
-    rounded to a double, Dl exact) and ph + pl = 10^q (1 + t), |t| <= 2^-106
-    (1 + 2^-12).  TwoProduct(Dh, ph) = p + e exactly, and
-    yl = e + (Dh pl + Dl ph); the roundings of Dh pl, Dl ph, their sum and
-    yl, the dropped Dl pl and t add to under 10 * 2^-106 of x = D 10^q, so
-    z = p + yl is within 2^-102 x of x.  r = fl(p + yl), and z - r = err
-    exactly (Fast2Sum).  r is x's double unless x and z lie on two sides of
-    the midpoint between r and its neighbour on err's side, at a distance
-    g / 2 from r, g that neighbour's gap.  Since g >= 2^-54 r, 2^-102 x is
-    under 2^-47 g; a number is read by json.loads when
+    rounded to a double, Dl exact) and ph + pl = 10^q (1 + t), |t| <=
+    2^-106 (1 + 2^-12) by floatrows._pow10.  TwoProduct(Dh, ph) = p + e
+    exactly, and yl = e + (Dh pl + Dl ph); the roundings of Dh pl, Dl ph,
+    their sum and yl, the dropped Dl pl and t add to under 10 * 2^-106 of
+    x = D 10^q, so z = p + yl is within 2^-102 x of x.  r = fl(p + yl), and
+    z - r = err exactly (Fast2Sum).  r is x's double unless x and z lie on
+    two sides of the midpoint between r and its neighbour on err's side, at
+    a distance g / 2 from r, g that neighbour's gap.  Since g >= 2^-54 r,
+    2^-102 x is under 2^-47 g; a number is read by json.loads when
     |err| >= (1/2 - _TIE_TOL) g, _TIE_TOL = 2^-40 being 2^7 times that
     bound, and zeros need no test.
     """
@@ -254,14 +218,9 @@ def _values(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | No
     fast = ((frac <= 16) | ((lead == 0) & (octets[0] < 10))) & (q >= _Q_MIN)
     d = np.where(fast, d, 0)
 
-    ph, pl, ph_hi, ph_lo = np.take(_powers(), np.maximum(q, _Q_MIN) - _Q_MIN, axis=0).T
     dh = d.astype(np.float64)
     dl = (d.view(np.int64) - dh.astype(np.int64)).astype(np.float64)
-    p = dh * ph
-    c = dh * _SPLIT
-    ah = c - (c - dh)
-    al = dh - ah
-    e = ((ah * ph_hi - p) + ah * ph_lo + al * ph_hi) + al * ph_lo
+    p, e, ph, pl = _times_pow10(dh, np.maximum(q, _Q_MIN))
     yl = e + (dh * pl + dl * ph)
     r = p + yl
     err = yl - (r - p)
