@@ -7,6 +7,7 @@ import json
 import math
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,10 @@ from al_ist.datagen import dense_random_sequence, random_sequence
 from al_ist.errors import NumericalGuardError, ValidationError
 from al_ist.laurent import LaurentPoly
 from al_ist.multiplier import delta_nt, smallest_admissible_order
+from al_ist.nlft import nlft_forward_naive
 from al_ist.reference import RK4, RK8, RK8_STEP, default_radius, rk4_integrate, rk8_pair
 from al_ist.sequence import Sequence
-from al_ist.floatrows import _CHUNK
+from al_ist.floatrows import _CHUNK, _Q_MIN, _pow10
 from al_ist.readrows import parse_sequence
 from al_ist.seqio import (
     FAST_FLOATS,
@@ -296,6 +298,23 @@ token = (
     | st.from_regex(r"-?(0|[1-9][0-9]{0,19})(\.[0-9]{1,21})?([eE][+-]?[0-9]{1,4})?", fullmatch=True)
     | st.floats(1e-300, 0.99).map(lambda x: fmt(x))
 )
+
+
+class TestPowersOfTen:
+    """floatrows._pow10, the double-double powers of ten both codecs scale
+    by, held in rational arithmetic to the bound their proofs use."""
+
+    def test_every_power_within_its_bound_and_split_exactly(self):
+        table = _pow10()
+        assert _Q_MIN == -116 and table.shape == (4, 232)
+        bound = Fraction(1, 2**106) * (1 + Fraction(1, 2**12))
+        for q in range(-116, 116):
+            ph, pl, ph_hi, ph_lo = map(Fraction, table[:, q - _Q_MIN].tolist())
+            exact = Fraction(10) ** q
+            assert abs(ph + pl - exact) <= bound * exact, q
+            assert ph_hi + ph_lo == ph, q
+            top = ph_hi.numerator * ph_hi.denominator  # an odd part times a power of 2
+            assert (top >> ((top & -top).bit_length() - 1)).bit_length() <= 26, q
 
 
 class TestFastReader:
@@ -791,9 +810,10 @@ class TestPinnedArtifacts:
     product tree shows here.  The digests were derived on numpy 2.4.6 on
     x86-64 with numpy's AVX-512 kernels (baseline X86_V2; X86_V3, X86_V4,
     AVX512_ICL and AVX512_SPR found), the version the CI constraints file
-    pins; other kernels can move the last bits.  Before each Runge-Kutta
-    digest a twin check holds the artifact to the allocating oracle, which
-    still tests the kernel where the bits differ."""
+    pins; other kernels can move the last bits.  Before each digest a twin
+    check holds the artifact to an oracle, the allocating Runge-Kutta loop
+    or nlft_forward_naive, which still tests the code where the bits
+    differ."""
 
     DATUM = random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5)
 
@@ -841,6 +861,13 @@ class TestPinnedArtifacts:
         assert np.all(q.values != 0)
         out = tmp_path / "ab.json"
         assert main(["--cmd", "nlft", "--in", datum_file(q), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        naive = nlft_forward_naive(q)
+        for got, want in ((doc["a"], naive.a), (doc["b"], naive.b)):
+            coeffs = np.array(got["coeffs"]).view(np.complex128).ravel()
+            assert got["min_deg"] == want.min_deg and len(coeffs) == len(want.coeffs)
+            scale = np.max(np.abs(want.coeffs))
+            assert np.max(np.abs(coeffs - want.coeffs)) <= 1e-13 * scale
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
                 == "2f31df5d20a6238a78dce5f3d152cd758bc7fd6e0c04cf80fdd23d2ccc5fdfd0")
 
