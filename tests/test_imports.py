@@ -77,17 +77,18 @@ def test_importing_the_cli_does_not_load_the_array_writer():
 
 def test_a_compare_job_on_a_small_datum_does_not_load_the_reader(tmp_path):
     # The benchmark's compare data have 13 sites: their files stay on the
-    # json.loads path.
+    # json.loads path, and their arrays on fmt's, so the worker loads
+    # neither codec.
     path = tmp_path / "q.json"
     write_sequence(random_sequence(seed=3, count=13, lo=-6, hi=6, max_modulus=0.5), str(path))
     argv = ["--cmd", "compare", "--in", str(path), "--t", "0.5", "--eps", "1e-6",
             "--out", str(tmp_path / "compare.csv")]
     script = ("import json, sys, al_ist.cli; code = al_ist.cli.main(json.loads(sys.argv[1])); "
-              "print(code, 'al_ist.readrows' in sys.modules)")
+              "print(code, 'al_ist.readrows' in sys.modules, 'al_ist.floatrows' in sys.modules)")
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(argv)],
         env=dict(os.environ, PYTHONPATH=str(Path(al_ist.__file__).resolve().parents[1])),
         capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 False"
+    assert proc.stdout.strip() == "0 False False"

@@ -114,6 +114,18 @@ class TestFcPlus:
         c = schur_coeffs(f, 4)
         assert np.max(np.abs(c.gammas - [0.2, 0.4j, 0.0, 0.0])) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "sites, top", [(8, 0.5), (16, 0.5), (32, 0.3), (64, 0.3), (128, 0.2), (1024, 0.04)]
+    )
+    def test_round_trip_of_dense_data(self, sites, top):
+        # Seeds 1-60 of each class come back within 256 eps; the worst
+        # measured is 84 eps (64 sites).  The error grows as eta falls, and
+        # no budget covers it yet, so classes of small eta are left out.
+        for seed in range(1, 61):
+            q = dense_random_sequence(seed, 0, sites, top, 0.01)
+            gammas = schur_coeffs(fc_plus(q), len(q.values)).gammas
+            assert np.max(np.abs(q.values - gammas)) <= 256 * np.finfo(float).eps, seed
+
     def test_rejects_negative_support(self):
         with pytest.raises(ValidationError):
             fc_plus(seq(-1, [0.5]))

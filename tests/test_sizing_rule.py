@@ -3,7 +3,9 @@
 solve_point and solve_window size N by one bisection (_least_half_width)
 over the right-edge budget of their own pass, formed by the terms the pass
 certifies with.  The pins fix the sizes, radii and budgets of point and
-window solves on benchmark-shaped data bit for bit.
+window solves on benchmark-shaped data bit for bit.  The hex pins and
+digests hold for numpy 2.4.6 with its AVX2/AVX-512 kernels on x86-64, as
+constraints.txt pins it; other kernels can move the last bits.
 """
 
 import hashlib
