@@ -203,19 +203,40 @@ def witness_grid(*polys: LaurentPoly) -> CircleGrid:
     return CircleGrid(next_pow2(2 * (span + 1), 1024))
 
 
-def lp_eval_grid(p: LaurentPoly, g: CircleGrid) -> np.ndarray:
-    """Values of p at all grid nodes via a single inverse FFT.
+def lp_eval_grid(p: LaurentPoly | tuple[LaurentPoly, ...], g: CircleGrid) -> np.ndarray:
+    """Values of p at all grid nodes via a single inverse FFT; for a tuple
+    of polynomials, one row of values each from one batched inverse FFT.
 
     Coefficients are scaled by radius**exponent and folded into residue
     classes mod the grid size; folding is exact because the nodes are
     size-th roots of unity scaled by the radius.
     """
-    m = g.size
-    exps = np.arange(p.min_deg, p.min_deg + len(p.coeffs))
+    if isinstance(p, LaurentPoly):
+        folded = np.zeros(g.size, dtype=np.complex128)
+        _fold(p, g, folded)
+    else:
+        folded = np.zeros((len(p), g.size), dtype=np.complex128)
+        for poly, row in zip(p, folded):
+            _fold(poly, g, row)
+    return np.fft.ifft(folded) * g.size
+
+
+def _fold(p: LaurentPoly, g: CircleGrid, out: np.ndarray) -> None:
+    """Add p's coefficients, scaled by radius**exponent, into out (zeros, of
+    the grid's size) at their exponents mod the size.  A block no longer
+    than the grid wraps at most once and lands by two slice adds; only a
+    longer one, whose exponents alias, needs np.add.at.  Both add each
+    coefficient to +0, so they write the same bits."""
+    m, length = g.size, len(p.coeffs)
     if g.radius == 1.0:
         scaled = p.coeffs
     else:
-        scaled = p.coeffs * np.power(g.radius, exps.astype(np.float64))
-    folded = np.zeros(m, dtype=np.complex128)
-    np.add.at(folded, exps % m, scaled)
-    return np.fft.ifft(folded) * m
+        exps = np.arange(p.min_deg, p.min_deg + length, dtype=np.float64)
+        scaled = p.coeffs * np.power(g.radius, exps)
+    if length > m:
+        np.add.at(out, np.arange(p.min_deg, p.min_deg + length) % m, scaled)
+        return
+    start = p.min_deg % m
+    head = min(length, m - start)
+    out[start : start + head] += scaled[:head]
+    out[: length - head] += scaled[head:]

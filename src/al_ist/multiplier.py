@@ -45,6 +45,39 @@ def _least(holds, lo: int, hi: int) -> int | None:
     return lo
 
 
+def _least_from(holds, guess: int, lo: int, hi: int) -> int | None:
+    """_least(holds, lo, hi), searched outward from guess: steps of 1, 2,
+    4, ... from guess (clamped to [lo, hi]) bracket the least n between a
+    false and a true probe, and bisection closes the bracket.  The answer
+    is _least's for any holds that is false, then true; a guess off by d
+    costs about 2 log2(d + 1) + 2 probes, an exact one 2."""
+    if lo > hi:
+        return None
+    n, step = min(max(guess, lo), hi), 1
+    if holds(n):
+        good = n  # holds(good); the least n lies in (bad, good]
+        while good - step >= lo and holds(good - step):
+            good, step = good - step, 2 * step
+        bad = max(lo - 1, good - step)
+    else:
+        bad = n
+        while True:
+            if bad == hi:
+                return None
+            n = min(bad + step, hi)
+            if holds(n):
+                good = n
+                break
+            bad, step = n, 2 * step
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        if holds(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
 def _log_bessel_bound(k: int, x: float) -> float:
     """log of Siegel's bound |J_k(x)| <= z^k e^{k s} / (1 + s)^k, where
     z = x/k <= 1 and s = sqrt(1 - z^2) (DLMF 10.14.5); -inf where z

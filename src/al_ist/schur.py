@@ -76,11 +76,10 @@ class RationalSchur:
         The grid has more nodes than either polynomial has exponent span,
         so no coefficient aliases onto another: the check samples the true
         functions on the circle.  It is a sampled check, not a proof of the
-        bound between nodes.
+        bound between nodes.  Both are evaluated by one batched FFT.
         """
         g = witness_grid(self.num, self.den)
-        pv = np.abs(lp_eval_grid(self.num, g))
-        qv = np.abs(lp_eval_grid(self.den, g))
+        pv, qv = np.abs(lp_eval_grid((self.num, self.den), g))
         tol = 1e-9 * float(np.max(qv))
         # "Not within", so that a NaN value or tolerance is refused too.
         if not float(np.max(pv - qv)) <= tol:

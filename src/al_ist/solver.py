@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InfeasibleParamsError, NumericalGuardError, ValidationError
 from .laurent import lp_conj_flip, lp_mul
-from .multiplier import _bessel_start, _least, g_bundle, order_admissible
+from .multiplier import _bessel_start, _least_from, g_bundle, order_admissible
 from .nlft import nlft_forward
 from .schur import RationalSchur, exp_or_inf, schur_coeffs, stability_constant
 from .sequence import Sequence
@@ -56,7 +56,10 @@ N_HARD_CAP = 10**6
 # 40 661 counted steps of which 4 084 run, takes about 0.08 s on a 2-core
 # x86 host, where running every step took 3.5 s.  The count is unchanged,
 # so every refusal is too.  Capping run_steps instead waits until the rest
-# of a pass stops growing with N: the dense window of 2W + 1 sites.
+# of a pass stops growing with N.  A pass whose window covers the support
+# builds no window, and a point pass runs from the datum's nearer end; what
+# still grows with N is the gamma array of 3W + half + 1 entries and the
+# window of a pass that does not cover the support.
 SCHUR_UPDATE_CAP = 10**9
 
 
@@ -183,22 +186,94 @@ def _least_half_width(
     (M log 2, log C and 2M log(e t / M) are nonnegative, and
     log 12 + 5t - log(4 pi M)/2 is positive), a window edge's localization
     term exceeds 4 > eps at every r.  Above it both terms fall as M grows,
-    so _least bisects.  log C(eta, 1/2) is formed once, and each probe's
-    radius is kept for the answer.
+    so the search (_least_from) brackets the least M outward from
+    _edge_guess and bisects, and returns what bisecting the whole range
+    would.  log C(eta, 1/2) is formed once, and each radius once per M.
     """
     log_c = stability_constant(eta, 0.5).log
     radii = {}
+
+    def radius(M: int) -> float:
+        if M not in radii:
+            radii[M] = 0.5 if point else best_radius(eta, t, M)
+        return radii[M]
 
     def fits(M: int) -> bool:
         if not order_admissible(2 * M, t):
             return False
         s = 0 if point else M // 2
-        radii[M] = 0.5 if point else best_radius(eta, t, M)
-        (loc,), (trunc,) = _budget_terms(log_c, eta, radii[M], t, M + s, range(s, s + 1), point)
+        (loc,), (trunc,) = _budget_terms(log_c, eta, radius(M), t, M + s, range(s, s + 1), point)
         return loc + trunc <= eps
 
-    M = _least(fits, max(lo, math.ceil(math.e * t)), hi)
+    lo = max(lo, math.ceil(math.e * t))
+    M = _least_from(fits, _edge_guess(log_c, eta, t, eps, lo, hi, point, radius), lo, hi)
     return None if M is None else (M, radii[M])
+
+
+def _edge_guess(log_c: float, eta: float, t: float, eps: float, lo: int, hi: int,
+                point: bool, radius) -> int:
+    """Newton's estimate, in [lo, hi], of the least M whose right edge
+    (see _least_half_width) meets eps; radius(M) is the edge's radius.
+
+    First on the t3 term alone, in closed form and in a real x: its log at
+    order 2W and index W + s, with W = x, s = 0 (point) or W = 3x/2,
+    s = x/2 (window), is j x log 2 + log C + log 12 + 5t - log(2 pi n x)/2
+    + n x log(2 e t / (n x)) for (j, n) = (1, 2) or (2, 3).  It is concave
+    and falling for x >= e t, so Newton's steps from lo overshoot once and
+    then fall to its root; the guess is that root rounded up.  log t and
+    log x stay apart, since t/x underflows for a subnormal t; at t = 0 the
+    log is -inf and the guess lo.  A window then runs the same steps on
+    the log of its whole edge at whole M, the t3 term exact and its
+    localization term at the radius radius(M), whose slope in M is
+    log r.  A guess only: _least_from finds the same M from any.
+    """
+    target = math.log(eps)
+    log_t = math.log(t) if t > 0.0 else -math.inf
+    head = log_c + math.log(12.0) + 5.0 * t
+    j, n = (1.0, 2.0) if point else (2.0, 3.0)
+    rate = math.log(2.0 / n) + log_t  # log(2t/n)
+
+    def t3(x: float) -> tuple[float, float]:
+        """The smooth t3 log at x and its slope."""
+        log_x = math.log(x)
+        value = j * x * LOG2 + head - 0.5 * math.log(2.0 * math.pi * n * x)
+        return value + n * x * (1.0 + rate - log_x), j * LOG2 - 0.5 / x + n * (rate - log_x)
+
+    x = float(lo)
+    value, slope = t3(x)
+    if not value > target:
+        return _whole(x, lo, hi)
+    for _ in range(8):
+        step = (target - value) / slope
+        x += step
+        if not (x < hi and abs(step) > 1e-3):
+            break
+        value, slope = t3(x)
+    M = _whole(x, lo, hi)
+    if point:
+        return M
+    for _ in range(8):
+        s = M // 2
+        r = radius(M)
+        (loc,) = _log_localization(eta, r, t, M + s, [s])
+        (trunc,) = _log_t3(log_c, t, 2 * (M + s), [M + 2 * s])
+        if trunc == -math.inf:
+            value, slope = loc, math.log(r)
+        else:
+            top = max(loc, trunc)
+            w_loc, w_trunc = math.exp(loc - top), math.exp(trunc - top)
+            value = top + math.log(w_loc + w_trunc)
+            slope = (w_loc * math.log(r) + w_trunc * t3(M)[1]) / (w_loc + w_trunc)
+        nxt = _whole(M + (target - value) / slope, lo, hi)
+        if nxt == M:
+            break
+        M = nxt
+    return M
+
+
+def _whole(x: float, lo: int, hi: int) -> int:
+    """ceil(x) clamped to [lo, hi]; lo for NaN."""
+    return lo if not x > lo else hi if not x < hi else math.ceil(x)
 
 
 def best_radius(eta: float, t: float, margin: int) -> float:
@@ -318,10 +393,14 @@ class PassPlan:
     zero gammas below it without running the kernel; `lead` is that sum, at
     most steps, and steps for a window that misses the datum, whose
     numerator is 0.  So the kernel runs at most half + 1 + M + (center - lo)
-    steps, whatever N is.  Of the stages before it, only the dense window
-    of 2W + 1 sites still grows with N: the transform of a short support is
-    multiplied out site by site, and G is stored and checked on its band of
-    2m + 1 coefficients.
+    steps, whatever N is; a point pass runs on the datum mirrored about
+    center when that brings lo nearer (see _solve).  The stages before it
+    do not grow with N on a window that covers the support: the pass hands
+    the transform the datum itself, a short support is multiplied out site
+    by site, and G is stored and checked on its band of 2m + 1
+    coefficients.  What still grows with N is the gamma array of
+    3W + half + 1 entries, and the dense 2W + 1 window of a pass that does
+    not cover the support.
     """
 
     center: int
@@ -360,10 +439,15 @@ class PassPlan:
 
 def _schur_pass(q0: Sequence, t: float, plan: PassPlan) -> np.ndarray:
     """The first plan.steps Schur coefficients of q0's pass (see PassPlan):
-    window, shift, transform, multiply by G and recur."""
-    left = plan.center - plan.W
-    windowed = q0.windowed(left, plan.center + plan.W).shifted(-left)
-    m = nlft_forward(windowed)
+    window, shift, transform, multiply by G and recur.
+
+    A window that holds q0's whole stored block builds no window: the
+    transform gets q0 itself, shifted, and trims it to its nonzero sites
+    as it would the dense 2W + 1 window, so the bits are the same."""
+    left, right = plan.center - plan.W, plan.center + plan.W
+    if not (left <= q0.offset and q0.offset + len(q0.values) - 1 <= right):
+        q0 = q0.windowed(left, right)
+    m = nlft_forward(q0.shifted(-left))
     bundle = g_bundle(plan.order, t)
     f0 = RationalSchur(lp_mul(bundle.g, lp_conj_flip(m.b)), m.a).validate()
     coeffs = schur_coeffs(f0, plan.steps)
@@ -422,15 +506,29 @@ def _solve(q0: Sequence, params: SolveParams, half: int) -> tuple[Sequence, list
     zero budgets.  A negative t (params.reflect) runs forward at |t| from
     the conjugated datum and conjugates the output: conj(q)(t) solves the
     equation with datum conj(q0) iff q(-t) does with datum q0.
+
+    A point pass (half = 0) runs from the datum's nearer end: the flow
+    commutes with the mirror n -> 2 n0 - n, which fixes n0, so when the
+    datum reaches further left of n0 than right of it the pass runs on its
+    mirror image, and the kernel runs M + 1 + min(n0 - lo, hi - n0) steps,
+    not M + 1 + (n0 - lo).  Its window is symmetric about n0 and its one
+    entry at offset 0, so N and the budget are the unmirrored datum's.  A
+    window pass keeps its orientation, since its budgets are not symmetric
+    in s.  The plan is built, and the cap checked, before the datum is
+    mirrored, conjugated or windowed.
     """
     n0 = params.n0
     if q0.is_zero:
         window = Sequence(n0 - half, np.zeros(2 * half + 1, dtype=np.complex128))
         locs = truncs = [0.0] * (2 * half + 1)
     else:
-        support = (q0.offset, q0.offset + len(q0.values) - 1)
+        lo, hi = q0.offset, q0.offset + len(q0.values) - 1
+        mirror = half == 0 and hi - n0 < n0 - lo
+        support = (2 * n0 - hi, 2 * n0 - lo) if mirror else (lo, hi)
         plan = PassPlan.build(support, n0, params.N, half, params.t)
-        datum = q0.conjugated() if params.reflect else q0
+        datum = q0.reflected(n0) if mirror else q0
+        if params.reflect:
+            datum = datum.conjugated()
         window = Sequence(n0 - half, _schur_pass(datum, params.t, plan)[plan.first :])
         locs, truncs = _window_budgets(params, plan.W, range(-half, half + 1))
     return (window.conjugated() if params.reflect else window), locs, truncs

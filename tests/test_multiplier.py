@@ -14,6 +14,8 @@ from al_ist.solver import SolveParams
 from al_ist.multiplier import (
     _LOG_NEGLIGIBLE,
     MultiplierBundle,
+    _least,
+    _least_from,
     _bessel_start,
     _log_bessel_bound,
     _bessel_table,
@@ -96,7 +98,8 @@ def doubling_least(holds, lo):
 class TestSearchBrackets:
     """_bessel_start and smallest_admissible_order bisect inside brackets
     derived in their docstrings: the right end holds, and the answer is the
-    one the unbounded doubling search finds."""
+    one the unbounded doubling search finds.  _least_from, the sizing
+    search, brackets outward from a guess and finds what _least does."""
 
     def test_bessel_start(self):
         xs = [*np.geomspace(1e-25, 1e5, 700).tolist(), *range(1, 120),
@@ -119,6 +122,23 @@ class TestSearchBrackets:
             lo = max(1, math.floor(t) + 1)
             assert holds(max(lo, math.ceil(math.e**2 * t))), t
             assert smallest_admissible_order(t) == doubling_least(holds, lo), t
+
+    def test_search_from_a_guess_matches_bisection(self):
+        # Every answer in and around [lo, hi], from every guess in and
+        # around it: the same n as _least, None included, and each n
+        # probed at most once.
+        for lo, hi in ((0, 0), (3, 4), (-5, 20), (10, 41)):
+            for answer in range(lo - 2, hi + 3):
+                for guess in range(lo - 3, hi + 4):
+                    probed = []
+
+                    def holds(n):
+                        probed.append(n)
+                        return n >= answer
+
+                    want = _least(lambda n: n >= answer, lo, hi)
+                    assert _least_from(holds, guess, lo, hi) == want, (lo, hi, answer, guess)
+                    assert len(probed) == len(set(probed))
 
 
 class TestBesselTable:

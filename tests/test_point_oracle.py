@@ -1,7 +1,9 @@
 """A 50-digit mpmath oracle of the point pass, against solve_point's value.
 
 The oracle repeats the pass in exact-enough arithmetic from the same float64
-inputs: the datum windowed and shifted as the solver does, its transfer
+inputs: the datum mirrored about n0 where solve_point mirrors it (when it
+reaches less far right of n0 than left), then windowed and shifted as the
+solver does, its transfer
 product site by site, G = (1 - delta) z^n P on the band |k| <= min(n, M)
 with the float delta and 50-digit J_k(2t), the product G conj-flip(b), and
 Schur's recursion from the numerator's first nonzero coefficient.  So it
@@ -40,10 +42,15 @@ def poly_mul(p: dict, q: dict) -> dict:
 
 
 def point_oracle(q0, t: float, n0: int, eps: float) -> complex:
-    """q(t, n0) from the point pass of solve_point, for t > 0, in DPS digits."""
+    """q(t, n0) from the point pass of solve_point, for t > 0, in DPS digits:
+    on the datum mirrored about n0 when hi - n0 < n0 - lo, as solve_point
+    runs it, and on the datum itself otherwise; N from the datum itself."""
     q0 = q0.trimmed()
     lo, hi = q0.offset, q0.offset + len(q0.values) - 1
     N = select_params(t, eps, q0.szego_product(), n0, support=(lo, hi)).N
+    if hi - n0 < n0 - lo:
+        q0 = q0.reflected(n0)
+        lo, hi = q0.offset, q0.offset + len(q0.values) - 1
     plan = PassPlan.build((lo, hi), n0, N, 0, t)
     W, n, steps = plan.W, plan.order, plan.steps
     with mpmath.workdps(DPS):

@@ -31,6 +31,7 @@ from al_ist.solver import (
 )
 
 from strategies import disk_values
+from test_point_oracle import point_oracle
 
 
 def uniform_datum(lo, hi, eta):
@@ -153,17 +154,21 @@ def test_subnormal_time_has_zero_truncation_bound():
                               "0x0.0p+0", "0x1.35aef61b14e00p-28")),
         (0.05, 6.0, 0, 1e-10, ("0x1.bbad5741ebd3bp-4", "-0x1.2fcb7e3028d83p-5",
                                "0x0.0p+0", "0x1.4d5d8489cc190p-38")),
-        # n0 outside the support [-6, 6]
-        (0.22, 2.0, 12, 1e-10, ("-0x1.a66b0d147e753p-8", "0x1.4a5bb6094c00fp-6",
+        # n0 outside the support [-6, 6], right of it: the pass runs on the
+        # datum mirrored about n0
+        (0.22, 2.0, 12, 1e-10, ("-0x1.a66b0d1475015p-8", "0x1.4a5bb6094c2c2p-6",
                                 "0x0.0p+0", "0x1.1ab03f459446cp-41")),
     ],
 )
 def test_point_values_are_pinned(eta, t, n0, eps, pinned):
     # Value and budget bits of four point solves, computed with every Schur
     # step run from index 0; skipping f0's leading zeros must not move them.
-    # The hex pins hold for numpy 2.4.6 with its AVX2/AVX-512 kernels on
-    # x86-64, as constraints.txt pins it; other kernels can move last bits.
-    value, budget = solve_point(uniform_datum(-6, 6, eta), t, n0, eps)
+    # Each value is first held to the 50-digit oracle of its pass.  The hex
+    # pins hold for numpy 2.4.6 with its AVX2/AVX-512 kernels on x86-64, as
+    # constraints.txt pins it; other kernels can move last bits.
+    datum = uniform_datum(-6, 6, eta)
+    value, budget = solve_point(datum, t, n0, eps)
+    assert abs(value - point_oracle(datum, t, n0, eps)) <= 1e-14
     got = (value.real, value.imag, budget.localization, budget.truncation)
     assert tuple(float.hex(x) for x in got) == pinned
 
@@ -173,7 +178,9 @@ def test_point_pass_starts_past_the_multiplier_zero_band(monkeypatch):
     # the last order at which the multiplier stores a nonzero J_k(2t), and
     # the datum's first site -6 sits at N - 6 in the shifted window.  Of
     # the n + N + 1 = 1156 steps of this pass the kernel runs the last
-    # M + 1 + (n0 - (-6)) = 50.
+    # M + 1 + (n0 - (-6)) = 50.  A point pass runs from the datum's nearer
+    # end, M + 1 + min(n0 - lo, hi - n0) steps: 38 at n0 = 12, where the
+    # pass runs on the datum mirrored about n0, and at n0 = -12.
     steps = []
     recur = schur._recur
 
@@ -182,9 +189,10 @@ def test_point_pass_starts_past_the_multiplier_zero_band(monkeypatch):
         return recur(p, q, count, gammas)
 
     monkeypatch.setattr(schur, "_recur", recording)
-    solve_point(uniform_datum(-6, 6, 0.05), 6.0, 0, 1e-10)
+    for n0 in (0, 12, -12):
+        solve_point(uniform_datum(-6, 6, 0.05), 6.0, n0, 1e-10)
     assert _bessel_start(12.0) == 43
-    assert steps == [50]
+    assert steps == [50, 38, 38]
 
 
 def test_zero_band_skip_fires_on_every_benchmark_pass(monkeypatch):

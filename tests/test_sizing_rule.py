@@ -1,8 +1,9 @@
 """One sizing rule for both solvers.
 
-solve_point and solve_window size N by one bisection (_least_half_width)
+solve_point and solve_window size N by one search (_least_half_width)
 over the right-edge budget of their own pass, formed by the terms the pass
-certifies with.  The pins fix the sizes, radii and budgets of point and
+certifies with; it starts from an estimate and returns what bisection
+over the whole range returns.  The pins fix the sizes, radii and budgets of point and
 window solves on benchmark-shaped data bit for bit.  The hex pins and
 digests hold for numpy 2.4.6 with its AVX2/AVX-512 kernels on x86-64, as
 constraints.txt pins it; other kernels can move the last bits.
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 
 import al_ist.solver as solver
+from al_ist.multiplier import _least, order_admissible
+from al_ist.schur import stability_constant
 from al_ist.sequence import Sequence
 from al_ist.solver import select_params, solve_point, solve_window_detailed
 
@@ -61,15 +64,16 @@ def test_point_sizes_and_budgets_are_pinned(eta, t, eps, n0, N, truncation):
 
 
 def test_window_search_runs_best_radius_once_per_probe(monkeypatch):
+    # The estimate's steps and the probes share one radius per half-width.
     events = []
-    least, radius = solver._least, solver.best_radius
+    least, radius = solver._least_from, solver.best_radius
 
-    def spied_least(holds, lo, hi):
+    def spied_least(holds, guess, lo, hi):
         def probe(M):
             events.append(("probe", M))
             return holds(M)
 
-        found = least(probe, lo, hi)
+        found = least(probe, guess, lo, hi)
         events.append(("found", found))
         return found
 
@@ -77,18 +81,19 @@ def test_window_search_runs_best_radius_once_per_probe(monkeypatch):
         events.append(("radius", margin))
         return radius(eta, t, margin)
 
-    monkeypatch.setattr(solver, "_least", spied_least)
+    monkeypatch.setattr(solver, "_least_from", spied_least)
     monkeypatch.setattr(solver, "best_radius", spied_radius)
     datum = bench_datum(0.22)
     _, _, params = solve_window_detailed(datum, 2.0, 0, 1e-10)
     # One search, and no radius after it: the accepted probe's radius is kept.
     assert [e for e in events if e[0] == "found"] == [("found", params.N)]
     assert events[-1] == ("found", params.N)
-    probes = [i for i, e in enumerate(events) if e[0] == "probe"]
-    assert len(probes) > 1
-    for i in probes:  # every probe here has 2M admissible
-        assert events[i + 1] == ("radius", events[i][1])
-    assert sum(e[0] == "radius" for e in events) == len(probes)
+    margins = [e[1] for e in events if e[0] == "radius"]
+    probed = {e[1] for e in events if e[0] == "probe"}
+    assert len(margins) == len(set(margins)) and probed <= set(margins)
+    # Every probe here has 2M admissible; the estimate lands within one, so
+    # the search probes N and N - 1 only, where bisection probed 10 times.
+    assert probed == {params.N - 1, params.N} and len(margins) <= 3
     assert params.r == radius(datum.szego_product(), 2.0, params.N)
 
 
@@ -99,3 +104,40 @@ def test_point_search_runs_no_radius(monkeypatch):
     monkeypatch.setattr(solver, "best_radius", refuse)
     _, budget = solve_point(bench_datum(0.11), 6.0, 0, 1e-10)
     assert budget.localization == 0.0
+
+
+def bisected_half_width(eta, t, eps, lo, hi, point):
+    """_least_half_width as plain bisection over its whole range: _least on
+    the same edge test, each probe's radius kept."""
+    log_c = stability_constant(eta, 0.5).log
+    radii = {}
+
+    def fits(M):
+        if not order_admissible(2 * M, t):
+            return False
+        s = 0 if point else M // 2
+        radii[M] = r = 0.5 if point else solver.best_radius(eta, t, M)
+        (loc,), (trunc,) = solver._budget_terms(log_c, eta, r, t, M + s, range(s, s + 1), point)
+        return loc + trunc <= eps
+
+    M = _least(fits, max(lo, math.ceil(math.e * t)), hi)
+    return None if M is None else (M, radii[M])
+
+
+@pytest.mark.parametrize("point", [True, False])
+@pytest.mark.parametrize("eta", [0.9, 0.22, 0.05, 1e-3])
+def test_estimate_started_search_matches_bisection(eta, point):
+    # Over t from 0 and the least subnormal up, both eps classes and three
+    # lower ends, with the closed form as the upper end and with upper ends
+    # that cut off or just reach the answer: the same (M, r), None included.
+    for t in (0.0, 5e-324, 1e-9, 0.5, 2.0, 6.0, 20.0):
+        for eps in (1e-6, 1e-10):
+            closed = select_params(t, eps, eta).N if eta > 0.01 else 10**6
+            for lo in (5, 18, 60):
+                want = bisected_half_width(eta, t, eps, lo, closed, point)
+                ends = [closed, lo, lo + 1]
+                if want is not None:
+                    ends += [want[0], want[0] - 1, want[0] + 1]
+                for hi in ends:
+                    got = solver._least_half_width(eta, t, eps, lo, hi, point)
+                    assert got == bisected_half_width(eta, t, eps, lo, hi, point), (t, eps, lo, hi)
