@@ -36,13 +36,19 @@ def _least(holds, lo: int, hi: int) -> int | None:
     holds must be false, then true, as n grows."""
     if lo > hi or not holds(hi):
         return None
-    while lo < hi:
-        mid = (lo + hi) // 2
+    return _bisect(holds, lo - 1, hi)
+
+
+def _bisect(holds, bad: int, good: int) -> int:
+    """Least n in (bad, good] with holds(n), given holds(good) and that
+    holds is false up to bad, then true."""
+    while good - bad > 1:
+        mid = (bad + good) // 2
         if holds(mid):
-            hi = mid
+            good = mid
         else:
-            lo = mid + 1
-    return lo
+            bad = mid
+    return good
 
 
 def _least_from(holds, guess: int, lo: int, hi: int) -> int | None:
@@ -69,13 +75,7 @@ def _least_from(holds, guess: int, lo: int, hi: int) -> int | None:
                 good = n
                 break
             bad, step = n, 2 * step
-    while good - bad > 1:
-        mid = (bad + good) // 2
-        if holds(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+    return _bisect(holds, bad, good)
 
 
 def _log_bessel_bound(k: int, x: float) -> float:

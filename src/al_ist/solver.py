@@ -56,10 +56,9 @@ N_HARD_CAP = 10**6
 # 40 661 counted steps of which 4 084 run, takes about 0.08 s on a 2-core
 # x86 host, where running every step took 3.5 s.  The count is unchanged,
 # so every refusal is too.  Capping run_steps instead waits until the rest
-# of a pass stops growing with N.  A pass whose window covers the support
-# builds no window, and a point pass runs from the datum's nearer end; what
-# still grows with N is the gamma array of 3W + half + 1 entries and the
-# window of a pass that does not cover the support.
+# of a pass stops growing with N.  No pass builds a dense window, and a
+# point pass runs from the datum's nearer end; what still grows with N is
+# the gamma array of 3W + half + 1 entries.
 SCHUR_UPDATE_CAP = 10**9
 
 
@@ -206,26 +205,23 @@ def _least_half_width(
         return loc + trunc <= eps
 
     lo = max(lo, math.ceil(math.e * t))
-    M = _least_from(fits, _edge_guess(log_c, eta, t, eps, lo, hi, point, radius), lo, hi)
+    M = _least_from(fits, _edge_guess(log_c, t, eps, lo, hi, point), lo, hi)
     return None if M is None else (M, radii[M])
 
 
-def _edge_guess(log_c: float, eta: float, t: float, eps: float, lo: int, hi: int,
-                point: bool, radius) -> int:
+def _edge_guess(log_c: float, t: float, eps: float, lo: int, hi: int, point: bool) -> int:
     """Newton's estimate, in [lo, hi], of the least M whose right edge
-    (see _least_half_width) meets eps; radius(M) is the edge's radius.
+    (see _least_half_width) meets eps by its t3 term alone.
 
-    First on the t3 term alone, in closed form and in a real x: its log at
+    The estimate is in closed form and in a real x: the t3 term's log at
     order 2W and index W + s, with W = x, s = 0 (point) or W = 3x/2,
     s = x/2 (window), is j x log 2 + log C + log 12 + 5t - log(2 pi n x)/2
     + n x log(2 e t / (n x)) for (j, n) = (1, 2) or (2, 3).  It is concave
     and falling for x >= e t, so Newton's steps from lo overshoot once and
     then fall to its root; the guess is that root rounded up.  log t and
     log x stay apart, since t/x underflows for a subnormal t; at t = 0 the
-    log is -inf and the guess lo.  A window then runs the same steps on
-    the log of its whole edge at whole M, the t3 term exact and its
-    localization term at the radius radius(M), whose slope in M is
-    log r.  A guess only: _least_from finds the same M from any.
+    log is -inf and the guess lo.  A window edge's localization term is
+    left out.  A guess only: _least_from finds the same M from any.
     """
     target = math.log(eps)
     log_t = math.log(t) if t > 0.0 else -math.inf
@@ -249,26 +245,7 @@ def _edge_guess(log_c: float, eta: float, t: float, eps: float, lo: int, hi: int
         if not (x < hi and abs(step) > 1e-3):
             break
         value, slope = t3(x)
-    M = _whole(x, lo, hi)
-    if point:
-        return M
-    for _ in range(8):
-        s = M // 2
-        r = radius(M)
-        (loc,) = _log_localization(eta, r, t, M + s, [s])
-        (trunc,) = _log_t3(log_c, t, 2 * (M + s), [M + 2 * s])
-        if trunc == -math.inf:
-            value, slope = loc, math.log(r)
-        else:
-            top = max(loc, trunc)
-            w_loc, w_trunc = math.exp(loc - top), math.exp(trunc - top)
-            value = top + math.log(w_loc + w_trunc)
-            slope = (w_loc * math.log(r) + w_trunc * t3(M)[1]) / (w_loc + w_trunc)
-        nxt = _whole(M + (target - value) / slope, lo, hi)
-        if nxt == M:
-            break
-        M = nxt
-    return M
+    return _whole(x, lo, hi)
 
 
 def _whole(x: float, lo: int, hi: int) -> int:
@@ -395,12 +372,10 @@ class PassPlan:
     numerator is 0.  So the kernel runs at most half + 1 + M + (center - lo)
     steps, whatever N is; a point pass runs on the datum mirrored about
     center when that brings lo nearer (see _solve).  The stages before it
-    do not grow with N on a window that covers the support: the pass hands
-    the transform the datum itself, a short support is multiplied out site
-    by site, and G is stored and checked on its band of 2m + 1
-    coefficients.  What still grows with N is the gamma array of
-    3W + half + 1 entries, and the dense 2W + 1 window of a pass that does
-    not cover the support.
+    do not grow with N: the pass hands the transform the datum clipped to
+    the window, a short support is multiplied out site by site, and G is
+    stored and checked on its band of 2m + 1 coefficients.  What still
+    grows with N is the gamma array of 3W + half + 1 entries.
     """
 
     center: int
@@ -441,13 +416,14 @@ def _schur_pass(q0: Sequence, t: float, plan: PassPlan) -> np.ndarray:
     """The first plan.steps Schur coefficients of q0's pass (see PassPlan):
     window, shift, transform, multiply by G and recur.
 
-    A window that holds q0's whole stored block builds no window: the
-    transform gets q0 itself, shifted, and trims it to its nonzero sites
-    as it would the dense 2W + 1 window, so the bits are the same."""
+    The window is q0's stored block clipped to [center - W, center + W],
+    never the dense 2W + 1 sites: the transform trims its input to the
+    nonzero sites, so the bits are the same, and a clip that misses the
+    block is empty, whose transform is the identity, as a zero window's
+    is."""
     left, right = plan.center - plan.W, plan.center + plan.W
-    if not (left <= q0.offset and q0.offset + len(q0.values) - 1 <= right):
-        q0 = q0.windowed(left, right)
-    m = nlft_forward(q0.shifted(-left))
+    block = q0.windowed(max(left, q0.offset), min(right, q0.offset + len(q0.values) - 1))
+    m = nlft_forward(block.shifted(-left))
     bundle = g_bundle(plan.order, t)
     f0 = RationalSchur(lp_mul(bundle.g, lp_conj_flip(m.b)), m.a).validate()
     coeffs = schur_coeffs(f0, plan.steps)

@@ -3,10 +3,10 @@
 solve_point and solve_window size N by one search (_least_half_width)
 over the right-edge budget of their own pass, formed by the terms the pass
 certifies with; it starts from an estimate and returns what bisection
-over the whole range returns.  The pins fix the sizes, radii and budgets of point and
-window solves on benchmark-shaped data bit for bit.  The hex pins and
-digests hold for numpy 2.4.6 with its AVX2/AVX-512 kernels on x86-64, as
-constraints.txt pins it; other kernels can move the last bits.
+over the whole range returns.  The pins fix the sizes, radii and budgets
+of point and window solves on benchmark-shaped data bit for bit.  The hex
+pins and digests hold for numpy 2.4.6 with its AVX2/AVX-512 kernels on
+x86-64, as constraints.txt pins it; other kernels can move the last bits.
 """
 
 import hashlib
@@ -64,7 +64,6 @@ def test_point_sizes_and_budgets_are_pinned(eta, t, eps, n0, N, truncation):
 
 
 def test_window_search_runs_best_radius_once_per_probe(monkeypatch):
-    # The estimate's steps and the probes share one radius per half-width.
     events = []
     least, radius = solver._least_from, solver.best_radius
 
@@ -88,12 +87,11 @@ def test_window_search_runs_best_radius_once_per_probe(monkeypatch):
     # One search, and no radius after it: the accepted probe's radius is kept.
     assert [e for e in events if e[0] == "found"] == [("found", params.N)]
     assert events[-1] == ("found", params.N)
-    margins = [e[1] for e in events if e[0] == "radius"]
-    probed = {e[1] for e in events if e[0] == "probe"}
-    assert len(margins) == len(set(margins)) and probed <= set(margins)
-    # Every probe here has 2M admissible; the estimate lands within one, so
-    # the search probes N and N - 1 only, where bisection probed 10 times.
-    assert probed == {params.N - 1, params.N} and len(margins) <= 3
+    probes = [i for i, e in enumerate(events) if e[0] == "probe"]
+    assert len(probes) > 1
+    for i in probes:  # every probe here has 2M admissible
+        assert events[i + 1] == ("radius", events[i][1])
+    assert sum(e[0] == "radius" for e in events) == len(probes)
     assert params.r == radius(datum.szego_product(), 2.0, params.N)
 
 
