@@ -2,7 +2,8 @@
 
 Draws a small random datum, evolves it both ways, and prints the per-site
 deviation next to the certified budget.  The direct side is the fine row of
-rk8_pair, the order-8 Runge-Kutta reference that the compare command uses.
+rk8_pair, the order-8 Runge-Kutta reference that the compare command uses,
+on the lattice compare sizes for the window (lattice_radius).
 The measured deviation should sit orders of magnitude below the budget,
 which itself stays below eps.  It also prints the half-width N that
 solve_point picks at site 0, sized from the datum's support, next to the
@@ -18,7 +19,7 @@ from __future__ import annotations
 import argparse
 
 from al_ist.datagen import random_sequence
-from al_ist.reference import rk8_pair
+from al_ist.reference import lattice_radius, rk8_pair
 from al_ist.solver import select_params, solve_window_detailed
 
 
@@ -32,7 +33,8 @@ def main() -> None:
 
     datum = random_sequence(args.seed, args.sites, -4, 4, 0.5)
     window, budgets, params = solve_window_detailed(datum, args.t, 0, args.eps)
-    _, state = rk8_pair(datum, args.t, radius=60)
+    lo, hi = window.offset, window.offset + len(window.values) - 1
+    _, state = rk8_pair(datum, args.t, radius=lattice_radius(datum, args.t, lo, hi))
 
     print(f"datum sites {datum.support()}, eta = {datum.szego_product():.6f}")
     point = select_params(args.t, args.eps, params.eta, 0, support=datum.support())

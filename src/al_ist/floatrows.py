@@ -1,7 +1,8 @@
-"""JSON rows of complex arrays, byte for byte those of seqio.fmt, from
-one vectorized decimal pass (rows_text, used by seqio.json_text for arrays
-of at least seqio.FAST_FLOATS floats), and the table of powers of ten and
-the exact product that readrows, its inverse, shares.
+"""JSON rows of complex arrays and CSV rows of tables, byte for byte those
+of seqio.fmt, from one vectorized decimal pass (rows_text and table_text,
+used by seqio.json_text and seqio.csv_table from seqio.FAST_FLOATS floats
+on), and the table of powers of ten and the exact product that readrows,
+its inverse, shares.
 
 Each |x| is scaled to a 17-digit integer by a double-double power of ten
 (Dekker's exact product, Numer. Math. 18, 1971), the digits are read from a
@@ -248,3 +249,36 @@ def rows_text(values: np.ndarray, pad: str) -> str:
     for start, end in zip(cuts, cuts[1:]):
         _decimal_slots(parts[start:end], slots[start:end])
     return buf.translate(None, b"\0").decode("ascii")
+
+
+def table_text(columns: list[np.ndarray]) -> str:
+    """csv_table's rows of equal-length 1-D arrays, each line ended by
+    "\n": a float64 array's floats as fmt prints them, any other array's
+    entries as numpy's bytes conversion prints them (str's for integers
+    and ASCII strings).
+
+    A row is each column's slot words followed by a word for "," or "\n",
+    NUL-padded like rows_text's.  The floats of all float columns, row by
+    row, are written by _decimal_slots into one slot array in equal passes
+    of at most _CHUNK floats."""
+    rows = len(columns[0])
+    floats = [c for c in columns if c.dtype == np.float64]
+    parts = np.stack(floats, axis=1).ravel()
+    slots = np.empty((len(parts), _SLOT_WORDS), dtype=np.uint32)
+    passes = -(-len(parts) // _CHUNK)
+    cuts = [len(parts) * i // passes for i in range(passes + 1)]
+    for start, end in zip(cuts, cuts[1:]):
+        _decimal_slots(parts[start:end], slots[start:end])
+    slots = iter(slots.reshape(rows, len(floats), _SLOT_WORDS).transpose(1, 0, 2))
+    comma, newline = (np.frombuffer(c * rows, np.uint32)[:, None] for c in (b",\0\0\0", b"\n\0\0\0"))
+    words = []
+    for column in columns:
+        if column.dtype == np.float64:
+            words.append(next(slots))
+        else:
+            text = column.astype(np.bytes_)
+            text = text.astype(f"S{-(-text.itemsize // 4) * 4}")
+            words.append(text.view(np.uint32).reshape(rows, -1))
+        words.append(comma)
+    words[-1] = newline
+    return np.concatenate(words, axis=1).tobytes().translate(None, b"\0").decode("ascii")

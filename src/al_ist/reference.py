@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, InfeasibleParamsError, NonContractionError, ValidationError
+from .multiplier import _least
+from .schur import exp_or_inf
 from .sequence import Sequence
 
 MODULUS_GUARD = 1.0 - 1e-12
@@ -47,7 +49,7 @@ except ImportError:
 # of 200 steps in each of two sessions).  So the cap stands for about 3 s
 # at 4 001 sites, 10 s at 193 and 8 min at 3 for RK4, and about 13 s, 31 s
 # and 21 min for RK8.  The largest pair of the benchmark's compare jobs (t
-# 8, 193 sites) needs 4.6e4.
+# 8, 123 sites on the lattice lattice_radius sizes) needs 3.0e4.
 RK4_SITE_STEP_CAP = 10**8
 
 # Sub-interval length for the Picard composition; the integral operator is
@@ -100,6 +102,74 @@ def default_radius(q0: Sequence, t: float) -> int:
     sup = q0.support()
     base = 0 if sup is None else max(abs(sup[0]), abs(sup[1]))
     return base + math.ceil(margin)
+
+
+# compare's reference lattice is the smallest whose truncation_bound over
+# the window is at most this.
+TRUNCATION_TOL = 2.0**-60
+
+
+def _log_truncation_bound(q0: Sequence, t: float):
+    """radius, lo, hi -> log of truncation_bound(q0, t, radius, lo, hi);
+    -inf at t = 0 and for the zero datum."""
+    sup = q0.support()
+    t = abs(t)
+    if sup is None or t == 0.0:
+        return lambda radius, lo, hi: -math.inf
+    a, b = sup
+    log_t = math.log(t)
+    scale = log_t + 4.0 * t + math.log(float(np.sum(np.abs(q0.values))))
+
+    def log_i(m: int) -> float:
+        # log of (t^m / m!) e^{t^2 / (m + 1)}, which bounds I_m(2t): in
+        # I_m(2t) = sum_j t^(2j + m) / (j! (j + m)!), (j + m)! >= m! (m + 1)^j.
+        return m * log_t - math.lgamma(m + 1) + t * t / (m + 1)
+
+    def log_bound(radius: int, lo: int, hi: int) -> float:
+        right = log_i(radius - hi) + log_i(radius + 1 - b)
+        left = log_i(radius + lo) + log_i(radius + 1 + a)
+        top = max(left, right)
+        return scale + top + math.log1p(math.exp(min(left, right) - top))
+
+    return log_bound
+
+
+def truncation_bound(q0: Sequence, t: float, radius: int, lo: int, hi: int) -> float:
+    """Bound on |q(t, n) - q_R(t, n)| at every site n of [lo, hi], q the flow
+    of q0 on Z and q_R its flow on the zero-boundary lattice [-R, R],
+    R = radius, for a window and a datum support [a, b] inside [-R, R]:
+
+        |t| e^{4|t|} ||q0||_1 [I_{R-hi}(2t) I_{R+1-b}(2t) + I_{R+lo}(2t) I_{R+1+a}(2t)],
+
+    each I_m(2t) taken at its majorant (t^m / m!) e^{t^2 / (m + 1)}.
+
+    e = q - q_R on [-R, R] satisfies e' = i (1 - |q|^2) (e_{n-1} + e_{n+1})
+    + i (|q_R|^2 - |q|^2)(q_R(n-1) + q_R(n+1)), where e at -R - 1 and R + 1
+    is q's boundary flux.  With |q|, |q_R| < 1 this gives, componentwise,
+    |e|' <= (A + 4) |e| + f, A the nearest-neighbour matrix of [-R, R] and
+    f the flux |q(R + 1)|, |q(-R - 1)| entering at R and -R.  The same
+    argument gives |q(t)| <= e^{tA_Z} |q0|, so |q(R + 1, s)| <= I_{R+1-b}(2s)
+    ||q0||_1, since I_m falls as m grows.  With e(0) = 0 and
+    (e^{sA})_{nk} <= I_{|n-k|}(2s) (the entries of e^{sA_Z}), Duhamel's
+    formula over [0, t], each factor taken at its largest, gives the bound
+    at n; over the window I_{R-n} is largest at n = hi and I_{R+n} at
+    n = lo.  A negative t runs the conjugate flow forward."""
+    return exp_or_inf(_log_truncation_bound(q0, t)(radius, lo, hi))
+
+
+def lattice_radius(q0: Sequence, t: float, lo: int, hi: int) -> int:
+    """The least radius R from max(reach, support radius) up to
+    max(reach, default_radius(q0, t)), reach = max(|lo|, |hi|), whose
+    truncation_bound over the window [lo, hi] is at most TRUNCATION_TOL;
+    the upper end if none is.  The bound falls as R grows, so the search
+    is a bisection."""
+    sup = q0.support()
+    reach = max(abs(lo), abs(hi))
+    first = max(reach, 0 if sup is None else max(abs(sup[0]), abs(sup[1])))
+    last = max(reach, default_radius(q0, t))
+    log_bound, log_tol = _log_truncation_bound(q0, t), math.log(TRUNCATION_TOL)
+    radius = _least(lambda r: log_bound(r, lo, hi) <= log_tol, first, last)
+    return last if radius is None else radius
 
 
 def _initial_array(q0: Sequence, radius: int, boundary: str) -> tuple[int, np.ndarray]:

@@ -6,12 +6,12 @@ CSV alike) is printed as fmt prints it, with 17 significant digits, which
 round-trips doubles bit-faithfully, so identical jobs produce
 byte-identical artifacts.
 
-Complex arrays, the bulk of every JSON artifact, are not printed one float
-at a time once they hold FAST_FLOATS floats or more: floatrows.rows_text
-writes their rows, byte for byte those of fmt, from one vectorized decimal
-pass, with fmt as its fallback near rounding ties and outside
-[1e-99, 1e33).  It is imported at its first use, so importing al_ist.cli
-does not load it.
+Complex arrays, the bulk of every JSON artifact, and CSV tables are not
+printed one float at a time once they hold FAST_FLOATS floats or more:
+floatrows.rows_text and floatrows.table_text write their rows, byte for
+byte those of fmt, from one vectorized decimal pass, with fmt as its
+fallback near rounding ties and outside [1e-99, 1e33).  floatrows is
+imported at its first use, so importing al_ist.cli does not load it.
 
 Reading is the same split the other way.  A text of FAST_READ_CHARS
 characters or more goes first to readrows.parse_sequence, imported at its
@@ -40,7 +40,9 @@ from .sequence import Sequence
 # Complex arrays of fewer floats go through fmt one float at a time: below
 # this count floatrows' vectorized pass, with a fixed cost of about 90 numpy
 # calls (near 90 us), is dearer than fmt at about 0.8 us a float with its
-# row (measured break-even 110-130 floats on a 2-core x86 host).
+# row (measured break-even 110-130 floats on a 2-core x86 host).  CSV
+# tables take the same count, though their writer, with its own fixed cost,
+# breaks even later (about 210 floats, a 35-row compare table).
 FAST_FLOATS = 128
 
 # Sequence texts of at least this many characters (about 200 rows) go to
@@ -123,10 +125,17 @@ def write_sequence(seq: Sequence, path: str):
         fh.write(sequence_to_text(seq))
 
 
-def csv_table(header: list[str], rows: list[list]) -> str:
-    """CSV text; floats through fmt, everything else through str."""
+def csv_table(header: list[str], columns: list[np.ndarray]) -> str:
+    """CSV text of one 1-D array per header name: float64 entries as fmt
+    prints them, any other as str does.  A table of FAST_FLOATS floats or
+    more is written by floatrows.table_text, byte for byte the same; a
+    shorter one one float at a time."""
     lines = [",".join(header)]
-    for row in rows:
+    if sum(len(c) for c in columns if c.dtype == np.float64) >= FAST_FLOATS:
+        from .floatrows import table_text
+
+        return lines[0] + "\n" + table_text(columns)
+    for row in zip(*(c.tolist() for c in columns)):
         lines.append(",".join(fmt(x) if isinstance(x, float) else str(x) for x in row))
     return "\n".join(lines) + "\n"
 

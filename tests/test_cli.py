@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import al_ist.cli
 import al_ist.nlft
@@ -27,11 +27,12 @@ from al_ist.multiplier import delta_nt, smallest_admissible_order
 from al_ist.nlft import nlft_forward_naive
 from al_ist.reference import RK4, RK8, RK8_STEP, default_radius, rk4_integrate, rk8_pair
 from al_ist.sequence import Sequence
-from al_ist.floatrows import _CHUNK, _Q_MIN, _pow10
+from al_ist.floatrows import _CHUNK, _Q_MIN, _pow10, table_text
 from al_ist.readrows import parse_sequence
 from al_ist.seqio import (
     FAST_FLOATS,
     FAST_READ_CHARS,
+    csv_table,
     fmt,
     json_text,
     laurent_to_doc,
@@ -490,6 +491,63 @@ class TestJsonText:
     def test_rejects_other_nodes(self, node):
         with pytest.raises(TypeError):
             json_text({"k": node})
+
+
+def csv_oracle(header: list[str], rows: list[list]) -> str:
+    """csv_table as one fmt call per float and one str call per other
+    entry, row by row."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt(x) if isinstance(x, float) else str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _table_edges() -> list[float]:
+    """EDGE_FLOATS; +-1e-99 and +-1e33, the ends of the vectorized range,
+    with their neighbours two ulps each way; and exact 17-digit ties with
+    their neighbours one ulp away."""
+    ends = np.array([1e-99, 1e33])
+    near = [ends]
+    for _ in range(2):
+        near += [np.nextafter(near[-1], 0.0), np.nextafter(near[-1], np.inf)]
+    near = np.concatenate(near)
+    ties = np.array(exact_ties())
+    ties = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+    return EDGE_FLOATS + np.concatenate([near, -near, ties, -ties]).tolist()
+
+
+table_float = st.floats(-1.0, 1.0) | any_float | st.sampled_from(_table_edges())
+COMPARE_HEADER = ["n", "re", "im", "ref_re", "ref_im", "deviation", "allowance", "verdict"]
+SOLVE_HEADER = ["n", "re", "im", "budget"]
+
+
+class TestCsvTable:
+    """The table writer's bytes are those of one fmt call per float."""
+
+    @pytest.mark.parametrize("header", [COMPARE_HEADER, SOLVE_HEADER], ids=["compare", "solve"])
+    # Just below FAST_FLOATS, at or just past it, and the 131-row compare
+    # table's 786 floats.
+    @pytest.mark.parametrize("floats", [FAST_FLOATS - 1, FAST_FLOATS, 786])
+    # The table's size is what is tested, so its smallest example is large.
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.large_base_example])
+    @given(data=st.data())
+    def test_bytes_match_one_fmt_per_float(self, header, floats, data):
+        per_row = 6 if header is COMPARE_HEADER else 3
+        rows = floats // per_row if floats < FAST_FLOATS else -(-floats // per_row)
+        sites = data.draw(st.lists(st.integers(-9999, 9999), min_size=rows, max_size=rows))
+        parts = data.draw(st.lists(table_float, min_size=rows * per_row, max_size=rows * per_row))
+        table = np.array(parts).reshape(rows, per_row)
+        columns = [np.array(sites, dtype=np.int64), *table.T]
+        want_rows = [[n, *row] for n, row in zip(sites, table.tolist())]
+        if header is COMPARE_HEADER:
+            verdicts = data.draw(st.lists(st.sampled_from(["pass", "fail"]), min_size=rows,
+                                          max_size=rows))
+            columns.append(np.array(verdicts))
+            want_rows = [row + [v] for row, v in zip(want_rows, verdicts)]
+        want = csv_oracle(header, want_rows)
+        assert csv_table(header, columns) == want
+        # The vectorized writer on either side of the break-even.
+        assert ",".join(header) + "\n" + table_text(columns) == want
 
 
 class TestJobSpec:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import al_ist
 from al_ist.datagen import random_sequence
-from al_ist.seqio import write_sequence
+from al_ist.seqio import FAST_FLOATS, write_sequence
 
 # Installs a meta-path finder that refuses every scipy module, then runs the
 # CLI jobs given as a JSON list and one Picard solve.
@@ -77,18 +77,24 @@ def test_importing_the_cli_does_not_load_the_array_writer():
 
 def test_a_compare_job_on_a_small_datum_does_not_load_the_reader(tmp_path):
     # The benchmark's compare data have 13 sites: their files stay on the
-    # json.loads path, and their arrays on fmt's, so the worker loads
-    # neither codec.
+    # json.loads path, so the worker never loads the reader.  The writer is
+    # loaded exactly when the table reaches FAST_FLOATS floats, six a row:
+    # 19 rows at t 0.5 stay on fmt's path, 33 at t 2 do not.
     path = tmp_path / "q.json"
     write_sequence(random_sequence(seed=3, count=13, lo=-6, hi=6, max_modulus=0.5), str(path))
-    argv = ["--cmd", "compare", "--in", str(path), "--t", "0.5", "--eps", "1e-6",
-            "--out", str(tmp_path / "compare.csv")]
+    out = tmp_path / "compare.csv"
     script = ("import json, sys, al_ist.cli; code = al_ist.cli.main(json.loads(sys.argv[1])); "
               "print(code, 'al_ist.readrows' in sys.modules, 'al_ist.floatrows' in sys.modules)")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argv)],
-        env=dict(os.environ, PYTHONPATH=str(Path(al_ist.__file__).resolve().parents[1])),
-        capture_output=True, text=True, timeout=120, check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 False False"
+    loaded = []
+    for t, eps in (("0.5", "1e-6"), ("2", "1e-10")):
+        argv = ["--cmd", "compare", "--in", str(path), "--t", t, "--eps", eps, "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argv)],
+            env=dict(os.environ, PYTHONPATH=str(Path(al_ist.__file__).resolve().parents[1])),
+            capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        floats = 6 * (len(out.read_text().splitlines()) - 1)
+        assert proc.stdout.strip() == f"0 False {floats >= FAST_FLOATS}"
+        loaded.append(floats >= FAST_FLOATS)
+    assert loaded == [False, True]

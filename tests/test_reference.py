@@ -2,15 +2,19 @@
 conservation checks."""
 
 import math
+import sys
 import time
 import warnings
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import cumulative_simpson
 from scipy.integrate._ivp import dop853_coefficients as dop853
+from scipy.special import iv
 
 import al_ist.reference
 from al_ist.datagen import random_sequence
@@ -20,6 +24,7 @@ from al_ist.reference import (
     RK4,
     RK8,
     RK8_STEP,
+    TRUNCATION_TOL,
     LatticeState,
     _cumulative_simpson,
     _guard,
@@ -30,12 +35,14 @@ from al_ist.reference import (
     al_rhs,
     conserved_product,
     default_radius,
+    lattice_radius,
     picard_solve,
     rk4_integrate,
     rk8_pair,
+    truncation_bound,
 )
 from al_ist.sequence import Sequence
-from al_ist.solver import localization_bound_direct
+from al_ist.solver import localization_bound_direct, solve_window_detailed
 
 from strategies import disk_sequences
 
@@ -607,3 +614,65 @@ def test_truncation_radius_localization():
     at0_narrow = narrow.q.values[-narrow.q.offset]
     at0_wide = wide.q.values[-wide.q.offset]
     assert abs(at0_narrow - at0_wide) <= localization_bound_direct(t, 0.5, 12, 0)
+
+
+@cache
+def benchmark_window(eta: float, t: float):
+    """(datum, lo, hi): the benchmark's 13-site compare datum of seed 1 at
+    Szego product eta, and the window compare solves for it at n0 = 0."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import jobs
+    finally:
+        sys.path.pop(0)
+    data, _ = jobs.build("compare", 1)
+    q0 = data[jobs.COMPARE_ETAS.index(eta)]
+    window, _, _ = solve_window_detailed(q0, t, 0, 1e-10)
+    return q0, window.offset, window.offset + len(window.values) - 1
+
+
+class TestLatticeRadius:
+    """compare's reference lattice: the least radius whose truncation bound
+    over the window is at most TRUNCATION_TOL."""
+
+    cases = pytest.mark.parametrize("eta", [0.6, 0.22, 0.11])
+    times = pytest.mark.parametrize("t", [0.5, 2.0, 6.0, 8.0, 20.0])
+
+    @cases
+    @times
+    def test_agrees_with_a_lattice_twice_the_default_within_the_bound(self, eta, t):
+        q0, lo, hi = benchmark_window(eta, t)
+        radius = lattice_radius(q0, t, lo, hi)
+        wide = 2 * max(default_radius(q0, t), abs(lo), abs(hi))
+        (_, narrow), (_, far) = rk8_pair(q0, t, radius), rk8_pair(q0, t, wide)
+        a, b = q0.support()
+        norm = float(np.sum(np.abs(q0.values)))
+        for n in range(lo, hi + 1):
+            bound = truncation_bound(q0, t, radius, n, n)
+            assert abs(narrow.q.at(n) - far.q.at(n)) <= bound
+            # The derivation's bound with exact Bessel values lies below it.
+            exact = t * math.exp(4 * t) * norm * (
+                iv(radius - n, 2 * t) * iv(radius + 1 - b, 2 * t)
+                + iv(radius + n, 2 * t) * iv(radius + 1 + a, 2 * t))
+            assert exact <= bound
+        assert truncation_bound(q0, t, radius, lo, hi) <= TRUNCATION_TOL
+
+    @cases
+    @times
+    def test_lies_between_the_reach_and_the_default(self, eta, t):
+        q0, lo, hi = benchmark_window(eta, t)
+        reach = max(abs(lo), abs(hi))
+        radius = lattice_radius(q0, t, lo, hi)
+        assert reach <= radius <= max(reach, default_radius(q0, t))
+        # The least such radius: one less misses the tolerance.
+        if radius > reach:
+            assert truncation_bound(q0, t, radius - 1, lo, hi) > TRUNCATION_TOL
+
+    @cases
+    def test_no_time_gives_the_start_and_a_negative_time_its_modulus(self, eta):
+        q0, lo, hi = benchmark_window(eta, 2.0)
+        start = max(abs(lo), abs(hi), *map(abs, q0.support()))
+        assert lattice_radius(q0, 0.0, lo, hi) == start
+        assert lattice_radius(q0, 5e-324, lo, hi) == start
+        for t in (0.5, 2.0, 20.0):
+            assert lattice_radius(q0, -t, lo, hi) == lattice_radius(q0, t, lo, hi)

@@ -1,6 +1,7 @@
 """Smoke test of the scripts under scripts/, each run as a user would."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +11,24 @@ import al_ist
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_compare_demo_runs():
+def run_compare_demo(*args: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(Path(al_ist.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "compare_demo.py"), "--t", "0.5"],
+        [sys.executable, str(ROOT / "scripts" / "compare_demo.py"), *args],
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "worst deviation" in proc.stdout
+    return proc.stdout
+
+
+def test_compare_demo_runs():
+    assert "worst deviation" in run_compare_demo("--t", "0.5")
+
+
+def test_compare_demo_lattice_covers_a_long_time_window():
+    # At t 40 the window reaches site 90; on a fixed 60-site lattice its
+    # outer rows read the truncation, not the flow.
+    last = run_compare_demo("--t", "40").strip().splitlines()[-1]
+    worst, budget = map(float, re.fullmatch(
+        r"worst deviation (\S+), largest budget (\S+)", last).groups())
+    assert worst <= budget
