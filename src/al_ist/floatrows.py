@@ -243,12 +243,16 @@ def rows_text(values: np.ndarray, pad: str) -> str:
     buf = bytearray(row) * len(values)
     buf[-3] = 0  # no comma after the last row
     slots = np.frombuffer(buf, dtype=np.uint32).reshape(2 * len(values), -1)[:, words:-1]
-    parts = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    _chunked_slots(np.ascontiguousarray(values, dtype=np.complex128).view(np.float64), slots)
+    return buf.translate(None, b"\0").decode("ascii")
+
+
+def _chunked_slots(parts: np.ndarray, slots: np.ndarray):
+    """_decimal_slots(parts, slots) in equal passes of at most _CHUNK floats."""
     passes = -(-len(parts) // _CHUNK)
     cuts = [len(parts) * i // passes for i in range(passes + 1)]
     for start, end in zip(cuts, cuts[1:]):
         _decimal_slots(parts[start:end], slots[start:end])
-    return buf.translate(None, b"\0").decode("ascii")
 
 
 def table_text(columns: list[np.ndarray]) -> str:
@@ -259,16 +263,12 @@ def table_text(columns: list[np.ndarray]) -> str:
 
     A row is each column's slot words followed by a word for "," or "\n",
     NUL-padded like rows_text's.  The floats of all float columns, row by
-    row, are written by _decimal_slots into one slot array in equal passes
-    of at most _CHUNK floats."""
+    row, are written into one slot array by _chunked_slots."""
     rows = len(columns[0])
     floats = [c for c in columns if c.dtype == np.float64]
     parts = np.stack(floats, axis=1).ravel()
     slots = np.empty((len(parts), _SLOT_WORDS), dtype=np.uint32)
-    passes = -(-len(parts) // _CHUNK)
-    cuts = [len(parts) * i // passes for i in range(passes + 1)]
-    for start, end in zip(cuts, cuts[1:]):
-        _decimal_slots(parts[start:end], slots[start:end])
+    _chunked_slots(parts, slots)
     slots = iter(slots.reshape(rows, len(floats), _SLOT_WORDS).transpose(1, 0, 2))
     comma, newline = (np.frombuffer(c * rows, np.uint32)[:, None] for c in (b",\0\0\0", b"\n\0\0\0"))
     words = []
