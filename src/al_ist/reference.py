@@ -49,7 +49,7 @@ except ImportError:
 # of 200 steps in each of two sessions).  So the cap stands for about 3 s
 # at 4 001 sites, 10 s at 193 and 8 min at 3 for RK4, and about 13 s, 31 s
 # and 21 min for RK8.  The largest pair of the benchmark's compare jobs (t
-# 8, 123 sites on the lattice lattice_radius sizes) needs 3.0e4.
+# 8, 113 sites on the lattice lattice_radius sizes) needs 2.7e4.
 RK4_SITE_STEP_CAP = 10**8
 
 # Sub-interval length for the Picard composition; the integral operator is
@@ -118,7 +118,8 @@ def _log_truncation_bound(q0: Sequence, t: float):
         return lambda radius, lo, hi: -math.inf
     a, b = sup
     log_t = math.log(t)
-    scale = log_t + 4.0 * t + math.log(float(np.sum(np.abs(q0.values))))
+    growth = -4.0 * math.expm1(q0.log_szego_product()) * t  # 4 (1 - eta) t
+    scale = log_t + growth + math.log(float(np.sum(np.abs(q0.values))))
 
     def log_i(m: int) -> float:
         # log of (t^m / m!) e^{t^2 / (m + 1)}, which bounds I_m(2t): in
@@ -139,21 +140,25 @@ def truncation_bound(q0: Sequence, t: float, radius: int, lo: int, hi: int) -> f
     of q0 on Z and q_R its flow on the zero-boundary lattice [-R, R],
     R = radius, for a window and a datum support [a, b] inside [-R, R]:
 
-        |t| e^{4|t|} ||q0||_1 [I_{R-hi}(2t) I_{R+1-b}(2t) + I_{R+lo}(2t) I_{R+1+a}(2t)],
+        |t| e^{4 (1 - eta) |t|} ||q0||_1 [I_{R-hi}(2t) I_{R+1-b}(2t) + I_{R+lo}(2t) I_{R+1+a}(2t)],
 
-    each I_m(2t) taken at its majorant (t^m / m!) e^{t^2 / (m + 1)}.
+    eta the datum's Szego product, each I_m(2t) taken at its majorant
+    (t^m / m!) e^{t^2 / (m + 1)}.
 
-    e = q - q_R on [-R, R] satisfies e' = i (1 - |q|^2) (e_{n-1} + e_{n+1})
-    + i (|q_R|^2 - |q|^2)(q_R(n-1) + q_R(n+1)), where e at -R - 1 and R + 1
-    is q's boundary flux.  With |q|, |q_R| < 1 this gives, componentwise,
-    |e|' <= (A + 4) |e| + f, A the nearest-neighbour matrix of [-R, R] and
-    f the flux |q(R + 1)|, |q(-R - 1)| entering at R and -R.  The same
-    argument gives |q(t)| <= e^{tA_Z} |q0|, so |q(R + 1, s)| <= I_{R+1-b}(2s)
-    ||q0||_1, since I_m falls as m grows.  With e(0) = 0 and
-    (e^{sA})_{nk} <= I_{|n-k|}(2s) (the entries of e^{sA_Z}), Duhamel's
-    formula over [0, t], each factor taken at its largest, gives the bound
-    at n; over the window I_{R-n} is largest at n = hi and I_{R+n} at
-    n = lo.  A negative t runs the conjugate flow forward."""
+    Both flows conserve prod (1 - |q(n)|^2) = eta, so every site keeps
+    |q(n)|^2 <= 1 - eta.  e = q - q_R on [-R, R] satisfies
+    e' = i (1 - |q|^2) (e_{n-1} + e_{n+1}) + i (|q_R|^2 - |q|^2)(q_R(n-1) + q_R(n+1)),
+    where e at -R - 1 and R + 1 is q's boundary flux; the last term is at
+    most 2 sqrt(1 - eta) |e_n| times 2 sqrt(1 - eta).  So, componentwise,
+    |e|' <= (A + 4 (1 - eta)) |e| + f, A the nearest-neighbour matrix of
+    [-R, R] and f the flux |q(R + 1)|, |q(-R - 1)| entering at R and -R.
+    With |1 - |q|^2| <= 1 the same argument gives |q(t)| <= e^{tA_Z} |q0|,
+    so |q(R + 1, s)| <= I_{R+1-b}(2s) ||q0||_1, since I_m falls as m grows.
+    With e(0) = 0 and (e^{sA})_{nk} <= I_{|n-k|}(2s) (the entries of
+    e^{sA_Z}), Duhamel's formula over [0, t], each factor taken at its
+    largest, gives the bound at n; over the window I_{R-n} is largest at
+    n = hi and I_{R+n} at n = lo.  A negative t runs the conjugate flow
+    forward."""
     return exp_or_inf(_log_truncation_bound(q0, t)(radius, lo, hi))
 
 

@@ -647,11 +647,12 @@ class TestLatticeRadius:
         (_, narrow), (_, far) = rk8_pair(q0, t, radius), rk8_pair(q0, t, wide)
         a, b = q0.support()
         norm = float(np.sum(np.abs(q0.values)))
+        growth = math.exp(4 * (1 - q0.szego_product()) * t)
         for n in range(lo, hi + 1):
             bound = truncation_bound(q0, t, radius, n, n)
             assert abs(narrow.q.at(n) - far.q.at(n)) <= bound
             # The derivation's bound with exact Bessel values lies below it.
-            exact = t * math.exp(4 * t) * norm * (
+            exact = t * growth * norm * (
                 iv(radius - n, 2 * t) * iv(radius + 1 - b, 2 * t)
                 + iv(radius + n, 2 * t) * iv(radius + 1 + a, 2 * t))
             assert exact <= bound
