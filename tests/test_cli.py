@@ -546,7 +546,7 @@ class TestCsvTable:
             want_rows = [row + [v] for row, v in zip(want_rows, verdicts)]
         want = csv_oracle(header, want_rows)
         assert csv_table(header, columns) == want
-        # The vectorized writer on either side of the break-even.
+        # table_text alone, on both sides of FAST_FLOATS.
         assert ",".join(header) + "\n" + table_text(columns) == want
 
 
