@@ -39,6 +39,10 @@ def bench_datum(eta):
          "3e3b5cfc290e34f9d173222804171386c1b20a4572f5adef39a3be21a128817f"),
         (0.11, -6.0, 1e-6, 130, "0x1.502ffa597a338p-5", "0x1.cf19cefe24cc0p-31",
          "15c9944a351ae453787c56bd125e4bf2a4aec7b08ee2f9e956ae1b7683044807"),
+        (0.05, 0.5, 1e-10, 154, "0x1.a0e79d9a8f41fp-9", "0x1.139543e0bada7p-65",
+         "502cd514329d4fc6a0451cbaf83a1b7caff5b062ab5099a7c0f8882f00139fc3"),
+        (0.6, 8.0, 1e-6, 46, "0x1.3ffb3c0c574bdp-3", "0x1.0997b5d8218c1p-22",
+         "6644483862649ee831d538aee02a1cb0a4e3d175705283ca9b29946f9cc9d8b3"),
     ],
 )
 def test_window_sizes_radii_and_budgets_are_pinned(eta, t, eps, N, r, edge, digest):
@@ -52,8 +56,12 @@ def test_window_sizes_radii_and_budgets_are_pinned(eta, t, eps, N, r, edge, dige
 
 @pytest.mark.parametrize(
     "eta, t, eps, n0, N, truncation",
+    # At n0 = 12, right of the support [-6, 6], the pass runs on the mirrored datum.
     [(0.05, 6.0, 1e-10, 12, 385, "0x1.4d5d8489cc190p-38"),
-     (0.22, -2.0, 1e-6, 0, 68, "0x1.8373cd62e2c2fp-23")],
+     (0.22, -2.0, 1e-6, 0, 68, "0x1.8373cd62e2c2fp-23"),
+     (0.11, 6.0, 1e-10, 12, 189, "0x1.d62a0dae395fdp-42"),
+     (0.6, 8.0, 1e-6, 0, 65, "0x1.2ec10f7102517p-25"),
+     (0.22, 0.0, 1e-6, 0, 6, "0x0.0p+0")],
 )
 def test_point_sizes_and_budgets_are_pinned(eta, t, eps, n0, N, truncation):
     datum = bench_datum(eta)
