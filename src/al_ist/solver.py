@@ -4,21 +4,16 @@ Both solvers run one pass (_solve).  For the sites n0 - half .. n0 + half
 it truncates the datum to a window about n0, multiplies its one-sided
 Schur function by the Schur-class multiplier G, and runs Schur's
 algorithm; PassPlan fixes the window, the order of G, the steps and the
-index of each site.  A point value is the window at half = 0.  Each
+index of each site.  A point value is the pass at half = 0.  Each
 entry's budget (window_entry_budget) certifies the two error sources:
 window truncation (localization) and multiplier truncation.  It bounds
 the error of the exact-arithmetic pipeline; float64 roundoff is not part
 of it.
 
-Both solvers size N by one rule (_least_half_width): N is the least
+Both solvers size N by one search (_least_half_width): N is the least
 admissible half-width M, at most select_params' closed form, whose pass
 has its right-edge budget within eps, by the terms that certify it.  Only
-the entry policy differs.  A point pass (W = M, r = 1/2) starts at the
-radius of the datum's support, so its window covers the datum and its
-localization term is 0; a window pass (W = M + floor(M/2), right edge
-s = floor(M/2)) evaluates the localization bound, which holds in L2(rT)
-for every radius r in (0, 1), at the r that minimizes it (best_radius),
-and records that r in its parameters.
+the entry policy differs, and one PassShape holds each: POINT and WINDOW.
 
 All bound formulas are evaluated in log space; the stability constant can
 exceed 1e27 at moderate eta, so certified budgets are often astronomically
@@ -28,9 +23,11 @@ conservative compared to observed deviations.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 # Unused here; perfbench/spans.py patches solver.ThreadPoolExecutor.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,34 +44,27 @@ LOG2 = math.log(2.0)
 # (eta, eps) pair is declared infeasible rather than attempted.
 N_HARD_CAP = 10**6
 
-# Cap on the size of a whole point or window solve, which is one Schur
-# pass, counted as steps (steps + 1) / 2 coefficient updates over all of
-# its steps (schur_coeffs drops one coefficient per step).  PassPlan.build
-# takes the steps from the plan and refuses before any array is built.  The
-# kernel runs only the plan's run_steps, so the cap bounds the size of a
-# pass, not its arithmetic: a window pass just under it, W = 12 198 with
-# 40 661 counted steps of which 4 084 run, takes about 0.08 s on a 2-core
-# x86 host, where running every step took 3.5 s.  The count is unchanged,
-# so every refusal is too.  Capping run_steps instead waits until the rest
-# of a pass stops growing with N.  No pass builds a dense window, and a
-# point pass runs from the datum's nearer end; what still grows with N is
-# the gamma array of 3W + half + 1 entries.
+# Cap on one Schur pass, which is a whole point or window solve, counted
+# as steps (steps + 1) / 2 coefficient updates (schur_coeffs drops one
+# coefficient per step); PassPlan.build refuses above it before any array
+# is built.  The kernel runs only the plan's run_steps, so the cap bounds a
+# pass's size, not its arithmetic: W = 12 198, just under it, counts 40 661
+# steps, runs 4 084 and takes about 0.08 s on a 2-core x86 host.  Capping
+# run_steps waits until the rest of a pass stops growing with N.
 SCHUR_UPDATE_CAP = 10**9
 
 
 @dataclass(frozen=True)
 class SolveParams:
-    """Certified run parameters: window half-width N, and n = 2N derived
-    from it.  n must be an admissible multiplier order; it is the order of
-    a point pass, while a window pass runs at order 2(N + floor(N/2))
-    (PassPlan.order).
+    """Certified run parameters: window half-width N, and n = 2N, which
+    must be an admissible multiplier order; a pass emitting n0 - half ..
+    n0 + half runs at order 2(N + half) (PassPlan.order).
 
     eta is the Szego product the budgets use; the solvers take the datum's
     own.  support is the datum's inclusive support (lo, hi) when the caller
     supplied it; the budgets need it to tell whether the window
     [n0 - N, n0 + N] covers the datum.  r is the radius at which the
-    budgets evaluate localization_bound: 1/2 from select_params, the
-    minimizing radius from the window solver.
+    budgets evaluate localization_bound (PassShape.radius).
     """
 
     N: int
@@ -129,14 +119,13 @@ def select_params(
 ) -> SolveParams:
     """N = 5 + floor(4 e |t| + log2(C(eta, 1/2) / eps)), n = 2N.
 
-    With the datum's inclusive support (lo, hi), N is instead the point
-    pass's least half-width (_least_half_width) from max(5, radius of the
-    support about n0) up to that closed form: the window then covers the
-    support, the windowed datum is the datum, and the localization term of
-    the point budget is exactly 0.  Either way the point budget is at most
-    eps in exact arithmetic; it does not cover float64 roundoff.  The
-    recorded radius is r = 1/2.  The window solver starts from the closed
-    form and shrinks it (see solve_window_detailed).
+    With the datum's inclusive support (lo, hi), N is instead POINT's least
+    half-width (_least_half_width) from max(5, radius of the support about
+    n0) up to that closed form, whose window covers the support.  Either
+    way the point budget is at most eps in exact arithmetic; it does not
+    cover float64 roundoff.  The recorded radius is POINT's, r = 1/2.  The
+    window solver starts from the closed form and shrinks it (see
+    solve_window_detailed).
 
     Negative t is recorded via the reflect flag: the solver runs forward
     at |t| from the conjugated datum and conjugates the output.  A |t|
@@ -160,7 +149,7 @@ def select_params(
     N = 5 + math.floor(closed)
     if support is not None:
         radius = max(n0 - support[0], support[1] - n0)
-        sized = _least_half_width(eta, abs_t, eps, max(5, radius), min(N, N_HARD_CAP), point=True)
+        sized = _least_half_width(POINT, eta, abs_t, eps, max(5, radius), min(N, N_HARD_CAP))
         if sized is not None:
             N = sized[0]
     if N > N_HARD_CAP:
@@ -172,61 +161,57 @@ def select_params(
 
 
 def _least_half_width(
-    eta: float, t: float, eps: float, lo: int, hi: int, point: bool
+    shape: PassShape, eta: float, t: float, eps: float, lo: int, hi: int
 ) -> tuple[int, float] | None:
     """(M, r): the least M in [max(lo, ceil(e t)), hi] with 2M admissible
-    whose pass has its right edge within eps, by the terms _solve certifies
-    with (_budget_terms), and that edge's radius; None if M = hi misses:
+    whose pass of this shape has its right edge within eps, by the terms
+    _solve certifies with (_budget_terms), and that edge's radius; None if
+    M = hi misses.  A POINT search starts where the window covers the
+    support (lo), so its localization term, 0, holds at every probe.
 
-    - point: W = M, s = 0, r = 1/2, localization 0 (lo covers the support);
-    - window: W = M + floor(M/2), s = floor(M/2), r = best_radius(eta, t, M).
-
-    Below M = e t the edge misses: a point edge's t3 term exceeds 1 > eps
+    Below M = e t the edge misses: a POINT edge's t3 term exceeds 1 > eps
     (M log 2, log C and 2M log(e t / M) are nonnegative, and
-    log 12 + 5t - log(4 pi M)/2 is positive), a window edge's localization
+    log 12 + 5t - log(4 pi M)/2 is positive), a WINDOW edge's localization
     term exceeds 4 > eps at every r.  Above it both terms fall as M grows,
     so the search (_least_from) brackets the least M outward from
     _edge_guess and bisects, and returns what bisecting the whole range
-    would.  log C(eta, 1/2) is formed once, and each radius once per M.
+    would.  log C(eta, 1/2) is formed once, and each radius once per
+    probe; no M is probed twice.
     """
     log_c = stability_constant(eta, 0.5).log
     radii = {}
 
-    def radius(M: int) -> float:
-        if M not in radii:
-            radii[M] = 0.5 if point else best_radius(eta, t, M)
-        return radii[M]
-
     def fits(M: int) -> bool:
         if not order_admissible(2 * M, t):
             return False
-        s = 0 if point else M // 2
-        (loc,), (trunc,) = _budget_terms(log_c, eta, radius(M), t, M + s, range(s, s + 1), point)
+        s = shape.half(M)
+        radii[M] = r = shape.radius(eta, t, M)
+        (loc,), (trunc,) = _budget_terms(shape, log_c, eta, r, t, M + s, range(s, s + 1))
         return loc + trunc <= eps
 
     lo = max(lo, math.ceil(math.e * t))
-    M = _least_from(fits, _edge_guess(log_c, t, eps, lo, hi, point), lo, hi)
+    M = _least_from(fits, _edge_guess(shape, log_c, t, eps, lo, hi), lo, hi)
     return None if M is None else (M, radii[M])
 
 
-def _edge_guess(log_c: float, t: float, eps: float, lo: int, hi: int, point: bool) -> int:
+def _edge_guess(shape: PassShape, log_c: float, t: float, eps: float, lo: int, hi: int) -> int:
     """Newton's estimate, in [lo, hi], of the least M whose right edge
     (see _least_half_width) meets eps by its t3 term alone.
 
     The estimate is in closed form and in a real x: the t3 term's log at
-    order 2W and index W + s, with W = x, s = 0 (point) or W = 3x/2,
-    s = x/2 (window), is j x log 2 + log C + log 12 + 5t - log(2 pi n x)/2
-    + n x log(2 e t / (n x)) for (j, n) = (1, 2) or (2, 3).  It is concave
+    order 2W and index W + s, with W = x, s = 0 (POINT) or W = 3x/2,
+    s = x/2 (WINDOW), is j x log 2 + log C + log 12 + 5t - log(2 pi n x)/2
+    + n x log(2 e t / (n x)) for (j, n) = shape.newton.  It is concave
     and falling for x >= e t, so Newton's steps from lo overshoot once and
     then fall to its root; the guess is that root rounded up.  log t and
     log x stay apart, since t/x underflows for a subnormal t; at t = 0 the
-    log is -inf and the guess lo.  A window edge's localization term is
+    log is -inf and the guess lo.  A WINDOW edge's localization term is
     left out.  A guess only: _least_from finds the same M from any.
     """
     target = math.log(eps)
     log_t = math.log(t) if t > 0.0 else -math.inf
     head = log_c + math.log(12.0) + 5.0 * t
-    j, n = (1.0, 2.0) if point else (2.0, 3.0)
+    j, n = shape.newton
     rate = math.log(2.0 / n) + log_t  # log(2t/n)
 
     def t3(x: float) -> tuple[float, float]:
@@ -237,20 +222,14 @@ def _edge_guess(log_c: float, t: float, eps: float, lo: int, hi: int, point: boo
 
     x = float(lo)
     value, slope = t3(x)
-    if not value > target:
-        return _whole(x, lo, hi)
-    for _ in range(8):
-        step = (target - value) / slope
-        x += step
-        if not (x < hi and abs(step) > 1e-3):
-            break
-        value, slope = t3(x)
-    return _whole(x, lo, hi)
-
-
-def _whole(x: float, lo: int, hi: int) -> int:
-    """ceil(x) clamped to [lo, hi]; lo for NaN."""
-    return lo if not x > lo else hi if not x < hi else math.ceil(x)
+    if value > target:
+        for _ in range(8):
+            step = (target - value) / slope
+            x += step
+            if not (x < hi and abs(step) > 1e-3):
+                break
+            value, slope = t3(x)
+    return lo if not x > lo else hi if not x < hi else math.ceil(x)  # ceil(x) in [lo, hi]; lo for NaN
 
 
 def best_radius(eta: float, t: float, margin: int) -> float:
@@ -290,16 +269,16 @@ def localization_bound(eta: float, r: float, t: float, N: int, j: int) -> float:
         raise ValidationError("localization bound requires 0 < r < 1")
     if t < 0:
         raise ValidationError("localization bound requires t >= 0")
-    return exp_or_inf(_log_localization(eta, r, t, N, [j])[0])
+    return _localization_terms(eta, r, t, N, [j])[0]
 
 
-def _log_localization(eta: float, r: float, t: float, N: int, js) -> list[float]:
-    """log of localization_bound(eta, r, t, N, j) for each j in js.  The
-    sum runs left to right from its prefix log 4 + t/r + log C(eta, r),
-    which is formed once."""
+def _localization_terms(eta: float, r: float, t: float, N: int, js) -> list[float]:
+    """localization_bound(eta, r, t, N, j) for each j in js.  Each log runs
+    left to right from its prefix log 4 + t/r + log C(eta, r), which is
+    formed once."""
     head = math.log(4.0) + t / r + stability_constant(eta, r).log
     log_r, log_gap = math.log(r), math.log(1.0 - r)
-    return [head + (N - abs(j)) * log_r - log_gap for j in js]
+    return [exp_or_inf(head + (N - abs(j)) * log_r - log_gap) for j in js]
 
 
 def localization_bound_direct(t: float, r: float, N: int, j: int) -> float:
@@ -313,14 +292,9 @@ def localization_bound_direct(t: float, r: float, N: int, j: int) -> float:
         raise ValidationError("localization bound requires 0 < r < 1")
     if t < 0:
         raise ValidationError("localization bound requires t >= 0")
-    log_val = (
-        0.5 * math.log(2.0)
-        + math.log(r)
-        + 10.0 * t / r**2
-        + (N - abs(j)) * math.log(r)
-        - 0.5 * math.log(1.0 - r**2)
-    )
-    return exp_or_inf(log_val)
+    log_r = math.log(r)
+    log_val = 0.5 * math.log(2.0) + log_r + 10.0 * t / r**2 + (N - abs(j)) * log_r
+    return exp_or_inf(log_val - 0.5 * math.log(1.0 - r**2))
 
 
 def t3_bound(eta: float, t: float, n: int, j: int) -> float:
@@ -334,20 +308,55 @@ def t3_bound(eta: float, t: float, n: int, j: int) -> float:
         return 0.0
     if not (n > t > 0.0):
         raise ValidationError("t3 bound requires n > t > 0")
-    return exp_or_inf(_log_t3(stability_constant(eta, 0.5).log, t, n, [j])[0])
+    return _t3_terms(stability_constant(eta, 0.5).log, t, n, [j])[0]
 
 
-def _log_t3(log_c: float, t: float, n: int, js) -> list[float]:
-    """log of t3_bound at each query index j in js, for n > t >= 0, given
-    log C(eta, 1/2).  Each sum runs left to right from j log 2, as the
+def _t3_terms(log_c: float, t: float, n: int, js) -> list[float]:
+    """t3_bound at each query index j in js, for n > t >= 0, given
+    log C(eta, 1/2).  Each log runs left to right from j log 2, as the
     bound's factors are written; the terms that do not depend on j are
     formed once."""
     ratio = 2.0 * math.e * t / n
     if ratio == 0.0:  # t = 0, or a subnormal t that underflows: the bound is 0
-        return [-math.inf] * len(js)
+        return [0.0] * len(js)
     log_12, five_t = math.log(12.0), 5.0 * t
     root, power = 0.5 * math.log(2.0 * math.pi * n), n * math.log(ratio)
-    return [j * LOG2 + log_c + log_12 + five_t - root + power for j in js]
+    return [exp_or_inf(j * LOG2 + log_c + log_12 + five_t - root + power) for j in js]
+
+
+class PassShape(NamedTuple):
+    """The entry policy of a pass, every rule that sets POINT and WINDOW
+    apart.  A pass of half-width M emits n0 - half(M) .. n0 + half(M) from
+    a window of half-width W = M + half(M), and its right edge, offset
+    half(M), has the worst budget.  localization(eta, r, t, W, offsets)
+    gives its budgets' localization terms at r = radius(eta, t, M).  newton
+    is _edge_guess's (j, n): the edge's t3 log has j M log 2 at order
+    2W = n M.  mirrors: the pass may run on the datum mirrored about n0.
+    """
+
+    half: Callable[[int], int]
+    radius: Callable[[float, float, int], float]
+    localization: Callable[[float, float, float, int, range], list[float]]
+    newton: tuple[float, float]
+    mirrors: bool
+
+
+# A point pass is sized from the radius of the datum's support, so its
+# window covers the datum.  Its window is symmetric about n0 and its one
+# entry at offset 0, and the flow commutes with n -> 2 n0 - n, so it may run
+# from the datum's nearer end, in M + 1 + min(n0 - lo, hi - n0) steps.
+POINT = PassShape(
+    half=lambda M: 0, radius=lambda eta, t, M: 0.5,
+    localization=lambda eta, r, t, W, offsets: [0.0] * len(offsets),
+    newton=(1.0, 2.0), mirrors=True,
+)
+# The localization bound holds in L2(rT) for every r in (0, 1), so a window
+# pass takes it at the r that minimizes it.  Its budgets are not symmetric
+# in s, so it keeps the datum's orientation.
+WINDOW = PassShape(
+    half=lambda M: M // 2, radius=lambda eta, t, M: best_radius(eta, t, M),
+    localization=_localization_terms, newton=(2.0, 3.0), mirrors=False,
+)
 
 
 @dataclass(frozen=True)
@@ -370,12 +379,11 @@ class PassPlan:
     zero gammas below it without running the kernel; `lead` is that sum, at
     most steps, and steps for a window that misses the datum, whose
     numerator is 0.  So the kernel runs at most half + 1 + M + (center - lo)
-    steps, whatever N is; a point pass runs on the datum mirrored about
-    center when that brings lo nearer (see _solve).  The stages before it
-    do not grow with N: the pass hands the transform the datum clipped to
-    the window, a short support is multiplied out site by site, and G is
-    stored and checked on its band of 2m + 1 coefficients.  What still
-    grows with N is the gamma array of 3W + half + 1 entries.
+    steps, whatever N is, and a POINT pass runs from the nearer end.  The
+    stages before it do not grow with N: the pass hands the transform the
+    datum clipped to the window, a short support is multiplied out site by
+    site, and G is stored and checked on its band of 2m + 1 coefficients.
+    What still grows with N is the gamma array of 3W + half + 1 entries.
     """
 
     center: int
@@ -439,10 +447,9 @@ def window_entry_budget(params: SolveParams, W: int, s: int) -> ErrorBudget:
     """Certified budget for the entry at signed offset s, |s| <= W, from the
     center of a pass over half-width W > t/2 at the radius params.r:
     localization_bound at margin W - |s| plus t3_bound at query index W + s,
-    so the budgets are not symmetric and the right edge is worst.  The
-    localization term is exactly 0 when the window [n0 - N, n0 + N], and so
-    the pass's, covers the recorded support: the windowed datum is then the
-    datum."""
+    so the budgets are not symmetric and the right edge is worst.  Where the
+    window [n0 - N, n0 + N] covers the recorded support, the windowed datum
+    is the datum and the localization term exactly 0."""
     if abs(s) > W or not 2 * W > params.t:
         raise ValidationError("window entry budget requires |s| <= W and 2W > t")
     (loc,), (trunc,) = _window_budgets(params, W, range(s, s + 1))
@@ -450,56 +457,49 @@ def window_entry_budget(params: SolveParams, W: int, s: int) -> ErrorBudget:
 
 
 def _window_budgets(params: SolveParams, W: int, offsets: range) -> tuple[list[float], list[float]]:
-    """_budget_terms for a pass with these parameters."""
+    """_budget_terms for a pass with these parameters: POINT's zero
+    localization where the window covers the recorded support, WINDOW's at
+    params.r elsewhere, a point pass narrower than its support included."""
+    shape = POINT if params.covers_support else WINDOW
     log_c = stability_constant(params.eta, 0.5).log
-    return _budget_terms(log_c, params.eta, params.r, params.t, W, offsets, params.covers_support)
+    return _budget_terms(shape, log_c, params.eta, params.r, params.t, W, offsets)
 
 
 def _budget_terms(
-    log_c: float, eta: float, r: float, t: float, W: int, offsets: range, covered: bool
+    shape: PassShape, log_c: float, eta: float, r: float, t: float, W: int, offsets: range
 ) -> tuple[list[float], list[float]]:
     """The localization and truncation terms of window_entry_budget at each
-    offset, for a pass over half-width W at radius r; log_c is
-    log C(eta, 1/2), and covered says the window covers the support.  The
-    terms that do not depend on the offset are formed once, and each sum
-    keeps the order of localization_bound and t3_bound, so every term is
-    theirs bit for bit; at t = 0 the t3 log is -inf, and its term 0."""
-    if covered:
-        locs = [0.0] * len(offsets)
-    else:
-        locs = [exp_or_inf(x) for x in _log_localization(eta, r, t, W, offsets)]
-    truncs = [exp_or_inf(x) for x in _log_t3(log_c, t, 2 * W, [W + s for s in offsets])]
-    return locs, truncs
+    offset, for a pass of this shape over half-width W at radius r; log_c
+    is log C(eta, 1/2).  Every term is localization_bound's and t3_bound's
+    bit for bit."""
+    truncs = _t3_terms(log_c, t, 2 * W, [W + s for s in offsets])
+    return shape.localization(eta, r, t, W, offsets), truncs
 
 
-def _solve(q0: Sequence, params: SolveParams, half: int) -> tuple[Sequence, list[float], list[float]]:
-    """Sites n0 - half .. n0 + half of the trimmed datum q0 at time t, with
-    the localization and truncation terms of their budgets, from one Schur
-    pass.
+def _solve(
+    q0: Sequence, params: SolveParams, shape: PassShape
+) -> tuple[Sequence, list[float], list[float]]:
+    """Sites n0 - half .. n0 + half, half = shape.half(N), of the trimmed
+    datum q0 at time t, with the localization and truncation terms of their
+    budgets, from one Schur pass.
 
     The window is widened to W = N + half (see PassPlan), so every site
     keeps localization margin at least N.  The zero datum stays zero, with
     zero budgets.  A negative t (params.reflect) runs forward at |t| from
     the conjugated datum and conjugates the output: conj(q)(t) solves the
-    equation with datum conj(q0) iff q(-t) does with datum q0.
-
-    A point pass (half = 0) runs from the datum's nearer end: the flow
-    commutes with the mirror n -> 2 n0 - n, which fixes n0, so when the
-    datum reaches further left of n0 than right of it the pass runs on its
-    mirror image, and the kernel runs M + 1 + min(n0 - lo, hi - n0) steps,
-    not M + 1 + (n0 - lo).  Its window is symmetric about n0 and its one
-    entry at offset 0, so N and the budget are the unmirrored datum's.  A
-    window pass keeps its orientation, since its budgets are not symmetric
-    in s.  The plan is built, and the cap checked, before the datum is
-    mirrored, conjugated or windowed.
+    equation with datum conj(q0) iff q(-t) does with datum q0.  A shape
+    that mirrors (POINT) runs on the datum mirrored about n0 when the datum
+    reaches further left of n0 than right of it; N and the budget are the
+    unmirrored datum's.  The plan is built, and the cap checked, before the
+    datum is mirrored, conjugated or windowed.
     """
-    n0 = params.n0
+    n0, half = params.n0, shape.half(params.N)
     if q0.is_zero:
         window = Sequence(n0 - half, np.zeros(2 * half + 1, dtype=np.complex128))
         locs = truncs = [0.0] * (2 * half + 1)
     else:
         lo, hi = q0.offset, q0.offset + len(q0.values) - 1
-        mirror = half == 0 and hi - n0 < n0 - lo
+        mirror = shape.mirrors and hi - n0 < n0 - lo
         support = (2 * n0 - hi, 2 * n0 - lo) if mirror else (lo, hi)
         plan = PassPlan.build(support, n0, params.N, half, params.t)
         datum = q0.reflected(n0) if mirror else q0
@@ -513,15 +513,15 @@ def _solve(q0: Sequence, params: SolveParams, half: int) -> tuple[Sequence, list
 def solve_point(q0: Sequence, t: float, n0: int, eps: float) -> tuple[complex, ErrorBudget]:
     """Approximate q(t, n0) with certified absolute error at most eps.
 
-    The value is the pass of _solve at half-width 0.  Its window is sized
-    from the datum's support (see select_params) and
-    the budget from the datum's own Szego product; the budget is an
-    exact-arithmetic bound and leaves float64 roundoff out.
+    The value is _solve's POINT pass, at half-width 0.  Its window is sized
+    from the datum's support (see select_params) and the budget from the
+    datum's own Szego product; the budget is an exact-arithmetic bound and
+    leaves float64 roundoff out.
     """
     q0 = q0.trimmed()
     support = None if q0.is_zero else (q0.offset, q0.offset + len(q0.values) - 1)
     params = select_params(t, eps, q0.szego_product(), n0, support=support)
-    window, (loc,), (trunc,) = _solve(q0, params, 0)
+    window, (loc,), (trunc,) = _solve(q0, params, POINT)
     return complex(window.values[0]), ErrorBudget(loc, trunc)
 
 
@@ -532,23 +532,22 @@ def solve_window_detailed(
 
     One pass at half-width floor(N/2) (see _solve) gives all 2 floor(N/2) + 1
     entries; the right edge s = floor(N/2) carries the worst budget, <= eps.
-    N is the window pass's least half-width (_least_half_width) from 5 up
-    to the closed form of select_params, and r the radius at which that
-    search accepted it; the closed form itself, at r = 1/2, if even it
-    misses.  eta is the datum's own Szego product, 1 for the zero datum.
-    A pass above SCHUR_UPDATE_CAP is refused before it starts.
+    N is WINDOW's least half-width (_least_half_width) from 5 up to the
+    closed form of select_params, and r the radius at which that search
+    accepted it; the closed form itself, at r = 1/2, if even it misses.
+    eta is the datum's own Szego product, 1 for the zero datum.  A pass
+    above SCHUR_UPDATE_CAP is refused before it starts.
     """
     q0 = q0.trimmed()
     params = select_params(t, eps, q0.szego_product(), n0)
-    sized = _least_half_width(params.eta, params.t, eps, 5, params.N, point=False)
+    sized = _least_half_width(WINDOW, params.eta, params.t, eps, 5, params.N)
     if sized is not None:
         params = replace(params, N=sized[0], r=sized[1])
-    window, locs, truncs = _solve(q0, params, params.N // 2)
+    window, locs, truncs = _solve(q0, params, WINDOW)
     return window, np.add(locs, truncs), params
 
 
 def solve_window(q0: Sequence, t: float, n0: int, eps: float) -> Sequence:
     """Approximate q(t, .) on [n0 - floor(N/2), n0 + floor(N/2)]; every
     entry carries a certified budget <= eps."""
-    seq, _, _ = solve_window_detailed(q0, t, n0, eps)
-    return seq
+    return solve_window_detailed(q0, t, n0, eps)[0]

@@ -112,7 +112,7 @@ def test_point_search_runs_no_radius(monkeypatch):
     assert budget.localization == 0.0
 
 
-def bisected_half_width(eta, t, eps, lo, hi, point):
+def bisected_half_width(shape, eta, t, eps, lo, hi):
     """_least_half_width as plain bisection over its whole range: _least on
     the same edge test, each probe's radius kept."""
     log_c = stability_constant(eta, 0.5).log
@@ -121,18 +121,18 @@ def bisected_half_width(eta, t, eps, lo, hi, point):
     def fits(M):
         if not order_admissible(2 * M, t):
             return False
-        s = 0 if point else M // 2
-        radii[M] = r = 0.5 if point else solver.best_radius(eta, t, M)
-        (loc,), (trunc,) = solver._budget_terms(log_c, eta, r, t, M + s, range(s, s + 1), point)
+        s = shape.half(M)
+        radii[M] = r = shape.radius(eta, t, M)
+        (loc,), (trunc,) = solver._budget_terms(shape, log_c, eta, r, t, M + s, range(s, s + 1))
         return loc + trunc <= eps
 
     M = _least(fits, max(lo, math.ceil(math.e * t)), hi)
     return None if M is None else (M, radii[M])
 
 
-@pytest.mark.parametrize("point", [True, False])
+@pytest.mark.parametrize("shape", [solver.POINT, solver.WINDOW], ids=["POINT", "WINDOW"])
 @pytest.mark.parametrize("eta", [0.9, 0.22, 0.05, 1e-3])
-def test_estimate_started_search_matches_bisection(eta, point):
+def test_estimate_started_search_matches_bisection(eta, shape):
     # Over t from 0 and the least subnormal up, both eps classes and three
     # lower ends, with the closed form as the upper end and with upper ends
     # that cut off or just reach the answer: the same (M, r), None included.
@@ -140,10 +140,10 @@ def test_estimate_started_search_matches_bisection(eta, point):
         for eps in (1e-6, 1e-10):
             closed = select_params(t, eps, eta).N if eta > 0.01 else 10**6
             for lo in (5, 18, 60):
-                want = bisected_half_width(eta, t, eps, lo, closed, point)
+                want = bisected_half_width(shape, eta, t, eps, lo, closed)
                 ends = [closed, lo, lo + 1]
                 if want is not None:
                     ends += [want[0], want[0] - 1, want[0] + 1]
                 for hi in ends:
-                    got = solver._least_half_width(eta, t, eps, lo, hi, point)
-                    assert got == bisected_half_width(eta, t, eps, lo, hi, point), (t, eps, lo, hi)
+                    got = solver._least_half_width(shape, eta, t, eps, lo, hi)
+                    assert got == bisected_half_width(shape, eta, t, eps, lo, hi), (t, eps, lo, hi)
