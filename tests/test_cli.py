@@ -875,6 +875,7 @@ class TestPinnedArtifacts:
 
     DATUM = random_sequence(seed=17, count=5, lo=-2, hi=3, max_modulus=0.5)
 
+    @pytest.mark.bitpin
     def test_compare_digest(self, datum_file, tmp_path):
         out = tmp_path / "artifact"
         argv = ["--cmd", "compare", "--t", "1.0", "--eps", "1e-6", "--h", "0.01",
@@ -912,6 +913,7 @@ class TestPinnedArtifacts:
         assert out.read_text() == sequence_to_text(want.q)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.bitpin
     def test_nlft_of_a_dense_run(self, datum_file, tmp_path):
         # 1 024 nonzero sites, one run past nlft.DIRECT_RUN: the FFT product
         # tree computes it, and its bits must not move.

@@ -160,6 +160,7 @@ def test_subnormal_time_has_zero_truncation_bound():
                                 "0x0.0p+0", "0x1.1ab03f459446cp-41")),
     ],
 )
+@pytest.mark.bitpin
 def test_point_values_are_pinned(eta, t, n0, eps, pinned):
     # Value and budget bits of four point solves, computed with every Schur
     # step run from index 0; skipping f0's leading zeros must not move them.

@@ -1,12 +1,14 @@
 """One sizing rule for both solvers.
 
 solve_point and solve_window size N by one search (_least_half_width)
-over the right-edge budget of their own pass, formed by the terms the pass
-certifies with; it starts from an estimate and returns what bisection
-over the whole range returns.  The pins fix the sizes, radii and budgets
-of point and window solves on benchmark-shaped data bit for bit.  The hex
-pins and digests hold for numpy 2.4.6 with its AVX2/AVX-512 kernels on
-x86-64, as constraints.txt pins it; other kernels can move the last bits.
+over the right-edge budget of their own pass shape, POINT or WINDOW,
+formed by the terms the pass certifies with; it starts from an estimate
+and returns what bisection over the whole range returns.  The pins fix the
+sizes, radii and budgets of point and window solves on benchmark-shaped
+data bit for bit.  The hex pins and digests hold for numpy 2.4.6 with its
+AVX2/AVX-512 kernels on x86-64, as constraints.txt pins it; other kernels
+can move the last bits, and the pins marked bitpin do move under numpy's
+baseline kernels.
 """
 
 import hashlib
@@ -45,6 +47,7 @@ def bench_datum(eta):
          "6644483862649ee831d538aee02a1cb0a4e3d175705283ca9b29946f9cc9d8b3"),
     ],
 )
+@pytest.mark.bitpin
 def test_window_sizes_radii_and_budgets_are_pinned(eta, t, eps, N, r, edge, digest):
     _, budgets, params = solve_window_detailed(bench_datum(eta), t, 0, eps)
     assert (params.N, params.r.hex()) == (N, r)
@@ -59,7 +62,9 @@ def test_window_sizes_radii_and_budgets_are_pinned(eta, t, eps, N, r, edge, dige
     # At n0 = 12, right of the support [-6, 6], the pass runs on the mirrored datum.
     [(0.05, 6.0, 1e-10, 12, 385, "0x1.4d5d8489cc190p-38"),
      (0.22, -2.0, 1e-6, 0, 68, "0x1.8373cd62e2c2fp-23"),
-     (0.11, 6.0, 1e-10, 12, 189, "0x1.d62a0dae395fdp-42"),
+     # eta 0.11 moves by 4 ulp under numpy's baseline kernels (complex abs
+     # and log1p in Sequence.log_szego_product), and this truncation with it.
+     pytest.param(0.11, 6.0, 1e-10, 12, 189, "0x1.d62a0dae395fdp-42", marks=pytest.mark.bitpin),
      (0.6, 8.0, 1e-6, 0, 65, "0x1.2ec10f7102517p-25"),
      (0.22, 0.0, 1e-6, 0, 6, "0x0.0p+0")],
 )
