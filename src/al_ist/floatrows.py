@@ -1,8 +1,8 @@
 """JSON rows of complex arrays and CSV rows of tables, byte for byte those
 of seqio.fmt, from one vectorized decimal pass (rows_text and table_text,
-used by seqio.json_text and seqio.csv_table from seqio.FAST_FLOATS floats
-on), and the table of powers of ten and the exact product that readrows,
-its inverse, shares.
+used by seqio.json_text from seqio.FAST_FLOATS floats on and by
+seqio.csv_table from seqio.TABLE_NUMBERS numbers on), and the table of
+powers of ten and the exact product that readrows, its inverse, shares.
 
 Each |x| is scaled to a 17-digit integer by a double-double power of ten
 (Dekker's exact product, Numer. Math. 18, 1971), the digits are read from a

@@ -7,9 +7,10 @@ round-trips doubles bit-faithfully, so identical jobs produce
 byte-identical artifacts.
 
 Complex arrays, the bulk of every JSON artifact, and CSV tables are not
-printed one float at a time once they hold FAST_FLOATS floats or more:
-floatrows.rows_text and floatrows.table_text write their rows, byte for
-byte those of fmt, from one vectorized decimal pass, with fmt as its
+printed one float at a time once they hold FAST_FLOATS floats (a table:
+TABLE_NUMBERS numbers) or more: floatrows.rows_text and
+floatrows.table_text write their rows, byte for byte those of fmt, from
+one vectorized decimal pass, with fmt as its
 fallback near rounding ties and outside [1e-99, 1e33).  floatrows is
 imported at its first use, so importing al_ist.cli does not load it.
 
@@ -40,10 +41,16 @@ from .sequence import Sequence
 # Complex arrays of fewer floats go through fmt one float at a time: below
 # this count floatrows' vectorized pass, with a fixed cost of about 90 numpy
 # calls (near 90 us), is dearer than fmt at about 0.8 us a float with its
-# row (measured break-even 110-130 floats on a 2-core x86 host).  CSV
-# tables take the same count, though their writer, with its own fixed cost,
-# breaks even later (about 210 floats, a 35-row compare table).
+# row (measured break-even 110-130 floats on a 2-core x86 host).
 FAST_FLOATS = 128
+
+# CSV tables with fewer numbers (integer and float64 entries) go through fmt
+# one float at a time.  Counted in floats, table_text's break-even moves
+# with the floats a row; counted in numbers it moves less: compare tables (n
+# and 6 floats a row) broke even at 26-27 rows, 182-189 numbers, and solve
+# tables (n and 3 floats) at 40-41 rows, 160-164 numbers (median over four
+# benchmark tables of the least of 300 calls, 2-core x86 host).
+TABLE_NUMBERS = 170
 
 # Sequence texts of at least this many characters (about 200 rows) go to
 # readrows.parse_sequence first: below it, the reader's fixed cost of about
@@ -127,11 +134,12 @@ def write_sequence(seq: Sequence, path: str):
 
 def csv_table(header: list[str], columns: list[np.ndarray]) -> str:
     """CSV text of one 1-D array per header name: float64 entries as fmt
-    prints them, any other as str does.  A table of FAST_FLOATS floats or
-    more is written by floatrows.table_text, byte for byte the same; a
-    shorter one one float at a time."""
+    prints them, any other as str does.  A table of TABLE_NUMBERS integer
+    and float64 entries or more is written by floatrows.table_text, byte for
+    byte the same; a shorter one one float at a time."""
     lines = [",".join(header)]
-    if sum(len(c) for c in columns if c.dtype == np.float64) >= FAST_FLOATS:
+    numbers = sum(len(c) for c in columns if c.dtype == np.float64 or c.dtype.kind == "i")
+    if numbers >= TABLE_NUMBERS:
         from .floatrows import table_text
 
         return lines[0] + "\n" + table_text(columns)

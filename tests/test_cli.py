@@ -32,6 +32,7 @@ from al_ist.readrows import parse_sequence
 from al_ist.seqio import (
     FAST_FLOATS,
     FAST_READ_CHARS,
+    TABLE_NUMBERS,
     csv_table,
     fmt,
     json_text,
@@ -525,15 +526,15 @@ class TestCsvTable:
     """The table writer's bytes are those of one fmt call per float."""
 
     @pytest.mark.parametrize("header", [COMPARE_HEADER, SOLVE_HEADER], ids=["compare", "solve"])
-    # Just below FAST_FLOATS, at or just past it, and the 131-row compare
-    # table's 786 floats.
-    @pytest.mark.parametrize("floats", [FAST_FLOATS - 1, FAST_FLOATS, 786])
+    # Just below TABLE_NUMBERS, at or just past it, and the 131-row compare
+    # table's 917 numbers (n and six floats a row).
+    @pytest.mark.parametrize("numbers", [TABLE_NUMBERS - 1, TABLE_NUMBERS, 917])
     # The table's size is what is tested, so its smallest example is large.
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.large_base_example])
     @given(data=st.data())
-    def test_bytes_match_one_fmt_per_float(self, header, floats, data):
+    def test_bytes_match_one_fmt_per_float(self, header, numbers, data):
         per_row = 6 if header is COMPARE_HEADER else 3
-        rows = floats // per_row if floats < FAST_FLOATS else -(-floats // per_row)
+        rows = numbers // (per_row + 1) if numbers < TABLE_NUMBERS else -(-numbers // (per_row + 1))
         sites = data.draw(st.lists(st.integers(-9999, 9999), min_size=rows, max_size=rows))
         parts = data.draw(st.lists(table_float, min_size=rows * per_row, max_size=rows * per_row))
         table = np.array(parts).reshape(rows, per_row)
@@ -546,7 +547,7 @@ class TestCsvTable:
             want_rows = [row + [v] for row, v in zip(want_rows, verdicts)]
         want = csv_oracle(header, want_rows)
         assert csv_table(header, columns) == want
-        # table_text alone, on both sides of FAST_FLOATS.
+        # table_text alone, on both sides of TABLE_NUMBERS.
         assert ",".join(header) + "\n" + table_text(columns) == want
 
 

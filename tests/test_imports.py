@@ -11,7 +11,7 @@ from pathlib import Path
 
 import al_ist
 from al_ist.datagen import random_sequence
-from al_ist.seqio import FAST_FLOATS, write_sequence
+from al_ist.seqio import TABLE_NUMBERS, write_sequence
 
 # Installs a meta-path finder that refuses every scipy module, then runs the
 # CLI jobs given as a JSON list and one Picard solve.
@@ -78,8 +78,9 @@ def test_importing_the_cli_does_not_load_the_array_writer():
 def test_a_compare_job_on_a_small_datum_does_not_load_the_reader(tmp_path):
     # The benchmark's compare data have 13 sites: their files stay on the
     # json.loads path, so the worker never loads the reader.  The writer is
-    # loaded exactly when the table reaches FAST_FLOATS floats, six a row:
-    # 19 rows at t 0.5 stay on fmt's path, 33 at t 2 do not.
+    # loaded exactly when the table reaches TABLE_NUMBERS numbers, seven a
+    # row (n and six floats): 19 rows at t 0.5 stay on fmt's path, 33 at t 2
+    # do not.
     path = tmp_path / "q.json"
     write_sequence(random_sequence(seed=3, count=13, lo=-6, hi=6, max_modulus=0.5), str(path))
     out = tmp_path / "compare.csv"
@@ -94,7 +95,7 @@ def test_a_compare_job_on_a_small_datum_does_not_load_the_reader(tmp_path):
             capture_output=True, text=True, timeout=120, check=False,
         )
         assert proc.returncode == 0, proc.stderr
-        floats = 6 * (len(out.read_text().splitlines()) - 1)
-        assert proc.stdout.strip() == f"0 False {floats >= FAST_FLOATS}"
-        loaded.append(floats >= FAST_FLOATS)
+        numbers = 7 * (len(out.read_text().splitlines()) - 1)
+        assert proc.stdout.strip() == f"0 False {numbers >= TABLE_NUMBERS}"
+        loaded.append(numbers >= TABLE_NUMBERS)
     assert loaded == [False, True]
