@@ -123,9 +123,8 @@ def select_params(
     half-width (_least_half_width) from max(5, radius of the support about
     n0) up to that closed form, whose window covers the support.  Either
     way the point budget is at most eps in exact arithmetic; it does not
-    cover float64 roundoff.  The recorded radius is POINT's, r = 1/2.  The
-    window solver starts from the closed form and shrinks it (see
-    solve_window_detailed).
+    cover float64 roundoff.  r is POINT's, 1/2; the window solver shrinks
+    the closed form (solve_window_detailed).
 
     Negative t is recorded via the reflect flag: the solver runs forward
     at |t| from the conjugated datum and conjugates the output.  A |t|
@@ -175,8 +174,7 @@ def _least_half_width(
     term exceeds 4 > eps at every r.  Above it both terms fall as M grows,
     so the search (_least_from) brackets the least M outward from
     _edge_guess and bisects, and returns what bisecting the whole range
-    would.  log C(eta, 1/2) is formed once, and each radius once per
-    probe; no M is probed twice.
+    would, probing no M twice.  log C(eta, 1/2) is formed once.
     """
     log_c = stability_constant(eta, 0.5).log
     radii = {}
@@ -292,9 +290,14 @@ def localization_bound_direct(t: float, r: float, N: int, j: int) -> float:
         raise ValidationError("localization bound requires 0 < r < 1")
     if t < 0:
         raise ValidationError("localization bound requires t >= 0")
-    log_r = math.log(r)
-    log_val = 0.5 * math.log(2.0) + log_r + 10.0 * t / r**2 + (N - abs(j)) * log_r
-    return exp_or_inf(log_val - 0.5 * math.log(1.0 - r**2))
+    log_val = (
+        0.5 * math.log(2.0)
+        + math.log(r)
+        + 10.0 * t / r**2
+        + (N - abs(j)) * math.log(r)
+        - 0.5 * math.log(1.0 - r**2)
+    )
+    return exp_or_inf(log_val)
 
 
 def t3_bound(eta: float, t: float, n: int, j: int) -> float:
@@ -342,17 +345,15 @@ class PassShape(NamedTuple):
 
 
 # A point pass is sized from the radius of the datum's support, so its
-# window covers the datum.  Its window is symmetric about n0 and its one
-# entry at offset 0, and the flow commutes with n -> 2 n0 - n, so it may run
-# from the datum's nearer end, in M + 1 + min(n0 - lo, hi - n0) steps.
+# window covers the datum; its one entry is its window's centre n0, and the
+# flow commutes with n -> 2 n0 - n, so it may run from the nearer end.
 POINT = PassShape(
     half=lambda M: 0, radius=lambda eta, t, M: 0.5,
     localization=lambda eta, r, t, W, offsets: [0.0] * len(offsets),
     newton=(1.0, 2.0), mirrors=True,
 )
-# The localization bound holds in L2(rT) for every r in (0, 1), so a window
-# pass takes it at the r that minimizes it.  Its budgets are not symmetric
-# in s, so it keeps the datum's orientation.
+# The localization bound holds in L2(rT) at every r in (0, 1), so WINDOW
+# takes the minimizing r; its budgets are not symmetric in s, so no mirror.
 WINDOW = PassShape(
     half=lambda M: M // 2, radius=lambda eta, t, M: best_radius(eta, t, M),
     localization=_localization_terms, newton=(2.0, 3.0), mirrors=False,
@@ -457,9 +458,8 @@ def window_entry_budget(params: SolveParams, W: int, s: int) -> ErrorBudget:
 
 
 def _window_budgets(params: SolveParams, W: int, offsets: range) -> tuple[list[float], list[float]]:
-    """_budget_terms for a pass with these parameters: POINT's zero
-    localization where the window covers the recorded support, WINDOW's at
-    params.r elsewhere, a point pass narrower than its support included."""
+    """_budget_terms with POINT's localization where the window covers the
+    recorded support, and WINDOW's, at params.r, on any other pass."""
     shape = POINT if params.covers_support else WINDOW
     log_c = stability_constant(params.eta, 0.5).log
     return _budget_terms(shape, log_c, params.eta, params.r, params.t, W, offsets)
@@ -469,9 +469,8 @@ def _budget_terms(
     shape: PassShape, log_c: float, eta: float, r: float, t: float, W: int, offsets: range
 ) -> tuple[list[float], list[float]]:
     """The localization and truncation terms of window_entry_budget at each
-    offset, for a pass of this shape over half-width W at radius r; log_c
-    is log C(eta, 1/2).  Every term is localization_bound's and t3_bound's
-    bit for bit."""
+    offset of a pass of this shape over half-width W at radius r, bit for
+    bit localization_bound's and t3_bound's; log_c is log C(eta, 1/2)."""
     truncs = _t3_terms(log_c, t, 2 * W, [W + s for s in offsets])
     return shape.localization(eta, r, t, W, offsets), truncs
 
@@ -487,9 +486,9 @@ def _solve(
     keeps localization margin at least N.  The zero datum stays zero, with
     zero budgets.  A negative t (params.reflect) runs forward at |t| from
     the conjugated datum and conjugates the output: conj(q)(t) solves the
-    equation with datum conj(q0) iff q(-t) does with datum q0.  A shape
-    that mirrors (POINT) runs on the datum mirrored about n0 when the datum
-    reaches further left of n0 than right of it; N and the budget are the
+    equation with datum conj(q0) iff q(-t) does with datum q0.  A shape that
+    mirrors (POINT) runs on the datum mirrored about n0 when the datum
+    reaches further left of n0 than right; N and the budget are the
     unmirrored datum's.  The plan is built, and the cap checked, before the
     datum is mirrored, conjugated or windowed.
     """
@@ -550,4 +549,5 @@ def solve_window_detailed(
 def solve_window(q0: Sequence, t: float, n0: int, eps: float) -> Sequence:
     """Approximate q(t, .) on [n0 - floor(N/2), n0 + floor(N/2)]; every
     entry carries a certified budget <= eps."""
-    return solve_window_detailed(q0, t, n0, eps)[0]
+    seq, _, _ = solve_window_detailed(q0, t, n0, eps)
+    return seq
