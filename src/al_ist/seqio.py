@@ -10,9 +10,9 @@ Complex arrays, the bulk of every JSON artifact, and CSV tables are not
 printed one float at a time once they hold FAST_FLOATS floats (a table:
 TABLE_NUMBERS numbers) or more: floatrows.rows_text and
 floatrows.table_text write their rows, byte for byte those of fmt, from
-one vectorized decimal pass, with fmt as its
-fallback near rounding ties and outside [1e-99, 1e33).  floatrows is
-imported at its first use, so importing al_ist.cli does not load it.
+one vectorized decimal pass, with fmt as its fallback near rounding ties
+and outside [1e-99, 1e33).  floatrows is imported at its first use, so
+importing al_ist.cli does not load it.
 
 Reading is the same split the other way.  A text of FAST_READ_CHARS
 characters or more goes first to readrows.parse_sequence, imported at its
