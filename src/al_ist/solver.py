@@ -345,8 +345,8 @@ class PassShape(NamedTuple):
 
 
 # A point pass is sized from the radius of the datum's support, so its
-# window covers the datum; its one entry is its window's centre n0, and the
-# flow commutes with n -> 2 n0 - n, so it may run from the nearer end.
+# window covers the datum; its one entry is the window's centre n0, and as
+# the flow commutes with n -> 2 n0 - n, it may run from the datum's nearer end.
 POINT = PassShape(
     half=lambda M: 0, radius=lambda eta, t, M: 0.5,
     localization=lambda eta, r, t, W, offsets: [0.0] * len(offsets),
