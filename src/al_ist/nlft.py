@@ -8,20 +8,19 @@ Only the top row (a, b) is stored; the bottom row is the conj-flip of the
 top by the symmetry of the factors.
 
 nlft_forward trims the datum to its first and last nonzero site and
-multiplies that one block out.  A block of at most DIRECT_RUN sites, or with
-at most DIRECT_SITES nonzero sites, is multiplied out site by site, in
-O(sites * span) with two numpy calls per nonzero site.  Any other block goes
-through the product tree, level by level on arrays.  For a block of sites
-[s, e], a has exponents [0, e - s] and conj-flip(b) has exponents [s, e], so
-every block of one tree level is a pair of rows of one fixed width w.
-Pairing adjacent blocks takes one batched FFT of length 2w for all of them
-and gives blocks of width 2w, in O(n log^2 n) for a span of n sites: per
-level, one forward and one inverse FFT around five ufunc calls.  A block of
-zero sites only is the identity: the tree keeps no row for it and copies
-its sibling into the next level unmultiplied.  Zero sites among nonzero
-ones in a block still ride through its FFTs, which leave roundoff-level
-values, not exact zeros, at the exponents of a and b that a gap leaves
-empty.
+multiplies that one block out.  A block with at most DIRECT_SITES nonzero
+sites is multiplied out site by site, in O(sites * span) with two numpy
+calls per nonzero site.  Any other block goes through the product tree,
+level by level on arrays.  For a block of sites [s, e], a has exponents
+[0, e - s] and conj-flip(b) has exponents [s, e], so every block of one
+tree level is a pair of rows of one fixed width w.  Pairing adjacent blocks
+takes one batched FFT of length 2w for all of them and gives blocks of
+width 2w, in O(n log^2 n) for a span of n sites: per level, one forward and
+one inverse FFT around five ufunc calls.  A block of zero sites only is the
+identity: the tree keeps no row for it and copies its sibling into the next
+level unmultiplied.  Zero sites among nonzero ones in a block still ride
+through its FFTs, which leave roundoff-level values, not exact zeros, at
+the exponents of a and b that a gap leaves empty.
 """
 
 from __future__ import annotations
@@ -50,17 +49,16 @@ _IDENTITY_B = LaurentPoly(0, [0.0])
 
 UNITARITY_TOL = 1e-9
 
-# Supports of at most this many sites are multiplied out site by site;
-# longer ones go through the FFT tree.  Measured break-even for a support
-# with no zero sites, where the two cost the same at about 44 sites on a
-# 2-core x86 host (one with zeros favours the site-by-site product further).
-DIRECT_RUN = 40
 # A support with at most this many nonzero sites is multiplied out site by
-# site at any span: each site costs O(span), against the tree's
-# O(span log^2 span) FFTs.  Measured on a 2-core x86 host, with 8 sites
-# spread over 2^8, 2^11 and 2^16 sites, the site-by-site product took
-# 0.10, 0.19 and 4.3 ms against the tree's 0.88, 1.5 and 26.
-DIRECT_SITES = 8
+# site, at any span; one with more goes through the FFT tree.  Each site
+# costs two numpy calls over O(span) entries, against the tree's
+# O(span log^2 span) FFTs.  Measured on a 2-core x86 host (best of 9): with
+# no zero site the two cost the same at about 44-48 sites, and zero sites
+# favour the site-by-site product further: 9 sites spread over 256 took
+# 0.06 against the tree's 0.52 ms, 20 over 2 048 0.19 against 1.15, 40 over
+# 65 536 7.5 against 31.1, and two 20-site clusters over 65 536 8.4 against
+# 11.4.
+DIRECT_SITES = 40
 
 
 @dataclass(frozen=True)
@@ -269,16 +267,16 @@ def nlft_forward(q: Sequence) -> Transfer2x2:
     """Ordered transfer-matrix product over increasing site index.
 
     The support, from the first to the last nonzero site, is one block:
-    multiplied out site by site up to DIRECT_RUN sites or DIRECT_SITES
-    nonzero sites, else by the level-batched array tree, where per level the
-    blocks are rows of two arrays (a and conj-flip(b)) of one width, paired
-    by one batched FFT.
+    multiplied out site by site when it has at most DIRECT_SITES nonzero
+    sites, else by the level-batched array tree, where per level the blocks
+    are rows of two arrays (a and conj-flip(b)) of one width, paired by one
+    batched FFT.
     """
     nz = np.flatnonzero(q.values)
     if nz.size == 0:
         return Transfer2x2(_IDENTITY_A, _IDENTITY_B)
     values, start = q.values[nz[0] : nz[-1] + 1], q.offset + int(nz[0])
-    if len(values) <= DIRECT_RUN or nz.size <= DIRECT_SITES:
+    if nz.size <= DIRECT_SITES:
         return _direct_product(values, start)
     return _tree_product(values, start)
 

@@ -916,8 +916,8 @@ class TestPinnedArtifacts:
 
     @pytest.mark.bitpin
     def test_nlft_of_a_dense_run(self, datum_file, tmp_path):
-        # 1 024 nonzero sites, one run past nlft.DIRECT_RUN: the FFT product
-        # tree computes it, and its bits must not move.
+        # 1 024 nonzero sites, past nlft.DIRECT_SITES: the FFT product tree
+        # computes it, and its bits must not move.
         q = dense_random_sequence(23, -300, 1024, 0.04, 0.01)
         assert np.all(q.values != 0)
         out = tmp_path / "ab.json"

@@ -11,7 +11,7 @@ from al_ist.errors import ValidationError
 from al_ist.laurent import CircleGrid, LaurentPoly, lp_eval_grid, witness_grid
 import al_ist.nlft
 from al_ist.nlft import (
-    DIRECT_RUN,
+    DIRECT_SITES,
     UNITARITY_TOL,
     Transfer2x2,
     fc_plus,
@@ -286,14 +286,15 @@ def test_unitarity_witness_grid_follows_the_span(wide_product):
 
 @st.composite
 def gapped_sequences(draw):
-    """Nonzero sites and zero runs at random offsets; the zero runs are often
-    short and sometimes up to 80 sites long, so that one product tree spans
-    long gaps."""
-    gap = st.integers(0, 5) | st.integers(0, 80)
-    piece = st.builds(lambda k: [0j] * k, gap) | st.lists(
-        disk_values(0.7, allow_zero=False), min_size=1, max_size=6
-    )
-    values = [v for part in draw(st.lists(piece, max_size=8)) for v in part]
+    """More than DIRECT_SITES nonzero sites, so that nlft_forward takes the
+    product tree, each followed by a zero run: the runs are often short and
+    sometimes up to 80 sites long, so that the tree spans long gaps and
+    copies identity blocks."""
+    sites = draw(st.lists(disk_values(0.7, allow_zero=False), min_size=DIRECT_SITES + 1,
+                          max_size=DIRECT_SITES + 20))
+    gaps = draw(st.lists(st.integers(0, 5) | st.integers(0, 80), min_size=len(sites),
+                         max_size=len(sites)))
+    values = [v for site, gap in zip(sites, gaps) for v in [site] + [0j] * gap]
     return Sequence(draw(st.integers(-120, 120)), np.asarray(values, dtype=np.complex128))
 
 
@@ -312,12 +313,13 @@ def test_batched_tree_equals_naive(q):
     assert_matches_naive(q)
 
 
-@pytest.mark.parametrize("sites", [DIRECT_RUN - 1, DIRECT_RUN, DIRECT_RUN + 1])
+@pytest.mark.parametrize("sites", [DIRECT_SITES - 1, DIRECT_SITES, DIRECT_SITES + 1])
 def test_run_product_on_both_sides_of_the_direct_size(sites, monkeypatch):
-    # One run with interior zeros and moduli up to 0.999: site by site up to
-    # DIRECT_RUN sites, by the FFT tree above.  Entries reach 1e8-1e14, and
-    # cancellation costs digits on both sides; against the naive product the
-    # worst of 90 such draws was 2.2e-13 of the largest entry.
+    # `sites` nonzero sites, moduli up to 0.999, spread over 64 sites with
+    # zero runs between them: site by site up to DIRECT_SITES nonzero sites,
+    # by the FFT tree above.  Entries reach 1e9-1e15, and cancellation costs
+    # digits on both sides; against the naive product the worst of 90 such
+    # draws was 2.3e-13 of the largest entry.
     trees = []
     tree = al_ist.nlft._tree_product
 
@@ -329,11 +331,15 @@ def test_run_product_on_both_sides_of_the_direct_size(sites, monkeypatch):
     rng = np.random.default_rng(sites)
     modulus = rng.uniform(0.0, 0.999, sites)
     modulus[rng.choice(sites, 3)] = 0.999
-    modulus[rng.choice(np.arange(1, sites - 1), 5)] = 0.0
     modulus[[0, -1]] = 0.999
-    q = seq(-20, modulus * np.exp(2j * np.pi * rng.uniform(size=sites)))
+    inner = np.sort(rng.choice(np.arange(1, 63), sites - 2, replace=False))
+    where = np.concatenate([[0], inner, [63]])
+    values = np.zeros(64, dtype=np.complex128)
+    values[where] = modulus * np.exp(2j * np.pi * rng.uniform(size=sites))
+    q = seq(-20, values)
+    assert np.count_nonzero(values) == sites
     fast, slow = nlft_forward(q), nlft_forward_naive(q)
-    assert trees == ([sites] if sites > DIRECT_RUN else [])
+    assert trees == ([64] if sites > DIRECT_SITES else [])
     for x, y in ((fast.a, slow.a), (fast.b, slow.b)):
         assert (x.min_deg, x.max_deg) == (y.min_deg, y.max_deg)
         assert float(np.max(np.abs(x.coeffs - y.coeffs))) <= 1e-11 * float(np.max(np.abs(y.coeffs)))

@@ -105,8 +105,9 @@ def test_point_values_match_a_50_digit_oracle(seed, monkeypatch):
 
 @pytest.mark.parametrize("t", [2.0, 6.0])
 def test_gapped_datum_matches_the_oracle(t, monkeypatch):
-    # Two clusters of 6 sites, 44 zero sites apart: the pass multiplies one
-    # product tree over the 56-site span, gap included.
+    # Two clusters of 21 sites, 14 zero sites apart: more than DIRECT_SITES
+    # nonzero sites, so the pass multiplies one product tree over the
+    # 56-site span, gap included.
     trees = []
     tree = al_ist.nlft._tree_product
 
@@ -117,8 +118,8 @@ def test_gapped_datum_matches_the_oracle(t, monkeypatch):
     monkeypatch.setattr(al_ist.nlft, "_tree_product", recording)
     rng = np.random.default_rng(27)
     values = np.zeros(56, dtype=np.complex128)
-    for cluster in (slice(0, 6), slice(50, 56)):
-        values[cluster] = rng.uniform(0.1, 0.5, 6) * np.exp(2j * np.pi * rng.uniform(size=6))
+    for cluster in (slice(0, 21), slice(35, 56)):
+        values[cluster] = rng.uniform(0.02, 0.12, 21) * np.exp(2j * np.pi * rng.uniform(size=21))
     q0 = Sequence(-28, values)
     for n0 in (-26, 0, 25):
         value, _ = solve_point(q0, t, n0, 1e-10)
