@@ -134,17 +134,19 @@ def write_sequence(seq: Sequence, path: str):
 
 def csv_table(header: list[str], columns: list[np.ndarray]) -> str:
     """CSV text of one 1-D array per header name: float64 entries as fmt
-    prints them, any other as str does.  A table of TABLE_NUMBERS integer
-    and float64 entries or more is written by floatrows.table_text, byte for
-    byte the same; a shorter one one float at a time."""
+    prints them, any other as numpy's str conversion does (str's for
+    integers and strings).  A table of TABLE_NUMBERS integer and float64
+    entries or more is written by floatrows.table_text, byte for byte the
+    same; a shorter one one float at a time."""
     lines = [",".join(header)]
     numbers = sum(len(c) for c in columns if c.dtype == np.float64 or c.dtype.kind == "i")
     if numbers >= TABLE_NUMBERS:
         from .floatrows import table_text
 
         return lines[0] + "\n" + table_text(columns)
-    for row in zip(*(c.tolist() for c in columns)):
-        lines.append(",".join(fmt(x) if isinstance(x, float) else str(x) for x in row))
+    texts = [map(fmt, c.tolist()) if c.dtype == np.float64 else c.astype(str).tolist()
+             for c in columns]
+    lines += map(",".join, zip(*texts))
     return "\n".join(lines) + "\n"
 
 

@@ -550,6 +550,23 @@ class TestCsvTable:
         # table_text alone, on both sides of TABLE_NUMBERS.
         assert ",".join(header) + "\n" + table_text(columns) == want
 
+    @pytest.mark.parametrize("rows", [TABLE_NUMBERS // 2 - 1, -(-TABLE_NUMBERS // 2)])
+    def test_other_dtypes_print_as_numpy_prints_them(self, rows):
+        # Only n and the float64 column count toward TABLE_NUMBERS, so the
+        # table takes fmt's path at one size and table_text's at the other.
+        # A float32 0.1 prints as 0.1, not as the double it widens to.
+        header = ["n", "x", "single", "flag", "verdict"]
+        columns = [np.arange(rows), np.linspace(-1.0, 1.0, rows),
+                   np.resize(np.float32([0.1, -2.5, 3e-8, 1e20]), rows),
+                   np.arange(rows) % 3 == 0, np.resize(np.array(["pass", "fail"]), rows)]
+        # numpy's scalars print as numpy prints them; a float64 one would
+        # take fmt, since np.float64 subclasses float.
+        want_rows = [[n, x, *rest] for n, x, *rest
+                     in zip(columns[0].tolist(), columns[1].tolist(), *columns[2:])]
+        text = csv_table(header, columns)
+        assert text == csv_oracle(header, want_rows)
+        assert text.split("\n")[1] == "0,-1,0.1,True,pass"
+
 
 class TestJobSpec:
     def test_parser_destinations_are_the_fields(self):
