@@ -13,12 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Products of operands with len(p) * len(q) coefficient pairs below this go
-# through np.convolve, whose work is that count; larger ones use the FFT
-# path.  Measured break-even for two operands of equal length (about 330 x
-# 330); a long operand times a short one favours np.convolve further, since
-# the FFT pads both to the output length.
+# Products go through np.convolve, whose work is len(p) * len(q), while the
+# shorter operand has at most CONVOLVE_SHORT coefficients or the two have
+# fewer than CONVOLVE_WORK coefficient pairs; any other product uses the FFT
+# path, which pads both operands to the output length.  Measured break-evens
+# (best of 5-15, 2-core x86 host): about 330 x 330 for equal lengths, and a
+# shorter operand of 100-350 coefficients against 400-60 000, lowest where
+# the output length just fits a power of two; convolve was faster at 140 or
+# fewer in 9 of 11 long lengths and at 180 in 5.
 CONVOLVE_WORK = 100_000
+CONVOLVE_SHORT = 150
 
 
 def _as_coeff_array(coeffs) -> np.ndarray:
@@ -126,12 +130,13 @@ def lp_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
 
 def lp_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Product; np.convolve below CONVOLVE_WORK coefficient pairs, FFT
-    above."""
+    """Product; np.convolve up to CONVOLVE_SHORT coefficients in the
+    shorter operand or below CONVOLVE_WORK coefficient pairs, FFT beyond."""
     if p.is_zero or q.is_zero:
         return ZERO
     n_out = len(p.coeffs) + len(q.coeffs) - 1
-    if len(p.coeffs) * len(q.coeffs) < CONVOLVE_WORK:
+    short, long_ = sorted((len(p.coeffs), len(q.coeffs)))
+    if short <= CONVOLVE_SHORT or short * long_ < CONVOLVE_WORK:
         out = np.convolve(p.coeffs, q.coeffs)
     else:
         m = next_pow2(n_out)

@@ -17,10 +17,12 @@ tree level is a pair of rows of one fixed width w.  Pairing adjacent blocks
 takes one batched FFT of length 2w for all of them and gives blocks of
 width 2w, in O(n log^2 n) for a span of n sites: per level, one forward and
 one inverse FFT around five ufunc calls.  A block of zero sites only is the
-identity: the tree keeps no row for it and copies its sibling into the next
-level unmultiplied.  Zero sites among nonzero ones in a block still ride
-through its FFTs, which leave roundoff-level values, not exact zeros, at
-the exponents of a and b that a gap leaves empty.
+identity.  Where enough of the tree's pairs hold one (_skipping_pays), the
+tree keeps no row for it and copies its sibling into the next level
+unmultiplied; elsewhere it is multiplied like any other block.  Zero sites
+among nonzero ones in a block still ride through its FFTs, which leave
+roundoff-level values, not exact zeros, at the exponents of a and b that a
+gap leaves empty.
 """
 
 from __future__ import annotations
@@ -60,6 +62,17 @@ UNITARITY_TOL = 1e-9
 # 11.4.
 DIRECT_SITES = 40
 
+# The tree skips its identity blocks (zero sites and padding) when that is
+# cheaper than multiplying every pair.  Counted in pair widths (a pair of
+# blocks of width w counts w), a level that skips pays SKIP_PAIR_COST for
+# each pair it still multiplies and SKIP_LEVEL_COST besides, against 1 for
+# each pair of the dense loop.  Fitted on two-cluster and random-zero
+# supports of 256-65 536 sites (best of 3-30, 2-core x86 host): the
+# skipping levels cost about 60 us each plus 1.3x the dense loop's time a
+# pair, and the dense loop about 0.13 us a unit.
+SKIP_PAIR_COST = 1.3
+SKIP_LEVEL_COST = 450
+
 
 @dataclass(frozen=True)
 class Transfer2x2:
@@ -90,15 +103,26 @@ class Transfer2x2:
         g = g if g is not None else witness_grid(self.a, self.b)
         return _residual(*_squared_moduli(*self.grid_values(g)))
 
-    def validate(self) -> "Transfer2x2":
+    def validate(
+        self, values: tuple[CircleGrid, np.ndarray, np.ndarray] | None = None
+    ) -> "Transfer2x2":
         """Unitarity witness on witness_grid(a, b), relative to the size of
         |a|^2, whose roundoff grows with it: residual at most
         UNITARITY_TOL * max(1, max |a|^2).  On the same nodes |b| < |a|,
         that is |b/a| < 1, must hold everywhere: a product whose a has
         cancelled to noise can pass the relative residual while its
-        reflection coefficient leaves the unit disk."""
+        reflection coefficient leaves the unit disk.
+
+        values, if given, are (g, a at g's nodes, b at g's nodes) for a
+        unit-circle grid g.  When g's size is a multiple of the witness
+        grid's, every witness node is a node of g, and the witness reads
+        a and b there out of them instead of evaluating them again."""
         g = witness_grid(self.a, self.b)
-        a2, b2 = _squared_moduli(*self.grid_values(g))
+        if values is not None and values[0].radius == 1.0 and values[0].size % g.size == 0:
+            step = values[0].size // g.size
+            a2, b2 = _squared_moduli(values[1][::step], values[2][::step])
+        else:
+            a2, b2 = _squared_moduli(*self.grid_values(g))
         tol = UNITARITY_TOL * max(1.0, float(np.max(a2)))
         outside = np.count_nonzero(~(b2 < a2))  # NaN counts as outside
         res = _residual(a2, b2)
@@ -189,53 +213,111 @@ def _tree_product(values: np.ndarray, start: int) -> Transfer2x2:
     where conj_rev reverses and conjugates a row.  With zero padding to 2w,
     the FFT of z conj_rev(x) is (-1)^k conj(fft(x)), so with left = (a1, bf1)
     the merged spectrum is conj(left swapped) (-1)^k bf2 + left a2: one
-    forward FFT, five ufunc calls and one inverse FFT per level.  Each of a
-    level's arrays (rows, spectrum, merged spectrum; 2 * size complex values
-    and up) is released as soon as the next one exists.
+    forward FFT, five ufunc calls and one inverse FFT per level.
 
-    A block of zero sites only is the identity, a = 1 and bf = 0.  In a
-    datum with a zero site, padding and zero leaves have no row, and
-    _copy_singles copies a block whose sibling is the identity instead of
-    multiplying it.  Without a zero site every leaf has a row, identity
-    padding included, and every level multiplies all its pairs.
+    A block of zero sites only is the identity, a = 1 and bf = 0.  When
+    _skipping_pays, _sparse_tree gives padding and zero leaves no row and
+    copies a block whose sibling is the identity instead of multiplying it.
+    Otherwise every leaf has a row, identity padding and zero sites
+    included, and every level multiplies all its pairs on three buffers
+    made once: the rows, each zero-padded to twice its width, their
+    spectra and the merged spectra, 10 * size complex values in all.
     """
     n = len(values)
     size = next_pow2(n)
     c = 1.0 / np.sqrt(1.0 - np.abs(values) ** 2)
-    if np.any(values == 0):
-        blocks = np.flatnonzero(values)  # the blocks that have a row
-        rows = np.empty((2, len(blocks), 1), dtype=np.complex128)
-        rows[0, :, 0] = c[blocks]
-        rows[1, :, 0] = values[blocks] * c[blocks]
-    else:
-        blocks = None  # every block has a row
-        rows = np.zeros((2, size, 1), dtype=np.complex128)
-        rows[0, :, 0] = 1.0  # identity leaves pad the count to a power of two
-        rows[0, :n, 0] = c
-        rows[1, :n, 0] = values * c
+    sign = np.ones(size)  # (-1)^k, read in rows of 2w at width w
+    sign[1::2] = -1.0
+    if _skipping_pays(values != 0, size):
+        return _sparse_tree(values, start, c, sign)
+    # The leaves in bit-reversed order: then at every level the left
+    # siblings fill the first half of the rows and their right siblings the
+    # second half in the same order, and the merged blocks come out in the
+    # next level's bit-reversed order, so each ufunc of the merge runs over
+    # two contiguous halves, however narrow the blocks.
+    order = np.zeros(1, dtype=np.intp)
+    while len(order) < size:
+        order = np.concatenate((2 * order, 2 * order + 1))
+    padded = np.zeros(4 * size, dtype=np.complex128)
+    spec = np.empty(4 * size, dtype=np.complex128)
+    merged = np.empty(2 * size, dtype=np.complex128)
+    leaves = padded.reshape(2, size, 2)[:, :, 0]
+    leaves[0] = 1.0  # identity leaves pad the count to a power of two
+    at = order[:n]  # bit reversal is its own inverse: leaf j sits at order[j]
+    leaves[0, at] = c
+    leaves[1, at] = values * c
     w = 1
     while w < size:
-        if blocks is None:
-            pairs, level = rows, None
-        else:
-            blocks, level, slots, pairs = _copy_singles(rows, blocks, w)
+        half = size // w // 2
+        shape = (2, 2 * half, 2 * w)
+        blocks = np.fft.fft(padded.reshape(shape), axis=2, out=spec.reshape(shape))
+        out = _merge(blocks[:, :half], blocks[:, half:], sign.reshape(half, 2 * w),
+                     merged.reshape(2, half, 2 * w))
+        rows = padded.reshape(2, half, 4 * w)
+        np.fft.ifft(out, axis=2, out=rows[:, :, : 2 * w])
+        rows[:, :, 2 * w :] = 0.0
+        w *= 2
+    # Beyond the true span the padding leaves FFT noise, not exact zeros.
+    a, bf = padded[:n], padded[2 * size : 2 * size + n]
+    return Transfer2x2(LaurentPoly(0, a), LaurentPoly(-(start + n - 1), np.conj(bf[::-1])))
+
+
+def _merge(left: np.ndarray, right: np.ndarray, sign: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The merged spectra of sibling pairs, formed in out: with left =
+    (a1, bf1) the left siblings' spectra and right = (a2, f2) the right
+    ones', conj(left swapped) * sign * f2 + left * a2, each ufunc in that
+    order; left * a2 is formed in left."""
+    np.conjugate(left[::-1], out=out)
+    out *= sign
+    out *= right[1]
+    left *= right[0]
+    out += left
+    return out
+
+
+def _sparse_tree(values: np.ndarray, start: int, c: np.ndarray, sign: np.ndarray) -> Transfer2x2:
+    """_tree_product with rows for the nonzero leaves only; each of a
+    level's arrays is released as soon as the next one exists."""
+    n = len(values)
+    size = len(sign)
+    blocks = np.flatnonzero(values)  # the blocks that have a row
+    rows = np.empty((2, len(blocks), 1), dtype=np.complex128)
+    rows[0, :, 0] = c[blocks]
+    rows[1, :, 0] = values[blocks] * c[blocks]
+    w = 1
+    while w < size:
+        blocks, level, slots, pairs = _copy_singles(rows, blocks, w)
         del rows
         spec = np.fft.fft(pairs, n=2 * w, axis=2)
         del pairs
-        left, a2, f2 = spec[:, 0::2], spec[0, 1::2], spec[1, 1::2]
-        sign = np.ones(2 * w)
-        sign[1::2] = -1.0
-        merged = np.conj(left[::-1]) * sign * f2 + left * a2
-        del spec, left, a2, f2
-        rows = np.fft.ifft(merged, axis=2)
+        merged = _merge(spec[:, 0::2], spec[:, 1::2], sign[: 2 * w],
+                        np.empty((2, len(slots), 2 * w), dtype=np.complex128))
+        del spec
+        level[:, slots] = np.fft.ifft(merged, axis=2)
         del merged
-        if level is not None:
-            level[:, slots] = rows
-            rows = level
+        rows = level
         w *= 2
-    # Beyond the true span the padding leaves FFT noise, not exact zeros.
     a, bf = rows[0, 0, :n], rows[1, 0, :n]
     return Transfer2x2(LaurentPoly(0, a), LaurentPoly(-(start + n - 1), np.conj(bf[::-1])))
+
+
+def _skipping_pays(nonzero: np.ndarray, size: int) -> bool:
+    """Whether the tree over these leaves, padded with identity leaves to
+    size, costs less when it skips its identity blocks: by the pairs of
+    blocks that both hold a nonzero site, which it still multiplies, against
+    all the pairs of the dense loop, each counted by its width."""
+    if nonzero.all():
+        return False
+    occupied = np.zeros(size, dtype=bool)
+    occupied[: len(nonzero)] = nonzero
+    multiplied, levels, w = 0, 0, 1
+    while w < size:
+        pairs = occupied.reshape(-1, 2)
+        multiplied += w * int(np.count_nonzero(pairs[:, 0] & pairs[:, 1]))
+        occupied = pairs[:, 0] | pairs[:, 1]
+        levels += 1
+        w *= 2
+    return SKIP_PAIR_COST * multiplied + SKIP_LEVEL_COST * levels < levels * (size // 2)
 
 
 def _copy_singles(rows: np.ndarray, blocks: np.ndarray, w: int):
@@ -308,14 +390,10 @@ def reflection_grid(q: Sequence, g: CircleGrid) -> np.ndarray:
 
 
 def _reflection(m: Transfer2x2, g: CircleGrid) -> np.ndarray:
-    av, bv = _circle_values(m, g)
-    return bv / av
-
-
-def _circle_values(m: Transfer2x2, g: CircleGrid) -> tuple[np.ndarray, np.ndarray]:
     if g.radius != 1.0:
         raise ValidationError("reflection coefficient is defined on the unit circle")
-    return m.grid_values(g)
+    av, bv = m.grid_values(g)
+    return bv / av
 
 
 def _szego_mean(refl: np.ndarray) -> float:
@@ -345,16 +423,15 @@ def szego_identity_check(
     return lhs, q.log_szego_product(), float(-2.0 * math.log(abs(m.a_at_zero())))
 
 
-def grid_identities(q: Sequence, g: CircleGrid, m: Transfer2x2) -> tuple[float, float, float]:
-    """(Szego lhs, Szego rhs, unitarity residual) of q and its transfer
-    product m on the unit-circle grid g, from one evaluation of a and b at
-    g's nodes: the first two are szego_identity_check(q, g, m)'s, the last
-    is m.unitarity_residual(g), bit for bit.  Its peak memory is that of
-    either check alone: a and b with their squared moduli, then b/a."""
-    av, bv = _circle_values(m, g)
+def grid_identities(q: Sequence, av: np.ndarray, bv: np.ndarray) -> tuple[float, float, float]:
+    """(Szego lhs, Szego rhs, unitarity residual) of q from av and bv, the
+    values of q's transfer product m at the nodes of a unit-circle grid g:
+    the first two are szego_identity_check(q, g, m)'s, the last is
+    m.unitarity_residual(g), bit for bit.  b/a is formed in bv's buffer,
+    which it overwrites, so the peak memory is that of either check alone:
+    a and b with their squared moduli."""
     residual = _residual(*_squared_moduli(av, bv))
-    refl = bv / av
-    del av, bv
+    refl = np.divide(bv, av, out=bv)
     return _szego_mean(refl), q.log_szego_product(), residual
 
 

@@ -158,10 +158,14 @@ def json_text(doc) -> str:
     """Deterministic JSON with 17-significant-digit floats.
 
     Renders dicts, bools, ints, floats and one-dimensional complex arrays,
-    the last as one [re, im] row per line; any other node is a TypeError.
+    the last as one [re, im] row per line, and a zero-argument callable as
+    the value it returns, called when the text reaches it; any other node is
+    a TypeError.
     """
 
     def render(node, pad):
+        if callable(node):
+            node = node()
         if isinstance(node, dict):
             items = [f'{pad}  "{k}": {render(v, pad + "  ")}' for k, v in node.items()]
             return "{\n" + ",\n".join(items) + f"\n{pad}}}"

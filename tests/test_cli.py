@@ -22,9 +22,9 @@ import al_ist.solver
 from al_ist.cli import GRID_NODE_CAP, JobSpec, build_parser, main
 from al_ist.datagen import dense_random_sequence, random_sequence
 from al_ist.errors import NumericalGuardError, ValidationError
-from al_ist.laurent import LaurentPoly
+from al_ist.laurent import CircleGrid, LaurentPoly
 from al_ist.multiplier import delta_nt, smallest_admissible_order
-from al_ist.nlft import nlft_forward_naive
+from al_ist.nlft import Transfer2x2, grid_identities, identity_grid, nlft_forward, nlft_forward_naive
 from al_ist.reference import RK4, RK8, RK8_STEP, default_radius, rk4_integrate, rk8_pair
 from al_ist.sequence import Sequence
 from al_ist.floatrows import _CHUNK, _Q_MIN, _pow10, table_text
@@ -485,6 +485,27 @@ class TestJsonText:
         assert len(floats) >= 100_000
         values = floats.view(np.complex128)
         assert json_text({"v": values}) == '{\n  "v": ' + rows_oracle(values, "  ") + "\n}\n"
+
+    def test_callable_node_renders_its_value_in_place(self):
+        calls = []
+
+        def value():
+            calls.append(1)
+            return {"r": 0.5, "ok": True}
+
+        doc = {"a": 1, "v": value, "z": lambda: 2.5}
+        assert json_text(doc) == json_text({"a": 1, "v": {"r": 0.5, "ok": True}, "z": 2.5})
+        assert calls == [1]
+
+    def test_raising_callable_node_stops_the_text(self):
+        later = []
+
+        def tripped():
+            raise NumericalGuardError("tripped")
+
+        with pytest.raises(NumericalGuardError, match="tripped"):
+            json_text({"a": 1.0, "r": tripped, "z": lambda: later.append(1) or 1.0})
+        assert later == []
 
     @pytest.mark.parametrize(
         "node", [[1.0], "x", None, np.zeros(2), np.zeros((1, 1), dtype=np.complex128), np.int64(1)]
@@ -980,6 +1001,71 @@ class TestNlftCommand:
         assert main(["--cmd", "nlft", "--in", path]) == 0
         capsys.readouterr()
         assert len(calls) == 1
+
+    @staticmethod
+    def grid_sizes(monkeypatch) -> list[int]:
+        """The sizes of the grids Transfer2x2.grid_values evaluates on, on
+        any thread, as the job runs."""
+        sizes = []
+        grid_values = Transfer2x2.grid_values
+
+        def counted(self, g):
+            sizes.append(g.size)
+            return grid_values(self, g)
+
+        monkeypatch.setattr(Transfer2x2, "grid_values", counted)
+        return sizes
+
+    def test_one_evaluation_per_job(self, datum_file, monkeypatch, capsys):
+        # The identity grid, 4 096 nodes, holds every node of the 1 024-node
+        # witness grid: the witness reads a and b there out of its values.
+        q = dense_random_sequence(5, -40, 300, 0.2, 0.01)
+        sizes = self.grid_sizes(monkeypatch)
+        assert main(["--cmd", "nlft", "--in", datum_file(q)]) == 0
+        capsys.readouterr()
+        assert sizes == [identity_grid(q).size] == [4096]
+
+    @pytest.mark.parametrize("grid", [1000, 256])
+    def test_grid_off_the_witness_grid_gives_the_separate_checks(
+        self, datum_file, monkeypatch, capsys, grid
+    ):
+        # 1 000 nodes are not a multiple of the witness grid's 1 024, and 256
+        # are fewer: the witness evaluates its own grid, and the artifact is
+        # that of the witness and the identities run one after the other.
+        q = dense_random_sequence(5, -40, 300, 0.2, 0.01)
+        sizes = self.grid_sizes(monkeypatch)
+        assert main(["--cmd", "nlft", "--in", datum_file(q), "--grid", str(grid)]) == 0
+        text = capsys.readouterr().out
+        assert sizes == [grid, 1024]
+        m = nlft_forward(q).validate()
+        lhs, rhs, residual = grid_identities(q, *m.grid_values(CircleGrid(grid)))
+        assert text == json_text({
+            "a": laurent_to_doc(m.a),
+            "b": laurent_to_doc(m.b),
+            "a_at_zero": float(m.a_at_zero().real),
+            "unitarity_residual": residual,
+            "szego_identity": {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)},
+            "grid": grid,
+        })
+
+    def test_checks_end_with_the_job_when_the_writer_fails(self, datum_file, monkeypatch):
+        finished = []
+        checks = al_ist.cli._nlft_checks
+
+        def slow_checks(*args):
+            time.sleep(0.2)
+            result = checks(*args)
+            finished.append(1)
+            return result
+
+        def failing_writer(doc):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(al_ist.cli, "_nlft_checks", slow_checks)
+        monkeypatch.setattr(al_ist.cli, "json_text", failing_writer)
+        with pytest.raises(OSError, match="disk full"):
+            main(["--cmd", "nlft", "--in", datum_file(seq(0, [0.5, 0.25j]))])
+        assert finished == [1]
 
     def test_grid_override(self, datum_file, capsys):
         path = datum_file(seq(0, [0.5]))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from al_ist.laurent import (
+    CONVOLVE_SHORT,
     CONVOLVE_WORK,
     CircleGrid,
     LaurentPoly,
@@ -118,6 +119,23 @@ class TestMul:
         q = LaurentPoly(-12, rng.standard_normal(13) + 1j * rng.standard_normal(13))
         assert len(p.coeffs) * len(q.coeffs) < CONVOLVE_WORK
         got = fft_spied(monkeypatch, lambda: lp_mul(p, q), expect_calls=0)
+        want = schoolbook_mul(p, q)
+        assert got.min_deg == want.min_deg and len(got.coeffs) == len(want.coeffs)
+        scale = np.sum(np.abs(p.coeffs)) * np.sum(np.abs(q.coeffs))
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize(
+        "short, ffts", [(CONVOLVE_SHORT, 0), (CONVOLVE_SHORT + 1, 2)], ids=["convolve", "fft"]
+    )
+    def test_shorter_operand_picks_the_path(self, monkeypatch, short, ffts):
+        # 700 coefficients times CONVOLVE_SHORT or one more, both past
+        # CONVOLVE_WORK pairs: np.convolve up to CONVOLVE_SHORT in the
+        # shorter operand, the FFT above.
+        rng = np.random.default_rng(short)
+        p = LaurentPoly(-3, rng.standard_normal(short) + 1j * rng.standard_normal(short))
+        q = LaurentPoly(9, rng.standard_normal(700) + 1j * rng.standard_normal(700))
+        assert short * 700 >= CONVOLVE_WORK
+        got = fft_spied(monkeypatch, lambda: lp_mul(p, q), expect_calls=ffts)
         want = schoolbook_mul(p, q)
         assert got.min_deg == want.min_deg and len(got.coeffs) == len(want.coeffs)
         scale = np.sum(np.abs(p.coeffs)) * np.sum(np.abs(q.coeffs))

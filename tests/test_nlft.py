@@ -288,8 +288,9 @@ def test_unitarity_witness_grid_follows_the_span(wide_product):
 def gapped_sequences(draw):
     """More than DIRECT_SITES nonzero sites, so that nlft_forward takes the
     product tree, each followed by a zero run: the runs are often short and
-    sometimes up to 80 sites long, so that the tree spans long gaps and
-    copies identity blocks."""
+    sometimes up to 80 sites long, so that the tree spans long gaps; on
+    about a third of the draws skipping them pays, and it copies identity
+    blocks."""
     sites = draw(st.lists(disk_values(0.7, allow_zero=False), min_size=DIRECT_SITES + 1,
                           max_size=DIRECT_SITES + 20))
     gaps = draw(st.lists(st.integers(0, 5) | st.integers(0, 80), min_size=len(sites),
@@ -399,6 +400,31 @@ def test_identity_blocks_are_not_multiplied(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "zeros, skips",
+    [(slice(408, -408), True), (slice(409, -409), False), (slice(700, 701), False)],
+    ids=["clusters-408", "clusters-409", "one-zero"],
+)
+def test_identity_blocks_are_skipped_where_that_pays(zeros, skips, monkeypatch):
+    # 2 048 sites with a zero run: between two end clusters of 408 sites the
+    # pairs the tree still multiplies weigh little enough that skipping the
+    # identity blocks pays, at 409 they do not, and one zero site in a dense
+    # run never pays.  Either branch is the naive product.
+    copies = []
+    copy_singles = al_ist.nlft._copy_singles
+
+    def recording(*args):
+        copies.append(args[2])
+        return copy_singles(*args)
+
+    monkeypatch.setattr(al_ist.nlft, "_copy_singles", recording)
+    rng = np.random.default_rng(12)
+    values = rng.uniform(0.01, 0.3, 2048) * np.exp(2j * np.pi * rng.uniform(size=2048))
+    values[zeros] = 0.0
+    assert_matches_naive(seq(-30, values))
+    assert bool(copies) == skips
+
+
+@pytest.mark.parametrize(
     "q",
     [
         random_sequence(seed=71, count=8, lo=-6, hi=7, max_modulus=0.7),
@@ -409,7 +435,7 @@ def test_identity_blocks_are_not_multiplied(monkeypatch):
 def test_grid_identities_are_the_separate_checks_bit_for_bit(q):
     g = identity_grid(q)
     m = nlft_forward(q)
-    lhs, rhs, residual = grid_identities(q, g, m)
+    lhs, rhs, residual = grid_identities(q, *m.grid_values(g))
     s_lhs, s_rhs, _ = szego_identity_check(q, g, m)
     assert [v.hex() for v in (lhs, rhs, residual)] == [
         v.hex() for v in (s_lhs, s_rhs, m.unitarity_residual(g))
