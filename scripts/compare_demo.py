@@ -9,7 +9,8 @@ which itself stays below eps.  It also prints the half-width N that
 solve_point picks at site 0, sized from the datum's support, next to the
 window solver's N, the localization radius r that it chose to minimize the
 bound, and the widened half-width W = N + floor(N/2) and multiplier order
-2W at which its Schur pass runs.
+2W at which its Schur pass runs, as each solve's plan (solver.plan) has
+them.
 
 Usage: python scripts/compare_demo.py [--seed 3] [--t 1.0] [--eps 1e-6]
 """
@@ -20,7 +21,7 @@ import argparse
 
 from al_ist.datagen import random_sequence
 from al_ist.reference import lattice_radius, rk8_pair
-from al_ist.solver import select_params, solve_window_detailed
+from al_ist.solver import POINT, WINDOW, plan, solve_window_detailed
 
 
 def main() -> None:
@@ -37,13 +38,12 @@ def main() -> None:
     _, state = rk8_pair(datum, args.t, radius=lattice_radius(datum, args.t, lo, hi))
 
     print(f"datum sites {datum.support()}, eta = {datum.szego_product():.6f}")
-    point = select_params(args.t, args.eps, params.eta, 0, support=datum.support())
-    W = params.N + len(window.values) // 2
+    wide, point = (plan(datum, args.t, 0, args.eps, shape) for shape in (WINDOW, POINT))
     print(
         f"window N = {params.N} at radius r = {params.r:.4f}; "
-        f"its pass runs over half-width W = {W} at multiplier order 2W = {2 * W}"
+        f"its pass runs over half-width W = {wide.W} at multiplier order 2W = {wide.order}"
     )
-    print(f"point solve at n0 = 0: N = {point.N}, multiplier order n = {point.n}")
+    print(f"point solve at n0 = 0: N = {point.params.N}, multiplier order n = {point.order}")
     print(f"{'n':>5}  {'|solve - rk8|':>14}  {'budget':>12}")
     for i, value in enumerate(window.values):
         n = window.offset + i

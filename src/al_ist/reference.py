@@ -28,15 +28,12 @@ MODULUS_GUARD = 1.0 - 1e-12
 # RK8 stage sums: the same contraction and the same bits, without the
 # array-function dispatch and the wrapper body.  On a 2-row, 153-site
 # buffer a sum of 2 to 13 terms takes 3.2-5.9 us this way and 1.7-1.9 us
-# more through np.einsum (2-core x86 host).  numpy 1.x keeps it in
-# numpy.core; where neither name exists the kernel calls np.einsum.
+# more through np.einsum (2-core x86 host).  Where numpy does not export
+# it there, the kernel calls np.einsum.
 try:
     from numpy._core.multiarray import c_einsum as _contract
 except ImportError:
-    try:
-        from numpy.core.multiarray import c_einsum as _contract
-    except ImportError:
-        _contract = np.einsum
+    _contract = np.einsum
 
 # Cap on the work of one Runge-Kutta run (rk4_integrate, rk8_pair) in
 # site-steps: ceil(|t| / h) steps per step size, summed over the step
@@ -301,11 +298,10 @@ def _rk_rows(
     the same step: each stage, and the step's result, is one einsum
     contraction of its coefficients with the k_j and the state, which adds
     the products in the order of a loop over fresh arrays.  The
-    contraction is numpy's C function c_einsum, bound at import
-    (numpy._core.multiarray, or numpy.core.multiarray on numpy 1.x), which
-    np.einsum calls with the same arguments, so the bits are np.einsum's,
-    without its Python wrapper; where neither name exists the kernel calls
-    np.einsum.
+    contraction is numpy's C function c_einsum, bound at import from
+    numpy._core.multiarray, which np.einsum calls with the same arguments,
+    so the bits are np.einsum's, without its Python wrapper; where numpy
+    does not export it there, the kernel calls np.einsum.
 
     The guard is checked once per step: |q| of every stage and of the
     step's result are kept in one buffer and tested by one max.  On a trip

@@ -1,19 +1,22 @@
 """Fast point and window solver for the defocusing Ablowitz-Ladik equation.
 
-Both solvers run one pass (_solve).  For the sites n0 - half .. n0 + half
-it truncates the datum to a window about n0, multiplies its one-sided
-Schur function by the Schur-class multiplier G, and runs Schur's
-algorithm; PassPlan fixes the window, the order of G, the steps and the
-index of each site.  A point value is the pass at half = 0.  Each
-entry's budget (window_entry_budget) certifies the two error sources:
-window truncation (localization) and multiplier truncation.  It bounds
-the error of the exact-arithmetic pipeline; float64 roundoff is not part
-of it.
+Both solvers run one Schur pass, and plan() decides all of it before any
+array is built (PassPlan): the trimmed datum and its Szego product, the
+half-width N and the radius r, the mirror and the conjugation, the window
+W = N + half, the order of the multiplier G, the steps and the index of
+each site, the clip of the datum that the transform gets, the budget terms
+of every emitted site, and the caps.  _solve only runs the plan: for the
+sites n0 - half .. n0 + half it truncates the datum to the window about n0,
+multiplies its one-sided Schur function by the Schur-class G, and runs
+Schur's algorithm.  A point value is the pass at half = 0.  Each entry's
+budget (window_entry_budget) certifies the two error sources: window
+truncation (localization) and multiplier truncation.  It bounds the error
+of the exact-arithmetic pipeline; float64 roundoff is not part of it.
 
-Both solvers size N by one search (_least_half_width): N is the least
-admissible half-width M, at most select_params' closed form, whose pass
-has its right-edge budget within eps, by the terms that certify it.  Only
-the entry policy differs, and one PassShape holds each: POINT and WINDOW.
+N is the least admissible half-width M, at most select_params' closed
+form, whose pass has its right-edge budget within eps, by the terms that
+certify it (_least_half_width).  Only the entry policy differs, and one
+PassShape holds each: POINT and WINDOW.
 
 All bound formulas are evaluated in log space; the stability constant can
 exceed 1e27 at moderate eta, so certified budgets are often astronomically
@@ -26,7 +29,7 @@ import math
 from collections.abc import Callable
 # Unused here; perfbench/spans.py patches solver.ThreadPoolExecutor.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -46,8 +49,8 @@ N_HARD_CAP = 10**6
 
 # Cap on one Schur pass, which is a whole point or window solve, counted
 # as steps (steps + 1) / 2 coefficient updates (schur_coeffs drops one
-# coefficient per step); PassPlan.build refuses above it before any array
-# is built.  The kernel runs only the plan's run_steps, so the cap bounds a
+# coefficient per step); plan refuses above it before any array is
+# built.  The kernel runs only the plan's run_steps, so the cap bounds a
 # pass's size, not its arithmetic: W = 12 198, just under it, counts 40 661
 # steps, runs 4 084 and takes about 0.08 s on a 2-core x86 host.  Capping
 # run_steps waits until the rest of a pass stops growing with N.
@@ -64,7 +67,8 @@ class SolveParams:
     own.  support is the datum's inclusive support (lo, hi) when the caller
     supplied it; the budgets need it to tell whether the window
     [n0 - N, n0 + N] covers the datum.  r is the radius at which the
-    budgets evaluate localization_bound (PassShape.radius).
+    budgets evaluate localization_bound (PassShape.radius).  A solve's own
+    are its PassPlan's params, which solve_window_detailed returns.
     """
 
     N: int
@@ -123,8 +127,8 @@ def select_params(
     half-width (_least_half_width) from max(5, radius of the support about
     n0) up to that closed form, whose window covers the support.  Either
     way the point budget is at most eps in exact arithmetic; it does not
-    cover float64 roundoff.  r is POINT's, 1/2; the window solver shrinks
-    the closed form (solve_window_detailed).
+    cover float64 roundoff.  r is POINT's, 1/2; a WINDOW plan shrinks the
+    closed form by its own search (plan).
 
     Negative t is recorded via the reflect flag: the solver runs forward
     at |t| from the conjugated datum and conjugates the output.  A |t|
@@ -164,7 +168,7 @@ def _least_half_width(
 ) -> tuple[int, float] | None:
     """(M, r): the least M in [max(lo, ceil(e t)), hi] with 2M admissible
     whose pass of this shape has its right edge within eps, by the terms
-    _solve certifies with (_budget_terms), and that edge's radius; None if
+    its plan certifies with (_budget_terms), and that edge's radius; None if
     M = hi misses.  A POINT search starts where the window covers the
     support (lo), so its localization term, 0, holds at every probe.
 
@@ -184,7 +188,7 @@ def _least_half_width(
             return False
         s = shape.half(M)
         radii[M] = r = shape.radius(eta, t, M)
-        (loc,), (trunc,) = _budget_terms(shape, log_c, eta, r, t, M + s, range(s, s + 1))
+        (loc,), (trunc,) = _budget_terms(shape.covers, log_c, eta, r, t, M + s, range(s, s + 1))
         return loc + trunc <= eps
 
     lo = max(lo, math.ceil(math.e * t))
@@ -331,109 +335,149 @@ class PassShape(NamedTuple):
     """The entry policy of a pass, every rule that sets POINT and WINDOW
     apart.  A pass of half-width M emits n0 - half(M) .. n0 + half(M) from
     a window of half-width W = M + half(M), and its right edge, offset
-    half(M), has the worst budget.  localization(eta, r, t, W, offsets)
-    gives its budgets' localization terms at r = radius(eta, t, M).  newton
-    is _edge_guess's (j, n): the edge's t3 log has j M log 2 at order
-    2W = n M.  mirrors: the pass may run on the datum mirrored about n0.
+    half(M), has the worst budget.  Its localization terms are taken at
+    r = radius(eta, t, M).  covers: M is searched from the radius of the
+    datum's support about n0 (select_params), so the window covers the
+    datum and the localization terms are 0; otherwise from 5 (plan).
+    newton is _edge_guess's (j, n): the edge's t3 log has j M log 2 at
+    order 2W = n M.
     """
 
     half: Callable[[int], int]
     radius: Callable[[float, float, int], float]
-    localization: Callable[[float, float, float, int, range], list[float]]
+    covers: bool
     newton: tuple[float, float]
-    mirrors: bool
 
 
-# A point pass is sized from the radius of the datum's support, so its
-# window covers the datum; its one entry is the window's centre n0, and as
-# the flow commutes with n -> 2 n0 - n, it may run from the datum's nearer end.
-POINT = PassShape(
-    half=lambda M: 0, radius=lambda eta, t, M: 0.5,
-    localization=lambda eta, r, t, W, offsets: [0.0] * len(offsets),
-    newton=(1.0, 2.0), mirrors=True,
-)
+POINT = PassShape(half=lambda M: 0, radius=lambda eta, t, M: 0.5, covers=True, newton=(1.0, 2.0))
 # The localization bound holds in L2(rT) at every r in (0, 1), so WINDOW
-# takes the minimizing r; its budgets are not symmetric in s, so no mirror.
+# takes the minimizing r.
 WINDOW = PassShape(
-    half=lambda M: M // 2, radius=lambda eta, t, M: best_radius(eta, t, M),
-    localization=_localization_terms, newton=(2.0, 3.0), mirrors=False,
+    half=lambda M: M // 2, radius=lambda eta, t, M: best_radius(eta, t, M), covers=False,
+    newton=(2.0, 3.0),
 )
 
 
 @dataclass(frozen=True)
 class PassPlan:
-    """The shape of one Schur pass, fixed before any array is built.
+    """One Schur pass, decided by plan() before any array is built.
 
-    The pass for the sites center - half .. center + half truncates the
-    datum to the window of half-width W = N + half about center, shifts it
-    onto [0, 2W], multiplies its one-sided Schur function by G_{order,t},
+    Size.  params holds N and r, the trimmed datum's Szego product eta, |t|
+    and reflect (t < 0).  N is the shape's least half-width whose right
+    edge meets eps (_least_half_width), at most select_params' closed
+    form: POINT's from the radius of the datum's support about n0, inside
+    select_params, and WINDOW's from 5.  r is the radius of the accepted
+    probe.  Where the search misses, N is the closed form at r = 1/2.
+
+    Shape.  The pass for the sites n0 - half .. n0 + half truncates the
+    datum to the window of half-width W = N + half about n0, shifts it onto
+    [0, 2W], multiplies its one-sided Schur function by G_{order,t},
     order = 2W, and runs `steps` = 3W + half + 1 steps of Schur's
-    algorithm.  Site center + s is the coefficient at index 3W + s, so the
-    first emitted site is at index `first` = 3W - half.
+    algorithm.  Site n0 + s is the coefficient at index 3W + s, so the
+    first emitted site is at index `first` = 3W - half.  The pass runs on
+    `datum`, the trimmed datum, mirrored about n0 where `mirror`: a pass
+    that emits only n0 (half = 0) does so when the datum reaches further
+    left of n0 than right, so it runs from the datum's nearer end.  It is
+    conjugated where params.reflect: conj(q)(t) solves the equation with
+    datum conj(q0) iff q(-t) does with datum q0.  The transform gets that
+    datum's sites in `clip`, its support cut to the window, an empty range
+    where the window misses it.  The zero datum has clip None: it runs no
+    pass and its sites stay zero.
 
-    The kernel runs only run_steps = steps - lead of them.
+    Steps.  The kernel runs only run_steps = steps - lead of them.
     G = (1 - delta) z^order P has no coefficient below z^(order - m),
     m = min(order, M), where M = multiplier._bessel_start(2t) ends its
-    Bessel band (M = 0 at t = 0).  The datum's first site lo in the window
-    sits at max(lo, center - W) - (center - W) after the shift.  f0's
-    numerator starts at the sum of the two, and schur_coeffs writes the
-    zero gammas below it without running the kernel; `lead` is that sum, at
-    most steps, and steps for a window that misses the datum, whose
-    numerator is 0.  So the kernel runs at most half + 1 + M + (center - lo)
-    steps, whatever N is, and a POINT pass runs from the nearer end.  The
-    stages before it do not grow with N: the pass hands the transform the
-    datum clipped to the window, a short support is multiplied out site by
+    Bessel band (M = 0 at t = 0).  The clip starts clip[0] - (n0 - W) after
+    the shift.  f0's numerator starts at the sum of the two, and
+    schur_coeffs writes the zero gammas below it without running the
+    kernel; `lead` is that sum, at most steps, and steps for a window that
+    misses the datum, whose numerator is 0.  So the kernel runs at most
+    half + 1 + M + (n0 - lo) steps, whatever N is, and a POINT pass runs
+    from the nearer end.  The stages before it do not grow with N: the
+    transform gets the clip, a short support is multiplied out site by
     site, and G is stored and checked on its band of 2m + 1 coefficients.
     What still grows with N is the gamma array of 3W + half + 1 entries.
+
+    Budget.  localization and truncation are window_entry_budget's two
+    terms at the offsets -half .. half: POINT's localization, 0, where the
+    window [n0 - N, n0 + N] covers the datum's support
+    (params.covers_support), and WINDOW's, at r, on any other pass; all 0
+    for the zero datum.
     """
 
-    center: int
-    W: int
+    datum: Sequence
+    params: SolveParams
     half: int
+    mirror: bool
+    W: int
     order: int
     steps: int
     first: int
     lead: int
+    clip: tuple[int, int] | None
+    localization: list[float]
+    truncation: list[float]
 
     @property
     def run_steps(self) -> int:
         return self.steps - self.lead
 
-    @classmethod
-    def build(cls, support: tuple[int, int], center: int, N: int, half: int, t: float) -> "PassPlan":
-        """The plan of _solve's pass for a datum on the inclusive support
-        (lo, hi) at time t >= 0.  A pass of more than SCHUR_UPDATE_CAP
-        counted updates, over all of its steps, is refused here."""
-        W = N + half
-        order, steps = 2 * W, 3 * W + half + 1
-        updates = steps * (steps + 1) // 2
-        if updates > SCHUR_UPDATE_CAP:
-            raise InfeasibleParamsError(
-                f"Schur pass with half-width W={W} needs {steps} steps, about "
-                f"{updates:.3g} coefficient updates, above the cap {SCHUR_UPDATE_CAP:.3g}"
-            )
-        lo, hi = support
-        if hi < center - W or center + W < lo:
-            lead = steps
-        else:
-            band = min(order, _bessel_start(2.0 * t) if t else 0)
-            lead = min(steps, order - band + max(lo, center - W) - (center - W))
-        return cls(center, W, half, order, steps, 3 * W - half, lead)
+
+def plan(q0: Sequence, t: float, n0: int, eps: float, shape: PassShape) -> PassPlan:
+    """The PassPlan of the shape's pass that gives q0's sites about n0 at
+    time t within eps.
+
+    Every refusal is made here, before any array: select_params' checks
+    and N_HARD_CAP, and a pass of more than SCHUR_UPDATE_CAP counted
+    updates, over all of its steps.  The zero datum runs no pass, so the
+    update cap does not apply to it.
+    """
+    q0 = q0.trimmed()
+    lo, hi = q0.offset, q0.offset + len(q0.values) - 1
+    support = None if q0.is_zero else (lo, hi)
+    params = select_params(t, eps, q0.szego_product(), n0, support if shape.covers else None)
+    if not shape.covers:
+        sized = _least_half_width(shape, params.eta, params.t, eps, 5, params.N)
+        N, r = sized or (params.N, params.r)
+        params = SolveParams(N, eps, params.eta, params.t, n0, params.reflect, None, r)
+    half = shape.half(params.N)
+    W = params.N + half
+    order, steps, first = 2 * W, 3 * W + half + 1, 3 * W - half
+    if support is None:
+        zeros = [0.0] * (2 * half + 1)
+        return PassPlan(q0, params, half, False, W, order, steps, first, steps, None, zeros, zeros)
+    updates = steps * (steps + 1) // 2
+    if updates > SCHUR_UPDATE_CAP:
+        raise InfeasibleParamsError(
+            f"Schur pass with half-width W={W} needs {steps} steps, about "
+            f"{updates:.3g} coefficient updates, above the cap {SCHUR_UPDATE_CAP:.3g}"
+        )
+    # A pass that emits only its centre n0 has one budget, and the flow
+    # commutes with n -> 2 n0 - n, so it runs from the datum's nearer end.
+    mirror = half == 0 and hi - n0 < n0 - lo
+    if mirror:
+        lo, hi = 2 * n0 - hi, 2 * n0 - lo
+    left, right = n0 - W, n0 + W
+    lead = steps
+    if left <= hi and lo <= right:
+        band = min(order, _bessel_start(2.0 * params.t) if params.t else 0)
+        lead = min(steps, order - band + max(lo, left) - left)
+    locs, truncs = _entry_terms(params, W, range(-half, half + 1))
+    clip = (max(lo, left), min(hi, right))
+    return PassPlan(q0, params, half, mirror, W, order, steps, first, lead, clip, locs, truncs)
 
 
-def _schur_pass(q0: Sequence, t: float, plan: PassPlan) -> np.ndarray:
-    """The first plan.steps Schur coefficients of q0's pass (see PassPlan):
-    window, shift, transform, multiply by G and recur.
+def _schur_pass(q0: Sequence, plan: PassPlan) -> np.ndarray:
+    """The first plan.steps Schur coefficients of the pass over q0, the
+    datum as the plan runs it: window, shift, transform, multiply by G and
+    recur.
 
-    The window is q0's stored block clipped to [center - W, center + W],
-    never the dense 2W + 1 sites: the transform trims its input to the
-    nonzero sites, so the bits are the same, and a clip that misses the
-    block is empty, whose transform is the identity, as a zero window's
-    is."""
-    left, right = plan.center - plan.W, plan.center + plan.W
-    block = q0.windowed(max(left, q0.offset), min(right, q0.offset + len(q0.values) - 1))
-    m = nlft_forward(block.shifted(-left))
-    bundle = g_bundle(plan.order, t)
+    The window is q0's sites in plan.clip, never the dense 2W + 1 sites:
+    the transform trims its input to the nonzero sites, so the bits are the
+    same, and a clip that misses the datum is empty, whose transform is the
+    identity, as a zero window's is."""
+    m = nlft_forward(q0.windowed(*plan.clip).shifted(plan.W - plan.params.n0))
+    bundle = g_bundle(plan.order, plan.params.t)
     f0 = RationalSchur(lp_mul(bundle.g, lp_conj_flip(m.b)), m.a).validate()
     coeffs = schur_coeffs(f0, plan.steps)
     if len(coeffs.gammas) < plan.steps:
@@ -453,75 +497,55 @@ def window_entry_budget(params: SolveParams, W: int, s: int) -> ErrorBudget:
     is the datum and the localization term exactly 0."""
     if abs(s) > W or not 2 * W > params.t:
         raise ValidationError("window entry budget requires |s| <= W and 2W > t")
-    (loc,), (trunc,) = _window_budgets(params, W, range(s, s + 1))
+    (loc,), (trunc,) = _entry_terms(params, W, range(s, s + 1))
     return ErrorBudget(loc, trunc)
 
 
-def _window_budgets(params: SolveParams, W: int, offsets: range) -> tuple[list[float], list[float]]:
-    """_budget_terms with POINT's localization where the window covers the
-    recorded support, and WINDOW's, at params.r, on any other pass."""
-    shape = POINT if params.covers_support else WINDOW
+def _entry_terms(params: SolveParams, W: int, offsets: range) -> tuple[list[float], list[float]]:
+    """window_entry_budget's two terms at each offset, as two lists; plan
+    builds a pass's terms here, so the two agree bit for bit."""
     log_c = stability_constant(params.eta, 0.5).log
-    return _budget_terms(shape, log_c, params.eta, params.r, params.t, W, offsets)
+    return _budget_terms(params.covers_support, log_c, params.eta, params.r, params.t, W, offsets)
 
 
 def _budget_terms(
-    shape: PassShape, log_c: float, eta: float, r: float, t: float, W: int, offsets: range
+    covered: bool, log_c: float, eta: float, r: float, t: float, W: int, offsets: range
 ) -> tuple[list[float], list[float]]:
-    """The localization and truncation terms of window_entry_budget at each
-    offset of a pass of this shape over half-width W at radius r, bit for
-    bit localization_bound's and t3_bound's; log_c is log C(eta, 1/2)."""
+    """The localization and truncation terms at each offset of a pass over
+    half-width W at radius r, bit for bit localization_bound's, or 0 where
+    the window covers the support, and t3_bound's; log_c is
+    log C(eta, 1/2)."""
     truncs = _t3_terms(log_c, t, 2 * W, [W + s for s in offsets])
-    return shape.localization(eta, r, t, W, offsets), truncs
+    locs = [0.0] * len(offsets) if covered else _localization_terms(eta, r, t, W, offsets)
+    return locs, truncs
 
 
-def _solve(
-    q0: Sequence, params: SolveParams, shape: PassShape
-) -> tuple[Sequence, list[float], list[float]]:
-    """Sites n0 - half .. n0 + half, half = shape.half(N), of the trimmed
-    datum q0 at time t, with the localization and truncation terms of their
-    budgets, from one Schur pass.
-
-    The window is widened to W = N + half (see PassPlan), so every site
-    keeps localization margin at least N.  The zero datum stays zero, with
-    zero budgets.  A negative t (params.reflect) runs forward at |t| from
-    the conjugated datum and conjugates the output: conj(q)(t) solves the
-    equation with datum conj(q0) iff q(-t) does with datum q0.  A shape that
-    mirrors (POINT) runs on the datum mirrored about n0 when the datum
-    reaches further left of n0 than right; N and the budget are the
-    unmirrored datum's.  The plan is built, and the cap checked, before the
-    datum is mirrored, conjugated or windowed.
-    """
-    n0, half = params.n0, shape.half(params.N)
-    if q0.is_zero:
-        window = Sequence(n0 - half, np.zeros(2 * half + 1, dtype=np.complex128))
-        locs = truncs = [0.0] * (2 * half + 1)
+def _solve(plan: PassPlan) -> Sequence:
+    """The sites n0 - half .. n0 + half of the plan's pass at time t (see
+    PassPlan): the pass runs on the datum mirrored and conjugated as
+    planned, and a negative t conjugates its output."""
+    p = plan.params
+    if plan.clip is None:
+        values = np.zeros(2 * plan.half + 1, dtype=np.complex128)
     else:
-        lo, hi = q0.offset, q0.offset + len(q0.values) - 1
-        mirror = shape.mirrors and hi - n0 < n0 - lo
-        support = (2 * n0 - hi, 2 * n0 - lo) if mirror else (lo, hi)
-        plan = PassPlan.build(support, n0, params.N, half, params.t)
-        datum = q0.reflected(n0) if mirror else q0
-        if params.reflect:
+        datum = plan.datum.reflected(p.n0) if plan.mirror else plan.datum
+        if p.reflect:
             datum = datum.conjugated()
-        window = Sequence(n0 - half, _schur_pass(datum, params.t, plan)[plan.first :])
-        locs, truncs = _window_budgets(params, plan.W, range(-half, half + 1))
-    return (window.conjugated() if params.reflect else window), locs, truncs
+        values = _schur_pass(datum, plan)[plan.first :]
+    window = Sequence(p.n0 - plan.half, values)
+    return window.conjugated() if p.reflect else window
 
 
 def solve_point(q0: Sequence, t: float, n0: int, eps: float) -> tuple[complex, ErrorBudget]:
     """Approximate q(t, n0) with certified absolute error at most eps.
 
-    The value is _solve's POINT pass, at half-width 0.  Its window is sized
-    from the datum's support (see select_params) and the budget from the
-    datum's own Szego product; the budget is an exact-arithmetic bound and
-    leaves float64 roundoff out.
+    The value is the POINT pass (see plan), at half-width 0.  Its window is
+    sized from the datum's support (see select_params) and the budget from
+    the datum's own Szego product; the budget is an exact-arithmetic bound
+    and leaves float64 roundoff out.
     """
-    q0 = q0.trimmed()
-    support = None if q0.is_zero else (q0.offset, q0.offset + len(q0.values) - 1)
-    params = select_params(t, eps, q0.szego_product(), n0, support=support)
-    window, (loc,), (trunc,) = _solve(q0, params, POINT)
-    return complex(window.values[0]), ErrorBudget(loc, trunc)
+    p = plan(q0, t, n0, eps, POINT)
+    return complex(_solve(p).values[0]), ErrorBudget(p.localization[0], p.truncation[0])
 
 
 def solve_window_detailed(
@@ -529,21 +553,16 @@ def solve_window_detailed(
 ) -> tuple[Sequence, np.ndarray, SolveParams]:
     """solve_window plus per-entry certified budgets and the parameters.
 
-    One pass at half-width floor(N/2) (see _solve) gives all 2 floor(N/2) + 1
-    entries; the right edge s = floor(N/2) carries the worst budget, <= eps.
-    N is WINDOW's least half-width (_least_half_width) from 5 up to the
-    closed form of select_params, and r the radius at which that search
-    accepted it; the closed form itself, at r = 1/2, if even it misses.
-    eta is the datum's own Szego product, 1 for the zero datum.  A pass
-    above SCHUR_UPDATE_CAP is refused before it starts.
+    One WINDOW pass at half-width floor(N/2) (see plan) gives all
+    2 floor(N/2) + 1 entries; the right edge s = floor(N/2) carries the
+    worst budget, <= eps.  N is WINDOW's least half-width (_least_half_width)
+    from 5 up to the closed form of select_params, and r the radius at which
+    that search accepted it; the closed form itself, at r = 1/2, if even it
+    misses.  eta is the datum's own Szego product, 1 for the zero datum.  A
+    pass above SCHUR_UPDATE_CAP is refused before it starts.
     """
-    q0 = q0.trimmed()
-    params = select_params(t, eps, q0.szego_product(), n0)
-    sized = _least_half_width(WINDOW, params.eta, params.t, eps, 5, params.N)
-    if sized is not None:
-        params = replace(params, N=sized[0], r=sized[1])
-    window, locs, truncs = _solve(q0, params, WINDOW)
-    return window, np.add(locs, truncs), params
+    p = plan(q0, t, n0, eps, WINDOW)
+    return _solve(p), np.add(p.localization, p.truncation), p.params
 
 
 def solve_window(q0: Sequence, t: float, n0: int, eps: float) -> Sequence:

@@ -21,7 +21,7 @@ import pytest
 import al_ist.nlft
 from al_ist.multiplier import _bessel_start, delta_nt
 from al_ist.sequence import Sequence
-from al_ist.solver import PassPlan, select_params, solve_point
+from al_ist.solver import POINT, plan, select_params, solve_point
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DPS = 50
@@ -48,11 +48,11 @@ def point_oracle(q0, t: float, n0: int, eps: float) -> complex:
     q0 = q0.trimmed()
     lo, hi = q0.offset, q0.offset + len(q0.values) - 1
     N = select_params(t, eps, q0.szego_product(), n0, support=(lo, hi)).N
-    if hi - n0 < n0 - lo:
+    point = plan(q0, t, n0, eps, POINT)
+    assert (point.params.N, point.W, point.mirror) == (N, N, hi - n0 < n0 - lo)
+    if point.mirror:
         q0 = q0.reflected(n0)
-        lo, hi = q0.offset, q0.offset + len(q0.values) - 1
-    plan = PassPlan.build((lo, hi), n0, N, 0, t)
-    W, n, steps = plan.W, plan.order, plan.steps
+    W, n, steps = point.W, point.order, point.steps
     with mpmath.workdps(DPS):
         # Top row (a, b) of the ordered product of the shifted window's
         # factors, as exponent -> coefficient.
@@ -66,7 +66,7 @@ def point_oracle(q0, t: float, n0: int, eps: float) -> complex:
         g = {n + k: scale * I_POWERS[abs(k) % 4] * bessel(abs(k), 2.0 * t) for k in range(-m, m + 1)}
         num = poly_mul(g, {-e: mpmath.conj(x) for e, x in b.items()})
         lead = min(e for e, x in num.items() if x != 0)
-        assert lead == plan.lead < steps and min(a) == 0
+        assert lead == point.lead < steps and min(a) == 0
         length = steps - lead
         p = [num.get(lead + j, 0) for j in range(length)]
         q = [a.get(j, 0) for j in range(length)]

@@ -13,7 +13,7 @@ from al_ist.multiplier import g_bundle, smallest_admissible_order
 from al_ist.nlft import fc_plus, nlft_forward
 from al_ist.datagen import random_sequence
 from al_ist.sequence import Sequence
-from al_ist.solver import PassPlan, select_params
+from al_ist.solver import POINT, plan, select_params
 from al_ist.schur import (
     STOP_THRESHOLD,
     RationalSchur,
@@ -504,12 +504,11 @@ def test_coeffs_match_a_40_digit_recursion(seed, t, n0, steps):
     # Float64 drift from the 40-digit gammas was 7.5e-16 and 6.2e-16 here,
     # and at most 6.2e-15 on a 436-step pass (t 6, eps 1e-6).
     q0 = random_sequence(seed, 7, -6, 6, 0.6, 0.3)
-    params = select_params(t, 1e-10, q0.szego_product(), n0, support=q0.support())
-    plan = PassPlan.build(q0.support(), n0, params.N, 0, t)
-    assert plan.steps == steps
-    left = plan.center - plan.W
-    m = nlft_forward(q0.windowed(left, plan.center + plan.W).shifted(-left))
-    f0 = RationalSchur(lp_mul(g_bundle(plan.order, t).g, lp_conj_flip(m.b)), m.a)
+    point = plan(q0, t, n0, 1e-10, POINT)
+    assert point.steps == steps
+    left = n0 - point.W
+    m = nlft_forward(q0.windowed(left, n0 + point.W).shifted(-left))
+    f0 = RationalSchur(lp_mul(g_bundle(point.order, t).g, lp_conj_flip(m.b)), m.a)
     c = schur_coeffs(f0, steps)
     assert c.terminal is None
     assert np.max(np.abs(c.gammas - schur_coeffs_mpmath(f0, steps))) <= 1e-14
@@ -590,16 +589,19 @@ def test_coeffs_match_dividing_step(f, m):
 
 
 def test_coeffs_match_dividing_step_on_a_long_window_pass():
-    # The f0 of a window pass at eta 0.11, t = 6, on the shape of its
-    # PassPlan, from three sites of equal modulus a with (1 - a^2)^3 = 0.11.
+    # The f0 of a window pass at eta 0.11, t = 6, on the shape of a
+    # PassPlan at select_params' closed-form N (W = N + floor(N/2), order
+    # 2W, 3W + floor(N/2) + 1 steps), from three sites of equal modulus a
+    # with (1 - a^2)^3 = 0.11.
     a = math.sqrt(1.0 - 0.11 ** (1.0 / 3.0))
     q0 = Sequence(-2, a * np.array([1.0, 0.0, np.exp(1.1j), 0.0, np.exp(-2.3j)]))
-    params = select_params(6.0, 1e-6, q0.szego_product())
-    plan = PassPlan.build(q0.support(), 0, params.N, params.N // 2, 6.0)
-    m = nlft_forward(q0.windowed(-plan.W, plan.W).shifted(plan.W))
-    f0 = RationalSchur(lp_mul(g_bundle(plan.order, 6.0).g, lp_conj_flip(m.b)), m.a)
-    assert plan.steps > 5000
-    assert_close_to_dividing_step(f0, plan.steps)
+    N = select_params(6.0, 1e-6, q0.szego_product()).N
+    W = N + N // 2
+    m = nlft_forward(q0.windowed(-W, W).shifted(W))
+    f0 = RationalSchur(lp_mul(g_bundle(2 * W, 6.0).g, lp_conj_flip(m.b)), m.a)
+    steps = 3 * W + N // 2 + 1
+    assert steps > 5000
+    assert_close_to_dividing_step(f0, steps)
 
 
 def schur_iterates(f: RationalSchur, count: int) -> list[RationalSchur]:

@@ -128,7 +128,7 @@ def bisected_half_width(shape, eta, t, eps, lo, hi):
             return False
         s = shape.half(M)
         radii[M] = r = shape.radius(eta, t, M)
-        (loc,), (trunc,) = solver._budget_terms(shape, log_c, eta, r, t, M + s, range(s, s + 1))
+        (loc,), (trunc,) = solver._budget_terms(shape.covers, log_c, eta, r, t, M + s, range(s, s + 1))
         return loc + trunc <= eps
 
     M = _least(fits, max(lo, math.ceil(math.e * t)), hi)

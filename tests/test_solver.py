@@ -1,6 +1,7 @@
 """Certified solve pipeline: parameter selection, bounds, point and window."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from al_ist.reference import rk4_integrate
 from al_ist.schur import stability_constant
 from al_ist.sequence import Sequence
 from al_ist.solver import (
-    PassPlan,
+    POINT,
+    WINDOW,
     SolveParams,
     _schur_pass,
     localization_bound,
@@ -236,22 +238,6 @@ class TestSolvePoint:
         assert budget.total <= 1e-8
         assert abs(value - ref.q.at(0)) <= 1e-8
 
-    @pytest.mark.parametrize(
-        "datum, covered",
-        [(random_sequence(seed=405, count=5, lo=-3, hi=4, max_modulus=0.5), True),
-         (seq(0, np.r_[0.05, np.zeros(399), 0.05j]), False)],
-    )
-    def test_point_budget_is_the_centre_entry_budget(self, datum, covered):
-        # A point solve is the window pass at half-width 0 (W = N); its
-        # budget is window_entry_budget's at offset 0, with no localization
-        # term where the window covers the support.
-        for t in (0.5, -0.5):
-            params = select_params(t, 1e-8, datum.szego_product(), 0, support=datum.support())
-            assert params.covers_support == covered
-            _, budget = solve_point(datum, t, 0, 1e-8)
-            assert budget == window_entry_budget(params, params.N, 0)
-            assert (budget.localization == 0.0) == covered
-
     def test_solvers_take_eta_from_the_datum_only(self):
         q0 = random_sequence(seed=303, count=4, lo=-2, hi=3, max_modulus=0.5)
         for solve in (solve_point, solve_window, solve_window_detailed):
@@ -265,22 +251,65 @@ class TestSolvePoint:
             seq(0, [1.0])
 
 
+def hexes(xs):
+    return [float(x).hex() for x in xs]
+
+
+DENSE = random_sequence(seed=405, count=5, lo=-3, hi=4, max_modulus=0.5)
+WIDE = seq(0, np.r_[0.05, np.zeros(399), 0.05j])  # support wider than its closed form
+
+
+@pytest.mark.parametrize(
+    "datum, shape, t, covered",
+    [(DENSE, POINT, 0.5, True), (WIDE, POINT, 0.5, False), (DENSE, WINDOW, 0.5, False),
+     (DENSE, POINT, -0.5, True), (WIDE, POINT, -0.5, False), (DENSE, WINDOW, -2.0, False),
+     (Sequence(0, []), POINT, 0.5, False), (Sequence(0, []), WINDOW, -0.5, False)],
+    ids=["point-covers", "point-misses", "window", "point-covers-negative-t",
+         "point-misses-negative-t", "window-negative-t", "point-zero", "window-zero"],
+)
+def test_plan_terms_are_the_entry_budgets(datum, shape, t, covered):
+    # The plan takes each emitted entry's two budget terms once: POINT's
+    # localization of 0 only where its window covers the support, the term
+    # at r on any other pass, bit for bit window_entry_budget's; the solvers
+    # return exactly those.  A point pass is the window pass at half-width
+    # 0 (W = N) with select_params' parameters.  The zero datum runs no
+    # pass and its terms are all 0; its params record no support, so
+    # window_entry_budget cannot tell it from a datum the window misses.
+    p = solver.plan(datum, t, 0, 1e-8, shape)
+    assert p.params.covers_support == covered
+    offsets = range(-p.half, p.half + 1)
+    if datum.is_zero:
+        want = [(0.0, 0.0)] * len(offsets)
+    else:
+        budgets = [window_entry_budget(p.params, p.W, s) for s in offsets]
+        want = [(b.localization, b.truncation) for b in budgets]
+    assert (hexes(p.localization), hexes(p.truncation)) == tuple(hexes(w) for w in zip(*want))
+    assert (max(p.localization) == 0.0) == (covered or datum.is_zero)
+    if shape is POINT:
+        assert p.params == select_params(t, 1e-8, datum.szego_product(), 0, datum.support())
+        _, budget = solve_point(datum, t, 0, 1e-8)
+        assert hexes([budget.localization, budget.truncation]) == hexes(want[0])
+    else:
+        _, budgets, params = solve_window_detailed(datum, t, 0, 1e-8)
+        assert params == p.params
+        assert hexes(budgets) == hexes(loc + trunc for loc, trunc in want)
+
+
 class TestQueryIndex:
     def test_j_equals_n_maps_to_center(self):
-        """The shift sends the query site n0 to index N, so the value lives
-        at recurrence index n + N; index n + N + 1 is the site n0 + 1."""
+        """The shift sends the query site n0 to index W, so the value lives
+        at recurrence index n + W, n = 2W; index n + W + 1 is the site n0 + 1."""
         q0 = seq(0, [0.4])
         t = 1.0
-        params = select_params(t, 1e-6, q0.szego_product())
-        N, n = params.N, params.n
-        # The pass at half-width 1 over W = N: order n, sites -1 .. 1.
-        plan = PassPlan.build((0, 0), 0, N - 1, 1, t)
-        assert (plan.W, plan.order, plan.steps, plan.first) == (N, n, n + N + 2, n + N - 1)
-        gammas = _schur_pass(q0, t, plan)
+        # The window pass over W = N + half: order 2W, sites -half .. half.
+        plan = solver.plan(q0, t, 0, 1e-6, WINDOW)
+        N, half, W, n = plan.params.N, plan.half, plan.W, plan.order
+        assert (W, n, plan.steps, plan.first) == (N + half, 2 * W, n + W + half + 1, n + W - half)
+        gammas = _schur_pass(q0, plan)
         ref = rk4_integrate(q0, t, 1e-3, radius=60)
-        dev_center = abs(gammas[n + N] - ref.q.at(0))
-        dev_next_as_center = abs(gammas[n + N + 1] - ref.q.at(0))
-        dev_next_as_next = abs(gammas[n + N + 1] - ref.q.at(1))
+        dev_center = abs(gammas[n + W] - ref.q.at(0))
+        dev_next_as_center = abs(gammas[n + W + 1] - ref.q.at(0))
+        dev_next_as_next = abs(gammas[n + W + 1] - ref.q.at(1))
         assert dev_center <= 1e-8
         assert dev_next_as_next <= 1e-8
         assert dev_next_as_center > 1e3 * max(dev_center, 1e-12)
@@ -383,10 +412,11 @@ def test_convergence_in_multiplier_order():
     eta = q0.szego_product()
     c = stability_constant(eta, 0.5).value
     j = W  # the window shift places the original site 0 at index W
+    point = solver.plan(q0, t, 0, 1e-6, POINT)
     prev = None
     for n in range(12, 16):
-        plan = PassPlan(center=0, W=W, half=0, order=n, steps=n + W + 1, first=n + W, lead=0)
-        gammas = _schur_pass(q0, t, plan)
+        plan = replace(point, W=W, order=n, steps=n + W + 1, first=n + W, clip=(-W, W))
+        gammas = _schur_pass(q0, plan)
         value = complex(gammas[n + j])
         if prev is not None:
             bound = 6.0 * c * delta_nt(n - 1, t) * math.exp(4.0 * t) * 2.0 ** (n - 1 + j + 1)
