@@ -2,12 +2,14 @@
 
 Two trees that print the same lines give bit-identical results on every
 job of the benchmark rounds (perfbench/jobs.build for the point, compare
-and nlft workloads) and on a few fixed solver cases that those rounds
-lack.  A point job hashes solve_point's value and budget as float.hex; a
-compare or nlft job hashes perfbench/worker.Runner.run's digest (exit code,
-stderr and output bytes).  A fixed case hashes its values, budgets and
-parameters, or the type and message of its refusal.  The last line is the
-sha256 of all the lines before it.
+and nlft workloads) and on a few fixed solver and writer cases that those
+rounds lack.  A point job hashes solve_point's value and budget as
+float.hex; a compare or nlft job hashes perfbench/worker.Runner.run's
+digest (exit code, stderr and output bytes).  A fixed solver case hashes
+its values, budgets and parameters, or the type and message of its
+refusal; a fixed command case hashes its exit code, stderr and output
+bytes, written to --out or to stdout.  The last line is the sha256 of all
+the lines before it.
 
 Usage, from the repository root with src on PYTHONPATH:
     python scripts/artifact_digests.py [--seeds 1 2 3 4 5]
@@ -33,6 +35,7 @@ import jobs  # noqa: E402
 import worker  # noqa: E402
 
 from al_ist.cli import main as cli_main  # noqa: E402
+from al_ist.datagen import dense_random_sequence  # noqa: E402
 from al_ist.seqio import write_sequence  # noqa: E402
 from al_ist.sequence import Sequence  # noqa: E402
 from al_ist.solver import solve_point, solve_window_detailed  # noqa: E402
@@ -60,15 +63,16 @@ def solved(solve, *args) -> str:
             f"{p.N} {p.r.hex()} {p.eta.hex()} {p.reflect}")
 
 
-def command(workdir: Path, datum: Sequence, args: list[str]) -> str:
-    """Exit code, stderr and output bytes of one CLI run on datum."""
+def command(workdir: Path, datum: Sequence, args: list[str], stdout: bool = False) -> str:
+    """Exit code, stderr and output bytes of one CLI run on datum, the
+    output written to --out, or to stdout where stdout is set."""
     source, out = workdir / "case.json", workdir / "case.out"
     write_sequence(datum, str(source))
     out.unlink(missing_ok=True)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = cli_main(["--in", str(source), "--out", str(out), *args])
-    body = out.read_bytes() if out.exists() else b""
+    err, text = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(text):
+        code = cli_main(["--in", str(source), *([] if stdout else ["--out", str(out)]), *args])
+    body = out.read_bytes() if out.exists() else text.getvalue().encode()
     return f"{code}\n{err.getvalue()}\n{hashlib.sha256(body).hexdigest()}"
 
 
@@ -113,6 +117,24 @@ def fixed_lines(workdir: Path):
     for n0 in (0, -12):
         args = ["--cmd", "solve", "--t", "-2.0", "--eps", "1e-10", "--n0", str(n0)]
         yield f"solve command negative t n0 {n0}", sha(command(workdir, bench, args))
+    # Every JSON writer: a sequence (reference), G's coefficients
+    # (multiplier), a and b below FAST_FLOATS floats and over several
+    # unequal vectorized passes, to stdout, and a job that trips a guard
+    # after its writer began.
+    small = dense_random_sequence(11, -3, 20, 0.3)
+    uneven = dense_random_sequence(12, -700, 5001, 0.04, 0.01)
+    breakdown = Sequence(0, 0.999999 * np.exp(1j * np.arange(64)))
+    writers = {
+        "reference command": (bench, ["--cmd", "reference", "--t", "0.5", "--h", "0.01",
+                                      "--radius", "150"], False),
+        "multiplier command": (bench, ["--cmd", "multiplier", "--t", "30", "--n0", "200"], False),
+        "nlft command below FAST_FLOATS": (small, ["--cmd", "nlft"], False),
+        "nlft command over unequal passes": (uneven, ["--cmd", "nlft"], False),
+        "nlft command to stdout": (uneven, ["--cmd", "nlft"], True),
+        "nlft command guard tripped": (breakdown, ["--cmd", "nlft"], False),
+    }
+    for label, (datum, args, stdout) in writers.items():
+        yield label, sha(command(workdir, datum, args, stdout))
 
 
 def main() -> None:
