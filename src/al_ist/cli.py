@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +30,10 @@ from .laurent import CircleGrid, lp_eval_grid
 from .nlft import Transfer2x2, grid_identities, identity_grid, nlft_forward
 from .reference import lattice_radius, rk4_integrate, rk8_pair
 from .sequence import Sequence
-from .seqio import csv_table, json_text, laurent_to_doc, read_sequence, sequence_to_text
+from .seqio import csv_table, json_pieces, laurent_to_doc, read_sequence, sequence_doc
+# The writers stream json_pieces and call no json_text; the name stays here
+# because the benchmark's tracer (perfbench/spans.py) wraps cli.json_text.
+from .seqio import json_text  # noqa: F401
 from .solver import solve_window_detailed
 from .multiplier import bundle_grid_size, g_bundle, p_poly
 
@@ -84,12 +89,23 @@ def _require(ok: bool, message: str):
         raise ValidationError(message)
 
 
-def _emit(job: JobSpec, text: str):
+def _emit(job: JobSpec, pieces: Iterable[str]):
+    """Write the artifact's pieces, in order, to --out, or to stdout without
+    it, each as it comes, so that no whole text is built.  If making or
+    writing a piece raises (a check that trips while the text waits on it,
+    an OSError), the partly written --out file is removed before the error
+    propagates: a job that fails leaves no output file.  On stdout the
+    pieces written before the error stay written."""
     if job.output_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(job.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        sys.stdout.writelines(pieces)
+        return
+    fh = open(job.output_path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(pieces)
+    except BaseException:
+        Path(job.output_path).unlink(missing_ok=True)
+        raise
 
 
 def _grid(size: int) -> CircleGrid:
@@ -113,7 +129,8 @@ def _run_solve(job: JobSpec) -> int:
     window, budgets, _ = solve_window_detailed(datum, job.t, job.n0, job.eps)
     values = window.values
     sites = np.arange(window.offset, window.offset + len(values))
-    _emit(job, csv_table(["n", "re", "im", "budget"], [sites, values.real, values.imag, budgets]))
+    columns = [sites, values.real, values.imag, budgets]
+    _emit(job, [csv_table(["n", "re", "im", "budget"], columns)])
     return 0
 
 
@@ -121,7 +138,7 @@ def _run_reference(job: JobSpec) -> int:
     _require(job.t is not None, "reference needs --t")
     datum = _input_sequence(job)
     state = rk4_integrate(datum, job.t, job.h, job.radius, job.boundary)
-    _emit(job, sequence_to_text(state.q))
+    _emit(job, json_pieces(sequence_doc(state.q)))
     return 0
 
 
@@ -154,7 +171,7 @@ def _run_compare(job: JobSpec) -> int:
     columns = [np.arange(lo, hi + 1), values.real, values.imag, ref.real, ref.imag, deviation,
                allowance, np.where(ok, "pass", "fail")]
     header = ["n", "re", "im", "ref_re", "ref_im", "deviation", "allowance", "verdict"]
-    _emit(job, csv_table(header, columns))
+    _emit(job, [csv_table(header, columns)])
     return 0 if ok.all() else 1
 
 
@@ -188,7 +205,7 @@ def _run_nlft(job: JobSpec) -> int:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         m = nlft_forward(datum)
     # The checks run on the worker while this thread writes a and b; the
-    # text waits on them only where their values stand.
+    # writer waits on them only where their values stand.
     checks = _CHECKS.submit(_nlft_checks, datum, grid, m)
 
     def szego_identity() -> dict:
@@ -204,10 +221,9 @@ def _run_nlft(job: JobSpec) -> int:
         "grid": grid.size,
     }
     try:
-        text = json_text(doc)
+        _emit(job, json_pieces(doc))
     finally:
         checks.exception()  # wait on every path, so that no job's checks outlive it
-    _emit(job, text)
     return 0
 
 
@@ -235,7 +251,7 @@ def _run_multiplier(job: JobSpec) -> int:
         "grid": grid.size,
         "g": laurent_to_doc(bundle.g),
     }
-    _emit(job, json_text(doc))
+    _emit(job, json_pieces(doc))
     return 0
 
 

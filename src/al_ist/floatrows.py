@@ -1,6 +1,6 @@
 """JSON rows of complex arrays and CSV rows of tables, byte for byte those
 of seqio.fmt, from one vectorized decimal pass (rows_text and table_text,
-used by seqio.json_text from seqio.FAST_FLOATS floats on and by
+used by seqio.json_pieces from seqio.FAST_FLOATS floats on and by
 seqio.csv_table from seqio.TABLE_NUMBERS numbers on), and the table of
 powers of ten and the exact product that readrows, its inverse, shares.
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -51,11 +52,14 @@ _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
 # Both codecs' tie tolerance; see _decimal_slots and readrows._values.
 _TIE_TOL = 2.0**-40
 
-# Floats per vectorized pass at most, so that its temporaries (about 15
-# arrays of one value per float) stay near 0.5 MB for the largest arrays.
-# An array is cut into equal passes, so that none of several passes is
-# shorter than _CHUNK / 2 floats.
-_CHUNK = 4096
+# Floats per vectorized pass at most.  A pass's temporaries peak at about
+# 15 arrays of one value per float (0.23 MB here), and a sequence file of
+# 8 192 rows written pass by pass peaks at about 0.8 of its text.  Passes
+# of 2 048 floats took no longer than passes of 4 096 on 1 024-8 192 rows
+# (least of 40, 2-core x86 host).  An array is cut into equal passes
+# (rows_text cuts between rows), so that none of several passes is shorter
+# than about _CHUNK / 2 floats.
+_CHUNK = 2048
 
 
 @functools.cache
@@ -163,29 +167,7 @@ def _decimal_slots(x: np.ndarray, out: np.ndarray):
     with the bytes moved, one gather per value of X.
     """
     digits, stripped, tails, exp = _decimal_tables()
-    ax = np.abs(x)
-    fast = (ax >= 10.0**_K_MIN) & (ax < 10.0 ** (_K_MAX + 1))  # False for NaN
-    ax = np.where(fast, ax, 1.0)
-    k = np.floor(np.log10(ax))
-    np.clip(k, _K_MIN, _K_MAX, out=k)
-    k = k.astype(np.int64)
-    p, e, _, pl = _times_pow10(ax, 16 - k)
-    yl = e + ax * pl
-    whole = np.floor(yl)
-    frac = yl - whole
-    below = p.astype(np.int64) + whole.astype(np.int64)  # floor(y)
-    d = below + (frac > 0.5)
-    fast &= (below >= 10**16) & (d < 10**17) & (np.abs(frac - 0.5) > _TIE_TOL)
-
-    high = d // 10**8
-    low = (d - high * 10**8).astype(np.uint32)
-    lead = high // 10**8
-    high = (high - lead * 10**8).astype(np.uint32)
-    lead = lead.astype(np.uint8)
-    g1 = high // 10000
-    g3 = low // 10000
-    g2 = high - g1 * 10000
-    g4 = low - g3 * 10000
+    k, fast, lead, g1, g2, g3, g4 = _digit_groups(x)
     # A group keeps its trailing zeros when a later group is nonzero.
     later = g4 != 0
     out[:, 5] = stripped[g4]
@@ -213,6 +195,39 @@ def _decimal_slots(x: np.ndarray, out: np.ndarray):
         out[slow] = _fmt_words(x[slow])
 
 
+def _digit_groups(x: np.ndarray):
+    """The decimal stage of _decimal_slots: k, the mask of the floats whose
+    D stands (fast), D's lead digit d0 and its 4-digit groups d1..d4,
+    d5..d8, d9..d12 and d13..d16.  Its float and int64 temporaries end
+    with it, before the layout stage begins."""
+    ax = np.abs(x)
+    fast = (ax >= 10.0**_K_MIN) & (ax < 10.0 ** (_K_MAX + 1))  # False for NaN
+    ax = np.where(fast, ax, 1.0)
+    k = np.floor(np.log10(ax))
+    np.clip(k, _K_MIN, _K_MAX, out=k)
+    k = k.astype(np.int64)
+    below, frac = _floor_and_fraction(ax, k)
+    d = below + (frac > 0.5)
+    fast &= (below >= 10**16) & (d < 10**17) & (np.abs(frac - 0.5) > _TIE_TOL)
+
+    high = d // 10**8
+    low = (d - high * 10**8).astype(np.uint32)
+    lead = high // 10**8
+    high = (high - lead * 10**8).astype(np.uint32)
+    g1 = high // 10000
+    g3 = low // 10000
+    return k, fast, lead.astype(np.uint8), g1, high - g1 * 10000, g3, low - g3 * 10000
+
+
+def _floor_and_fraction(ax: np.ndarray, k: np.ndarray):
+    """floor(y) and frac = yl - floor(yl) for y = ax 10^(16 - k) as the
+    double-double yh + yl; see _decimal_slots."""
+    p, e, _, pl = _times_pow10(ax, 16 - k)
+    yl = e + ax * pl
+    whole = np.floor(yl)
+    return p.astype(np.int64) + whole.astype(np.int64), yl - whole
+
+
 def _point_after(text: np.ndarray, point: int) -> np.ndarray:
     """Fixed-form slots with exponent X = point, 1 <= X <= 16, from their
     e-form slots (uint8 rows): d1 .. dX move before the point, NUL (a
@@ -228,30 +243,39 @@ def _point_after(text: np.ndarray, point: int) -> np.ndarray:
     return text
 
 
-def rows_text(values: np.ndarray, pad: str) -> str:
+def rows_text(values: np.ndarray, pad: str) -> Iterator[str]:
     """json_text's rows of a complex array, "{pad}  [re, im]" joined by
-    ",\n" and ended by "\n".
+    ",\n" and ended by "\n", in equal passes of at most _CHUNK floats
+    (_CHUNK / 2 rows): each pass's text is made when the one before it has
+    been taken, so a caller that writes each as it comes holds one pass.
 
     One row is two half-rows of one layout, the prefix words, a float's slot
-    and a word for ", " or "],\n", so the slots of all floats, in order,
-    are rows of one strided view, which _decimal_slots fills in equal
-    passes of at most _CHUNK floats."""
+    and a word for ", " or "],\n", so the slots of a pass's floats, in
+    order, are rows of one strided view, which _decimal_slots fills."""
     lead = f"{pad}  [".encode("ascii")
     words = -(-len(lead) // 4)
     slot = bytes(4 * _SLOT_WORDS)
     row = lead.rjust(4 * words, b"\0") + slot + b", \0\0" + bytes(4 * words) + slot + b"],\n\0"
-    buf = bytearray(row) * len(values)
-    buf[-3] = 0  # no comma after the last row
-    slots = np.frombuffer(buf, dtype=np.uint32).reshape(2 * len(values), -1)[:, words:-1]
-    _chunked_slots(np.ascontiguousarray(values, dtype=np.complex128).view(np.float64), slots)
-    return buf.translate(None, b"\0").decode("ascii")
+    for start, end in _passes(len(values), _CHUNK // 2):
+        buf = bytearray(row) * (end - start)
+        if end == len(values):
+            buf[-3] = 0  # no comma after the last row
+        slots = np.frombuffer(buf, dtype=np.uint32).reshape(2 * (end - start), -1)[:, words:-1]
+        parts = np.ascontiguousarray(values[start:end], dtype=np.complex128).view(np.float64)
+        _decimal_slots(parts, slots)
+        yield buf.translate(None, b"\0").decode("ascii")
+
+
+def _passes(count: int, size: int) -> list[tuple[int, int]]:
+    """(start, end) of count items cut into equal passes of at most size."""
+    passes = -(-count // size)
+    cuts = [count * i // passes for i in range(passes + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _chunked_slots(parts: np.ndarray, slots: np.ndarray):
     """_decimal_slots(parts, slots) in equal passes of at most _CHUNK floats."""
-    passes = -(-len(parts) // _CHUNK)
-    cuts = [len(parts) * i // passes for i in range(passes + 1)]
-    for start, end in zip(cuts, cuts[1:]):
+    for start, end in _passes(len(parts), _CHUNK):
         _decimal_slots(parts[start:end], slots[start:end])
 
 

@@ -214,7 +214,10 @@ def lp_eval_grid(p: LaurentPoly | tuple[LaurentPoly, ...], g: CircleGrid) -> np.
 
     Coefficients are scaled by radius**exponent and folded into residue
     classes mod the grid size; folding is exact because the nodes are
-    size-th roots of unity scaled by the radius.
+    size-th roots of unity scaled by the radius.  The inverse FFT writes
+    into the fold buffer and is scaled there, with the bits of
+    np.fft.ifft(folded) * g.size, so the buffer returned is the one grid
+    array the evaluation makes.
     """
     if isinstance(p, LaurentPoly):
         folded = np.zeros(g.size, dtype=np.complex128)
@@ -223,7 +226,9 @@ def lp_eval_grid(p: LaurentPoly | tuple[LaurentPoly, ...], g: CircleGrid) -> np.
         folded = np.zeros((len(p), g.size), dtype=np.complex128)
         for poly, row in zip(p, folded):
             _fold(poly, g, row)
-    return np.fft.ifft(folded) * g.size
+    values = np.fft.ifft(folded, axis=-1, out=folded)
+    values *= g.size
+    return values
 
 
 def _fold(p: LaurentPoly, g: CircleGrid, out: np.ndarray) -> None:

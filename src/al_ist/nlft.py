@@ -397,8 +397,13 @@ def _reflection(m: Transfer2x2, g: CircleGrid) -> np.ndarray:
 
 
 def _szego_mean(refl: np.ndarray) -> float:
-    """Grid mean of log(1 - |r|^2) from values of r."""
-    return float(np.mean(np.log1p(-np.abs(refl) ** 2)))
+    """Grid mean of log(1 - |r|^2) from values of r.  |r|^2, its negative
+    and log1p are formed in one float buffer, by the ufuncs of
+    log1p(-np.abs(refl) ** 2) in the same order."""
+    x = np.abs(refl)
+    np.square(x, out=x)
+    np.negative(x, out=x)
+    return float(np.mean(np.log1p(x, out=x)))
 
 
 def identity_grid(q: Sequence) -> CircleGrid:
@@ -427,9 +432,11 @@ def grid_identities(q: Sequence, av: np.ndarray, bv: np.ndarray) -> tuple[float,
     """(Szego lhs, Szego rhs, unitarity residual) of q from av and bv, the
     values of q's transfer product m at the nodes of a unit-circle grid g:
     the first two are szego_identity_check(q, g, m)'s, the last is
-    m.unitarity_residual(g), bit for bit.  b/a is formed in bv's buffer,
-    which it overwrites, so the peak memory is that of either check alone:
-    a and b with their squared moduli."""
+    m.unitarity_residual(g), bit for bit.  The residual is formed in the
+    buffers of |a|^2 and |b|^2, b/a in bv's, which it overwrites, and
+    log(1 - |b/a|^2) in one float buffer, so beside av and bv (two complex
+    grid arrays, one each from lp_eval_grid) the checks hold at most two
+    float grid arrays at once."""
     residual = _residual(*_squared_moduli(av, bv))
     refl = np.divide(bv, av, out=bv)
     return _szego_mean(refl), q.log_szego_product(), residual

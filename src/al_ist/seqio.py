@@ -12,7 +12,10 @@ TABLE_NUMBERS numbers) or more: floatrows.rows_text and
 floatrows.table_text write their rows, byte for byte those of fmt, from
 one vectorized decimal pass, with fmt as its fallback near rounding ties
 and outside [1e-99, 1e33).  floatrows is imported at its first use, so
-importing al_ist.cli does not load it.
+importing al_ist.cli does not load it.  A JSON text is rendered in pieces
+(json_pieces), a long array in passes of rows; the CLI's writers and
+write_sequence write each piece as it comes, so they never build the whole
+text, and json_text and sequence_to_text join the pieces.
 
 Reading is the same split the other way.  A text of FAST_READ_CHARS
 characters or more goes first to readrows.parse_sequence, imported at its
@@ -30,6 +33,7 @@ either path.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from itertools import chain
 
 import numpy as np
@@ -69,8 +73,12 @@ def fmt(x: float) -> str:
     return "-0.0" if s == "-0" else s
 
 
+def sequence_doc(seq: Sequence) -> dict:
+    return {"offset": seq.offset, "values": seq.values}
+
+
 def sequence_to_text(seq: Sequence) -> str:
-    return json_text({"offset": seq.offset, "values": seq.values})
+    return json_text(sequence_doc(seq))
 
 
 def sequence_from_text(text: str) -> Sequence:
@@ -128,8 +136,10 @@ def read_sequence(path: str) -> Sequence:
 
 
 def write_sequence(seq: Sequence, path: str):
+    """sequence_to_text(seq) written to path one json_pieces piece at a
+    time, so no whole text is built."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(sequence_to_text(seq))
+        fh.writelines(json_pieces(sequence_doc(seq)))
 
 
 def csv_table(header: list[str], columns: list[np.ndarray]) -> str:
@@ -155,38 +165,57 @@ def laurent_to_doc(p) -> dict:
 
 
 def json_text(doc) -> str:
-    """Deterministic JSON with 17-significant-digit floats.
+    """Deterministic JSON with 17-significant-digit floats: json_pieces(doc)
+    joined."""
+    return "".join(json_pieces(doc))
+
+
+def json_pieces(doc) -> Iterator[str]:
+    """json_text's text, in pieces, in order.
 
     Renders dicts, bools, ints, floats and one-dimensional complex arrays,
     the last as one [re, im] row per line, and a zero-argument callable as
     the value it returns, called when the text reaches it; any other node is
-    a TypeError.
+    a TypeError, raised there.  An array of FAST_FLOATS floats or more comes
+    as floatrows.rows_text's passes, each made when the piece before it has
+    been taken, so a writer that writes each piece as it comes holds at most
+    one pass of rows and never the whole text.
     """
 
     def render(node, pad):
         if callable(node):
             node = node()
         if isinstance(node, dict):
-            items = [f'{pad}  "{k}": {render(v, pad + "  ")}' for k, v in node.items()]
-            return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-        if isinstance(node, np.ndarray) and node.dtype.kind == "c" and node.ndim == 1:
+            yield "{\n"
+            sep = ""
+            for k, v in node.items():
+                yield f'{sep}{pad}  "{k}": '
+                yield from render(v, pad + "  ")
+                sep = ",\n"
+            yield f"\n{pad}}}"
+        elif isinstance(node, np.ndarray) and node.dtype.kind == "c" and node.ndim == 1:
             if not len(node):
-                return "[]"
-            if 2 * len(node) < FAST_FLOATS:
+                yield "[]"
+            elif 2 * len(node) < FAST_FLOATS:
                 rows = ",\n".join(
                     f"{pad}  [{fmt(re)}, {fmt(im)}]"
                     for re, im in zip(node.real.tolist(), node.imag.tolist())
                 )
-                return f"[\n{rows}\n{pad}]"
-            from .floatrows import rows_text
+                yield f"[\n{rows}\n{pad}]"
+            else:
+                from .floatrows import rows_text
 
-            return f"[\n{rows_text(node, pad)}{pad}]"
-        if isinstance(node, bool):
-            return "true" if node else "false"
-        if isinstance(node, float):
-            return fmt(node)
-        if isinstance(node, int):
-            return str(node)
-        raise TypeError(f"json_text cannot render {type(node).__name__}")
+                yield "[\n"
+                yield from rows_text(node, pad)
+                yield f"{pad}]"
+        elif isinstance(node, bool):
+            yield "true" if node else "false"
+        elif isinstance(node, float):
+            yield fmt(node)
+        elif isinstance(node, int):
+            yield str(node)
+        else:
+            raise TypeError(f"json_text cannot render {type(node).__name__}")
 
-    return render(doc, "") + "\n"
+    yield from render(doc, "")
+    yield "\n"

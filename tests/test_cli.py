@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -35,9 +36,11 @@ from al_ist.seqio import (
     TABLE_NUMBERS,
     csv_table,
     fmt,
+    json_pieces,
     json_text,
     laurent_to_doc,
     read_sequence,
+    sequence_doc,
     sequence_from_text,
     sequence_to_text,
     write_sequence,
@@ -182,6 +185,27 @@ class TestSequenceFiles:
             "    [-0.0, 0.5],\n    [0.25, -0.0]\n  ]\n}\n"
         )
         assert sequence_to_text(seq(3, [])) == '{\n  "offset": 3,\n  "values": []\n}\n'
+
+    @pytest.mark.parametrize("writer", ["write_sequence", "cli"])
+    def test_writing_holds_less_than_the_text(self, tmp_path, writer):
+        # Both writers take json_pieces one at a time, here eight passes of
+        # rows: the peak stays below the text's length, where building the
+        # text took about four times it.
+        q = dense_random_sequence(3, -100, 8192, 0.04, 0.01)
+        path = tmp_path / "q.json"
+        text = sequence_to_text(q)  # loads floatrows and makes its tables
+        tracemalloc.start()
+        try:
+            if writer == "cli":
+                job = JobSpec("reference", output_path=str(path))
+                al_ist.cli._emit(job, json_pieces(sequence_doc(q)))
+            else:
+                write_sequence(q, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text() == text
+        assert peak < len(text)
 
     def test_rejects_malformed_json(self):
         with pytest.raises(ValidationError):
@@ -1062,10 +1086,45 @@ class TestNlftCommand:
             raise OSError("disk full")
 
         monkeypatch.setattr(al_ist.cli, "_nlft_checks", slow_checks)
-        monkeypatch.setattr(al_ist.cli, "json_text", failing_writer)
+        monkeypatch.setattr(al_ist.cli, "json_pieces", failing_writer)
         with pytest.raises(OSError, match="disk full"):
             main(["--cmd", "nlft", "--in", datum_file(seq(0, [0.5, 0.25j]))])
         assert finished == [1]
+
+    def test_guard_after_writing_began_removes_an_existing_out_file(
+        self, datum_file, tmp_path, monkeypatch, capsys
+    ):
+        # b/a leaves the unit disk: the guard trips while the writer waits
+        # on the checks, after it opened --out and took a and b.  The file,
+        # which held an earlier artifact, is removed.
+        path = datum_file(seq(0, 0.999999 * np.exp(1j * np.arange(20))))
+        out = tmp_path / "ab.json"
+        out.write_text("an earlier artifact\n")
+        taken = []
+        pieces = al_ist.cli.json_pieces
+
+        def recorded(doc):
+            for piece in pieces(doc):
+                taken.append(piece)
+                yield piece
+
+        monkeypatch.setattr(al_ist.cli, "json_pieces", recorded)
+        assert main(["--cmd", "nlft", "--in", path, "--out", str(out)]) == 3
+        assert "reflection coefficient" in capsys.readouterr().err
+        assert '\n  "b": ' in "".join(taken) and not out.exists()
+
+    def test_writer_error_removes_the_partly_written_file(self, datum_file, tmp_path, monkeypatch):
+        pieces = al_ist.cli.json_pieces
+
+        def failing(doc):
+            yield next(pieces(doc))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(al_ist.cli, "json_pieces", failing)
+        out = tmp_path / "ab.json"
+        with pytest.raises(OSError, match="disk full"):
+            main(["--cmd", "nlft", "--in", datum_file(seq(0, [0.5, 0.25j])), "--out", str(out)])
+        assert not out.exists()
 
     def test_grid_override(self, datum_file, capsys):
         path = datum_file(seq(0, [0.5]))

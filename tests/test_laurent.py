@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from al_ist.laurent import (
+    _fold,
     CONVOLVE_SHORT,
     CONVOLVE_WORK,
     CircleGrid,
@@ -192,6 +194,39 @@ class TestEvalGrid:
             got = lp_eval_grid(p, g)
             want = np.array([lp_eval(p, z) for z in g.nodes])
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+    def test_evaluates_in_the_fold_buffer(self):
+        # The inverse FFT runs in the fold buffer and is scaled there: the
+        # bits of the out-of-place ifft and product, for one polynomial on
+        # 2^16 nodes and a batch on a smaller circle.
+        rng = np.random.default_rng(11)
+        p = LaurentPoly(-300, rng.standard_normal(40_000) + 1j * rng.standard_normal(40_000))
+        q = LaurentPoly(7, rng.standard_normal(3_000) + 1j * rng.standard_normal(3_000))
+        g = CircleGrid(2**16)
+        folded = np.zeros(g.size, dtype=np.complex128)
+        _fold(p, g, folded)
+        assert lp_eval_grid(p, g).tobytes() == (np.fft.ifft(folded) * g.size).tobytes()
+        g = CircleGrid(2**12, 0.9)
+        folded = np.zeros((2, g.size), dtype=np.complex128)
+        for poly, row in zip((p, q), folded):
+            _fold(poly, g, row)
+        assert lp_eval_grid((p, q), g).tobytes() == (np.fft.ifft(folded) * g.size).tobytes()
+
+    def test_holds_one_grid_array(self):
+        # With the FFT plan made, an evaluation on 2^16 nodes allocates little
+        # beyond the array it returns, where ifft and the product made two.
+        rng = np.random.default_rng(12)
+        p = LaurentPoly(-300, rng.standard_normal(40_000) + 1j * rng.standard_normal(40_000))
+        g = CircleGrid(2**16)
+        lp_eval_grid(p, g)
+        tracemalloc.start()
+        try:
+            values = lp_eval_grid(p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * values.nbytes
 
 
 class TestConjFlip:

@@ -442,6 +442,16 @@ def test_grid_identities_are_the_separate_checks_bit_for_bit(q):
     ]
 
 
+def test_szego_mean_is_the_expression_bit_for_bit():
+    # |r|^2, its negative and log1p are formed in one buffer, by the ufuncs
+    # of the expression in its order.
+    rng = np.random.default_rng(13)
+    refl = np.sqrt(0.99 * rng.random(4096)) * np.exp(2j * np.pi * rng.random(4096))
+    refl[:3] = [0.0, complex(-0.0, 0.5), 0.75]
+    want = float(np.mean(np.log1p(-np.abs(refl) ** 2)))
+    assert al_ist.nlft._szego_mean(refl).hex() == want.hex()
+
+
 def test_szego_check_reuses_a_given_product():
     q = random_sequence(seed=71, count=8, lo=-6, hi=7, max_modulus=0.7)
     g = CircleGrid(4096)

@@ -498,18 +498,30 @@ def schur_coeffs_mpmath(f: RationalSchur, m: int, dps: int = 40) -> np.ndarray:
     return np.asarray(gammas, dtype=np.complex128)
 
 
-@pytest.mark.parametrize("seed, t, n0, steps", [(3, 2.0, 0, 307), (5, 1.0, 8, 202)])
-def test_coeffs_match_a_40_digit_recursion(seed, t, n0, steps):
-    # The f0 of a point solve at eps 1e-10, on the shape of its PassPlan.
-    # Float64 drift from the 40-digit gammas was 7.5e-16 and 6.2e-16 here,
-    # and at most 6.2e-15 on a 436-step pass (t 6, eps 1e-6).
+@pytest.mark.parametrize(
+    "seed, t, n0, steps, run_steps", [(3, 2.0, 0, 307, 32), (5, 1.0, 8, 202, 20)]
+)
+def test_coeffs_match_a_40_digit_recursion(seed, t, n0, steps, run_steps, monkeypatch):
+    # The f0 of a point solve at eps 1e-10, built as solver._schur_pass
+    # builds it from the solve's PassPlan: both plans mirror the datum
+    # about n0, and the kernel runs run_steps of the steps.  Float64 drift
+    # from the 40-digit gammas was 2.8e-16 and 2.9e-17 here.
     q0 = random_sequence(seed, 7, -6, 6, 0.6, 0.3)
     point = plan(q0, t, n0, 1e-10, POINT)
-    assert point.steps == steps
-    left = n0 - point.W
-    m = nlft_forward(q0.windowed(left, n0 + point.W).shifted(-left))
+    assert (point.steps, point.run_steps, point.mirror) == (steps, run_steps, True)
+    datum = point.datum.reflected(n0) if point.mirror else point.datum
+    m = nlft_forward(datum.windowed(*point.clip).shifted(point.W - n0))
     f0 = RationalSchur(lp_mul(g_bundle(point.order, t).g, lp_conj_flip(m.b)), m.a)
+    counts = []
+    recur = _recur
+
+    def recording(p, q, count, gammas):
+        counts.append(count)
+        return recur(p, q, count, gammas)
+
+    monkeypatch.setattr("al_ist.schur._recur", recording)
     c = schur_coeffs(f0, steps)
+    assert counts == [run_steps]
     assert c.terminal is None
     assert np.max(np.abs(c.gammas - schur_coeffs_mpmath(f0, steps))) <= 1e-14
 
