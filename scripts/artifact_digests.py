@@ -101,6 +101,10 @@ def fixed_lines(workdir: Path):
         "point negative t": (solve_point, bench, -2.0, 0, 1e-10),
         "window negative t": (solve_window_detailed, bench, -2.0, 0, 1e-10),
         "point n0 left of the support": (solve_point, bench, 6.0, -12, 1e-10),
+        # Both mirror the datum about n0 and conjugate it: no benchmark job
+        # does both in one pass.
+        "point mirrored negative t n0 12": (solve_point, bench, -6.0, 12, 1e-10),
+        "point mirrored negative t n0 3": (solve_point, bench, -2.0, 3, 1e-10),
         "window n0 left of the support": (solve_window_detailed, bench, 2.0, -12, 1e-6),
         "point zero datum": (solve_point, Sequence(0, []), -1.0, 2, 1e-6),
         "window zero datum": (solve_window_detailed, Sequence(0, []), 1.0, 2, 1e-6),

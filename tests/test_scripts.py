@@ -40,5 +40,5 @@ def test_artifact_digests_repeat():
     # the total.
     first = run_script("artifact_digests.py", "--seeds", "1")
     lines = first.splitlines()
-    assert len(lines) == 11 + 11 + 7 + 15 + 6 + 1 and lines[-1].startswith("total: ")
+    assert len(lines) == 11 + 11 + 7 + 17 + 6 + 1 and lines[-1].startswith("total: ")
     assert run_script("artifact_digests.py", "--seeds", "1") == first
