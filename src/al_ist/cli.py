@@ -29,7 +29,7 @@ from .errors import NumericalGuardError, ValidationError
 from .laurent import CircleGrid, lp_eval_grid
 from .nlft import Transfer2x2, grid_identities, identity_grid, nlft_forward
 from .reference import lattice_radius, rk4_integrate, rk8_pair
-from .sequence import Sequence
+from .sequence import SITE_BOUND, Sequence
 from .seqio import csv_table, json_pieces, laurent_to_doc, read_sequence, sequence_doc
 # The writers stream json_pieces and call no json_text; the name stays here
 # because the benchmark's tracer (perfbench/spans.py) wraps cli.json_text.
@@ -70,6 +70,8 @@ class JobSpec:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValidationError(f"unknown command {self.command!r}")
+        if not -SITE_BOUND <= self.n0 <= SITE_BOUND:
+            raise ValidationError("n0 must lie in [-2^62, 2^62], the sites a sequence can hold")
         if self.t is not None and not math.isfinite(self.t):
             raise ValidationError("t must be finite")
         if self.eps is not None and not 0.0 < self.eps < 1.0:
@@ -235,7 +237,8 @@ def _run_multiplier(job: JobSpec) -> int:
     _grid(default)
     grid = _grid(job.grid if job.grid is not None else default)
     bundle = g_bundle(order, job.t)
-    phase = np.exp(1j * job.t * (grid.nodes + 1.0 / grid.nodes))
+    nodes = grid.nodes
+    phase = np.exp(1j * job.t * (nodes + 1.0 / nodes))
     p_error = float(np.max(np.abs(lp_eval_grid(p_poly(order, job.t), grid) - phase)))
     g_peak = float(np.max(np.abs(lp_eval_grid(bundle.g, grid))))
     doc = {

@@ -36,6 +36,7 @@ import re
 import numpy as np
 
 from .floatrows import _Q_MIN, _TIE_TOL, _times_pow10
+from .sequence import SITE_BOUND
 
 _HEAD = re.compile(rb'\{\n  "offset": (-?(?:0|[1-9][0-9]{0,18})),\n  "values": \[\n    \[')
 _TAIL = b"]\n  ]\n}\n"
@@ -120,7 +121,7 @@ def parse_sequence(text: str) -> tuple[int, np.ndarray] | None:
         start = end + len(_GAP)
     parts = np.concatenate(parts)
     offset = int(head[1])
-    if not (-(2**62) <= offset and offset + len(parts) // 2 - 1 <= 2**62):
+    if not (-SITE_BOUND <= offset and offset + len(parts) // 2 - 1 <= SITE_BOUND):
         return None
     return offset, parts
 

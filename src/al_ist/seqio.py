@@ -39,7 +39,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ValidationError
-from .sequence import Sequence
+from .sequence import SITE_BOUND, Sequence
 
 
 # Complex arrays of fewer floats go through fmt one float at a time: below
@@ -102,9 +102,7 @@ def sequence_from_text(text: str) -> Sequence:
     values = doc["values"]
     if not isinstance(values, list):
         raise ValidationError("values must be an array of [re, im] pairs")
-    # numpy holds lattice exponents as int64; |site| <= 2^62 leaves room for
-    # the negated and shifted exponents that the transforms form.
-    if not (-(2**62) <= offset and offset + max(len(values) - 1, 0) <= 2**62):
+    if not (-SITE_BOUND <= offset and offset + max(len(values) - 1, 0) <= SITE_BOUND):
         raise ValidationError("sites must lie in [-2^62, 2^62], inside numpy's int64 range")
     # json.loads builds exact ints, floats and lists (bool is its own
     # type), so the checks compare types by identity, one C-level pass each.

@@ -9,6 +9,11 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Every lattice site a file or a job names lies in [-SITE_BOUND, SITE_BOUND]:
+# numpy holds lattice exponents as int64, and 2^62 leaves room for the
+# negated and shifted exponents that the transforms form.
+SITE_BOUND = 2**62
+
 
 @dataclass(frozen=True)
 class Sequence:

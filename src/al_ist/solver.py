@@ -1,17 +1,18 @@
 """Fast point and window solver for the defocusing Ablowitz-Ladik equation.
 
 Both solvers run one Schur pass, and plan() decides all of it before any
-array is built (PassPlan): the trimmed datum and its Szego product, the
-half-width N and the radius r, the mirror and the conjugation, the window
-W = N + half, the order of the multiplier G, the steps and the index of
-each site, the clip of the datum that the transform gets, the budget terms
-of every emitted site, and the caps.  _solve only runs the plan: for the
-sites n0 - half .. n0 + half it truncates the datum to the window about n0,
-multiplies its one-sided Schur function by the Schur-class G, and runs
-Schur's algorithm.  A point value is the pass at half = 0.  Each entry's
-budget (window_entry_budget) certifies the two error sources: window
-truncation (localization) and multiplier truncation.  It bounds the error
-of the exact-arithmetic pipeline; float64 roundoff is not part of it.
+array is built (PassPlan): the datum's Szego product, the half-width N and
+the radius r, the window W = N + half, the order of the multiplier G, the
+steps and the index of each site, the budget terms of every emitted site,
+and the caps; and it builds the pass's source, the datum mirrored,
+conjugated and cut to the window as the pass transforms it.  _solve only
+runs the plan: for the sites n0 - half .. n0 + half it shifts the source
+onto the window's indices, multiplies its one-sided Schur function by the
+Schur-class G, and runs Schur's algorithm.  A point value is the pass at
+half = 0.  Each entry's budget (window_entry_budget) certifies the two
+error sources: window truncation (localization) and multiplier truncation.
+It bounds the error of the exact-arithmetic pipeline; float64 roundoff is
+not part of it.
 
 N is the least admissible half-width M, at most select_params' closed
 form, whose pass has its right-edge budget within eps, by the terms that
@@ -178,7 +179,8 @@ def _least_half_width(
     term exceeds 4 > eps at every r.  Above it both terms fall as M grows,
     so the search (_least_from) brackets the least M outward from
     _edge_guess and bisects, and returns what bisecting the whole range
-    would, probing no M twice.  log C(eta, 1/2) is formed once.
+    would, probing no M twice.  log C(eta, 1/2) is formed once here; a
+    WINDOW probe forms it again in best_radius.
     """
     log_c = stability_constant(eta, 0.5).log
     radii = {}
@@ -374,27 +376,28 @@ class PassPlan:
     [0, 2W], multiplies its one-sided Schur function by G_{order,t},
     order = 2W, and runs `steps` = 3W + half + 1 steps of Schur's
     algorithm.  Site n0 + s is the coefficient at index 3W + s, so the
-    first emitted site is at index `first` = 3W - half.  The pass runs on
-    `datum`, the trimmed datum, mirrored about n0 where `mirror`: a pass
-    that emits only n0 (half = 0) does so when the datum reaches further
-    left of n0 than right, so it runs from the datum's nearer end.  It is
-    conjugated where params.reflect: conj(q)(t) solves the equation with
-    datum conj(q0) iff q(-t) does with datum q0.  The transform gets that
-    datum's sites in `clip`, its support cut to the window, an empty range
-    where the window misses it.  The zero datum has clip None: it runs no
-    pass and its sites stay zero.
+    first emitted site is at index `first` = 3W - half.  The transform
+    gets `source` shifted by W - n0.  source is the trimmed datum, mirrored
+    about n0 where a pass that emits only n0 (half = 0) has a datum that
+    reaches further left of n0 than right, so it runs from the datum's
+    nearer end; conjugated where params.reflect, since conj(q)(t) solves
+    the equation with datum conj(q0) iff q(-t) does with datum q0; and cut
+    to the window, an empty sequence where the window misses the datum.
+    The zero datum has source None: it runs no pass and its sites stay
+    zero.  source is left unshifted: a shift moves only b's exponents, so
+    passes with equal sources, at any t and W, can share one transform.
 
     Steps.  The kernel runs only run_steps = steps - lead of them.
     G = (1 - delta) z^order P has no coefficient below z^(order - m),
     m = min(order, M), where M = multiplier._bessel_start(2t) ends its
-    Bessel band (M = 0 at t = 0).  The clip starts clip[0] - (n0 - W) after
-    the shift.  f0's numerator starts at the sum of the two, and
-    schur_coeffs writes the zero gammas below it without running the
-    kernel; `lead` is that sum, at most steps, and steps for a window that
-    misses the datum, whose numerator is 0.  So the kernel runs at most
-    half + 1 + M + (n0 - lo) steps, whatever N is, and a POINT pass runs
-    from the nearer end.  The stages before it do not grow with N: the
-    transform gets the clip, a short support is multiplied out site by
+    Bessel band (M = 0 at t = 0).  The source starts at
+    source.offset - (n0 - W) after the shift.  f0's numerator starts at the
+    sum of the two, and schur_coeffs writes the zero gammas below it
+    without running the kernel; `lead` is that sum, at most steps, and
+    steps for a window that misses the datum, whose numerator is 0.  So
+    the kernel runs at most half + 1 + M + (n0 - lo) steps, whatever N is,
+    and a POINT pass runs from the nearer end.  The stages before it do not grow with N: the
+    transform gets the source, a short support is multiplied out site by
     site, and G is stored and checked on its band of 2m + 1 coefficients.
     What still grows with N is the gamma array of 3W + half + 1 entries.
 
@@ -405,16 +408,14 @@ class PassPlan:
     for the zero datum.
     """
 
-    datum: Sequence
+    source: Sequence | None
     params: SolveParams
     half: int
-    mirror: bool
     W: int
     order: int
     steps: int
     first: int
     lead: int
-    clip: tuple[int, int] | None
     localization: list[float]
     truncation: list[float]
 
@@ -445,7 +446,7 @@ def plan(q0: Sequence, t: float, n0: int, eps: float, shape: PassShape) -> PassP
     order, steps, first = 2 * W, 3 * W + half + 1, 3 * W - half
     if support is None:
         zeros = [0.0] * (2 * half + 1)
-        return PassPlan(q0, params, half, False, W, order, steps, first, steps, None, zeros, zeros)
+        return PassPlan(None, params, half, W, order, steps, first, steps, zeros, zeros)
     updates = steps * (steps + 1) // 2
     if updates > SCHUR_UPDATE_CAP:
         raise InfeasibleParamsError(
@@ -454,29 +455,29 @@ def plan(q0: Sequence, t: float, n0: int, eps: float, shape: PassShape) -> PassP
         )
     # A pass that emits only its centre n0 has one budget, and the flow
     # commutes with n -> 2 n0 - n, so it runs from the datum's nearer end.
-    mirror = half == 0 and hi - n0 < n0 - lo
-    if mirror:
-        lo, hi = 2 * n0 - hi, 2 * n0 - lo
-    left, right = n0 - W, n0 + W
+    if half == 0 and hi - n0 < n0 - lo:
+        q0, lo, hi = q0.reflected(n0), 2 * n0 - hi, 2 * n0 - lo
+    if params.reflect:
+        q0 = q0.conjugated()
+    source = q0.windowed(max(lo, n0 - W), min(hi, n0 + W))
     lead = steps
-    if left <= hi and lo <= right:
+    if len(source):
         band = min(order, _bessel_start(2.0 * params.t) if params.t else 0)
-        lead = min(steps, order - band + max(lo, left) - left)
+        lead = min(steps, order - band + source.offset - (n0 - W))
     locs, truncs = _entry_terms(params, W, range(-half, half + 1))
-    clip = (max(lo, left), min(hi, right))
-    return PassPlan(q0, params, half, mirror, W, order, steps, first, lead, clip, locs, truncs)
+    return PassPlan(source, params, half, W, order, steps, first, lead, locs, truncs)
 
 
-def _schur_pass(q0: Sequence, plan: PassPlan) -> np.ndarray:
-    """The first plan.steps Schur coefficients of the pass over q0, the
-    datum as the plan runs it: window, shift, transform, multiply by G and
+def _schur_pass(plan: PassPlan) -> np.ndarray:
+    """The first plan.steps Schur coefficients of the plan's pass: shift
+    plan.source onto the window's indices, transform, multiply by G and
     recur.
 
-    The window is q0's sites in plan.clip, never the dense 2W + 1 sites:
-    the transform trims its input to the nonzero sites, so the bits are the
-    same, and a clip that misses the datum is empty, whose transform is the
-    identity, as a zero window's is."""
-    m = nlft_forward(q0.windowed(*plan.clip).shifted(plan.W - plan.params.n0))
+    The source is the datum's support cut to the window, never the dense
+    2W + 1 sites: the transform trims its input to the nonzero sites, so
+    the bits are the same, and a source that misses the datum is empty,
+    whose transform is the identity, as a zero window's is."""
+    m = nlft_forward(plan.source.shifted(plan.W - plan.params.n0))
     bundle = g_bundle(plan.order, plan.params.t)
     f0 = RationalSchur(lp_mul(bundle.g, lp_conj_flip(m.b)), m.a).validate()
     coeffs = schur_coeffs(f0, plan.steps)
@@ -522,16 +523,12 @@ def _budget_terms(
 
 def _solve(plan: PassPlan) -> Sequence:
     """The sites n0 - half .. n0 + half of the plan's pass at time t (see
-    PassPlan): the pass runs on the datum mirrored and conjugated as
-    planned, and a negative t conjugates its output."""
+    PassPlan); a negative t conjugates its output."""
     p = plan.params
-    if plan.clip is None:
+    if plan.source is None:
         values = np.zeros(2 * plan.half + 1, dtype=np.complex128)
     else:
-        datum = plan.datum.reflected(p.n0) if plan.mirror else plan.datum
-        if p.reflect:
-            datum = datum.conjugated()
-        values = _schur_pass(datum, plan)[plan.first :]
+        values = _schur_pass(plan)[plan.first :]
     window = Sequence(p.n0 - plan.half, values)
     return window.conjugated() if p.reflect else window
 

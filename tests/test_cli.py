@@ -651,6 +651,27 @@ class TestSolveCommand:
             assert float(re) == 0.0 and float(im) == 0.0
             assert float(budget) <= 1e-6
 
+    @pytest.mark.parametrize("command", ["solve", "compare", "multiplier"])
+    def test_refuses_an_n0_past_the_site_bound(self, datum_file, tmp_path, capsys, command):
+        # Past 2^63, np.arange made float sites and solve wrote 1e+19 on
+        # every row.
+        path = datum_file(seq(0, [0.3, 0.2j]))
+        out = tmp_path / "out.csv"
+        for n0 in (10**19, -(2**62) - 1):
+            code = main(["--cmd", command, "--in", path, "--out", str(out),
+                         "--t", "1.0", "--eps", "1e-6", "--n0", str(n0)])
+            assert code == 2 and "n0 must lie in [-2^62, 2^62]" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_sites_at_the_bound_are_exact_integers(self, datum_file, tmp_path):
+        path = datum_file(seq(0, [0.3, 0.2j]))
+        out = tmp_path / "out.csv"
+        assert main(["--cmd", "solve", "--in", path, "--out", str(out),
+                     "--t", "1.0", "--eps", "1e-6", "--n0", str(2**62)]) == 0
+        sites = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        half = len(sites) // 2
+        assert sites == [str(2**62 + s) for s in range(-half, half + 1)]
+
     def test_deterministic_output(self, datum_file, tmp_path):
         path = datum_file(random_sequence(seed=11, count=5, lo=-2, hi=3, max_modulus=0.5))
         args = ["--cmd", "solve", "--in", path, "--t", "0.5", "--eps", "1e-5"]

@@ -49,10 +49,11 @@ def point_oracle(q0, t: float, n0: int, eps: float) -> complex:
     lo, hi = q0.offset, q0.offset + len(q0.values) - 1
     N = select_params(t, eps, q0.szego_product(), n0, support=(lo, hi)).N
     point = plan(q0, t, n0, eps, POINT)
-    assert (point.params.N, point.W, point.mirror) == (N, N, hi - n0 < n0 - lo)
-    if point.mirror:
+    assert (point.params.N, point.W) == (N, N)
+    if hi - n0 < n0 - lo:
         q0 = q0.reflected(n0)
     W, n, steps = point.W, point.order, point.steps
+    assert point.source == q0.windowed(n0 - W, n0 + W)
     with mpmath.workdps(DPS):
         # Top row (a, b) of the ordered product of the shifted window's
         # factors, as exponent -> coefficient.

@@ -219,9 +219,9 @@ def test_zero_band_skip_fires_on_every_benchmark_pass(monkeypatch):
         runs.append(out[0])
         return out
 
-    def planning(q0, plan):
+    def planning(plan):
         planned.append(plan.run_steps)
-        return schur_pass(q0, plan)
+        return schur_pass(plan)
 
     monkeypatch.setattr(schur, "_shifts_exactly", spy)
     monkeypatch.setattr(schur, "_recur", recording)

@@ -508,9 +508,9 @@ def test_coeffs_match_a_40_digit_recursion(seed, t, n0, steps, run_steps, monkey
     # from the 40-digit gammas was 2.8e-16 and 2.9e-17 here.
     q0 = random_sequence(seed, 7, -6, 6, 0.6, 0.3)
     point = plan(q0, t, n0, 1e-10, POINT)
-    assert (point.steps, point.run_steps, point.mirror) == (steps, run_steps, True)
-    datum = point.datum.reflected(n0) if point.mirror else point.datum
-    m = nlft_forward(datum.windowed(*point.clip).shifted(point.W - n0))
+    assert (point.steps, point.run_steps) == (steps, run_steps)
+    assert point.source == q0.reflected(n0)
+    m = nlft_forward(point.source.shifted(point.W - n0))
     f0 = RationalSchur(lp_mul(g_bundle(point.order, t).g, lp_conj_flip(m.b)), m.a)
     counts = []
     recur = _recur

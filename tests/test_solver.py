@@ -305,7 +305,7 @@ class TestQueryIndex:
         plan = solver.plan(q0, t, 0, 1e-6, WINDOW)
         N, half, W, n = plan.params.N, plan.half, plan.W, plan.order
         assert (W, n, plan.steps, plan.first) == (N + half, 2 * W, n + W + half + 1, n + W - half)
-        gammas = _schur_pass(q0, plan)
+        gammas = _schur_pass(plan)
         ref = rk4_integrate(q0, t, 1e-3, radius=60)
         dev_center = abs(gammas[n + W] - ref.q.at(0))
         dev_next_as_center = abs(gammas[n + W + 1] - ref.q.at(0))
@@ -313,6 +313,44 @@ class TestQueryIndex:
         assert dev_center <= 1e-8
         assert dev_next_as_next <= 1e-8
         assert dev_next_as_center > 1e3 * max(dev_center, 1e-12)
+
+
+class TestPassSource:
+    """plan.source is the sequence the pass transforms, before its shift."""
+
+    @pytest.mark.parametrize("solve, shape, datum, t, n0, eps", [
+        # Real values, so conjugating writes -0 imaginary parts.
+        (solve_point, POINT, seq(-3, [0.3, -0.5, 0.0, 0.2, 0.45, -0.1, 0.25]), 2.0, 2, 1e-10),
+        (solve_point, POINT, seq(-3, [0.3, -0.5, 0.0, 0.2, 0.45, -0.1, 0.25]), -2.0, 2, 1e-10),
+        (solve_window_detailed, WINDOW, seq(-1, [0.3 - 0.2j, 0.1, -0.4j]), -0.5, 1, 1e-6),
+        (solve_window_detailed, WINDOW, seq(0, [math.sqrt(0.998)]), 2.0, 10_000, 1e-10),
+    ], ids=["point mirrored", "point mirrored negative t", "window negative t",
+            "window missing the datum"])
+    def test_the_transform_gets_the_shifted_source(self, solve, shape, datum, t, n0, eps,
+                                                   monkeypatch):
+        got = []
+        transform = solver.nlft_forward
+
+        def spy(q):
+            got.append(q)
+            return transform(q)
+
+        monkeypatch.setattr(solver, "nlft_forward", spy)
+        solve(datum, t, n0, eps)
+        p = solver.plan(datum, t, n0, eps, shape)
+        want = p.source.shifted(p.W - n0)
+        assert len(got) == 1 and got[0].offset == want.offset
+        assert got[0].values.view(np.float64).tobytes() == want.values.view(np.float64).tobytes()
+        if shape is POINT:
+            assert p.source == datum.reflected(n0)
+        if t < 0:
+            assert np.signbit(p.source.values.imag).any()
+
+    def test_zero_datum_has_no_source_and_no_transform(self, monkeypatch):
+        monkeypatch.setattr(solver, "nlft_forward", None)
+        for solve, shape in ((solve_point, POINT), (solve_window_detailed, WINDOW)):
+            assert solver.plan(seq(0, [0.0]), -1.0, 2, 1e-6, shape).source is None
+            solve(seq(0, [0.0]), -1.0, 2, 1e-6)
 
 
 class TestSolveWindow:
@@ -415,8 +453,9 @@ def test_convergence_in_multiplier_order():
     point = solver.plan(q0, t, 0, 1e-6, POINT)
     prev = None
     for n in range(12, 16):
-        plan = replace(point, W=W, order=n, steps=n + W + 1, first=n + W, clip=(-W, W))
-        gammas = _schur_pass(q0, plan)
+        source = point.source.windowed(-W, W)
+        plan = replace(point, W=W, order=n, steps=n + W + 1, first=n + W, source=source)
+        gammas = _schur_pass(plan)
         value = complex(gammas[n + j])
         if prev is not None:
             bound = 6.0 * c * delta_nt(n - 1, t) * math.exp(4.0 * t) * 2.0 ** (n - 1 + j + 1)
