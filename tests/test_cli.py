@@ -1229,6 +1229,21 @@ class TestMultiplierCommand:
     def test_requires_positive_order(self):
         assert main(["--cmd", "multiplier", "--t", "0.5"]) == 2
 
+    def test_reads_the_grid_nodes_once_and_lets_them_go(self, tmp_path):
+        # Reading CircleGrid.nodes twice peaked at 3.5 grid arrays; holding
+        # one read through the evaluations did too.  One read, freed once
+        # the phase is formed, peaks at 3.
+        args = ["--cmd", "multiplier", "--t", "0.5", "--n0", "8", "--grid", str(2**18),
+                "--out", str(tmp_path / "g.json")]
+        assert main(args) == 0  # warm: imports and caches outside the peak
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.25 * 16 * 2**18
+
     @pytest.mark.parametrize("t, order", [("700", "8"), ("700", "2000"), ("1e9", "8")])
     def test_inadmissible_order_at_a_long_time(self, capsys, t, order):
         # delta_{n,t} overflows a float above t of about 355, and the least
