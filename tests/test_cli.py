@@ -653,8 +653,8 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("command", ["solve", "compare", "multiplier"])
     def test_refuses_an_n0_past_the_site_bound(self, datum_file, tmp_path, capsys, command):
-        # Past 2^63, np.arange made float sites and solve wrote 1e+19 on
-        # every row.
+        # Past 2^63 np.arange makes float64 sites, so an unbounded n0 would
+        # write 1e+19 as the site of every row.
         path = datum_file(seq(0, [0.3, 0.2j]))
         out = tmp_path / "out.csv"
         for n0 in (10**19, -(2**62) - 1):
@@ -1230,9 +1230,9 @@ class TestMultiplierCommand:
         assert main(["--cmd", "multiplier", "--t", "0.5"]) == 2
 
     def test_reads_the_grid_nodes_once_and_lets_them_go(self, tmp_path):
-        # Reading CircleGrid.nodes twice peaked at 3.5 grid arrays; holding
-        # one read through the evaluations did too.  One read, freed once
-        # the phase is formed, peaks at 3.
+        # Each read of CircleGrid.nodes makes a grid array: a second read,
+        # or one read held through the two evaluations, peaks at 3.5 grid
+        # arrays; one read, freed once the phase is formed, at 3.
         args = ["--cmd", "multiplier", "--t", "0.5", "--n0", "8", "--grid", str(2**18),
                 "--out", str(tmp_path / "g.json")]
         assert main(args) == 0  # warm: imports and caches outside the peak

@@ -451,9 +451,9 @@ def test_convergence_in_multiplier_order():
     c = stability_constant(eta, 0.5).value
     j = W  # the window shift places the original site 0 at index W
     point = solver.plan(q0, t, 0, 1e-6, POINT)
+    source = point.source.windowed(-W, W)
     prev = None
     for n in range(12, 16):
-        source = point.source.windowed(-W, W)
         plan = replace(point, W=W, order=n, steps=n + W + 1, first=n + W, source=source)
         gammas = _schur_pass(plan)
         value = complex(gammas[n + j])
