@@ -8,8 +8,11 @@ float.hex; a compare or nlft job hashes perfbench/worker.Runner.run's
 digest (exit code, stderr and output bytes).  A fixed solver case hashes
 its values, budgets and parameters, or the type and message of its
 refusal; a fixed command case hashes its exit code, stderr and output
-bytes, written to --out or to stdout.  The last line is the sha256 of all
-the lines before it.
+bytes, written to --out or to stdout.  Each nlft line adds, after
+"transform", the sha256 of its artifact's transform fields (a, b,
+a_at_zero, grid and the Szego rhs; "none" without an artifact), so that a
+change which moves only the grid checks' residuals shows as such.  The
+last line is the sha256 of all the lines before it.
 
 Usage, from the repository root with src on PYTHONPATH:
     python scripts/artifact_digests.py [--seeds 1 2 3 4 5]
@@ -21,6 +24,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import math
 import sys
 import tempfile
@@ -45,6 +49,16 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def transform(body: bytes) -> str:
+    """sha256 of an nlft artifact's transform fields, or "none" for no
+    artifact: they must not move where only the grid checks change."""
+    if not body:
+        return "none"
+    doc = json.loads(body)
+    return sha(json.dumps([doc["a"], doc["b"], doc["a_at_zero"], doc["grid"],
+                           doc["szego_identity"]["rhs"]]))
+
+
 def hexes(values) -> str:
     return " ".join(float(x).hex() for x in values)
 
@@ -63,9 +77,11 @@ def solved(solve, *args) -> str:
             f"{p.N} {p.r.hex()} {p.eta.hex()} {p.reflect}")
 
 
-def command(workdir: Path, datum: Sequence, args: list[str], stdout: bool = False) -> str:
-    """Exit code, stderr and output bytes of one CLI run on datum, the
-    output written to --out, or to stdout where stdout is set."""
+def command(workdir: Path, datum: Sequence, args: list[str],
+            stdout: bool = False) -> tuple[str, bytes]:
+    """Exit code, stderr and the hash of the output bytes of one CLI run on
+    datum, and those bytes, the output written to --out, or to stdout where
+    stdout is set."""
     source, out = workdir / "case.json", workdir / "case.out"
     write_sequence(datum, str(source))
     out.unlink(missing_ok=True)
@@ -73,7 +89,7 @@ def command(workdir: Path, datum: Sequence, args: list[str], stdout: bool = Fals
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(text):
         code = cli_main(["--in", str(source), *([] if stdout else ["--out", str(out)]), *args])
     body = out.read_bytes() if out.exists() else text.getvalue().encode()
-    return f"{code}\n{err.getvalue()}\n{hashlib.sha256(body).hexdigest()}"
+    return f"{code}\n{err.getvalue()}\n{hashlib.sha256(body).hexdigest()}", body
 
 
 def benchmark_lines(seeds: list[int], workdir: Path):
@@ -85,7 +101,11 @@ def benchmark_lines(seeds: list[int], workdir: Path):
             runner = worker.Runner(workload, data, place)
             for job in sorted(round_, key=lambda job: job["id"]):
                 _, outcome = runner.run(job)
-                yield f"{workload} seed {seed} job {job['id']}", sha(outcome["digest"])
+                digest = sha(outcome["digest"])
+                if workload == "nlft":
+                    out = Path(outcome["output"]["path"])
+                    digest += f" transform {transform(out.read_bytes() if out.exists() else b'')}"
+                yield f"{workload} seed {seed} job {job['id']}", digest
 
 
 def uniform(eta: float) -> Sequence:
@@ -120,7 +140,7 @@ def fixed_lines(workdir: Path):
         yield label, sha(solved(solve, *args))
     for n0 in (0, -12):
         args = ["--cmd", "solve", "--t", "-2.0", "--eps", "1e-10", "--n0", str(n0)]
-        yield f"solve command negative t n0 {n0}", sha(command(workdir, bench, args))
+        yield f"solve command negative t n0 {n0}", sha(command(workdir, bench, args)[0])
     # Every JSON writer: a sequence (reference), G's coefficients
     # (multiplier), a and b below FAST_FLOATS floats and over several
     # unequal vectorized passes, to stdout, and a job that trips a guard
@@ -138,7 +158,11 @@ def fixed_lines(workdir: Path):
         "nlft command guard tripped": (breakdown, ["--cmd", "nlft"], False),
     }
     for label, (datum, args, stdout) in writers.items():
-        yield label, sha(command(workdir, datum, args, stdout))
+        text, body = command(workdir, datum, args, stdout)
+        digest = sha(text)
+        if "nlft" in args:
+            digest += f" transform {transform(body)}"
+        yield label, digest
 
 
 def main() -> None:

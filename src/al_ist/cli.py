@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericalGuardError, ValidationError
-from .laurent import CircleGrid, lp_eval_grid
+from .laurent import CircleGrid, coset_length, lp_eval_cosets
 from .nlft import Transfer2x2, grid_identities, identity_grid, nlft_forward
 from .reference import lattice_radius, rk4_integrate, rk8_pair
 from .sequence import SITE_BOUND, Sequence
@@ -39,9 +39,11 @@ from .multiplier import bundle_grid_size, g_bundle, p_poly
 
 COMMANDS = ("solve", "reference", "compare", "nlft", "multiplier")
 
-# Cap on the nodes of an nlft or multiplier evaluation grid (--grid or the
-# default): 64 MB per complex array.  The default nlft grid grows with the
-# sites' distance from 0, so a far offset alone could ask for gigabytes.
+# Cap on the nodes K of an nlft or multiplier evaluation grid (--grid or the
+# default).  The checks run one coset of L nodes at a time
+# (laurent.lp_eval_cosets), so the cap bounds their work, about K log L,
+# not their memory.  The default nlft grid grows with the sites' distance
+# from 0, so a far offset alone could ask for any size.
 GRID_NODE_CAP = 2**22
 
 # The one worker thread of the nlft checks: the pool starts it at the first
@@ -96,18 +98,39 @@ def _emit(job: JobSpec, pieces: Iterable[str]):
     it, each as it comes, so that no whole text is built.  If making or
     writing a piece raises (a check that trips while the text waits on it,
     an OSError), the partly written --out file is removed before the error
-    propagates: a job that fails leaves no output file.  On stdout the
-    pieces written before the error stay written."""
+    propagates: a job that fails leaves no output file.  An OSError of
+    opening, writing or flushing --out itself (a directory, a missing
+    parent, a full disk) propagates as a ValidationError that names the
+    path; one of making a piece propagates as it is.  Only a regular file
+    is removed, never a device such as /dev/null.  On stdout the pieces
+    written before the error stay written."""
     if job.output_path is None:
         sys.stdout.writelines(pieces)
         return
-    fh = open(job.output_path, "w", encoding="utf-8")
+    path = job.output_path
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
     try:
         with fh:
-            fh.writelines(pieces)
+            for piece in pieces:
+                try:
+                    fh.write(piece)
+                except OSError as exc:
+                    raise _unwritable(path, exc) from exc
+            try:
+                fh.flush()  # a full disk shows here at the latest, not at close
+            except OSError as exc:
+                raise _unwritable(path, exc) from exc
     except BaseException:
-        Path(job.output_path).unlink(missing_ok=True)
+        if os.path.isfile(path):
+            os.remove(path)
         raise
+
+
+def _unwritable(path: str, exc: OSError) -> ValidationError:
+    return ValidationError(f"cannot write output file {path}: {exc.strerror or exc}")
 
 
 def _grid(size: int) -> CircleGrid:
@@ -179,20 +202,18 @@ def _run_compare(job: JobSpec) -> int:
 
 def _nlft_checks(datum: Sequence, grid: CircleGrid, m: Transfer2x2) -> tuple[float, float, float]:
     """(Szego lhs, Szego rhs, unitarity residual) of the nlft job's product m
-    after its witness, from one evaluation of a and b on the grid; a guard
-    that trips raises NumericalGuardError."""
+    after its witness, from one evaluation of a and b on the grid, coset by
+    coset (grid_identities); a guard that trips raises NumericalGuardError."""
     # Every site has |q| < 1, so the exact product passes its witness and
     # its reflection coefficient stays inside the unit disk.  Where float64
     # loses either (|a| beyond its range, or cancelled to noise), that is a
     # numerical limit of the datum, not a fault in it.  This runs on the
     # worker thread, which does not inherit the caller's numpy error state.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        av, bv = m.grid_values(grid)
         try:
-            m.validate((grid, av, bv))
+            szego_lhs, szego_rhs, residual = grid_identities(datum, m, grid, witness=True)
         except ValidationError as exc:
             raise NumericalGuardError(f"float64 transfer product fails its witness: {exc}") from exc
-        szego_lhs, szego_rhs, residual = grid_identities(datum, av, bv)
     if not (math.isfinite(szego_lhs) and math.isfinite(residual)):
         raise NumericalGuardError(
             "float64 reflection coefficient is not inside the unit disk on the grid; "
@@ -237,11 +258,18 @@ def _run_multiplier(job: JobSpec) -> int:
     _grid(default)
     grid = _grid(job.grid if job.grid is not None else default)
     bundle = g_bundle(order, job.t)
-    nodes = grid.nodes
-    phase = np.exp(1j * job.t * (nodes + 1.0 / nodes))
-    del nodes  # a grid array: held through the evaluations below, it raises the peak by one
-    p_error = float(np.max(np.abs(lp_eval_grid(p_poly(order, job.t), grid) - phase)))
-    g_peak = float(np.max(np.abs(lp_eval_grid(bundle.g, grid))))
+    # max |P - e^{it(z + 1/z)}| and max |G| over the grid, one coset at a
+    # time, each coset's nodes formed as grid.nodes forms them.
+    polys = (p_poly(order, job.t), bundle.g)
+    length = coset_length(grid, *polys)
+    cosets = grid.size // length
+    errors, peaks = [], []
+    for c, (p_values, g_values) in enumerate(lp_eval_cosets(polys, grid, length)):
+        nodes = grid.nodes_at(np.arange(c, grid.size, cosets))
+        phase = np.exp(1j * job.t * (nodes + 1.0 / nodes))
+        errors.append(np.max(np.abs(p_values - phase)))
+        peaks.append(np.max(np.abs(g_values)))
+    p_error, g_peak = float(np.max(errors)), float(np.max(peaks))
     doc = {
         "n": order,
         "t": job.t,

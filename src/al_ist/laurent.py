@@ -9,6 +9,7 @@ trimmed on construction, never near-zeros).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,7 +188,12 @@ class CircleGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        ang = 2.0 * np.pi * np.arange(self.size) / self.size
+        return self.nodes_at(np.arange(self.size))
+
+    def nodes_at(self, index: np.ndarray) -> np.ndarray:
+        """The nodes of the given indices, each formed elementwise as nodes
+        forms it, so with nodes' bits."""
+        ang = 2.0 * np.pi * index / self.size
         return self.radius * np.exp(1j * ang)
 
 
@@ -206,6 +212,97 @@ def witness_grid(*polys: LaurentPoly) -> CircleGrid:
     of one polynomial fold onto the same residue in lp_eval_grid."""
     span = max(p.max_deg - p.min_deg for p in polys)
     return CircleGrid(next_pow2(2 * (span + 1), 1024))
+
+
+# The grid checks evaluate a K-node grid one coset of L nodes at a time
+# (lp_eval_cosets), L = max(witness grid, COSET_NODES) where L divides K, so
+# that their memory follows L, not K, and their work is about K log L.  The
+# nlft checks run on a worker thread beside the writer, and every array call
+# of theirs hands the interpreter lock over; at 2^13 the 2 048-site
+# benchmark jobs (16 384 nodes, two cosets) took 3-4% longer as whole jobs,
+# at 2^14 they are one coset and unchanged, and the 8 192-site job's checks
+# hold a quarter of its grid either way (2-core x86 host, in process,
+# medians of 60 interleaved jobs).
+COSET_NODES = 2**14
+
+# lp_eval_cosets twists coefficients in blocks of this many exponents: one
+# exp per block and per block offset, against one per coefficient.
+TWIST_BLOCK = 64
+
+
+def coset_length(g: CircleGrid, *polys: LaurentPoly) -> int:
+    """L, the nodes per coset when lp_eval_cosets evaluates polys on g:
+    max(witness_grid(*polys).size, COSET_NODES) where that divides g.size
+    on the unit circle, else g.size, one coset that is all of g."""
+    length = max(witness_grid(*polys).size, COSET_NODES)
+    return length if g.radius == 1.0 and g.size % length == 0 else g.size
+
+
+def lp_eval_cosets(
+    polys: tuple[LaurentPoly, ...], g: CircleGrid, length: int
+) -> Iterator[np.ndarray]:
+    """Values of polys on g, one coset of length nodes at a time.
+
+    With K = g.size, P = K // length and w = exp(2 pi i / K), coset c < P
+    holds the nodes w^(P m + c), m < length, and comes as a new
+    (len(polys), length) array, one row of values per polynomial, from one
+    batched inverse FFT of length `length`.  Since w^P is a length-th root
+    of unity, p(w^(P m + c)) = sum_k (p_k w^(c k)) w^(P k m): the
+    coefficients twisted by w^(c k) and folded mod length are evaluated on
+    CircleGrid(length) (decimation in frequency).  Coset 0 is not twisted:
+    it is lp_eval_grid(polys, CircleGrid(length, g.radius)) bit for bit,
+    each row lp_eval_grid(p, ...)'s, and with P = 1 that is
+    lp_eval_grid(polys, g).  More than one coset needs the unit circle and
+    a length that is a power of two.
+
+    The twist of the coefficient at exponent e + TWIST_BLOCK i + j
+    (e = min_deg, j < TWIST_BLOCK) is w^(c (e + TWIST_BLOCK i)) w^(c j),
+    one product of two short exp tables, each exponent reduced mod K in
+    integers before it becomes an angle, so exponents may reach +-2^62.
+    A twisted coset takes a handful of array calls, so that a thread
+    beside it waits on few hand-overs of the interpreter lock.  It holds
+    one coefficient-length array of twists, so a caller that drops each
+    coset before taking the next holds O(length + coefficients) memory,
+    not O(K).
+    """
+    size = g.size
+    yield lp_eval_grid(polys, CircleGrid(length, g.radius))
+    if size == length:
+        return
+    if g.radius != 1.0 or length & (length - 1):
+        raise ValueError("grid cosets need the unit circle and a power-of-two length")
+    blocks = [-(-len(p.coeffs) // TWIST_BLOCK) for p in polys]
+    starts = np.concatenate(
+        [p.min_deg % size + TWIST_BLOCK * np.arange(count) for p, count in zip(polys, blocks)]
+    ) % size
+    for c in range(1, size // length):
+        yield _twisted_coset(polys, blocks, starts, c, size, length)
+
+
+def _twisted_coset(
+    polys: tuple[LaurentPoly, ...], blocks: list[int], starts: np.ndarray, c: int, size: int,
+    length: int,
+) -> np.ndarray:
+    """lp_eval_cosets' coset c > 0 of a size-node grid; polys[i] has
+    blocks[i] blocks of TWIST_BLOCK exponents, whose first exponents mod
+    size are starts, in order.  The inverse FFT is unscaled
+    (norm="forward"), which for a power-of-two length is the scaled one
+    times length, bit for bit."""
+    folded = np.zeros((len(polys), length), dtype=np.complex128)
+    fine = _roots(c * np.arange(TWIST_BLOCK) % size, size)
+    twists = np.multiply.outer(_roots(c * starts % size, size), fine).reshape(-1)
+    at = 0
+    for p, count, row in zip(polys, blocks, folded):
+        twist = twists[at : at + len(p.coeffs)]
+        twist *= p.coeffs
+        _wrap_add(p.min_deg, twist, row)
+        at += count * TWIST_BLOCK
+    return np.fft.ifft(folded, axis=-1, norm="forward", out=folded)
+
+
+def _roots(exps: np.ndarray, size: int) -> np.ndarray:
+    """exp(2 pi i exps / size) for integer exps in [0, size)."""
+    return np.exp(2j * np.pi * exps / size)
 
 
 def lp_eval_grid(p: LaurentPoly | tuple[LaurentPoly, ...], g: CircleGrid) -> np.ndarray:
@@ -233,20 +330,26 @@ def lp_eval_grid(p: LaurentPoly | tuple[LaurentPoly, ...], g: CircleGrid) -> np.
 
 def _fold(p: LaurentPoly, g: CircleGrid, out: np.ndarray) -> None:
     """Add p's coefficients, scaled by radius**exponent, into out (zeros, of
-    the grid's size) at their exponents mod the size.  A block no longer
-    than the grid wraps at most once and lands by two slice adds; only a
-    longer one, whose exponents alias, needs np.add.at.  Both add each
-    coefficient to +0, so they write the same bits."""
-    m, length = g.size, len(p.coeffs)
+    the grid's size) at their exponents mod the size."""
     if g.radius == 1.0:
         scaled = p.coeffs
     else:
-        exps = np.arange(p.min_deg, p.min_deg + length, dtype=np.float64)
+        exps = np.arange(p.min_deg, p.min_deg + len(p.coeffs), dtype=np.float64)
         scaled = p.coeffs * np.power(g.radius, exps)
+    _wrap_add(p.min_deg, scaled, out)
+
+
+def _wrap_add(min_deg: int, coeffs: np.ndarray, out: np.ndarray) -> None:
+    """Add coeffs, at exponents min_deg, min_deg + 1, ..., into out (zeros)
+    at their exponents mod len(out).  A block no longer than out wraps at
+    most once and lands by two slice adds; only a longer one, whose
+    exponents alias, needs np.add.at.  Both add each coefficient to +0, so
+    they write the same bits."""
+    m, length = len(out), len(coeffs)
     if length > m:
-        np.add.at(out, np.arange(p.min_deg, p.min_deg + length) % m, scaled)
+        np.add.at(out, np.arange(min_deg, min_deg + length) % m, coeffs)
         return
-    start = p.min_deg % m
+    start = min_deg % m
     head = min(length, m - start)
-    out[start : start + head] += scaled[:head]
-    out[: length - head] += scaled[head:]
+    out[start : start + head] += coeffs[:head]
+    out[: length - head] += coeffs[head:]

@@ -28,6 +28,7 @@ gap leaves empty.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,10 @@ from .errors import ValidationError
 from .laurent import (
     CircleGrid,
     LaurentPoly,
+    coset_length,
     lp_add,
     lp_conj_flip,
+    lp_eval_cosets,
     lp_eval_grid,
     lp_mul,
     next_pow2,
@@ -97,11 +100,20 @@ class Transfer2x2:
         """a and b at the nodes of g."""
         return lp_eval_grid(self.a, g), lp_eval_grid(self.b, g)
 
+    def coset_values(self, g: CircleGrid) -> Iterator[np.ndarray]:
+        """a and b on g, one coset at a time: lp_eval_cosets((a, b), g, L)
+        with L = coset_length(g, a, b), (2, L) arrays with rows a and b.
+        The first coset is CircleGrid(L), which holds every node of
+        witness_grid(a, b)."""
+        return lp_eval_cosets((self.a, self.b), g, coset_length(g, self.a, self.b))
+
     def unitarity_residual(self, g: CircleGrid | None = None) -> float:
         """max over grid nodes of | |a|^2 - |b|^2 - 1 |; the default grid
-        is witness_grid(a, b)."""
+        is witness_grid(a, b).  The maximum is taken coset by coset
+        (coset_values), so the evaluation holds a few coset arrays, not g's
+        size; a NaN at any node makes it NaN."""
         g = g if g is not None else witness_grid(self.a, self.b)
-        return _residual(*_squared_moduli(*self.grid_values(g)))
+        return float(np.max([_residual(*_squared_moduli(*ab)) for ab in self.coset_values(g)]))
 
     def validate(
         self, values: tuple[CircleGrid, np.ndarray, np.ndarray] | None = None
@@ -114,7 +126,8 @@ class Transfer2x2:
         reflection coefficient leaves the unit disk.
 
         values, if given, are (g, a at g's nodes, b at g's nodes) for a
-        unit-circle grid g.  When g's size is a multiple of the witness
+        unit-circle grid g, such as the first coset of coset_values and
+        its CircleGrid(L).  When g's size is a multiple of the witness
         grid's, every witness node is a node of g, and the witness reads
         a and b there out of them instead of evaluating them again."""
         g = witness_grid(self.a, self.b)
@@ -396,14 +409,15 @@ def _reflection(m: Transfer2x2, g: CircleGrid) -> np.ndarray:
     return bv / av
 
 
-def _szego_mean(refl: np.ndarray) -> float:
-    """Grid mean of log(1 - |r|^2) from values of r.  |r|^2, its negative
-    and log1p are formed in one float buffer, by the ufuncs of
-    log1p(-np.abs(refl) ** 2) in the same order."""
-    x = np.abs(refl)
+def _szego_sum(refl: np.ndarray, out: np.ndarray | None = None) -> np.float64:
+    """Sum of log(1 - |r|^2) over values of r.  |r|^2, its negative and
+    log1p are formed in one float buffer, out if given, by the ufuncs of
+    log1p(-np.abs(refl) ** 2) in the same order; the sum over n values,
+    divided by n, is that expression's np.mean bit for bit."""
+    x = np.abs(refl, out=out)
     np.square(x, out=x)
     np.negative(x, out=x)
-    return float(np.mean(np.log1p(x, out=x)))
+    return np.sum(np.log1p(x, out=x))
 
 
 def identity_grid(q: Sequence) -> CircleGrid:
@@ -421,25 +435,55 @@ def szego_identity_check(
     """Both sides of the trace identity: grid mean of log(1 - |r_q|^2)
     against sum of log(1 - |q(n)|^2); the third value is -2 log a(0),
     which must equal both.  m is q's transfer product, nlft_forward(q)
-    unless the caller already has it."""
+    unless the caller already has it.  The mean is grid_identities': the
+    sum of the coset sums over g's size."""
     if m is None:
         m = nlft_forward(q)
-    lhs = _szego_mean(_reflection(m, g))
-    return lhs, q.log_szego_product(), float(-2.0 * math.log(abs(m.a_at_zero())))
+    if g.radius != 1.0:
+        raise ValidationError("reflection coefficient is defined on the unit circle")
+    lhs, rhs, _ = grid_identities(q, m, g)
+    return lhs, rhs, float(-2.0 * math.log(abs(m.a_at_zero())))
 
 
-def grid_identities(q: Sequence, av: np.ndarray, bv: np.ndarray) -> tuple[float, float, float]:
-    """(Szego lhs, Szego rhs, unitarity residual) of q from av and bv, the
-    values of q's transfer product m at the nodes of a unit-circle grid g:
-    the first two are szego_identity_check(q, g, m)'s, the last is
-    m.unitarity_residual(g), bit for bit.  The residual is formed in the
-    buffers of |a|^2 and |b|^2, b/a in bv's, which it overwrites, and
-    log(1 - |b/a|^2) in one float buffer, so beside av and bv (two complex
-    grid arrays, one each from lp_eval_grid) the checks hold at most two
-    float grid arrays at once."""
-    residual = _residual(*_squared_moduli(av, bv))
-    refl = np.divide(bv, av, out=bv)
-    return _szego_mean(refl), q.log_szego_product(), residual
+def grid_identities(
+    q: Sequence, m: Transfer2x2, g: CircleGrid, witness: bool = False
+) -> tuple[float, float, float]:
+    """(Szego lhs, Szego rhs, unitarity residual) of q, whose transfer
+    product is m, on the unit-circle grid g, from one evaluation of a and
+    b, coset by coset (m.coset_values(g)): the lhs is the correctly
+    rounded sum (math.fsum) of the coset sums of log(1 - |b/a|^2) over
+    g's size, the residual the largest of the coset residuals.  These are
+    szego_identity_check(q, g, m)'s first two values and
+    m.unitarity_residual(g); with a single coset (g no larger than
+    COSET_NODES or the witness grid, or no multiple of that) they are the
+    whole-grid mean and maximum bit for bit.
+
+    With witness, m.validate reads the first coset, CircleGrid(L), which
+    holds every witness node, before any other coset is computed, and its
+    ValidationError propagates.  Per coset the residual is formed in the
+    buffers of |a|^2 and |b|^2, b/a in b's row and log(1 - |b/a|^2) in one
+    float buffer, and each coset is dropped before the next is evaluated,
+    so the checks hold a few L-node arrays whatever g's size."""
+    cosets, terms = m.coset_values(g), []
+    if witness:
+        first = next(cosets)
+        m.validate((CircleGrid(first.shape[1]), *first))
+        terms.append(_coset_identities(first))
+        del first  # not held while the next coset is made
+    terms += map(_coset_identities, cosets)
+    residuals, sums = zip(*terms)
+    return math.fsum(sums) / g.size, q.log_szego_product(), float(np.max(residuals))
+
+
+def _coset_identities(ab: np.ndarray) -> tuple[float, np.float64]:
+    """(unitarity residual, Szego sum) of one coset's a and b values, rows
+    of ab, which it overwrites.  |a|^2 and |b|^2 come from one call each
+    over both rows, the ufuncs of _squared_moduli, and log(1 - |b/a|^2)
+    reuses the buffer of |a|^2."""
+    squares = np.abs(ab)
+    np.square(squares, out=squares)
+    residual = _residual(*squares)
+    return residual, _szego_sum(np.divide(ab[1], ab[0], out=ab[1]), out=squares[0])
 
 
 def shift_check(q: Sequence, n: int, g: CircleGrid) -> float:

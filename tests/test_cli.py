@@ -2,9 +2,13 @@
 
 import dataclasses
 import decimal
+import errno
 import hashlib
 import json
 import math
+import os
+import stat
+import threading
 import time
 import tracemalloc
 import warnings
@@ -23,8 +27,8 @@ import al_ist.solver
 from al_ist.cli import GRID_NODE_CAP, JobSpec, build_parser, main
 from al_ist.datagen import dense_random_sequence, random_sequence
 from al_ist.errors import NumericalGuardError, ValidationError
-from al_ist.laurent import CircleGrid, LaurentPoly
-from al_ist.multiplier import delta_nt, smallest_admissible_order
+from al_ist.laurent import COSET_NODES, CircleGrid, LaurentPoly, lp_eval_grid
+from al_ist.multiplier import delta_nt, g_bundle, p_poly, smallest_admissible_order
 from al_ist.nlft import Transfer2x2, grid_identities, identity_grid, nlft_forward, nlft_forward_naive
 from al_ist.reference import RK4, RK8, RK8_STEP, default_radius, rk4_integrate, rk8_pair
 from al_ist.sequence import Sequence
@@ -1049,16 +1053,17 @@ class TestNlftCommand:
 
     @staticmethod
     def grid_sizes(monkeypatch) -> list[int]:
-        """The sizes of the grids Transfer2x2.grid_values evaluates on, on
-        any thread, as the job runs."""
+        """The sizes of the grids Transfer2x2.grid_values and coset_values
+        evaluate on, on any thread, as the job runs."""
         sizes = []
-        grid_values = Transfer2x2.grid_values
+        for name in ("grid_values", "coset_values"):
+            evaluate = getattr(Transfer2x2, name)
 
-        def counted(self, g):
-            sizes.append(g.size)
-            return grid_values(self, g)
+            def counted(self, g, evaluate=evaluate):
+                sizes.append(g.size)
+                return evaluate(self, g)
 
-        monkeypatch.setattr(Transfer2x2, "grid_values", counted)
+            monkeypatch.setattr(Transfer2x2, name, counted)
         return sizes
 
     def test_one_evaluation_per_job(self, datum_file, monkeypatch, capsys):
@@ -1083,7 +1088,7 @@ class TestNlftCommand:
         text = capsys.readouterr().out
         assert sizes == [grid, 1024]
         m = nlft_forward(q).validate()
-        lhs, rhs, residual = grid_identities(q, *m.grid_values(CircleGrid(grid)))
+        lhs, rhs, residual = grid_identities(q, m, CircleGrid(grid))
         assert text == json_text({
             "a": laurent_to_doc(m.a),
             "b": laurent_to_doc(m.b),
@@ -1146,6 +1151,46 @@ class TestNlftCommand:
         with pytest.raises(OSError, match="disk full"):
             main(["--cmd", "nlft", "--in", datum_file(seq(0, [0.5, 0.25j])), "--out", str(out)])
         assert not out.exists()
+
+    def test_checks_hold_a_few_coset_arrays_on_a_far_datum(self):
+        # Two sites past 2^17: the identity grid has 2^20 nodes, and the
+        # checks, coset by coset on COSET_NODES, hold about three arrays of
+        # COSET_NODES complex values (a coset of a and b, then |a|^2 and
+        # |b|^2) where one pass over the whole grid held two of 2^20.
+        q = seq(200_000, [0.3, 0.2j])
+        grid, m = identity_grid(q), nlft_forward(q)
+        assert grid.size == 2**20
+        al_ist.cli._nlft_checks(q, grid, m)  # warm: the FFT plan is made outside the peak
+        tracemalloc.start()
+        try:
+            lhs, rhs, residual = al_ist.cli._nlft_checks(q, grid, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16 * COSET_NODES
+        assert residual <= 1e-14 and abs(lhs - rhs) <= 1e-15
+
+    def test_witness_trips_on_the_first_coset_above_its_size(
+        self, datum_file, monkeypatch, capsys
+    ):
+        # b/a leaves the unit disk; on a grid of four cosets the witness
+        # reads the first, the 1 024 witness nodes among its COSET_NODES, and
+        # trips with its message before any other coset is evaluated.
+        q = seq(0, 0.999999 * np.exp(1j * np.arange(20)))
+        taken = []
+        cosets = al_ist.nlft.lp_eval_cosets
+
+        def counted(*args):
+            for values in cosets(*args):
+                taken.append(values.shape)
+                yield values
+
+        monkeypatch.setattr(al_ist.nlft, "lp_eval_cosets", counted)
+        assert main(["--cmd", "nlft", "--in", datum_file(q), "--grid", str(4 * COSET_NODES)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical guard tripped: float64 transfer product fails its witness")
+        assert " of 1024 witness nodes: the reflection coefficient" in err
+        assert taken == [(2, COSET_NODES)]
 
     def test_grid_override(self, datum_file, capsys):
         path = datum_file(seq(0, [0.5]))
@@ -1244,6 +1289,39 @@ class TestMultiplierCommand:
             tracemalloc.stop()
         assert peak < 3.25 * 16 * 2**18
 
+    def test_checks_hold_a_few_coset_arrays(self, tmp_path):
+        # On 2^18 nodes the checks run coset by coset on COSET_NODES: the
+        # cosets of P and G, the nodes, the phase and its temporaries and
+        # |P - phase| come to about seven arrays of COSET_NODES complex
+        # values (7.1 measured), where the whole grid held three of 2^18.
+        args = ["--cmd", "multiplier", "--t", "0.5", "--n0", "8", "--grid", str(2**18),
+                "--out", str(tmp_path / "g.json")]
+        assert main(args) == 0
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 16 * COSET_NODES
+
+    def test_cosets_give_the_whole_grid_checks(self, tmp_path):
+        # max |P - phase| and max |G| over the cosets agree with one pass
+        # over the whole grid within a few ulp of the values' size.
+        t, order, size = 3.0, 40, 2**18
+        out = tmp_path / "g.json"
+        assert main(["--cmd", "multiplier", "--t", repr(t), "--n0", str(order),
+                     "--grid", str(size), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        grid = CircleGrid(size)
+        nodes = grid.nodes
+        phase = np.exp(1j * t * (nodes + 1.0 / nodes))
+        bundle = g_bundle(order, t)
+        p_error = np.max(np.abs(lp_eval_grid(p_poly(order, t), grid) - phase))
+        g_peak = np.max(np.abs(lp_eval_grid(bundle.g, grid)))
+        assert abs(doc["p_error_max"] - p_error) <= 8 * 2.0**-52
+        assert abs(doc["g_peak"] - g_peak) <= 8 * 2.0**-52
+
     @pytest.mark.parametrize("t, order", [("700", "8"), ("700", "2000"), ("1e9", "8")])
     def test_inadmissible_order_at_a_long_time(self, capsys, t, order):
         # delta_{n,t} overflows a float above t of about 355, and the least
@@ -1278,6 +1356,82 @@ class TestLongTimes:
                      "--t", "1200", "--eps", "1e-10"])
         assert code == 0, capsys.readouterr().err
         assert out.read_text().startswith("n,re,im,budget")
+
+
+class TestUnwritableOut:
+    """An --out that cannot be opened or written is a validation error
+    (exit 2) that names the path, with no traceback and no file left."""
+
+    ARGS = {
+        "solve": ["--cmd", "solve", "--t", "0.5", "--eps", "1e-6"],
+        "compare": ["--cmd", "compare", "--t", "0.5", "--eps", "1e-6"],
+        "nlft": ["--cmd", "nlft"],
+    }
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "nlft"])
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_exits_2_naming_the_path(self, datum_file, tmp_path, capsys, command, where):
+        out = tmp_path / "out" if where == "directory" else tmp_path / "absent" / "out.txt"
+        if where == "directory":
+            out.mkdir()
+        path = datum_file(random_sequence(seed=3, count=6, lo=-4, hi=5, max_modulus=0.6))
+        assert main([*self.ARGS[command], "--in", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: cannot write output file {out}: ")
+        assert err.count("\n") == 1
+        if where == "directory":
+            assert out.is_dir() and not any(out.iterdir())
+        else:
+            assert not out.parent.exists()
+
+    def test_write_error_exits_2_and_removes_the_file(self, datum_file, tmp_path, monkeypatch,
+                                                       capsys):
+        # The disk fills after the file is made: the write's OSError names
+        # the path, and the partly written file is removed.
+        out = tmp_path / "ab.json"
+
+        class FullDisk:
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def flush(self):
+                self.fh.flush()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(al_ist.cli, "open", FullDisk, raising=False)
+        assert main(["--cmd", "nlft", "--in", datum_file(seq(0, [0.5, 0.25j])),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"validation error: cannot write output file {out}: No space left on device\n"
+        assert not out.exists()
+
+    def test_guard_leaves_an_out_that_is_not_a_regular_file(self, datum_file, tmp_path, capsys):
+        # A guard that trips after the writer opened --out removes a regular
+        # file; a pipe (like a device such as /dev/null) stays.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()))
+        reader.start()
+        path = datum_file(seq(0, 0.999999 * np.exp(1j * np.arange(20))))
+        try:
+            assert main(["--cmd", "nlft", "--in", path, "--out", str(fifo)]) == 3
+        finally:
+            reader.join(10)
+            if reader.is_alive():  # the job never opened the pipe: let the reader go
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(10)
+        assert "reflection coefficient" in capsys.readouterr().err
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert read and read[0].startswith(b'{\n  "a": ')
 
 
 class TestExitCodes:

@@ -12,11 +12,14 @@ from al_ist.laurent import (
     _fold,
     CONVOLVE_SHORT,
     CONVOLVE_WORK,
+    COSET_NODES,
     CircleGrid,
     LaurentPoly,
+    coset_length,
     lp_add,
     lp_conj_flip,
     lp_eval,
+    lp_eval_cosets,
     lp_eval_grid,
     lp_mul,
     monomial,
@@ -227,6 +230,69 @@ class TestEvalGrid:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * values.nbytes
+
+
+def random_polys(seed: int, length: int, far: bool = True) -> tuple[LaurentPoly, ...]:
+    """Polynomials of length coefficients at negative and small exponents
+    and, where far is set, out to the site bound 2^62 on either side."""
+    rng = np.random.default_rng(seed)
+    starts = (-(2**62), -5_000, -length // 2, 7, 2**62 - length) if far else (-50, -length // 2, 7)
+    return tuple(
+        LaurentPoly(start, rng.standard_normal(length) + 1j * rng.standard_normal(length))
+        for start in starts
+    )
+
+
+class TestEvalCosets:
+    @pytest.mark.parametrize("size, length", [(2**15, 2**13), (3 * 2**13, 2**13), (2**16, 2**12)])
+    def test_cosets_match_the_whole_grid(self, size, length):
+        # Coset c holds the nodes P m + c; its values agree with one FFT
+        # over the whole grid within 8 ulp of the largest value (4.3 at
+        # most, measured on these cases).
+        polys = random_polys(size, 1_500)
+        g = CircleGrid(size)
+        whole = lp_eval_grid(polys, g)
+        cosets = list(lp_eval_cosets(polys, g, length))
+        count = size // length
+        assert len(cosets) == count
+        for c, values in enumerate(cosets):
+            want = whole[:, c::count]
+            assert values.shape == want.shape
+            assert np.max(np.abs(values - want)) <= 8 * 2.0**-52 * np.max(np.abs(want))
+
+    def test_coset_zero_is_the_coset_grid_bit_for_bit(self):
+        polys = random_polys(3, 3_000)
+        values = next(lp_eval_cosets(polys, CircleGrid(2**16), 2**13))
+        for p, row in zip(polys, values):
+            assert row.tobytes() == lp_eval_grid(p, CircleGrid(2**13)).tobytes()
+
+    @pytest.mark.parametrize("size, radius", [(2**13, 1.0), (4096, 1.0), (1000, 1.0), (2**14, 0.9)])
+    def test_one_coset_is_lp_eval_grid_bit_for_bit(self, size, radius):
+        # A grid no larger than COSET_NODES, of no multiple of it, or off
+        # the unit circle is one coset, evaluated as lp_eval_grid does.
+        polys = random_polys(5, 300, far=radius == 1.0)
+        g = CircleGrid(size, radius)
+        length = coset_length(g, *polys)
+        assert length == size
+        (values,) = lp_eval_cosets(polys, g, length)
+        for p, row in zip(polys, values):
+            assert row.tobytes() == lp_eval_grid(p, g).tobytes()
+
+    def test_coset_length_rule(self):
+        short = LaurentPoly(-3, np.ones(100))
+        wide = LaurentPoly(0, np.ones(9_000))  # witness grid 2^15
+        assert COSET_NODES < 2**15
+        assert coset_length(CircleGrid(2**20), short) == COSET_NODES
+        assert coset_length(CircleGrid(2**20), short, wide) == 2**15
+        assert coset_length(CircleGrid(3 * COSET_NODES), short) == COSET_NODES
+        assert coset_length(CircleGrid(2**14, 0.5), short) == 2**14
+        assert coset_length(CircleGrid(2**14), wide) == 2**14
+
+    def test_coset_nodes_have_the_grid_nodes_bits(self):
+        g = CircleGrid(3 * 2**10)
+        nodes = g.nodes
+        for c in range(4):
+            assert g.nodes_at(np.arange(c, g.size, 4)).tobytes() == nodes[c::4].tobytes()
 
 
 class TestConjFlip:

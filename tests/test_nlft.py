@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from al_ist.datagen import dense_random_sequence, random_sequence
 from al_ist.errors import ValidationError
-from al_ist.laurent import CircleGrid, LaurentPoly, lp_eval_grid, witness_grid
+from al_ist.laurent import (
+    COSET_NODES,
+    CircleGrid,
+    LaurentPoly,
+    coset_length,
+    lp_eval_grid,
+    witness_grid,
+)
 import al_ist.nlft
 from al_ist.nlft import (
     DIRECT_SITES,
@@ -435,21 +442,109 @@ def test_identity_blocks_are_skipped_where_that_pays(zeros, skips, monkeypatch):
 def test_grid_identities_are_the_separate_checks_bit_for_bit(q):
     g = identity_grid(q)
     m = nlft_forward(q)
-    lhs, rhs, residual = grid_identities(q, *m.grid_values(g))
+    lhs, rhs, residual = grid_identities(q, m, g)
     s_lhs, s_rhs, _ = szego_identity_check(q, g, m)
     assert [v.hex() for v in (lhs, rhs, residual)] == [
         v.hex() for v in (s_lhs, s_rhs, m.unitarity_residual(g))
     ]
 
 
+@pytest.mark.parametrize(
+    "q",
+    [
+        random_sequence(seed=71, count=8, lo=-6, hi=7, max_modulus=0.7),
+        dense_random_sequence(23, -300, 1024, 0.04, 0.01),
+        seq(5, [0.5]),
+    ],
+)
+def test_one_coset_gives_the_whole_grid_expressions_bit_for_bit(q):
+    # Identity grids of at most COSET_NODES nodes are one coset: the
+    # checks are the whole-grid mean and maximum of the same ufuncs.
+    g = identity_grid(q)
+    assert g.size <= COSET_NODES
+    m = nlft_forward(q)
+    av, bv = lp_eval_grid(m.a, g), lp_eval_grid(m.b, g)
+    want = (float(np.mean(np.log1p(-np.abs(bv / av) ** 2))), q.log_szego_product(),
+            float(np.max(np.abs(np.abs(av) ** 2 - np.abs(bv) ** 2 - 1.0))))
+    assert [v.hex() for v in grid_identities(q, m, g)] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("size", [2**15, 2**16])
+def test_cosets_agree_with_the_whole_grid_within_its_roundoff(seed, size):
+    # eta about 0.5; the witness grid has 2 048 nodes, so the grid splits
+    # into cosets of COSET_NODES.  The whole grid's own unitarity residual
+    # is its roundoff: the coset residual lies within it of the whole
+    # grid's (0.81-1.50 of it, measured on seeds 1-8), and the Szego lhs
+    # within it too (0.011 of it at most).
+    q = dense_random_sequence(seed, -200, 700, 0.05, 0.01)
+    assert q.log_szego_product() >= math.log(0.1)
+    m = nlft_forward(q)
+    g = CircleGrid(size)
+    assert coset_length(g, m.a, m.b) == COSET_NODES < size
+    lhs, rhs, residual = grid_identities(q, m, g)
+    av, bv = lp_eval_grid(m.a, g), lp_eval_grid(m.b, g)
+    whole = float(np.max(np.abs(np.abs(av) ** 2 - np.abs(bv) ** 2 - 1.0)))
+    whole_lhs = float(np.mean(np.log1p(-np.abs(bv / av) ** 2)))
+    assert 0.0 < whole <= 1e-13
+    assert abs(residual - whole) <= whole
+    assert abs(lhs - whole_lhs) <= whole
+    assert rhs == q.log_szego_product()
+
+
+class TestWitnessAboveTheCosetSize:
+    """On a grid of several cosets the witness reads the first, the
+    L-node grid, which holds every witness node, and trips with the message
+    it gives on that grid's values, before any other coset is evaluated."""
+
+    GRID = CircleGrid(4 * COSET_NODES)
+
+    def refusals(self, m, monkeypatch) -> tuple[str, str]:
+        """The witness's message in grid_identities and on the L-node
+        grid's values."""
+        coset = CircleGrid(COSET_NODES)
+        with pytest.raises(ValidationError) as alone:
+            m.validate((coset, lp_eval_grid(m.a, coset), lp_eval_grid(m.b, coset)))
+        taken = []
+        cosets = al_ist.nlft.lp_eval_cosets
+
+        def counted(*args):
+            for values in cosets(*args):
+                taken.append(values.shape)
+                yield values
+
+        monkeypatch.setattr(al_ist.nlft, "lp_eval_cosets", counted)
+        with pytest.raises(ValidationError) as refusal:
+            grid_identities(seq(0, [0.5]), m, self.GRID, witness=True)
+        assert taken == [(2, COSET_NODES)]
+        return str(refusal.value), str(alone.value)
+
+    def test_nan(self, monkeypatch):
+        m = Transfer2x2(LaurentPoly(0, [1.0, math.nan]), LaurentPoly(0, [0.0]))
+        got, want = self.refusals(m, monkeypatch)
+        assert got == want and got.startswith("unitarity residual nan exceeds")
+
+    def test_reflection_coefficient_outside_the_disk(self, monkeypatch):
+        # Which of the witness nodes fail is roundoff; the count is the one
+        # the L-node grid's values give.
+        m = nlft_forward(seq(0, 0.999999 * np.exp(1j * np.arange(20))))
+        got, want = self.refusals(m, monkeypatch)
+        assert got == want and " of 1024 witness nodes: the reflection coefficient" in got
+
+    def test_residual_over_tolerance(self, monkeypatch):
+        m = nlft_forward(random_sequence(seed=21, count=12, lo=-8, hi=9, max_modulus=0.7))
+        got, want = self.refusals(Transfer2x2(m.a, 1.01 * m.b), monkeypatch)
+        assert got == want and got.startswith("unitarity residual ") and " exceeds " in got
+
+
 def test_szego_mean_is_the_expression_bit_for_bit():
     # |r|^2, its negative and log1p are formed in one buffer, by the ufuncs
-    # of the expression in its order.
+    # of the expression in its order; the sum over the size is its mean.
     rng = np.random.default_rng(13)
     refl = np.sqrt(0.99 * rng.random(4096)) * np.exp(2j * np.pi * rng.random(4096))
     refl[:3] = [0.0, complex(-0.0, 0.5), 0.75]
     want = float(np.mean(np.log1p(-np.abs(refl) ** 2)))
-    assert al_ist.nlft._szego_mean(refl).hex() == want.hex()
+    assert float(al_ist.nlft._szego_sum(refl) / refl.size).hex() == want.hex()
 
 
 def test_szego_check_reuses_a_given_product():
