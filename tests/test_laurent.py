@@ -247,7 +247,7 @@ class TestEvalCosets:
     @pytest.mark.parametrize("size, length", [(2**15, 2**13), (3 * 2**13, 2**13), (2**16, 2**12)])
     def test_cosets_match_the_whole_grid(self, size, length):
         # Coset c holds the nodes P m + c; its values agree with one FFT
-        # over the whole grid within 8 ulp of the largest value (4.3 at
+        # over the whole grid within 8 ulp of the largest value (3.0 at
         # most, measured on these cases).
         polys = random_polys(size, 1_500)
         g = CircleGrid(size)
@@ -287,6 +287,12 @@ class TestEvalCosets:
         assert coset_length(CircleGrid(3 * COSET_NODES), short) == COSET_NODES
         assert coset_length(CircleGrid(2**14, 0.5), short) == 2**14
         assert coset_length(CircleGrid(2**14), wide) == 2**14
+
+    @pytest.mark.parametrize("g, length", [(CircleGrid(2**14, 0.5), 2**13),
+                                           (CircleGrid(2**14), 3 * 2**12)])
+    def test_refuses_cosets_off_the_circle_or_of_a_length_that_does_not_divide(self, g, length):
+        with pytest.raises(ValueError, match="grid cosets need the unit circle"):
+            next(lp_eval_cosets(random_polys(5, 30, far=False), g, length))
 
     def test_coset_nodes_have_the_grid_nodes_bits(self):
         g = CircleGrid(3 * 2**10)
