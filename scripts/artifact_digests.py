@@ -156,6 +156,11 @@ def fixed_lines(workdir: Path):
         "nlft command over unequal passes": (uneven, ["--cmd", "nlft"], False),
         "nlft command to stdout": (uneven, ["--cmd", "nlft"], True),
         "nlft command guard tripped": (breakdown, ["--cmd", "nlft"], False),
+        # Data away from 0, whose grid follows the support's length alone.
+        "nlft command two sites at 10^6": (Sequence(10**6, np.array([0.5, 0.25j])),
+                                           ["--cmd", "nlft"], False),
+        "nlft command 64 sites at 5 000": (dense_random_sequence(13, 5_000, 64, 0.3),
+                                           ["--cmd", "nlft"], False),
     }
     for label, (datum, args, stdout) in writers.items():
         text, body = command(workdir, datum, args, stdout)

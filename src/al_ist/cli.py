@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 compare found deviations beyond the allowance,
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -42,8 +43,9 @@ COMMANDS = ("solve", "reference", "compare", "nlft", "multiplier")
 # Cap on the nodes K of an nlft or multiplier evaluation grid (--grid or the
 # default).  The checks run one coset of L nodes at a time
 # (laurent.lp_eval_cosets), so the cap bounds their work, about K log L,
-# not their memory.  The default nlft grid grows with the sites' distance
-# from 0, so a far offset alone could ask for any size.
+# not their memory.  The default nlft grid follows the support's length,
+# not its distance from 0, so only --grid, a support above 2^19 sites or a
+# multiplier order above 2^20 reaches it.
 GRID_NODE_CAP = 2**22
 
 # The one worker thread of the nlft checks: the pool starts it at the first
@@ -131,6 +133,20 @@ def _emit(job: JobSpec, pieces: Iterable[str]):
 
 def _unwritable(path: str, exc: OSError) -> ValidationError:
     return ValidationError(f"cannot write output file {path}: {exc.strerror or exc}")
+
+
+def _check_out(path: str):
+    """Refuse, as _emit would, an --out that is a directory or whose parent
+    directory does not exist, before the job's work; the file itself is not
+    opened or made here."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise _unwritable(path, OSError(code, os.strerror(code)))
 
 
 def _grid(size: int) -> CircleGrid:
@@ -299,6 +315,8 @@ _DISPATCH = {
 def run(job: JobSpec) -> int:
     """Execute one job; returns the process exit status."""
     try:
+        if job.output_path is not None:
+            _check_out(job.output_path)
         return _DISPATCH[job.command](job)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -229,6 +229,16 @@ COSET_NODES = 2**14
 # exp per block and per block offset, against one per coefficient.
 TWIST_BLOCK = 64
 
+# _inverse_rows inverse-FFTs rows of at most this many points in one batched
+# call, and longer rows one call per row; both give the same bits.  Two rows
+# folded and evaluated, least of 300 interleaved, in processes that had run
+# an nlft or a point job first (2-core x86 host, numpy 2.4.6): batched
+# against per row, 27-47 against 35-64 us at 1 024 points and 70-100
+# against 93-151 us at 4 096; 137-243 against 193-303 us at 8 192, where
+# the order flips between the two processes; 511-554 against 429-463 us
+# at 16 384 and 2.41-2.58 against 2.02-2.13 ms at 65 536.
+BATCHED_IFFT_POINTS = 2**12
+
 
 def coset_length(g: CircleGrid, *polys: LaurentPoly) -> int:
     """L, the nodes per coset when lp_eval_cosets evaluates polys on g:
@@ -245,8 +255,8 @@ def lp_eval_cosets(
 
     With K = g.size, P = K // length and w = exp(2 pi i / K), coset c < P
     holds the nodes w^(P m + c), m < length, and comes as a new
-    (len(polys), length) array, one row of values per polynomial, from one
-    inverse FFT of length `length` per row.  Since w^P is a length-th root
+    (len(polys), length) array, one row of values per polynomial, from the
+    inverse FFTs of _inverse_rows.  Since w^P is a length-th root
     of unity, p(w^(P m + c)) = sum_k (p_k w^(c k)) w^(P k m): the
     coefficients twisted by w^(c k) and folded mod length are evaluated on
     CircleGrid(length) (decimation in frequency).  Coset 0 is not twisted:
@@ -298,12 +308,15 @@ def _twisted_coset(
 
 
 def _inverse_rows(folded: np.ndarray) -> np.ndarray:
-    """lp_eval_grid's inverse FFT and scaling of each row of folded, in
-    place.  One call per row: numpy's one batched call over two rows of
-    8 192-65 536 points took 20-35% longer, for the same bits (2-core x86
-    host, numpy 2.4.6)."""
-    for row in folded:
-        np.fft.ifft(row, out=row)
+    """The inverse FFT of each row of folded, scaled by the row length, in
+    place: one batched call for rows of at most BATCHED_IFFT_POINTS, else
+    one call per row, with the bits of np.fft.ifft(folded, axis=-1) *
+    folded.shape[1] either way."""
+    if folded.shape[1] <= BATCHED_IFFT_POINTS:
+        np.fft.ifft(folded, axis=-1, out=folded)
+    else:
+        for row in folded:
+            np.fft.ifft(row, out=row)
     folded *= folded.shape[1]
     return folded
 
@@ -314,24 +327,19 @@ def _roots(exps: np.ndarray, size: int) -> np.ndarray:
 
 
 def lp_eval_grid(p: LaurentPoly | tuple[LaurentPoly, ...], g: CircleGrid) -> np.ndarray:
-    """Values of p at all grid nodes via a single inverse FFT; for a tuple
-    of polynomials, one row of values each from one batched inverse FFT.
+    """Values of p at all grid nodes via an inverse FFT; for a tuple of
+    polynomials, one row of values each.
 
     Coefficients are scaled by radius**exponent and folded into residue
     classes mod the grid size; folding is exact because the nodes are
-    size-th roots of unity scaled by the radius.  The inverse FFT writes
-    into the fold buffer and is scaled there, with the bits of
-    np.fft.ifft(folded) * g.size, so the buffer returned is the one grid
-    array the evaluation makes.
+    size-th roots of unity scaled by the radius.  The inverse FFTs
+    (_inverse_rows) write into the fold buffer and are scaled there, with
+    the bits of np.fft.ifft(folded) * g.size, so the buffer returned is the
+    one grid array the evaluation makes.
     """
     if isinstance(p, LaurentPoly):
-        folded = np.zeros(g.size, dtype=np.complex128)
-        _fold(p, g, folded)
-    else:
-        folded = _fold_rows(p, g)
-    values = np.fft.ifft(folded, axis=-1, out=folded)
-    values *= g.size
-    return values
+        return _inverse_rows(_fold_rows((p,), g))[0]
+    return _inverse_rows(_fold_rows(p, g))
 
 
 def _fold_rows(polys: tuple[LaurentPoly, ...], g: CircleGrid) -> np.ndarray:

@@ -421,12 +421,14 @@ def _szego_sum(refl: np.ndarray, out: np.ndarray | None = None) -> np.float64:
 
 
 def identity_grid(q: Sequence) -> CircleGrid:
-    """Unit-circle grid with 4x the total polynomial span, rounded up to a
-    power of two and at least 64 nodes; wide enough that trigonometric means
-    do not alias."""
+    """Unit-circle grid of 8x the support's length (1 for the zero datum),
+    rounded up to a power of two and at least 64 nodes; wide enough that
+    trigonometric means do not alias.  The sites' distance from 0 does not
+    count: shifting q by s multiplies b by z^s and leaves a as it is, so
+    |a| and |b| on the circle, all that the checks sample, do not move."""
     sup = q.support()
-    span = 1 if sup is None else max(1, sup[1] - sup[0] + 1 + max(abs(sup[0]), abs(sup[1])))
-    return CircleGrid(next_pow2(4 * span, 64))
+    length = 1 if sup is None else sup[1] - sup[0] + 1
+    return CircleGrid(next_pow2(8 * length, 64))
 
 
 def szego_identity_check(

@@ -1153,13 +1153,12 @@ class TestNlftCommand:
         assert not out.exists()
 
     def test_checks_hold_a_few_coset_arrays_on_a_far_datum(self):
-        # Two sites past 2^17: the identity grid has 2^20 nodes, and the
-        # checks, coset by coset on COSET_NODES, hold about three arrays of
-        # COSET_NODES complex values (a coset of a and b, then |a|^2 and
-        # |b|^2) where one pass over the whole grid held two of 2^20.
+        # Two sites past 2^17 on a grid of 2^20 nodes: the checks, coset by
+        # coset on COSET_NODES, hold about three arrays of COSET_NODES
+        # complex values (a coset of a and b, then |a|^2 and |b|^2) where
+        # one pass over the whole grid held two of 2^20.
         q = seq(200_000, [0.3, 0.2j])
-        grid, m = identity_grid(q), nlft_forward(q)
-        assert grid.size == 2**20
+        grid, m = CircleGrid(2**20), nlft_forward(q)
         al_ist.cli._nlft_checks(q, grid, m)  # warm: the FFT plan is made outside the peak
         tracemalloc.start()
         try:
@@ -1191,6 +1190,32 @@ class TestNlftCommand:
         assert err.startswith("numerical guard tripped: float64 transfer product fails its witness")
         assert " of 1024 witness nodes: the reflection coefficient" in err
         assert taken == [(2, COSET_NODES)]
+
+    @pytest.mark.parametrize("sites", [64, 3])  # the tree and the site-by-site product
+    @pytest.mark.parametrize("shift", [-10**6, 5, 10**9])
+    def test_shifted_datum_gets_the_artifact_at_0(self, datum_file, capsys, sites, shift):
+        # A shift by s multiplies b by z^s: grid, a, a(0), b's coefficients
+        # and the Szego rhs keep their bytes.  The folded b rotates with s, so
+        # the grid checks move by roundoff: over 30 seeds and 5 shifts of the
+        # 64-site datum at most 5 ulp of max |a|^2 and 42 ulp of the lhs.
+        q = dense_random_sequence(1, 0, sites, 0.3)
+        docs = []
+        for datum in (q, q.shifted(shift)):
+            assert main(["--cmd", "nlft", "--in", datum_file(datum)]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        at_0, shifted = docs
+        b_0 = at_0.pop("b")
+        assert shifted.pop("b") == {**b_0, "min_deg": b_0["min_deg"] - shift}
+
+        def checks(doc):
+            identity = doc["szego_identity"]
+            return doc.pop("unitarity_residual"), identity.pop("lhs"), identity.pop("residual")
+
+        (residual_0, lhs_0, _), (residual, lhs, _) = map(checks, docs)
+        assert shifted == at_0  # grid, a, a_at_zero and the Szego rhs
+        a_max = np.max(np.abs(lp_eval_grid(nlft_forward(q).a, CircleGrid(at_0["grid"])))) ** 2
+        assert abs(residual - residual_0) <= 16 * np.spacing(a_max)
+        assert abs(lhs - lhs_0) <= 64 * np.spacing(abs(lhs_0))
 
     def test_grid_override(self, datum_file, capsys):
         path = datum_file(seq(0, [0.5]))
@@ -1240,11 +1265,12 @@ class TestGridCap:
         assert f"exceeds GRID_NODE_CAP = {GRID_NODE_CAP}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_default_nlft_grid_grows_with_the_offset(self, datum_file, tmp_path, capsys, unbuilt):
-        # One site at 2^20: 4 (1 + 2^20) nodes round up to 2^23.
+    def test_default_nlft_grid_ignores_the_offset(self, datum_file, capsys):
+        # One site at 2^20 gets the 64 nodes of one site at 0, however far
+        # it sits past GRID_NODE_CAP.
         assert GRID_NODE_CAP == 2**22
-        path = datum_file(seq(2**20, [0.5]))
-        self.refused(["--cmd", "nlft", "--in", path], tmp_path, capsys)
+        assert main(["--cmd", "nlft", "--in", datum_file(seq(2**20, [0.5]))]) == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == 64
 
     def test_grid_option(self, datum_file, tmp_path, capsys, unbuilt):
         path = datum_file(seq(0, [0.5]))
@@ -1366,6 +1392,8 @@ class TestUnwritableOut:
         "solve": ["--cmd", "solve", "--t", "0.5", "--eps", "1e-6"],
         "compare": ["--cmd", "compare", "--t", "0.5", "--eps", "1e-6"],
         "nlft": ["--cmd", "nlft"],
+        "reference": ["--cmd", "reference", "--t", "0.5"],
+        "multiplier": ["--cmd", "multiplier", "--t", "0.5", "--n0", "8"],
     }
 
     @pytest.mark.parametrize("command", ["solve", "compare", "nlft"])
@@ -1383,6 +1411,27 @@ class TestUnwritableOut:
             assert out.is_dir() and not any(out.iterdir())
         else:
             assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", list(ARGS))
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_refused_before_the_work(self, datum_file, tmp_path, monkeypatch, capsys, command,
+                                     where):
+        # The solve, the transform, the RK pair or RK4 run and the bundle
+        # never start: the path is checked before the job runs.
+        def work(*args, **kwargs):
+            raise AssertionError("the job ran before --out was checked")
+
+        for name in ("solve_window_detailed", "nlft_forward", "rk4_integrate", "rk8_pair",
+                     "g_bundle"):
+            monkeypatch.setattr(al_ist.cli, name, work)
+        out = tmp_path / "out" if where == "directory" else tmp_path / "absent" / "out.txt"
+        if where == "directory":
+            out.mkdir()
+        path = datum_file(seq(0, [0.5, 0.25j]))
+        assert main([*self.ARGS[command], "--in", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: cannot write output file {out}: ")
+        assert out.is_dir() if where == "directory" else not out.parent.exists()
 
     def test_write_error_exits_2_and_removes_the_file(self, datum_file, tmp_path, monkeypatch,
                                                        capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from al_ist.laurent import (
     _fold,
+    BATCHED_IFFT_POINTS,
     CONVOLVE_SHORT,
     CONVOLVE_WORK,
     COSET_NODES,
@@ -215,6 +216,20 @@ class TestEvalGrid:
         for poly, row in zip((p, q), folded):
             _fold(poly, g, row)
         assert lp_eval_grid((p, q), g).tobytes() == (np.fft.ifft(folded) * g.size).tobytes()
+
+    @pytest.mark.parametrize("size", [BATCHED_IFFT_POINTS // 4, BATCHED_IFFT_POINTS,
+                                      2 * BATCHED_IFFT_POINTS, 4 * BATCHED_IFFT_POINTS])
+    def test_rows_are_the_row_by_row_evaluation_bit_for_bit(self, size):
+        # One batched inverse FFT up to BATCHED_IFFT_POINTS, one per row
+        # above: the same bits as one out-of-place ifft per row either way.
+        polys = random_polys(7, 3_000)[:2]
+        g = CircleGrid(size)
+        rows = []
+        for p in polys:
+            folded = np.zeros(size, dtype=np.complex128)
+            _fold(p, g, folded)
+            rows.append(np.fft.ifft(folded) * size)
+        assert lp_eval_grid(polys, g).tobytes() == np.stack(rows).tobytes()
 
     def test_holds_one_grid_array(self):
         # With the FFT plan made, an evaluation on 2^16 nodes allocates little

@@ -36,9 +36,9 @@ def test_compare_demo_lattice_covers_a_long_time_window():
 
 def test_artifact_digests_repeat():
     # One line per job of the three seed-1 rounds (11 point, 11 compare and
-    # 7 nlft jobs), per fixed solver case and per fixed writer case, then
-    # the total.
+    # 7 nlft jobs), per fixed solver case, per fixed writer case and per
+    # fixed datum away from 0, then the total.
     first = run_script("artifact_digests.py", "--seeds", "1")
     lines = first.splitlines()
-    assert len(lines) == 11 + 11 + 7 + 17 + 6 + 1 and lines[-1].startswith("total: ")
+    assert len(lines) == 11 + 11 + 7 + 17 + 6 + 2 + 1 and lines[-1].startswith("total: ")
     assert run_script("artifact_digests.py", "--seeds", "1") == first
